@@ -10,9 +10,11 @@
    together with the coordinator's allocation per costed plan.
 
    PARQO_SMOKE=1 shrinks the sweep (one small workload, one repeat) so
-   CI gates stay fast, and asserts a generous container-safe ceiling on
-   the cached run's us_per_plan so allocation regressions in the costing
-   hot path fail loudly. *)
+   CI gates stay fast, and gates the cached sequential run twice: a
+   generous container-safe ceiling on its us_per_plan, and a tight one
+   on its minor_words_per_plan — allocation on one domain is a
+   deterministic count, so it catches a slower candidate loop that the
+   wall-clock ceiling would let through. *)
 
 module T = Parqo.Tableau
 module Cm = Parqo.Costmodel
@@ -23,6 +25,12 @@ let smoke = Sys.getenv_opt "PARQO_SMOKE" <> None
 (* minimum cached sequential throughput the smallest container should
    comfortably beat; the full run on a quiet machine is ~5x faster *)
 let smoke_us_per_plan_ceiling = 30.
+
+(* about 1.2x the cached sequential chain-5 smoke run's 365.9 minor
+   words per plan, which repeats exactly from run to run; pricing every
+   candidate from scratch again (renumbering it, re-costing the
+   materialized twin) allocated 861.5 *)
+let smoke_words_per_plan_ceiling = 440.
 
 let plan_string (e : Cm.eval) = Parqo.Join_tree.to_string e.Cm.tree
 
@@ -193,11 +201,18 @@ let run () =
   if smoke then
     List.iter
       (fun r ->
-        if r.plan_cache && r.domains = 1 && r.us_per_plan > smoke_us_per_plan_ceiling
-        then
-          failwith
-            (Printf.sprintf
-               "E18 smoke: cached us_per_plan %.2f exceeds the %.0f ceiling \
-                — costing hot path regressed"
-               r.us_per_plan smoke_us_per_plan_ceiling))
+        if r.plan_cache && r.domains = 1 then begin
+          if r.us_per_plan > smoke_us_per_plan_ceiling then
+            failwith
+              (Printf.sprintf
+                 "E18 smoke: cached us_per_plan %.2f exceeds the %.0f ceiling \
+                  — costing hot path regressed"
+                 r.us_per_plan smoke_us_per_plan_ceiling);
+          if r.minor_words_per_plan > smoke_words_per_plan_ceiling then
+            failwith
+              (Printf.sprintf
+                 "E18 smoke: cached minor_words_per_plan %.1f exceeds the %.0f \
+                  ceiling — costing hot path allocates more"
+                 r.minor_words_per_plan smoke_words_per_plan_ceiling)
+        end)
       !runs

@@ -16,14 +16,14 @@ let rec reuse_find node = function
   | [] -> None
   | (k, d) :: rest -> if k == node then Some d else reuse_find node rest
 
-let of_optree ?(reuse = []) ?scratch (env : Env.t) root =
+let scratch (env : Env.t) = Descriptor.scratch env.placement.Placement.dim
+
+let of_optree ?(reuse = []) ?scratch:s (env : Env.t) root =
   let p = env.dparams in
   let s =
-    (* the combinators run on a scratch either way; the cached hot path
-       passes its per-handle scratch, one-shot callers get a fresh one *)
-    match scratch with
-    | Some s -> s
-    | None -> Descriptor.scratch env.placement.Placement.dim
+    (* the combinators run on a scratch either way; the incremental hot
+       path passes a long-lived one, one-shot callers get a fresh one *)
+    match s with Some s -> s | None -> scratch env
   in
   let rec descr (node : Op.node) =
     (* [reuse] holds grafted sub-trees (matched physically) whose
@@ -119,17 +119,83 @@ let evaluate ?(required_order = P.Ordering.none) (env : Env.t) tree =
 (* ---------------------------------------------------------------- *)
 (* Incremental costing (the PODP hot path).
 
-   The partial-order DP only ever evaluates joins of sub-plans whose
-   covers it already memoized, so the cache stores one entry per
-   remembered sub-plan — keyed by the tree's interned canonical key —
-   holding its expansion, descriptor and output ordering.  Evaluating a
-   join of two cached children then costs O(new root operators): the
+   Every candidate the partial-order DP prices is a join of sub-plans it
+   already evaluated — a memoized plan and an access plan — so pricing
+   from the children's evaluations costs O(new root operators): the
    child expansions are grafted under the new root operators
-   (Expand.expand_join), the new operators' descriptors pipe onto the
-   cached child descriptors (of_optree ~reuse), and only the node-id
-   renumbering walks the whole tree.  Every arithmetic operation runs on
-   the same values in the same order as the uncached path, so the result
-   is bit-identical.
+   (Expand.expand_join) and the new operators' descriptors pipe onto the
+   children's (of_optree ~reuse).  The materialized variant of a join is
+   derived from the pipelined one ([materialized_twin]), and the node-id
+   renumbering — the one walk over the whole tree — is left to
+   [numbered], which the DP runs only on the plans its covers keep.
+   Every arithmetic operation runs on the same values in the same order
+   as the from-scratch path, so the results are bit-identical. *)
+
+(* Price join [j] (the node of [tree]) over its children's evaluations:
+   the new root operators are expanded over the children's operator
+   trees, grafted unchanged, and their descriptors pipe onto the
+   children's, so only the new operators are costed.  The operator tree
+   is left unnumbered (new nodes carry id 0): ids depend only on the
+   final shape, so [numbered] can assign them once the plan is kept. *)
+let join_eval ~scratch (env : Env.t) tree (j : P.Join_tree.join) oe ie =
+  (* children are well-formed (their own evaluation checked them); the
+     combination is iff their leaf sets are disjoint *)
+  if not (Bitset.disjoint (P.Join_tree.relations oe.tree)
+            (P.Join_tree.relations ie.tree))
+  then invalid_arg "Costmodel: relation used more than once";
+  let root =
+    Parqo_optree.Expand.expand_join ~config:env.expand_config env.estimator j
+      ~outer:oe.optree ~inner:ie.optree ~outer_ordering:(lazy oe.ordering)
+      ~inner_ordering:(lazy ie.ordering)
+  in
+  let descriptor =
+    of_optree
+      ~reuse:[ (oe.optree, oe.descriptor); (ie.optree, ie.descriptor) ]
+      ~scratch env root
+  in
+  let ordering =
+    P.Props.ordering_of_join (Env.query env) j ~outer:(fun () -> oe.ordering)
+  in
+  of_descriptor ~tree ~optree:root ~ordering descriptor
+
+let price_join ~scratch env ~method_ ~clone ~outer ~inner =
+  let tree =
+    P.Join_tree.join ~clone method_ ~outer:outer.tree ~inner:inner.tree
+  in
+  match tree with
+  | P.Join_tree.Join j -> join_eval ~scratch env tree j outer inner
+  | P.Join_tree.Access _ -> assert false (* [Join_tree.join] builds a join *)
+
+(* [Expand.expand_join] sets the requested composition on the root
+   operator only, [Opcost.base] never reads it, and [of_optree] applies
+   [sync] to the root's combined descriptor last: so the materialized
+   join is the pipelined one with its root flipped and [sync] applied.
+   [sync] keeps [rl], hence response time and work, bit for bit. *)
+let materialized_twin e =
+  match e.tree with
+  | P.Join_tree.Join ({ materialize = false; _ } as j) ->
+    let tree =
+      P.Join_tree.join ~clone:j.clone ~materialize:true j.method_
+        ~outer:j.outer ~inner:j.inner
+    in
+    {
+      e with
+      tree;
+      optree = { e.optree with Op.composition = Op.Materialized };
+      descriptor = Descriptor.sync e.descriptor;
+    }
+  | _ -> invalid_arg "Costmodel.materialized_twin: not a pipelined join"
+
+let numbered e = { e with optree = Parqo_optree.Expand.renumber e.optree }
+
+(* ---------------------------------------------------------------- *)
+(* The sub-plan cache, for callers holding join trees rather than their
+   children's evaluations (annotation search).
+
+   It stores one entry per remembered sub-plan — keyed by the tree's
+   interned canonical key — holding its expansion, descriptor and output
+   ordering, and prices a join of cached children through the same
+   [join_eval] as the DP, renumbering each result.
 
    Domain safety is by ownership, not locking: a cache handle belongs to
    one domain; parallel regions give each worker a [shard_cache] (private
@@ -137,11 +203,9 @@ let evaluate ?(required_order = P.Ordering.none) (env : Env.t) tree =
    coordinator [absorb_cache]s the shards after the barrier and
    [publish_cache]es its writes before the next region.  Values are pure
    functions of the key, so independently computed entries are
-   interchangeable.  [remember_all] suits annotation search (two-phase),
-   where revisited sub-trees are the common case; the DP instead
-   remembers exactly its memoized covers plus the access-plan leaves,
-   keeping the cache's footprint at the memo's size rather than one
-   entry per candidate. *)
+   interchangeable.  Access-plan leaves are always remembered; joins only
+   with [remember_all] (two-phase search, where revisited sub-trees are
+   the common case). *)
 
 type cache = {
   store : eval Plan_cache.t;
@@ -161,25 +225,24 @@ let shard_cache cache =
     scratch = None;
   }
 
-let scratch_of cache (env : Env.t) =
+let scratch_of cache env =
   match cache.scratch with
   | Some s -> s
   | None ->
-    let s = Descriptor.scratch env.placement.Placement.dim in
+    let s = scratch env in
     cache.scratch <- Some s;
     s
 
 let absorb_cache cache shard = Plan_cache.absorb cache.store shard.store
 let publish_cache cache = Plan_cache.publish cache.store
 
-let remember cache e = Plan_cache.remember cache.store (P.Join_tree.key e.tree) e
-
 let cache_stats cache =
   (Plan_cache.hits cache.store, Plan_cache.misses cache.store,
    Plan_cache.length cache.store)
 
 let rec evaluate_sub cache (env : Env.t) (tree : P.Join_tree.t) =
-  match Plan_cache.find cache.store (P.Join_tree.key tree) with
+  let key = P.Join_tree.key tree in
+  match Plan_cache.find cache.store key with
   | Some e -> e
   | None ->
     let e =
@@ -188,34 +251,13 @@ let rec evaluate_sub cache (env : Env.t) (tree : P.Join_tree.t) =
       | P.Join_tree.Join j ->
         let oe = evaluate_sub cache env j.outer in
         let ie = evaluate_sub cache env j.inner in
-        (* children are well-formed (their own evaluation checked them);
-           the combination is iff their leaf sets are disjoint *)
-        if not (Bitset.disjoint (P.Join_tree.relations j.outer)
-                  (P.Join_tree.relations j.inner))
-        then invalid_arg "Costmodel: relation used more than once";
-        let root =
-          Parqo_optree.Expand.expand_join ~config:env.expand_config
-            env.estimator j ~outer:oe.optree ~inner:ie.optree
-            ~outer_ordering:(lazy oe.ordering)
-            ~inner_ordering:(lazy ie.ordering)
-        in
-        let descriptor =
-          of_optree
-            ~reuse:[ (oe.optree, oe.descriptor); (ie.optree, ie.descriptor) ]
-            ~scratch:(scratch_of cache env) env root
-        in
-        let optree = Parqo_optree.Expand.renumber root in
-        let ordering =
-          P.Props.ordering_of_join (Env.query env) j
-            ~outer:(fun () -> oe.ordering)
-        in
-        of_descriptor ~tree ~optree ~ordering descriptor
+        numbered (join_eval ~scratch:(scratch_of cache env) env tree j oe ie)
     in
     let keep =
       cache.remember_all
       || (match tree with P.Join_tree.Access _ -> true | P.Join_tree.Join _ -> false)
     in
-    if keep then remember cache e;
+    if keep then Plan_cache.remember cache.store key e;
     e
 
 let evaluate_cached ?(required_order = P.Ordering.none) cache env tree =

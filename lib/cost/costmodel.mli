@@ -28,11 +28,11 @@ val of_optree :
 
     [reuse] short-circuits the recursion at sub-trees (matched by
     physical identity) whose descriptors are already known — the
-    incremental path of {!evaluate_cached} passes the grafted children
-    here so only the new root operators are costed.  [scratch] supplies
-    the descriptor combinators' buffers (results are identical either
-    way); the cached hot path passes its handle-owned scratch, omitting
-    it allocates a fresh one per call. *)
+    incremental path of {!price_join} passes the grafted children here
+    so only the new root operators are costed.  [scratch] supplies the
+    descriptor combinators' buffers (results are identical either way);
+    the incremental path passes a long-lived {!val-scratch}, omitting it
+    allocates a fresh one per call. *)
 
 val evaluate :
   ?required_order:Parqo_plan.Ordering.t -> Env.t -> Parqo_plan.Join_tree.t -> eval
@@ -48,14 +48,53 @@ val evaluate :
 val required_order : Env.t -> Parqo_plan.Ordering.t
 (** The query's ORDER BY as an ordering (empty when absent). *)
 
-(** {2 Incremental costing}
+(** {2 Incremental pricing}
 
-    A sub-plan cache keyed by {!Parqo_plan.Join_tree.key}.
-    {!evaluate_cached} evaluates a join of cached children in O(new root
-    operators): the cached child expansions are grafted unchanged, the
-    new operators' descriptors pipe onto the cached child descriptors,
-    and the result is bit-identical to {!evaluate} (same arithmetic on
-    the same values in the same order).
+    The partial-order DP's hot path: a candidate is a join of two plans
+    already evaluated, priced in O(new root operators) from their
+    evaluations.  Results are bit-identical to {!evaluate} of the same
+    tree once {!numbered}. *)
+
+val scratch : Env.t -> Descriptor.scratch
+(** Descriptor buffers sized to the environment's machine, for
+    {!price_join} and {!of_optree}; owned by one domain. *)
+
+val price_join :
+  scratch:Descriptor.scratch ->
+  Env.t ->
+  method_:Parqo_plan.Join_method.t ->
+  clone:int ->
+  outer:eval ->
+  inner:eval ->
+  eval
+(** The pipelined join of two evaluated plans (its materialized variant
+    is {!materialized_twin}): the new root operators are expanded over
+    the children's operator trees, which are grafted unchanged, and only
+    they are costed.  The operator tree is {e unnumbered} — the new
+    nodes carry id 0 — until {!numbered}.  Raises [Invalid_argument]
+    when the two sides share a relation. *)
+
+val materialized_twin : eval -> eval
+(** [materialized_twin e] for a pipelined join [e]: the same join with
+    its output materialized, derived without re-expanding or re-costing
+    — the root operator's composition flipped to [Materialized] and the
+    descriptor [Descriptor.sync]ed, which is exactly what {!evaluate}
+    computes (the composition is set on the root only and no base cost
+    reads it).  Response time and work are [e]'s.  Raises
+    [Invalid_argument] unless [e] is a pipelined join. *)
+
+val numbered : eval -> eval
+(** Assign the operator tree the preorder ids {!evaluate} gives (see
+    {!Parqo_optree.Expand.renumber}); the only whole-tree walk of
+    incremental pricing. *)
+
+(** {2 Sub-plan cache}
+
+    A sub-plan cache keyed by {!Parqo_plan.Join_tree.key}, for callers
+    holding join trees rather than their children's evaluations.
+    {!evaluate_cached} prices a join of cached children through
+    {!price_join}'s path and numbers the result, bit-identical to
+    {!evaluate} (same arithmetic on the same values in the same order).
 
     A cache handle is owned by one domain (its read path takes no lock);
     parallel regions derive one {!shard_cache} per worker over the same
@@ -68,9 +107,7 @@ type cache
 val create_cache : ?remember_all:bool -> unit -> cache
 (** Access-plan leaves are always remembered on miss.  Join evaluations
     are remembered only when [remember_all] is set (suits annotation
-    search, where sub-trees recur across variants) or via an explicit
-    {!remember} (the DP remembers exactly its memoized covers, bounding
-    the cache at the memo's size rather than one entry per candidate). *)
+    search, where sub-trees recur across variants). *)
 
 val evaluate_cached :
   ?required_order:Parqo_plan.Ordering.t ->
@@ -81,11 +118,6 @@ val evaluate_cached :
 (** Like {!evaluate}, reusing cached sub-plan evaluations.  Raises
     [Invalid_argument] when a relation appears on both sides of a join;
     sub-trees not in the cache are checked by their own evaluation. *)
-
-val remember : cache -> eval -> unit
-(** Insert an evaluation under its plan's key (idempotent; values are
-    pure functions of the key, so independently computed entries are
-    interchangeable). *)
 
 val shard_cache : cache -> cache
 (** A worker-private handle over the same published snapshot — one per

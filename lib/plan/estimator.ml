@@ -109,7 +109,13 @@ let card t set =
       Mutex.unlock m;
       c)
 
+(* a loop over the relation ids rather than [Bitset.fold]: the fold's
+   closure boxes the float accumulator on every step, and expansion asks
+   for the width of every costed candidate *)
 let width t set =
-  Bitset.fold
-    (fun rel acc -> acc +. float_of_int (C.Table.arity t.tables.(rel)))
-    set 0.
+  let acc = ref 0. in
+  for rel = 0 to Array.length t.tables - 1 do
+    if Bitset.mem rel set then
+      acc := !acc +. float_of_int (C.Table.arity t.tables.(rel))
+  done;
+  !acc

@@ -2,6 +2,12 @@ module Cm = Parqo_cost.Costmodel
 module M = Parqo_machine.Machine
 module Vecf = Parqo_util.Vecf
 
+(* [Vecf.fmax], restated so that it inlines into the per-candidate [fill]
+   below: a call into another library is never inlined when that library
+   is compiled opaque (dune's default dev profile), and a float function
+   that is called rather than inlined boxes its arguments *)
+let fmax (a : float) (b : float) = if a >= b then a else b
+
 type t = {
   name : string;
   arity : int;
@@ -95,9 +101,10 @@ let descriptor machine agg =
           ]);
     fill =
       (* single pass over the resources: per-group first-tuple work,
-         per-group residual work (clamped subtraction, same float ops as
-         [Rvec.residual]) and the residual's busiest coordinate, staged
-         in [dst.(1)] — values identical to the [dims] thunk's *)
+         per-group residual work (clamped subtraction with [fmax], the
+         same float ops as [Rvec.residual], and no boxing) and the
+         residual's busiest coordinate, staged in [dst.(1)] — values
+         identical to the [dims] thunk's *)
       Some
         (fun e dst ->
           let d = e.Cm.descriptor in
@@ -107,21 +114,21 @@ let descriptor machine agg =
             dst.(2 + g) <- 0.;
             dst.(2 + groups + g) <- 0.
           done;
-          let wf = rf.Parqo_cost.Rvec.work and wl = rl.Parqo_cost.Rvec.work in
+          let wf = Vecf.unsafe_raw rf.Parqo_cost.Rvec.work
+          and wl = Vecf.unsafe_raw rl.Parqo_cost.Rvec.work in
           dst.(1) <- neg_infinity;
-          for i = 0 to Vecf.dim wf - 1 do
-            let f = Vecf.get wf i in
-            let res = Float.max 0. (Vecf.get wl i -. f) in
+          for i = 0 to Array.length wf - 1 do
+            let f = wf.(i) in
+            let res = fmax 0. (wl.(i) -. f) in
             let g = group_of i in
             dst.(2 + g) <- dst.(2 + g) +. f;
             dst.(2 + groups + g) <- dst.(2 + groups + g) +. res;
-            dst.(1) <- Float.max dst.(1) res
+            dst.(1) <- fmax dst.(1) res
           done;
           dst.(0) <- rf.Parqo_cost.Rvec.time;
           dst.(1) <-
-            Float.max dst.(1)
-              (Float.max 0.
-                 (rl.Parqo_cost.Rvec.time -. rf.Parqo_cost.Rvec.time)));
+            fmax dst.(1)
+              (fmax 0. (rl.Parqo_cost.Rvec.time -. rf.Parqo_cost.Rvec.time)));
     refines = None;
   }
 
@@ -142,13 +149,13 @@ let expected_makespan (env : Parqo_cost.Env.t) ~fault_rate =
   }
 
 let contention_rank ~pressure (e : Cm.eval) =
-  let w = Parqo_cost.Descriptor.work_vector e.Cm.descriptor in
-  let n = min (Array.length pressure) (Vecf.dim w) in
-  let acc = Array.make 1 e.Cm.response_time in
+  let w = Vecf.unsafe_raw (Parqo_cost.Descriptor.work_vector e.Cm.descriptor) in
+  let n = min (Array.length pressure) (Array.length w) in
+  let acc = ref e.Cm.response_time in
   for r = 0 to n - 1 do
-    acc.(0) <- acc.(0) +. (pressure.(r) *. Vecf.get w r)
+    acc := !acc +. (pressure.(r) *. w.(r))
   done;
-  acc.(0)
+  !acc
 
 let contended ~pressure =
   let peak = Array.fold_left Float.max 0. pressure in

@@ -70,32 +70,18 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
   let width = Domain_pool.width pool in
   let tracker = Budget.start budget in
   let gave_up = ref false in
-  (* Incremental costing: every candidate at level l + 1 extends a
-     memoized level-l plan, so with its sub-plans cached the evaluation
-     only costs the new root operators.  Access-plan leaves self-cache on
-     first miss; join entries are remembered explicitly — winners only,
-     on the coordinator between level barriers — so the cache stays the
-     size of the memo, not of the candidate stream.  Workers read the
-     published snapshot lock-free through per-worker shards (shard 0 is
-     the coordinator's own handle); the coordinator publishes each
-     level's writes at the barrier.  Results are bit-identical with the
-     cache off. *)
-  let cache = if plan_cache then Some (Cm.create_cache ()) else None in
-  let shards =
-    Array.init width (fun i ->
-        if i = 0 then cache else Option.map Cm.shard_cache cache)
-  in
-  let evaluate_with shard tree =
-    match shard with
-    | Some c -> Cm.evaluate_cached c env tree
-    | None -> Cm.evaluate env tree
-  in
-  let evaluate tree = evaluate_with cache tree in
-  let remember e = match cache with Some c -> Cm.remember c e | None -> () in
-  (* make this level's winners (and any leaf self-caching) visible to the
-     worker shards of the next level; pointless when no worker exists *)
-  let publish () =
-    if width > 1 then Option.iter Cm.publish_cache cache
+  (* Incremental costing: every candidate at level l + 1 joins a
+     memoized level-l plan with an access plan, both already evaluated,
+     so pricing it costs only the new root operators (Cm.price_join on a
+     per-worker descriptor scratch).  The memo arena and the level-1
+     access evaluations are the children's cache: nothing is looked up
+     by key.  Each materialized candidate is the twin of the pipelined
+     one generated just before it (Cm.materialized_twin), and operator
+     trees are numbered only when a plan enters the memo.  With
+     [plan_cache] off every candidate is evaluated from scratch instead —
+     the reference the incremental path is bit-identical to. *)
+  let scratches =
+    if plan_cache then Array.init width (fun _ -> Cm.scratch env) else [||]
   in
   let apply_beam cover =
     match max_cover with
@@ -132,8 +118,12 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
   in
   let level_sizes = Array.make (n + 1) 0 in
   (* per-relation access plans are annotation-independent of the level
-     loop: generate them once instead of per (sub-plan, relation) pair *)
-  let access_plans = Array.init n (Space.access_plans env config) in
+     loop: generate and evaluate them once, as level 1 and as the inner
+     side of every extension *)
+  let access_evals =
+    Array.init n (fun rel ->
+        List.map (Cm.evaluate env) (Space.access_plans env config rel))
+  in
   let admissible e =
     match work_cap with None -> true | Some cap -> e.Cm.work <= cap +. 1e-9
   in
@@ -160,12 +150,11 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
     let cover = covers.(0) in
     Cover.Flat.clear cover;
     List.iter
-      (fun tree ->
+      (fun e ->
         Search_stats.generated stats 1;
         incr l1_ticks;
-        let e = evaluate tree in
         if admissible e then cover_add cover e)
-      access_plans.(rel);
+      access_evals.(rel);
     apply_beam cover;
     Search_stats.observe_cover stats (Cover.Flat.size cover);
     if Cover.Flat.size cover > !l1_cover_max then
@@ -178,8 +167,7 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
   (* stored sizes are recorded in level order, level 1 first *)
   if n > 0 then begin
     Search_stats.observe_stored stats level_sizes.(1);
-    finish_level ~level:1 ~subsets:n ~cover_max:!l1_cover_max ~used_domains:1;
-    publish ()
+    finish_level ~level:1 ~subsets:n ~cover_max:!l1_cover_max ~used_domains:1
   end;
   (* The level loop: within a level every subset's cover depends only on
      the memo slices of strictly smaller subsets (written at earlier
@@ -193,38 +181,64 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
     let subsets = Array.of_list (Bitset.subsets_of_size n ~size) in
     let n_subsets = Array.length subsets in
     let results : subset_result option array = Array.make n_subsets None in
-    let compute ~worker ~evaluate ~ticks s =
+    let compute ~worker ~ticks s =
       let considered = ref 0 and generated = ref 0 in
       let best_plans = covers.(worker) in
       Cover.Flat.clear best_plans;
+      let consider e =
+        incr generated;
+        incr ticks;
+        if !ticks >= tick_grain then begin
+          Budget.tick tracker !ticks;
+          ticks := 0
+        end;
+        if admissible e then cover_add best_plans e
+      in
+      (* one annotated join of [p] and [a] for each materialization
+         choice, in [Space.combine_candidates] order: pipelined, then
+         its materialized twin *)
+      let price =
+        if plan_cache then begin
+          let scratch = scratches.(worker) in
+          fun ~method_ ~clone p a ->
+            let e =
+              Cm.price_join ~scratch env ~method_ ~clone ~outer:p ~inner:a
+            in
+            consider e;
+            if config.Space.materialize_choices then
+              consider (Cm.materialized_twin e)
+        end
+        else fun ~method_ ~clone p a ->
+          let evaluate materialize =
+            consider
+              (Cm.evaluate env
+                 (Parqo_plan.Join_tree.join ~clone ~materialize method_
+                    ~outer:p.Cm.tree ~inner:a.Cm.tree))
+          in
+          evaluate false;
+          if config.Space.materialize_choices then evaluate true
+      in
       let extend ~require_connection =
         Bitset.iter
           (fun j ->
             let s_j = Bitset.remove j s in
-            if
-              (not require_connection)
-              || Space.connects env s_j (Bitset.singleton j)
-            then begin
+            let joined = Space.connects env s_j (Bitset.singleton j) in
+            if (not require_connection) || joined then begin
+              let methods = Space.join_methods config ~joined in
               let mask = Bitset.to_int s_j in
               let off = memo_off.(mask) in
               for k = off to off + memo_len.(mask) - 1 do
                 let p = memo.buf.(k) in
                 incr considered;
                 List.iter
-                  (fun inner ->
+                  (fun a ->
                     List.iter
-                      (fun tree ->
-                        incr generated;
-                        incr ticks;
-                        if !ticks >= tick_grain then begin
-                          Budget.tick tracker !ticks;
-                          ticks := 0
-                        end;
-                        let e = evaluate tree in
-                        if admissible e then cover_add best_plans e)
-                      (Space.combine_candidates env config ~outer:p.Cm.tree
-                         ~inner))
-                  access_plans.(j)
+                      (fun method_ ->
+                        List.iter
+                          (fun clone -> price ~method_ ~clone p a)
+                          config.Space.clone_degrees)
+                      methods)
+                  access_evals.(j)
               done
             end)
           s
@@ -233,9 +247,13 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
       if Cover.Flat.size best_plans = 0 then extend ~require_connection:false;
       let cover_pre = Cover.Flat.size best_plans in
       apply_beam best_plans;
+      (* the kept plans enter the memo: only they get node ids *)
       let arena = arenas.(worker) in
       let start = arena.len in
-      Cover.Flat.iter_newest_first (arena_push arena) best_plans;
+      let enter = if plan_cache then Cm.numbered else Fun.id in
+      Cover.Flat.iter_newest_first
+        (fun e -> arena_push arena (enter e))
+        best_plans;
       {
         worker;
         start;
@@ -253,10 +271,9 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
       Domain_pool.run_ranged pool ~tasks:n_subsets
         (fun ~worker ~lo ~hi ->
           if not (Budget.exhausted tracker) then begin
-            let evaluate = evaluate_with shards.(worker) in
             let ticks = ref 0 in
             for i = lo to hi - 1 do
-              results.(i) <- Some (compute ~worker ~evaluate ~ticks subsets.(i))
+              results.(i) <- Some (compute ~worker ~ticks subsets.(i))
             done;
             if !ticks > 0 then Budget.tick tracker !ticks
           end)
@@ -279,26 +296,15 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
           if r.len > 0 then begin
             arena_room memo r.len src.buf.(r.start);
             Array.blit src.buf r.start memo.buf memo.len r.len;
-            memo.len <- memo.len + r.len;
-            for k = memo.len - r.len to memo.len - 1 do
-              remember memo.buf.(k)
-            done
+            memo.len <- memo.len + r.len
           end)
       results;
     (* worker arenas are consumed; recycle them for the next level *)
     Array.iter (fun a -> a.len <- 0) arenas;
     Search_stats.observe_stored stats level_sizes.(size);
     finish_level ~level:size ~subsets:n_subsets ~cover_max:!cover_max
-      ~used_domains;
-    publish ()
+      ~used_domains
   done;
-  Array.iteri
-    (fun i shard ->
-      if i > 0 then
-        match (cache, shard) with
-        | Some c, Some s -> Cm.absorb_cache c s
-        | _ -> ())
-    shards;
   Search_stats.observe_pool stats
     (Domain_pool.diff_stats pool_stats0 (Domain_pool.stats pool));
   let cover =

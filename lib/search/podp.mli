@@ -61,9 +61,14 @@ val optimize :
     get skipped near exhaustion may differ (an exhausted budget reports
     [gave_up] in every case).
 
-    [plan_cache] (default on) evaluates candidates incrementally through
-    a {!Parqo_cost.Costmodel.cache}: every extension reuses the memoized
-    outer sub-plan's expansion and descriptor, so only the new root
-    operators are costed.  The cache holds the memo winners plus the
-    access-plan leaves — not the candidate stream — and the result is
-    bit-identical with the cache off. *)
+    [plan_cache] (default on) prices candidates incrementally from the
+    evaluations the search already holds — the memoized outer plan and
+    the access plan ({!Parqo_cost.Costmodel.price_join}) — so only the
+    new root operators are costed; each materialized candidate is the
+    {!Parqo_cost.Costmodel.materialized_twin} of the pipelined one
+    generated just before it; and operator trees are numbered only when
+    a plan enters the memo.  The pruning metric therefore sees
+    candidates with unnumbered operator trees (it must not read node
+    ids); every plan returned is numbered.  Off, every candidate is
+    evaluated from scratch ({!Parqo_cost.Costmodel.evaluate}); the
+    result is bit-identical either way. *)

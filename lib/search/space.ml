@@ -59,15 +59,15 @@ let access_plans (env : Env.t) config rel =
 
 let connects = Env.connects
 
+let join_methods config ~joined =
+  if joined then config.methods
+  else List.filter (fun m -> m = P.Join_method.Nested_loops) config.methods
+
 let combine_candidates (env : Env.t) config ~outer ~inner =
   let joined =
     connects env (P.Join_tree.relations outer) (P.Join_tree.relations inner)
   in
-  let methods =
-    List.filter
-      (fun m -> joined || m = P.Join_method.Nested_loops)
-      config.methods
-  in
+  let methods = join_methods config ~joined in
   let mats = if config.materialize_choices then [ false; true ] else [ false ] in
   List.concat_map
     (fun method_ ->

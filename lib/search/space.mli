@@ -38,15 +38,20 @@ val access_plans : Parqo_cost.Env.t -> config -> int -> Parqo_plan.Join_tree.t l
 val connects : Parqo_cost.Env.t -> Parqo_util.Bitset.t -> Parqo_util.Bitset.t -> bool
 (** Some join predicate crosses the two sets. *)
 
+val join_methods : config -> joined:bool -> Parqo_plan.Join_method.t list
+(** The configured methods that apply between two sides: all of them
+    when a join predicate connects the sides ([joined]), else nested
+    loops only (the cartesian fallback). *)
+
 val combine_candidates :
   Parqo_cost.Env.t ->
   config ->
   outer:Parqo_plan.Join_tree.t ->
   inner:Parqo_plan.Join_tree.t ->
   Parqo_plan.Join_tree.t list
-(** All annotated joins of two subplans.  Sort-merge and hash join are
-    generated only when a join predicate connects the sides; nested loops
-    always is (it is the cartesian fallback). *)
+(** All annotated joins of two subplans: for each of {!join_methods},
+    each clone degree, the pipelined join followed — when
+    [materialize_choices] is set — by its materialized twin. *)
 
 val join_candidates :
   Parqo_cost.Env.t ->

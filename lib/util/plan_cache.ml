@@ -23,9 +23,9 @@
    (own overlay, own counters) on the same snapshot and epoch.  A
    coordinator hands one shard to each worker, then {!absorb}s the
    shards back (merging overlays and summing counters) and {!publish}es
-   to fold its overlay into the next snapshot — the per-level cadence of
-   the partial-order DP, where every level reads only entries published
-   by earlier levels.
+   to fold its overlay into the next snapshot — the per-batch cadence of
+   the two-phase annotation search, where every batch reads only entries
+   published before it.
 
    Values must be pure functions of (key, epoch): two shards may compute
    the same key independently and both results are interchangeable. *)

@@ -68,20 +68,22 @@ let pointwise_max a b = map2 Float.max a b
 let fmax (a : float) (b : float) = if a >= b then a else b
 let fmin (a : float) (b : float) = if a <= b then a else b
 
+(* A local float [ref] that never escapes is compiled to an unboxed
+   mutable variable, so these loops allocate nothing; only the result is
+   boxed, when the call is not inlined. *)
 let max_coord v =
-  let acc = Array.make 1 neg_infinity in
+  let acc = ref neg_infinity in
   for i = 0 to Array.length v - 1 do
-    acc.(0) <- (if acc.(0) >= v.(i) then acc.(0) else v.(i))
+    acc := if !acc >= v.(i) then !acc else v.(i)
   done;
-  acc.(0)
+  !acc
 
 let sum v =
-  (* one-slot float array: unboxed accumulator without flambda *)
-  let acc = Array.make 1 0. in
+  let acc = ref 0. in
   for i = 0 to Array.length v - 1 do
-    acc.(0) <- acc.(0) +. v.(i)
+    acc := !acc +. v.(i)
   done;
-  acc.(0)
+  !acc
 
 let dominates a b =
   check_dim a b;

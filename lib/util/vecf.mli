@@ -42,7 +42,10 @@ val fmax : float -> float -> float
     neither argument is NaN and [-0.] cannot reach the left slot of a
     [(-0., +0.)] tie (the costing path only ever produces [+0.]), but
     small enough to inline without flambda where [Float.max] stays an
-    allocating call. *)
+    allocating call.  Inlining across modules needs a build that is not
+    opaque: under dune's dev profile a caller outside this module makes
+    a real, boxing call, so a per-candidate loop elsewhere restates it
+    locally. *)
 
 val fmin : float -> float -> float
 (** [if a <= b then a else b]; the [Float.min] counterpart of {!fmax}. *)

@@ -35,3 +35,11 @@ let random_tree rng (env : Parqo.Env.t) =
     }
   in
   Parqo.Random_plans.random_tree rng env config
+
+(* The pool clamps [~domains] to the machine's cores, so on a one-core CI
+   box plain [~domains:k] never leaves the calling domain.  The
+   determinism properties must exercise REAL cross-domain execution:
+   every parallel run goes through an oversubscribed persistent pool,
+   which forces k domains regardless of the core count. *)
+let with_forced_pool k f =
+  Parqo.Domain_pool.with_pool ~oversubscribe:true ~domains:k f

@@ -28,24 +28,31 @@ let exactly_once () =
           done)
         [ 0; 1; 2; 3; 4; 5; 17; 100; 1000 ])
 
-(* ranges partition [0, tasks): contiguous, disjoint, in-bounds *)
+(* ranges partition [0, tasks): contiguous, disjoint, in-bounds.  The
+   workers only record the ranges they claimed; every assertion runs on
+   the calling domain once the region is over — Alcotest is not
+   domain-safe, and a check raising on a worker must not be able to
+   wedge the region. *)
 let ranges_partition () =
   Pool.with_pool ~oversubscribe:true ~domains:3 (fun pool ->
       let tasks = 500 in
-      let owner = Array.make tasks (-1) in
+      let claims = ref [] in
       let m = Mutex.create () in
       ignore
         (Pool.run_ranged pool ~tasks (fun ~worker ~lo ~hi ->
-             Alcotest.(check bool) "lo < hi" true (lo < hi);
-             Alcotest.(check bool) "bounds" true (lo >= 0 && hi <= tasks);
-             Mutex.lock m;
-             for i = lo to hi - 1 do
-               Alcotest.(check int)
-                 (Printf.sprintf "index %d unclaimed" i)
-                 (-1) owner.(i);
-               owner.(i) <- worker
-             done;
-             Mutex.unlock m));
+             Mutex.protect m (fun () -> claims := (worker, lo, hi) :: !claims)));
+      let owner = Array.make tasks (-1) in
+      List.iter
+        (fun (worker, lo, hi) ->
+          Alcotest.(check bool) "lo < hi" true (lo < hi);
+          Alcotest.(check bool) "bounds" true (lo >= 0 && hi <= tasks);
+          for i = lo to hi - 1 do
+            Alcotest.(check int)
+              (Printf.sprintf "index %d unclaimed" i)
+              (-1) owner.(i);
+            owner.(i) <- worker
+          done)
+        !claims;
       Array.iteri
         (fun i w ->
           Alcotest.(check bool)

@@ -91,6 +91,53 @@ let cached_matches_uncached_with_order () =
     done
   done
 
+(* property: on random join trees, every pipelined join priced from its
+   children's evaluations ([Cm.price_join], numbered) equals
+   [Cm.evaluate] of the same tree, and the materialized twin derived from
+   a pipelined evaluation — a cached one, or an unnumbered priced one —
+   equals [Cm.evaluate] of the materialized tree *)
+let twin_matches_evaluate () =
+  let rng = Parqo.Rng.create 36 in
+  for _ = 1 to 20 do
+    let env = Helpers.random_env rng ~n:5 in
+    let cache = Cm.create_cache () in
+    let scratch = Cm.scratch env in
+    for _ = 1 to 5 do
+      List.iter
+        (fun (j : Parqo.Join_tree.join) ->
+          let method_ = j.Parqo.Join_tree.method_
+          and clone = j.Parqo.Join_tree.clone in
+          let join materialize =
+            Parqo.Join_tree.join ~clone ~materialize method_
+              ~outer:j.Parqo.Join_tree.outer ~inner:j.Parqo.Join_tree.inner
+          in
+          let pipelined = Cm.evaluate env (join false)
+          and materialized = Cm.evaluate env (join true) in
+          check_eval_identical "twin of cached"
+            (Cm.materialized_twin (Cm.evaluate_cached cache env (join false)))
+            materialized;
+          let outer = Cm.evaluate env j.Parqo.Join_tree.outer
+          and inner = Cm.evaluate env j.Parqo.Join_tree.inner in
+          let priced = Cm.price_join ~scratch env ~method_ ~clone ~outer ~inner in
+          check_eval_identical "priced" (Cm.numbered priced) pipelined;
+          check_eval_identical "twin of priced"
+            (Cm.numbered (Cm.materialized_twin priced))
+            materialized)
+        (Parqo.Join_tree.joins (Helpers.random_tree rng env))
+    done
+  done
+
+let twin_rejects_non_pipelined () =
+  let env = Helpers.chain_env ~n:2 () in
+  let scan r = Parqo.Join_tree.access ~path:Parqo.Access_path.Seq_scan r in
+  let twin_of tree () = ignore (Cm.materialized_twin (Cm.evaluate env tree)) in
+  let err = Invalid_argument "Costmodel.materialized_twin: not a pipelined join" in
+  Alcotest.check_raises "access" err (twin_of (scan 0));
+  Alcotest.check_raises "materialized join" err
+    (twin_of
+       (Parqo.Join_tree.join ~materialize:true Parqo.Join_method.Hash_join
+          ~outer:(scan 0) ~inner:(scan 1)))
+
 let evaluate_cached_rejects_duplicates () =
   let env = Helpers.chain_env ~n:3 () in
   let scan r = Parqo.Join_tree.access ~path:Parqo.Access_path.Seq_scan r in
@@ -107,6 +154,8 @@ let evaluate_cached_rejects_duplicates () =
 
 let plan_str (e : Cm.eval) = Parqo.Join_tree.to_string e.Cm.tree
 
+(* every cover entry is compared field by field, so an operator tree
+   that escaped the search unnumbered fails on its ids *)
 let check_result_identical msg (a : Podp.result) (b : Podp.result) =
   (match (a.Podp.best, b.Podp.best) with
   | Some x, Some y -> check_eval_identical (msg ^ ": best") x y
@@ -116,6 +165,8 @@ let check_result_identical msg (a : Podp.result) (b : Podp.result) =
     (msg ^ ": cover")
     (List.map plan_str a.Podp.cover)
     (List.map plan_str b.Podp.cover);
+  List.iter2 (check_eval_identical (msg ^ ": cover entry")) a.Podp.cover
+    b.Podp.cover;
   Alcotest.(check (list int))
     (msg ^ ": level sizes")
     (Array.to_list a.Podp.level_sizes)
@@ -125,26 +176,34 @@ let check_result_identical msg (a : Podp.result) (b : Podp.result) =
   Alcotest.(check int) (msg ^ ": considered") a.Podp.stats.Stats.considered
     b.Podp.stats.Stats.considered
 
-(* property: the whole search is bit-identical with the plan cache on and
-   off — sequentially and across the domain pool *)
+(* property: the whole search is bit-identical with incremental costing
+   on and off — sequentially and at forced pool widths, in the
+   sequential space and in the parallel one, whose materialized
+   candidates are priced as twins of their pipelined siblings *)
 let podp_identical_cache_on_off () =
   let rng = Parqo.Rng.create 33 in
   for _ = 1 to 3 do
     let env = Helpers.random_env rng ~n:4 in
-    let config = { S.default_config with S.clone_degrees = [ 1; 2 ] } in
     let metric =
       Mt.with_ordering (Mt.descriptor env.Parqo.Env.machine Parqo.Machine.Single)
     in
     List.iter
-      (fun domains ->
-        let off =
-          Podp.optimize ~config ~metric ~domains ~plan_cache:false env
-        in
-        let on = Podp.optimize ~config ~metric ~domains ~plan_cache:true env in
-        check_result_identical
-          (Printf.sprintf "domains=%d" domains)
-          off on)
-      [ 1; 4 ]
+      (fun (space, config) ->
+        let off = Podp.optimize ~config ~metric ~plan_cache:false env in
+        check_result_identical (space ^ ", domains=1") off
+          (Podp.optimize ~config ~metric ~plan_cache:true env);
+        List.iter
+          (fun k ->
+            Helpers.with_forced_pool k (fun pool ->
+                check_result_identical
+                  (Printf.sprintf "%s, width=%d" space k)
+                  off
+                  (Podp.optimize ~config ~metric ~pool ~plan_cache:true env)))
+          [ 2; 3; 8 ])
+      [
+        ("sequential", { S.default_config with S.clone_degrees = [ 1; 2 ] });
+        ("parallel", S.parallel_config env.Parqo.Env.machine);
+      ]
   done
 
 (* the beam tie-break exercises Join_tree.key as the total order *)
@@ -303,7 +362,9 @@ let suite =
       t "evaluate_cached = evaluate, bit for bit" cached_matches_uncached;
       t "evaluate_cached honors required_order" cached_matches_uncached_with_order;
       t "evaluate_cached rejects duplicate relations" evaluate_cached_rejects_duplicates;
-      t "podp identical with cache on/off, 1 and 4 domains" podp_identical_cache_on_off;
+      t "materialized twin = evaluate, bit for bit" twin_matches_evaluate;
+      t "materialized twin of a non-pipelined plan" twin_rejects_non_pipelined;
+      t "podp identical with cache on/off at forced widths" podp_identical_cache_on_off;
       t "podp identical under beam trim" podp_identical_cache_on_off_beamed;
       t "Join_tree.key is canonical" key_is_canonical;
       t "Plan_cache counters" plan_cache_counters;

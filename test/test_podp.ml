@@ -204,13 +204,6 @@ let check_identical msg (a : Podp.result) (b : Podp.result) =
   Alcotest.(check int) (msg ^ ": considered") a.Podp.stats.Stats.considered
     b.Podp.stats.Stats.considered
 
-(* The pool clamps [~domains] to the machine's cores, so on a one-core CI
-   box plain [~domains:k] never leaves the calling domain.  The
-   determinism properties must exercise REAL cross-domain execution:
-   every parallel run here goes through an oversubscribed persistent
-   pool, which forces k domains regardless of the core count. *)
-let with_forced_pool k f = Parqo.Domain_pool.with_pool ~oversubscribe:true ~domains:k f
-
 (* property: on random queries the domain-parallel search returns exactly
    the sequential result — best plan, cover and level sizes (the
    deterministic-merge contract of the level loop) — for pool widths
@@ -224,7 +217,7 @@ let parallel_matches_sequential () =
     let seq = Podp.optimize ~config ~metric env in
     List.iter
       (fun k ->
-        with_forced_pool k (fun pool ->
+        Helpers.with_forced_pool k (fun pool ->
             let par = Podp.optimize ~config ~metric ~pool env in
             check_identical (Printf.sprintf "domains=%d" k) seq par))
       [ 2; 3; 8 ]
@@ -241,16 +234,16 @@ let parallel_matches_sequential_beamed () =
     let seq = Podp.optimize ~config ~metric ~max_cover:4 env in
     List.iter
       (fun k ->
-        with_forced_pool k (fun pool ->
+        Helpers.with_forced_pool k (fun pool ->
             let par = Podp.optimize ~config ~metric ~max_cover:4 ~pool env in
             check_identical (Printf.sprintf "beamed domains=%d" k) seq par))
       [ 3; 8 ]
   done
 
-(* the sharded plan cache rides the same absorb barrier as the memo
-   arenas: with incremental costing on, worker-computed entries are
-   absorbed and republished per level, and the result must still be
-   bit-identical to the sequential cached run at every width *)
+(* with incremental costing on, workers price from the memo the
+   previous barrier published and number the plans they keep before the
+   coordinator absorbs them: the result must still be bit-identical to
+   the sequential incremental run at every width *)
 let parallel_matches_sequential_cached () =
   let rng = Parqo.Rng.create 29 in
   for _ = 1 to 2 do
@@ -262,7 +255,7 @@ let parallel_matches_sequential_cached () =
     in
     List.iter
       (fun k ->
-        with_forced_pool k (fun pool ->
+        Helpers.with_forced_pool k (fun pool ->
             let par =
               Podp.optimize ~config ~metric ~max_cover:3 ~plan_cache:true
                 ~pool env
@@ -275,7 +268,7 @@ let parallel_matches_sequential_cached () =
    fresh-pool runs, and the reuse spawns no new domains *)
 let persistent_pool_reuse () =
   let rng = Parqo.Rng.create 23 in
-  with_forced_pool 3 (fun pool ->
+  Helpers.with_forced_pool 3 (fun pool ->
       for _ = 1 to 3 do
         let env = Helpers.random_env rng ~n:4 in
         let config = { S.default_config with S.clone_degrees = [ 1; 2 ] } in
@@ -303,7 +296,7 @@ let gave_up_consistent_across_domains () =
       Alcotest.(check bool) "domains=1 gives up" true r.Podp.gave_up;
       List.iter
         (fun k ->
-          with_forced_pool k (fun pool ->
+          Helpers.with_forced_pool k (fun pool ->
               let r = Podp.optimize ~metric ~budget ~pool env in
               Alcotest.(check bool)
                 (Printf.sprintf "domains=%d gives up" k)
@@ -317,7 +310,7 @@ let gave_up_consistent_across_domains () =
 let used_domains_honest () =
   let env = env_of G.Chain 5 in
   let metric = metric_for env in
-  with_forced_pool 3 (fun pool ->
+  Helpers.with_forced_pool 3 (fun pool ->
       let r = Podp.optimize ~metric ~pool env in
       let levels = Stats.levels r.Podp.stats in
       List.iter
