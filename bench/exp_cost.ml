@@ -4,17 +4,21 @@
    (sequential), plus a cached domains=4 run, on the same workloads E17
    sweeps, and verifies along the way that all runs return exactly the
    same best plan (down to the response time's bits), cover, level sizes
-   and expansion counts — the bit-identity contract of
-   Costmodel.evaluate_cached and of the domain-parallel memo merge.
-   Wall-clock is the minimum over repeats; results go to BENCH_cost.json
-   together with the coordinator's allocation per costed plan.
+   and expansion counts — the bit-identity contract of incremental
+   pricing and of the domain-parallel memo merge.  A second pair of
+   sequential runs, on and off, searches under the work cap a session
+   derives (throughput degradation 2 over the work optimum), where
+   capped candidates are rejected before pricing; it is checked the
+   same way.  Wall-clock is the minimum over repeats; results go to
+   BENCH_cost.json together with the coordinator's allocation per
+   costed plan.
 
    PARQO_SMOKE=1 shrinks the sweep (one small workload, one repeat) so
-   CI gates stay fast, and gates the cached sequential run twice: a
-   generous container-safe ceiling on its us_per_plan, and a tight one
-   on its minor_words_per_plan — allocation on one domain is a
-   deterministic count, so it catches a slower candidate loop that the
-   wall-clock ceiling would let through. *)
+   CI gates stay fast, and gates each cached sequential run, uncapped
+   and capped: a generous container-safe ceiling on its us_per_plan,
+   and a tight one on its minor_words_per_plan — allocation on one
+   domain is a deterministic count, so it catches a slower candidate
+   loop that the wall-clock ceiling would let through. *)
 
 module T = Parqo.Tableau
 module Cm = Parqo.Costmodel
@@ -27,16 +31,24 @@ let smoke = Sys.getenv_opt "PARQO_SMOKE" <> None
 let smoke_us_per_plan_ceiling = 30.
 
 (* about 1.2x the cached sequential chain-5 smoke run's 365.9 minor
-   words per plan, which repeats exactly from run to run; pricing every
-   candidate from scratch again (renumbering it, re-costing the
-   materialized twin) allocated 861.5 *)
+   words per plan when it was set (328.9 since the join context is
+   computed once per extension), which repeats exactly from run to run;
+   pricing every candidate from scratch again (renumbering it,
+   re-costing the materialized twin) allocated 861.5 *)
 let smoke_words_per_plan_ceiling = 440.
+
+(* about 1.2x the capped cached sequential chain-5 smoke run's 111.9
+   minor words per plan, which repeats exactly from run to run; pricing
+   every capped candidate in full before comparing its work with the
+   cap allocated 293.4 *)
+let smoke_capped_words_per_plan_ceiling = 135.
 
 let plan_string (e : Cm.eval) = Parqo.Join_tree.to_string e.Cm.tree
 
 type run = {
   workload : string;
   n_relations : int;
+  capped : bool;  (** searched under the session's work cap *)
   plan_cache : bool;
   domains : int;
   wall_ms : float;
@@ -49,19 +61,19 @@ type run = {
 
 let json_of_run r =
   Printf.sprintf
-    "  {\"workload\": %S, \"n_relations\": %d, \"plan_cache\": %b, \
-     \"domains\": %d, \"wall_ms\": %.3f, \"speedup\": %.3f, \
-     \"plans_expanded\": %d, \"us_per_plan\": %.3f, \
+    "  {\"workload\": %S, \"n_relations\": %d, \"capped\": %b, \
+     \"plan_cache\": %b, \"domains\": %d, \"wall_ms\": %.3f, \
+     \"speedup\": %.3f, \"plans_expanded\": %d, \"us_per_plan\": %.3f, \
      \"minor_words_per_plan\": %.1f}"
-    r.workload r.n_relations r.plan_cache r.domains r.wall_ms r.speedup
+    r.workload r.n_relations r.capped r.plan_cache r.domains r.wall_ms r.speedup
     r.plans_expanded r.us_per_plan r.minor_words_per_plan
 
 let write_json path runs =
   let oc = open_out path in
   Printf.fprintf oc
-    "{\n\"schema\": [\"workload\", \"n_relations\", \"plan_cache\", \
-     \"domains\", \"wall_ms\", \"speedup\", \"plans_expanded\", \
-     \"us_per_plan\", \"minor_words_per_plan\"],\n\
+    "{\n\"schema\": [\"workload\", \"n_relations\", \"capped\", \
+     \"plan_cache\", \"domains\", \"wall_ms\", \"speedup\", \
+     \"plans_expanded\", \"us_per_plan\", \"minor_words_per_plan\"],\n\
      \"cores\": %d,\n\"smoke\": %b,\n\"runs\": [\n%s\n]}\n"
     (Domain.recommended_domain_count ())
     smoke
@@ -69,10 +81,21 @@ let write_json path runs =
   close_out oc
 
 (* the E17 configuration: beam cap 8, parallel space *)
-let optimize ~plan_cache ~domains env =
+let optimize ?work_cap ~plan_cache ~domains env =
   let config = Parqo.Space.parallel_config env.Parqo.Env.machine in
   let metric = Parqo.Optimizer.default_metric env in
-  Parqo.Podp.optimize ~config ~metric ~max_cover:8 ~domains ~plan_cache env
+  Parqo.Podp.optimize ~config ~metric ~max_cover:8 ?work_cap ~domains
+    ~plan_cache env
+
+(* the cap Optimizer.minimize_response_time searches under by default:
+   throughput degradation 2 over the work-phase optimum *)
+let session_work_cap env =
+  let config = Parqo.Space.parallel_config env.Parqo.Env.machine in
+  match (Parqo.Dp.optimize ~config env).Parqo.Dp.best with
+  | Some wo ->
+    Parqo.Bounds.partial_work_cap (Parqo.Bounds.Throughput_degradation 2.)
+      ~work_opt:wo.Cm.work ~rt_opt:wo.Cm.response_time
+  | None -> failwith "E18: no work-optimal plan"
 
 let best_rt_bits (res : Parqo.Podp.result) =
   match res.Parqo.Podp.best with
@@ -105,12 +128,12 @@ let check_identical name (base : Parqo.Podp.result) (r : Parqo.Podp.result) =
           (best %b bits %b cover %b levels %b counts %b)"
          name same_best same_bits same_cover same_levels same_counts)
 
-let time_run ~repeats ~plan_cache ~domains env =
+let time_run ?work_cap ~repeats ~plan_cache ~domains env =
   let best = ref infinity in
   let result = ref None in
   for _ = 1 to repeats do
     let t0 = Unix.gettimeofday () in
-    let r = optimize ~plan_cache ~domains env in
+    let r = optimize ?work_cap ~plan_cache ~domains env in
     let dt = (Unix.gettimeofday () -. t0) *. 1000. in
     if dt < !best then best := dt;
     result := Some r
@@ -118,13 +141,15 @@ let time_run ~repeats ~plan_cache ~domains env =
   (Option.get !result, !best)
 
 let run () =
-  Common.header "E18 — incremental costing (sub-plan cache) in PODP"
+  Common.header "E18 — incremental costing in PODP"
     [
-      "Sequential PODP with Costmodel.evaluate_cached on vs off: every";
-      "extension grafts the memoized outer sub-plan's expansion and pipes";
+      "Sequential PODP with incremental pricing on vs off: every";
+      "extension grafts the memoized outer plan's expansion and pipes";
       "its descriptor, so only the new root operators are costed.  A";
-      "cached domains=4 run rides along.  All runs are checked";
-      "bit-identical (plan + response-time bits, cover, levels, counts).";
+      "cached domains=4 run rides along, and a sequential pair on and";
+      "off under the session's work cap, where capped candidates are";
+      "rejected before pricing.  All runs are checked bit-identical";
+      "(plan + response-time bits, cover, levels, counts).";
       (if smoke then "[smoke mode]" else "");
     ];
   let workloads =
@@ -138,6 +163,7 @@ let run () =
         [
           ("workload", T.Left);
           ("n", T.Right);
+          ("cap", T.Left);
           ("cache", T.Left);
           ("domains", T.Right);
           ("wall ms", T.Right);
@@ -157,18 +183,27 @@ let run () =
       let on4, on4_ms = time_run ~repeats ~plan_cache:true ~domains:4 env in
       check_identical (name ^ "/cached") off on;
       check_identical (name ^ "/domains=4") off on4;
+      let work_cap = session_work_cap env in
+      let coff, coff_ms =
+        time_run ?work_cap ~repeats ~plan_cache:false ~domains:1 env
+      in
+      let con, con_ms =
+        time_run ?work_cap ~repeats ~plan_cache:true ~domains:1 env
+      in
+      check_identical (name ^ "/capped/cached") coff con;
       List.iter
-        (fun (plan_cache, domains, r, wall_ms) ->
+        (fun (capped, plan_cache, domains, r, wall_ms) ->
           let r : Parqo.Podp.result = r in
           let expanded = r.Parqo.Podp.stats.Stats.generated in
           let row =
             {
               workload = name;
               n_relations = n;
+              capped;
               plan_cache;
               domains;
               wall_ms;
-              speedup = off_ms /. wall_ms;
+              speedup = (if capped then coff_ms else off_ms) /. wall_ms;
               plans_expanded = expanded;
               us_per_plan = wall_ms *. 1000. /. float_of_int (max 1 expanded);
               minor_words_per_plan =
@@ -181,6 +216,7 @@ let run () =
             [
               name;
               Common.celli n;
+              (if capped then "2x" else "none");
               (if plan_cache then "on" else "off");
               Common.celli domains;
               Common.cell ~decimals:1 wall_ms;
@@ -190,9 +226,11 @@ let run () =
               Common.cell ~decimals:1 row.minor_words_per_plan;
             ])
         [
-          (false, 1, off, off_ms);
-          (true, 1, on, on_ms);
-          (true, 4, on4, on4_ms);
+          (false, false, 1, off, off_ms);
+          (false, true, 1, on, on_ms);
+          (false, true, 4, on4, on4_ms);
+          (true, false, 1, coff, coff_ms);
+          (true, true, 1, con, con_ms);
         ])
     workloads;
   T.print tbl;
@@ -202,17 +240,22 @@ let run () =
     List.iter
       (fun r ->
         if r.plan_cache && r.domains = 1 then begin
+          let label = if r.capped then "capped cached" else "cached" in
           if r.us_per_plan > smoke_us_per_plan_ceiling then
             failwith
               (Printf.sprintf
-                 "E18 smoke: cached us_per_plan %.2f exceeds the %.0f ceiling \
+                 "E18 smoke: %s us_per_plan %.2f exceeds the %.0f ceiling \
                   — costing hot path regressed"
-                 r.us_per_plan smoke_us_per_plan_ceiling);
-          if r.minor_words_per_plan > smoke_words_per_plan_ceiling then
+                 label r.us_per_plan smoke_us_per_plan_ceiling);
+          let words_ceiling =
+            if r.capped then smoke_capped_words_per_plan_ceiling
+            else smoke_words_per_plan_ceiling
+          in
+          if r.minor_words_per_plan > words_ceiling then
             failwith
               (Printf.sprintf
-                 "E18 smoke: cached minor_words_per_plan %.1f exceeds the %.0f \
+                 "E18 smoke: %s minor_words_per_plan %.1f exceeds the %.0f \
                   ceiling — costing hot path allocates more"
-                 r.minor_words_per_plan smoke_words_per_plan_ceiling)
+                 label r.minor_words_per_plan words_ceiling)
         end)
       !runs

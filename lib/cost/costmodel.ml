@@ -16,19 +16,13 @@ let rec reuse_find node = function
   | [] -> None
   | (k, d) :: rest -> if k == node then Some d else reuse_find node rest
 
-let scratch (env : Env.t) = Descriptor.scratch env.placement.Placement.dim
-
-let of_optree ?(reuse = []) ?scratch:s (env : Env.t) root =
+let of_optree ?(reuse = []) (env : Env.t) root =
   let p = env.dparams in
-  let s =
-    (* the combinators run on a scratch either way; the incremental hot
-       path passes a long-lived one, one-shot callers get a fresh one *)
-    match s with Some s -> s | None -> scratch env
-  in
+  let s = Descriptor.scratch env.placement.Placement.dim in
   let rec descr (node : Op.node) =
-    (* [reuse] holds grafted sub-trees (matched physically) whose
-       descriptors were computed by this same recursion earlier — the
-       incremental path stops here instead of re-walking them *)
+    (* [reuse] holds sub-trees (matched physically) whose descriptors are
+       already known — the final-sort path stops there instead of
+       re-walking the plan below *)
     match reuse_find node reuse with
     | Some d -> d
     | None -> (
@@ -117,54 +111,203 @@ let evaluate ?(required_order = P.Ordering.none) (env : Env.t) tree =
   else e
 
 (* ---------------------------------------------------------------- *)
-(* Incremental costing (the PODP hot path).
+(* Incremental, bounded costing (the DP hot path).
 
-   Every candidate the partial-order DP prices is a join of sub-plans it
-   already evaluated — a memoized plan and an access plan — so pricing
-   from the children's evaluations costs O(new root operators): the
-   child expansions are grafted under the new root operators
-   (Expand.expand_join) and the new operators' descriptors pipe onto the
-   children's (of_optree ~reuse).  The materialized variant of a join is
-   derived from the pipelined one ([materialized_twin]), and the node-id
-   renumbering — the one walk over the whole tree — is left to
-   [numbered], which the DP runs only on the plans its covers keep.
-   Every arithmetic operation runs on the same values in the same order
-   as the from-scratch path, so the results are bit-identical. *)
+   Every candidate a DP prices is a join of sub-plans it already
+   evaluated — a memoized plan and an access plan — so pricing from the
+   children's evaluations costs O(new root operators): the new root
+   operators are expanded over the children's operator trees
+   (Expand.expand_join, over a context computed once per pair of
+   relation sets), their base descriptors are computed, and only then
+   composed onto the children's descriptors exactly as [of_optree]
+   would.  Between the two steps the candidate's work is bounded from
+   below and compared with the caller's limit: pipe, tree and sync
+   never lose work, so a candidate over the limit is dropped before any
+   composition, key, ordering or eval record is built.  The
+   materialized variant of a join is derived from the pipelined one
+   ([materialized_twin]), and the node-id renumbering — the one walk
+   over the whole tree — is left to [numbered], which the DP runs only
+   on the plans it keeps.  Every arithmetic operation on a priced plan
+   runs on the same values in the same order as the from-scratch path,
+   so the results are bit-identical. *)
 
-(* Price join [j] (the node of [tree]) over its children's evaluations:
-   the new root operators are expanded over the children's operator
-   trees, grafted unchanged, and their descriptors pipe onto the
-   children's, so only the new operators are costed.  The operator tree
-   is left unnumbered (new nodes carry id 0): ids depend only on the
-   final shape, so [numbered] can assign them once the plan is kept. *)
-let join_eval ~scratch (env : Env.t) tree (j : P.Join_tree.join) oe ie =
-  (* children are well-formed (their own evaluation checked them); the
-     combination is iff their leaf sets are disjoint *)
-  if not (Bitset.disjoint (P.Join_tree.relations oe.tree)
-            (P.Join_tree.relations ie.tree))
-  then invalid_arg "Costmodel: relation used more than once";
+type join_context = Parqo_optree.Expand.context
+
+let join_context (env : Env.t) ~outer ~inner =
+  (* the combination is well formed iff the leaf sets are disjoint (each
+     side was checked by its own evaluation) *)
+  if not (Bitset.disjoint outer inner) then
+    invalid_arg "Costmodel: relation used more than once";
+  Parqo_optree.Expand.context env.estimator ~outer ~inner
+
+type scratch = {
+  ds : Descriptor.scratch;
+  last : float array;
+      (* [| outer term; inner term; bound |] of the last join priced *)
+  class_limit : float array;  (* [| limit |] the class tables serve *)
+  mutable slots : int;  (* table entries per class *)
+  mutable outer_terms : float array;  (* (outer class, slot); nan: unseen *)
+  mutable inner_terms : float array;  (* (inner class, slot); nan: unseen *)
+}
+
+let scratch (env : Env.t) =
+  {
+    ds = Descriptor.scratch env.placement.Placement.dim;
+    last = Array.make 3 0.;
+    class_limit = [| infinity |];
+    slots = 0;
+    outer_terms = [||];
+    inner_terms = [||];
+  }
+
+let work_bound ~outer_work ~outer_term ~inner_term =
+  outer_work +. outer_term +. inner_term
+
+(* The bound is a sum of non-negative terms, each a float sum over the
+   resources, so it can exceed the exact priced work only by rounding —
+   a few ulps.  A relative slack far above that keeps rounding from ever
+   rejecting a plan whose priced work is within the limit. *)
+let slack = 1e-9
+let over_limit ~limit bound = bound > limit *. (1. +. slack)
+
+let last_bound s = s.last.(2)
+
+let nan_table a n =
+  let a =
+    if Array.length a >= n then a
+    else Array.make (max n (2 * Array.length a)) nan
+  in
+  Array.fill a 0 n nan;
+  a
+
+let reset_classes s ~limit ~outer_classes ~inner_classes ~slots =
+  s.class_limit.(0) <- limit;
+  s.slots <- slots;
+  s.outer_terms <- nan_table s.outer_terms (outer_classes * slots);
+  s.inner_terms <- nan_table s.inner_terms (inner_classes * slots)
+
+let class_rejects s ~outer ~outer_class ~inner_class ~slot =
+  let ot = s.outer_terms.((outer_class * s.slots) + slot)
+  and it = s.inner_terms.((inner_class * s.slots) + slot) in
+  (* nan <> nan: both terms recorded *)
+  ot = ot && it = it
+  && over_limit ~limit:s.class_limit.(0)
+       (work_bound ~outer_work:outer.work ~outer_term:ot ~inner_term:it)
+
+let record_class_terms s ~outer_class ~inner_class ~slot =
+  s.outer_terms.((outer_class * s.slots) + slot) <- s.last.(0);
+  s.inner_terms.((inner_class * s.slots) + slot) <- s.last.(1)
+
+(* The base descriptors of one side's new operators: the unary chain from
+   [node] down to the grafted child [stop], bottom-most first. *)
+let rec side_bases (env : Env.t) stop (node : Op.node) acc =
+  if node == stop then acc
+  else
+    match node.Op.children with
+    | [ c ] ->
+      side_bases env stop c
+        ((node, Opcost.base env.placement env.estimator node) :: acc)
+    | _ -> invalid_arg "Costmodel: join side is not a unary chain"
+
+let rec side_work acc = function
+  | [] -> acc
+  | (_, b) :: rest -> side_work (acc +. Descriptor.work b) rest
+
+let composed (node : Op.node) d =
+  match node.Op.composition with
+  | Op.Materialized -> Descriptor.sync d
+  | Op.Pipelined -> d
+
+(* a side's descriptor: the grafted child's, piped bottom-up through the
+   side's new operators — [of_optree]'s unary case, node by node *)
+let rec compose_side s p d = function
+  | [] -> d
+  | (node, b) :: rest ->
+    compose_side s p (composed node (Descriptor.pipe_s s p d b)) rest
+
+(* Expand the join of [oe] and [ie], base its new operators and leave the
+   bound's two terms in the scratch; then, unless the bound exceeds
+   [limit], compose the root's descriptor.  The outer term sums the
+   outer side's new operators.  The inner term sums the root operator,
+   the inner side's new operators and, unless the root probes a bare
+   index ([Opcost.nl_inner_is_free]), the inner plan's work.  Both are
+   functions of the candidate's class — see [outer_shape_equal] — which
+   is what lets a DP reuse them across memo plans. *)
+let price_root ~scratch ~limit (env : Env.t) ctx ~method_ ~clone ~composition
+    oe ie =
   let root =
-    Parqo_optree.Expand.expand_join ~config:env.expand_config env.estimator j
-      ~outer:oe.optree ~inner:ie.optree ~outer_ordering:(lazy oe.ordering)
-      ~inner_ordering:(lazy ie.ordering)
+    Parqo_optree.Expand.expand_join ~config:env.expand_config ctx ~method_
+      ~clone ~composition ~outer:oe.optree ~inner:ie.optree
+      ~outer_ordering:(Lazy.from_val oe.ordering)
+      ~inner_ordering:(Lazy.from_val ie.ordering)
   in
-  let descriptor =
-    of_optree
-      ~reuse:[ (oe.optree, oe.descriptor); (ie.optree, ie.descriptor) ]
-      ~scratch env root
-  in
-  let ordering =
-    P.Props.ordering_of_join (Env.query env) j ~outer:(fun () -> oe.ordering)
-  in
-  of_descriptor ~tree ~optree:root ~ordering descriptor
+  match root.Op.children with
+  | [ l; r ] ->
+    let rb = Opcost.base env.placement env.estimator root in
+    let lb = side_bases env oe.optree l [] in
+    let rbs = side_bases env ie.optree r [] in
+    let free = Opcost.nl_inner_is_free root in
+    let outer_term = side_work 0. lb in
+    let inner_new = side_work (Descriptor.work rb) rbs in
+    let inner_term = if free then inner_new else inner_new +. ie.work in
+    let bound = work_bound ~outer_work:oe.work ~outer_term ~inner_term in
+    scratch.last.(0) <- outer_term;
+    scratch.last.(1) <- inner_term;
+    scratch.last.(2) <- bound;
+    if over_limit ~limit bound then None
+    else begin
+      let s = scratch.ds and p = env.dparams in
+      let dl = compose_side s p oe.descriptor lb in
+      let combined =
+        if free then Descriptor.pipe_s s p dl rb
+        else Descriptor.tree_s s p dl (compose_side s p ie.descriptor rbs) rb
+      in
+      Some (root, composed root combined)
+    end
+  | _ -> invalid_arg "Costmodel: join root is not binary"
 
-let price_join ~scratch env ~method_ ~clone ~outer ~inner =
-  let tree =
-    P.Join_tree.join ~clone method_ ~outer:outer.tree ~inner:inner.tree
+let check_sides (ctx : join_context) oe ie =
+  if
+    not
+      (Bitset.equal (P.Join_tree.relations oe.tree) ctx.outer_rels
+      && Bitset.equal (P.Join_tree.relations ie.tree) ctx.inner_rels)
+  then invalid_arg "Costmodel.price_join: plans outside the join context"
+
+let join_ordering (ctx : join_context) ~method_ ~clone oe =
+  P.Props.join_ordering method_ ~clone
+    ~outer_key:(Lazy.from_val ctx.outer_key)
+    ~outer:(Lazy.from_val oe.ordering)
+
+let price_join ~scratch ~limit env ctx ~method_ ~clone ~outer ~inner =
+  check_sides ctx outer inner;
+  match
+    price_root ~scratch ~limit env ctx ~method_ ~clone
+      ~composition:Op.Pipelined outer inner
+  with
+  | None -> None
+  | Some (optree, descriptor) ->
+    let tree =
+      P.Join_tree.join ~clone method_ ~outer:outer.tree ~inner:inner.tree
+    in
+    Some
+      (of_descriptor ~tree ~optree
+         ~ordering:(join_ordering ctx ~method_ ~clone outer)
+         descriptor)
+
+(* The outer side's new operators read the outer root's clone degree,
+   partitioning and kind (an exchange), its cardinality and width, and
+   the outer plan's ordering (sort elision).  Cardinality and width are
+   functions of the relation set, equal for all plans of one memo
+   entry; the rest is compared. *)
+let outer_shape_equal a b =
+  let ra = a.optree and rb = b.optree in
+  let exchange (n : Op.node) =
+    match n.Op.kind with Op.Exchange _ -> true | _ -> false
   in
-  match tree with
-  | P.Join_tree.Join j -> join_eval ~scratch env tree j outer inner
-  | P.Join_tree.Access _ -> assert false (* [Join_tree.join] builds a join *)
+  ra.Op.clone = rb.Op.clone
+  && ra.Op.partition = rb.Op.partition
+  && exchange ra = exchange rb
+  && P.Ordering.equal a.ordering b.ordering
 
 (* [Expand.expand_join] sets the requested composition on the root
    operator only, [Opcost.base] never reads it, and [of_optree] applies
@@ -195,7 +338,7 @@ let numbered e = { e with optree = Parqo_optree.Expand.renumber e.optree }
    It stores one entry per remembered sub-plan — keyed by the tree's
    interned canonical key — holding its expansion, descriptor and output
    ordering, and prices a join of cached children through the same
-   [join_eval] as the DP, renumbering each result.
+   [price_root] as the DP, with no limit, renumbering each result.
 
    Domain safety is by ownership, not locking: a cache handle belongs to
    one domain; parallel regions give each worker a [shard_cache] (private
@@ -210,7 +353,7 @@ let numbered e = { e with optree = Parqo_optree.Expand.renumber e.optree }
 type cache = {
   store : eval Plan_cache.t;
   remember_all : bool;
-  mutable scratch : Descriptor.scratch option;
+  mutable scratch : scratch option;
       (* descriptor scratch, lazily sized to the machine; owned by this
          handle's domain like the store, never shared across shards *)
 }
@@ -248,10 +391,27 @@ let rec evaluate_sub cache (env : Env.t) (tree : P.Join_tree.t) =
     let e =
       match tree with
       | P.Join_tree.Access _ -> evaluate env tree
-      | P.Join_tree.Join j ->
+      | P.Join_tree.Join j -> (
         let oe = evaluate_sub cache env j.outer in
         let ie = evaluate_sub cache env j.inner in
-        numbered (join_eval ~scratch:(scratch_of cache env) env tree j oe ie)
+        let ctx =
+          join_context env
+            ~outer:(P.Join_tree.relations j.outer)
+            ~inner:(P.Join_tree.relations j.inner)
+        in
+        let composition =
+          if j.materialize then Op.Materialized else Op.Pipelined
+        in
+        match
+          price_root ~scratch:(scratch_of cache env) ~limit:infinity env ctx
+            ~method_:j.method_ ~clone:j.clone ~composition oe ie
+        with
+        | Some (optree, descriptor) ->
+          let ordering =
+            join_ordering ctx ~method_:j.method_ ~clone:j.clone oe
+          in
+          numbered (of_descriptor ~tree ~optree ~ordering descriptor)
+        | None -> assert false (* no limit *))
     in
     let keep =
       cache.remember_all

@@ -16,7 +16,6 @@ type eval = {
 
 val of_optree :
   ?reuse:(Parqo_optree.Op.node * Descriptor.t) list ->
-  ?scratch:Descriptor.scratch ->
   Env.t ->
   Parqo_optree.Op.node ->
   Descriptor.t
@@ -27,12 +26,7 @@ val of_optree :
     {!Opcost.nl_inner_is_free}).
 
     [reuse] short-circuits the recursion at sub-trees (matched by
-    physical identity) whose descriptors are already known — the
-    incremental path of {!price_join} passes the grafted children here
-    so only the new root operators are costed.  [scratch] supplies the
-    descriptor combinators' buffers (results are identical either way);
-    the incremental path passes a long-lived {!val-scratch}, omitting it
-    allocates a fresh one per call. *)
+    physical identity) whose descriptors are already known. *)
 
 val evaluate :
   ?required_order:Parqo_plan.Ordering.t -> Env.t -> Parqo_plan.Join_tree.t -> eval
@@ -48,31 +42,113 @@ val evaluate :
 val required_order : Env.t -> Parqo_plan.Ordering.t
 (** The query's ORDER BY as an ordering (empty when absent). *)
 
-(** {2 Incremental pricing}
+(** {2 Incremental, bounded pricing}
 
-    The partial-order DP's hot path: a candidate is a join of two plans
-    already evaluated, priced in O(new root operators) from their
-    evaluations.  Results are bit-identical to {!evaluate} of the same
-    tree once {!numbered}. *)
+    The DP hot path: a candidate is a join of two plans already
+    evaluated, priced in O(new root operators) from their evaluations —
+    and, when a limit is given, bounded before it is composed.  Results
+    are bit-identical to {!evaluate} of the same tree once {!numbered}.
 
-val scratch : Env.t -> Descriptor.scratch
-(** Descriptor buffers sized to the environment's machine, for
-    {!price_join} and {!of_optree}; owned by one domain. *)
+    {b The bound.}  The new operators' base descriptors are computed
+    first.  The candidate's priced work is at least
+    [outer work + inner work + the new operators' base work], with the
+    inner work left out when the root probes a bare index
+    ({!Opcost.nl_inner_is_free}): [pipe], [tree] and [sync] never lose
+    work, since the residuals they add back are clamped at zero and the
+    [Scale_all] penalty multiplies the overlap by a factor [>= 1].  A
+    candidate whose bound exceeds the limit (by a relative slack of
+    1e-9, far above float rounding) is rejected before any composition,
+    join-tree key, ordering or eval record is built. *)
+
+type join_context = Parqo_optree.Expand.context
+(** What every join between two relation sets shares: the output
+    estimate and the predicates' sort keys. *)
+
+val join_context :
+  Env.t ->
+  outer:Parqo_util.Bitset.t ->
+  inner:Parqo_util.Bitset.t ->
+  join_context
+(** Computed once per pair of sets, then passed to every {!price_join}
+    between them.  Raises [Invalid_argument] when the sets intersect. *)
+
+type scratch
+(** Descriptor buffers sized to the environment's machine, the bound of
+    the last join priced, and the class tables below; owned by one
+    domain. *)
+
+val scratch : Env.t -> scratch
 
 val price_join :
-  scratch:Descriptor.scratch ->
+  scratch:scratch ->
+  limit:float ->
   Env.t ->
+  join_context ->
   method_:Parqo_plan.Join_method.t ->
   clone:int ->
   outer:eval ->
   inner:eval ->
-  eval
+  eval option
 (** The pipelined join of two evaluated plans (its materialized variant
     is {!materialized_twin}): the new root operators are expanded over
     the children's operator trees, which are grafted unchanged, and only
-    they are costed.  The operator tree is {e unnumbered} — the new
+    they are costed.  [None] when the work bound exceeds [limit] (pass
+    [infinity] to price unconditionally) — so [None] implies the priced
+    work exceeds [limit].  The operator tree is {e unnumbered} — the new
     nodes carry id 0 — until {!numbered}.  Raises [Invalid_argument]
-    when the two sides share a relation. *)
+    when the plans are not over the context's relation sets. *)
+
+val last_bound : scratch -> float
+(** The work bound of the last join {!price_join} saw on this scratch,
+    priced or rejected. *)
+
+(** {3 Class-level rejection}
+
+    The bound is [outer work + outer term + inner term].  Over one
+    context, the outer term depends only on the method, the clone degree
+    and the outer plan's class under {!outer_shape_equal}: the base work
+    of the outer side's new operators.  The inner term depends only on
+    the method, the clone degree and the inner plan: the base work of the
+    root operator and the inner side's new operators, plus the inner
+    plan's work unless the root probes a bare index (every plan of one
+    relation set has the same cardinality).  A DP that prices many joins
+    of one context keeps one float per class and decides, from the outer
+    plan's work alone, what {!price_join} would decide — without
+    expanding the candidate.  Only these floats are kept: never
+    descriptors or operator nodes. *)
+
+val reset_classes :
+  scratch ->
+  limit:float ->
+  outer_classes:int ->
+  inner_classes:int ->
+  slots:int ->
+  unit
+(** Forget every recorded term: tables for a new context, with [slots]
+    (method, clone) entries per class, serving [limit]. *)
+
+val class_rejects :
+  scratch ->
+  outer:eval ->
+  outer_class:int ->
+  inner_class:int ->
+  slot:int ->
+  bool
+(** Both classes' terms are recorded for [slot] and the bound they give
+    with [outer]'s work exceeds the limit — exactly {!price_join}'s
+    rejection of that candidate.  [false] while a term is unknown. *)
+
+val record_class_terms :
+  scratch -> outer_class:int -> inner_class:int -> slot:int -> unit
+(** Record the terms of the last join {!price_join} saw as those of the
+    given classes and slot. *)
+
+val outer_shape_equal : eval -> eval -> bool
+(** [outer_shape_equal a b] for two plans over one relation set: joins
+    with either as the outer (same context, method, clone and inner)
+    get the same outer-side operators, hence the same outer term of the
+    bound — the outer roots agree on clone degree, partitioning and
+    kind, and the plans on their output ordering. *)
 
 val materialized_twin : eval -> eval
 (** [materialized_twin e] for a pipelined join [e]: the same join with

@@ -62,24 +62,42 @@ let expand_access est (a : P.Join_tree.access) =
   in
   node kind [] ~clone:a.clone ~out_card ~out_width
 
+type context = {
+  outer_rels : Parqo_util.Bitset.t;
+  inner_rels : Parqo_util.Bitset.t;
+  out_card : float;
+  out_width : float;
+  outer_key : P.Ordering.t;
+  inner_key : P.Ordering.t;
+}
+
+let context est ~outer ~inner =
+  let rels = Parqo_util.Bitset.union outer inner in
+  let outer_key, inner_key =
+    P.Props.sort_keys (P.Estimator.query est) ~outer ~inner
+  in
+  {
+    outer_rels = outer;
+    inner_rels = inner;
+    out_card = P.Estimator.card est rels;
+    out_width = P.Estimator.width est rels;
+    outer_key;
+    inner_key;
+  }
+
 (* Expand one join over already-expanded children.  The child operator
    trees are grafted as-is (their node ids are rewritten by the caller's
    final {!renumber}); [outer_ordering]/[inner_ordering] are the children's
    join-tree output orderings, taken lazily so the full expansion only
    computes them when the sort-merge sort-elision check needs them while
-   incremental costing passes the memoized values for free. *)
-let expand_join ?(config = default_config) est (j : P.Join_tree.join) ~outer
-    ~inner ~outer_ordering ~inner_ordering =
-  let query = P.Estimator.query est in
-  let k = j.clone in
-  let rels = P.Join_tree.relations (P.Join_tree.Join j) in
-  let out_card = P.Estimator.card est rels in
-  let out_width = P.Estimator.width est rels in
-  let outer_key = P.Props.sort_key_outer query j in
-  let inner_key = P.Props.sort_key_inner query j in
+   incremental costing passes the memoized values for free.  Everything
+   that depends only on the two relation sets comes from [ctx]. *)
+let expand_join ?(config = default_config) ctx ~method_ ~clone:k ~composition
+    ~outer ~inner ~outer_ordering ~inner_ordering =
+  let out_card = ctx.out_card and out_width = ctx.out_width in
+  let outer_key = ctx.outer_key and inner_key = ctx.inner_key in
   let attr_of = function [] -> None | (c : P.Ordering.col) :: _ -> Some c in
-  let composition = if j.materialize then Op.Materialized else Op.Pipelined in
-  match j.method_ with
+  match method_ with
   | P.Join_method.Hash_join ->
     let inner' = ensure_partition inner ~degree:k ~attr:(attr_of inner_key) in
     let build =
@@ -158,7 +176,14 @@ let expand ?(config = default_config) est tree =
     match t with
     | P.Join_tree.Access a -> expand_access est a
     | P.Join_tree.Join j ->
-      expand_join ~config est j ~outer:(go j.outer) ~inner:(go j.inner)
+      let ctx =
+        context est
+          ~outer:(P.Join_tree.relations j.outer)
+          ~inner:(P.Join_tree.relations j.inner)
+      in
+      expand_join ~config ctx ~method_:j.method_ ~clone:j.clone
+        ~composition:(if j.materialize then Op.Materialized else Op.Pipelined)
+        ~outer:(go j.outer) ~inner:(go j.inner)
         ~outer_ordering:(lazy (P.Props.ordering query j.outer))
         ~inner_ordering:(lazy (P.Props.ordering query j.inner))
   in

@@ -10,30 +10,37 @@ let join_preds query (j : Join_tree.join) =
 let side_in set (p : Q.join_pred) =
   if Bitset.mem p.left.Q.rel set then p.left else p.right
 
+let key_on side preds =
+  List.map (fun p -> Ordering.of_join_pred_side (side_in side p)) preds
+
 let sort_key_outer query (j : Join_tree.join) =
-  let outer = Join_tree.relations j.outer in
-  List.map (fun p -> Ordering.of_join_pred_side (side_in outer p)) (join_preds query j)
+  key_on (Join_tree.relations j.outer) (join_preds query j)
 
 let sort_key_inner query (j : Join_tree.join) =
-  let inner = Join_tree.relations j.inner in
-  List.map (fun p -> Ordering.of_join_pred_side (side_in inner p)) (join_preds query j)
+  key_on (Join_tree.relations j.inner) (join_preds query j)
+
+let sort_keys query ~outer ~inner =
+  let preds = Q.joins_between query outer inner in
+  (key_on outer preds, key_on inner preds)
 
 (* The output ordering of a join depends on its own annotations plus —
-   only for the order-preserving methods — the outer child's ordering,
-   supplied as a thunk so incremental costing can feed the memoized value
-   instead of re-walking the subtree. *)
-let ordering_of_join query (j : Join_tree.join) ~outer =
-  if j.clone > 1 then Ordering.none
+   only for the order-preserving methods — the outer child's ordering.
+   Both inputs are lazy: the full [ordering] recomputes them only when
+   needed, incremental costing passes memoized values. *)
+let join_ordering method_ ~clone ~outer_key ~outer =
+  if clone > 1 then Ordering.none
   else
-    match j.method_ with
-    | Join_method.Sort_merge -> sort_key_outer query j
-    | Join_method.Hash_join | Join_method.Nested_loops -> outer ()
+    match method_ with
+    | Join_method.Sort_merge -> Lazy.force outer_key
+    | Join_method.Hash_join | Join_method.Nested_loops -> Lazy.force outer
 
 let rec ordering query = function
   | Join_tree.Access a ->
     if a.clone > 1 then Ordering.none else Access_path.ordering ~rel:a.rel a.path
   | Join_tree.Join j ->
-    ordering_of_join query j ~outer:(fun () -> ordering query j.outer)
+    join_ordering j.method_ ~clone:j.clone
+      ~outer_key:(lazy (sort_key_outer query j))
+      ~outer:(lazy (ordering query j.outer))
 
 let partition_column query = function
   | Join_tree.Access _ -> None

@@ -16,15 +16,27 @@ val sort_key_outer : Parqo_query.Query.t -> Join_tree.join -> Ordering.t
 
 val sort_key_inner : Parqo_query.Query.t -> Join_tree.join -> Ordering.t
 
-val ordering_of_join :
+val sort_keys :
   Parqo_query.Query.t ->
-  Join_tree.join ->
-  outer:(unit -> Ordering.t) ->
+  outer:Parqo_util.Bitset.t ->
+  inner:Parqo_util.Bitset.t ->
+  Ordering.t * Ordering.t
+(** [(outer key, inner key)] of any join of a plan over [outer] with a
+    plan over [inner]: {!sort_key_outer} and {!sort_key_inner} from the
+    two relation sets, so a search can compute them once per pair of
+    sets instead of once per candidate. *)
+
+val join_ordering :
+  Join_method.t ->
+  clone:int ->
+  outer_key:Ordering.t Lazy.t ->
+  outer:Ordering.t Lazy.t ->
   Ordering.t
-(** One step of {!ordering}: the join's output ordering given its outer
-    child's ordering as a thunk (forced only for the order-preserving
-    methods).  Incremental costing passes the memoized child ordering
-    here instead of re-walking the subtree. *)
+(** One step of {!ordering}: the output ordering of a join with the given
+    method and clone degree, from its outer sort key and its outer
+    child's ordering — each forced only when the method needs it.
+    Incremental costing passes memoized values here instead of
+    re-walking the subtree. *)
 
 val ordering : Parqo_query.Query.t -> Join_tree.t -> Ordering.t
 (** Output ordering: access paths yield their index order; sort-merge

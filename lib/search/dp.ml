@@ -1,7 +1,6 @@
 module Cm = Parqo_cost.Costmodel
 module Bitset = Parqo_util.Bitset
 module Env = Parqo_cost.Env
-module P = Parqo_plan
 
 type result = {
   best : Cm.eval option;
@@ -9,72 +8,112 @@ type result = {
   level_sizes : int array;
 }
 
-let best_of objective candidates current =
-  List.fold_left
-    (fun acc cand ->
-      match acc with
-      | None -> Some cand
-      | Some b -> if objective cand < objective b then Some cand else Some b)
-    current candidates
-
-let optimize ?(config = Space.default_config)
-    ?(objective = fun (e : Cm.eval) -> e.Cm.work) (env : Env.t) =
+(* Every candidate joins the memo winner of a smaller subset with an
+   access plan, both already evaluated, so it is priced incrementally
+   (Cm.price_join over a join context computed once per extension) and
+   only the final plan's operator tree is numbered.  The fold keeps the
+   first candidate of least objective (strict [<]).  Under the default
+   objective, total work, a candidate can therefore win only if its work
+   is below the incumbent's: it is priced with the incumbent's work as
+   the limit, and one whose work bound exceeds it is dropped before it is
+   composed.  Its materialized twin has the same work, so it can never
+   win either and is only counted.  A custom objective prices every
+   candidate and its twin. *)
+let optimize ?(config = Space.default_config) ?objective (env : Env.t) =
+  let gc0 = Gc.quick_stat () in
   let n = Env.n_relations env in
   let stats = Search_stats.create () in
+  let bounded, objective =
+    match objective with
+    | None -> (true, fun (e : Cm.eval) -> e.Cm.work)
+    | Some f -> (false, f)
+  in
+  let better cand = function
+    | None -> true
+    | Some b -> objective cand < objective b
+  in
   let memo : Cm.eval option array = Array.make (1 lsl n) None in
   let level_sizes = Array.make (n + 1) 0 in
-  let eval_all trees =
-    Search_stats.generated stats (List.length trees);
-    List.map (Cm.evaluate env) trees
+  (* accessPlan; the evaluations double as the inner side of every
+     extension *)
+  let access_evals =
+    Array.init n (fun rel ->
+        List.map (Cm.evaluate env) (Space.access_plans env config rel))
   in
-  (* accessPlan *)
   for rel = 0 to n - 1 do
     Search_stats.considered stats 1;
-    let candidates = eval_all (Space.access_plans env config rel) in
-    memo.(Bitset.to_int (Bitset.singleton rel)) <- best_of objective candidates None
+    Search_stats.generated stats (List.length access_evals.(rel));
+    memo.(Bitset.to_int (Bitset.singleton rel)) <-
+      List.fold_left
+        (fun best e -> if better e best then Some e else best)
+        None access_evals.(rel)
   done;
   level_sizes.(1) <- n;
+  let scratch = Cm.scratch env in
+  let twins = config.Space.materialize_choices in
+  let per_candidate = if twins then 2 else 1 in
   (* increasingly larger subsets *)
   for size = 2 to n do
     let subsets = Bitset.subsets_of_size n ~size in
     List.iter
       (fun s ->
-        let extend ~require_connection best =
-          Bitset.fold
-            (fun j best ->
+        let best = ref None in
+        let price ctx p a ~method_ ~clone =
+          let limit =
+            match !best with
+            | Some (b : Cm.eval) when bounded -> b.Cm.work
+            | _ -> infinity
+          in
+          Search_stats.generated stats per_candidate;
+          match
+            Cm.price_join ~scratch ~limit env ctx ~method_ ~clone ~outer:p
+              ~inner:a
+          with
+          | None -> Search_stats.rejected stats per_candidate
+          | Some e ->
+            if better e !best then best := Some e;
+            if twins && not bounded then begin
+              let twin = Cm.materialized_twin e in
+              if better twin !best then best := Some twin
+            end
+        in
+        let extend ~require_connection =
+          Bitset.iter
+            (fun j ->
               let s_j = Bitset.remove j s in
               match memo.(Bitset.to_int s_j) with
-              | None -> best
+              | None -> ()
               | Some p ->
-                if
-                  require_connection
-                  && not (Space.connects env s_j (Bitset.singleton j))
-                then best
-                else begin
+                let inner = Bitset.singleton j in
+                let joined = Space.connects env s_j inner in
+                if joined || not require_connection then begin
                   Search_stats.considered stats 1;
-                  let candidates =
-                    eval_all
-                      (Space.join_candidates env config ~outer:p.Cm.tree ~rel:j)
-                  in
-                  best_of objective candidates best
+                  let ctx = Cm.join_context env ~outer:s_j ~inner in
+                  let methods = Space.join_methods config ~joined in
+                  List.iter
+                    (fun a ->
+                      List.iter
+                        (fun method_ ->
+                          List.iter
+                            (fun clone -> price ctx p a ~method_ ~clone)
+                            config.Space.clone_degrees)
+                        methods)
+                    access_evals.(j)
                 end)
-            s best
+            s
         in
-        let best =
-          match extend ~require_connection:true None with
-          | Some _ as b -> b
-          | None -> extend ~require_connection:false None
-        in
-        (match best with
-        | Some _ -> level_sizes.(size) <- level_sizes.(size) + 1
-        | None -> ());
-        memo.(Bitset.to_int s) <- best)
+        extend ~require_connection:true;
+        if Option.is_none !best then extend ~require_connection:false;
+        if Option.is_some !best then
+          level_sizes.(size) <- level_sizes.(size) + 1;
+        memo.(Bitset.to_int s) <- !best)
       subsets;
     Search_stats.observe_stored stats level_sizes.(size)
   done;
   Search_stats.observe_stored stats level_sizes.(1);
-  {
-    best = (if n = 0 then None else memo.(Bitset.to_int (Bitset.full n)));
-    stats;
-    level_sizes;
-  }
+  let best =
+    if n = 0 then None
+    else Option.map Cm.numbered memo.(Bitset.to_int (Bitset.full n))
+  in
+  Search_stats.observe_gc stats ~before:gc0 ~after:(Gc.quick_stat ());
+  { best; stats; level_sizes }

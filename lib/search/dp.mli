@@ -22,4 +22,15 @@ val optimize :
   result
 (** [config] defaults to {!Space.default_config}, [objective] to total
     work.  Cartesian products are considered only for subsets that have
-    no connected extension. *)
+    no connected extension.
+
+    Candidates are priced incrementally from the memo winner and the
+    access evaluations ({!Parqo_cost.Costmodel.price_join}); only the
+    returned plan's operator tree is numbered.  The fold keeps the first
+    candidate of least objective, so under the default objective a
+    candidate is priced with the incumbent's work as its limit and
+    dropped, counted in [stats.rejected], when its work bound exceeds
+    it; a materialized twin, of equal work, is counted and never
+    priced.  An explicit [objective] prices every candidate.  Either
+    way the result and the counts equal those of evaluating every
+    candidate from scratch.  [stats] records the search's allocation. *)

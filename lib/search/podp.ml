@@ -29,6 +29,7 @@ type subset_result = {
   len : int;  (** slice length *)
   considered : int;
   generated : int;
+  rejected : int;  (** of [generated], rejected by the work bound *)
   cover_pre : int;  (** cover size before the beam cut *)
 }
 
@@ -73,16 +74,30 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
   (* Incremental costing: every candidate at level l + 1 joins a
      memoized level-l plan with an access plan, both already evaluated,
      so pricing it costs only the new root operators (Cm.price_join on a
-     per-worker descriptor scratch).  The memo arena and the level-1
-     access evaluations are the children's cache: nothing is looked up
-     by key.  Each materialized candidate is the twin of the pipelined
-     one generated just before it (Cm.materialized_twin), and operator
-     trees are numbered only when a plan enters the memo.  With
+     per-worker scratch, over a join context computed once per
+     extension).  The memo arena and the level-1 access evaluations are
+     the children's cache: nothing is looked up by key.  Each
+     materialized candidate is the twin of the pipelined one generated
+     just before it (Cm.materialized_twin), and operator trees are
+     numbered only when a plan enters the memo.  Under a work cap,
+     candidates are bounded before they are composed, and per extension
+     the bound's terms are kept per class (Cm.class_rejects), so a capped
+     candidate of a seen class is counted without being expanded.  With
      [plan_cache] off every candidate is evaluated from scratch instead —
      the reference the incremental path is bit-identical to. *)
   let scratches =
     if plan_cache then Array.init width (fun _ -> Cm.scratch env) else [||]
   in
+  let limit =
+    match work_cap with None -> infinity | Some cap -> cap +. 1e-9
+  in
+  let bounded = work_cap <> None in
+  let twins = config.Space.materialize_choices in
+  let clones = Array.of_list config.Space.clone_degrees in
+  let n_clones = Array.length clones in
+  let methods_of ~joined = Array.of_list (Space.join_methods config ~joined) in
+  let methods_joined = methods_of ~joined:true
+  and methods_cartesian = methods_of ~joined:false in
   let apply_beam cover =
     match max_cover with
     | None -> ()
@@ -122,10 +137,32 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
      side of every extension *)
   let access_evals =
     Array.init n (fun rel ->
-        List.map (Cm.evaluate env) (Space.access_plans env config rel))
+        Array.of_list
+          (List.map (Cm.evaluate env) (Space.access_plans env config rel)))
   in
-  let admissible e =
-    match work_cap with None -> true | Some cap -> e.Cm.work <= cap +. 1e-9
+  let admissible e = (not bounded) || e.Cm.work <= limit in
+  (* The outer plans of one extension — [len] memo entries from [off] —
+     grouped by the operators a join adds above them
+     (Cm.outer_shape_equal): each plan's class, and the class count. *)
+  let classify ~off ~len =
+    let cls = Array.make len 0 and first = Array.make len 0 in
+    let n_classes = ref 0 in
+    for i = 0 to len - 1 do
+      let p = memo.buf.(off + i) in
+      let c = ref 0 in
+      while
+        !c < !n_classes
+        && not (Cm.outer_shape_equal p memo.buf.(off + first.(!c)))
+      do
+        incr c
+      done;
+      if !c = !n_classes then begin
+        first.(!c) <- i;
+        incr n_classes
+      end;
+      cls.(i) <- !c
+    done;
+    (cls, !n_classes)
   in
   let level_start = ref (now_ms ()) in
   let finish_level ~level ~subsets ~cover_max ~used_domains =
@@ -149,7 +186,7 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
     Search_stats.considered stats 1;
     let cover = covers.(0) in
     Cover.Flat.clear cover;
-    List.iter
+    Array.iter
       (fun e ->
         Search_stats.generated stats 1;
         incr l1_ticks;
@@ -182,65 +219,110 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
     let n_subsets = Array.length subsets in
     let results : subset_result option array = Array.make n_subsets None in
     let compute ~worker ~ticks s =
-      let considered = ref 0 and generated = ref 0 in
+      let considered = ref 0 and generated = ref 0 and rejected = ref 0 in
       let best_plans = covers.(worker) in
       Cover.Flat.clear best_plans;
-      let consider e =
-        incr generated;
+      let tick () =
         incr ticks;
         if !ticks >= tick_grain then begin
           Budget.tick tracker !ticks;
           ticks := 0
-        end;
+        end
+      in
+      let consider e =
+        incr generated;
+        tick ();
         if admissible e then cover_add best_plans e
       in
-      (* one annotated join of [p] and [a] for each materialization
-         choice, in [Space.combine_candidates] order: pipelined, then
-         its materialized twin *)
-      let price =
-        if plan_cache then begin
-          let scratch = scratches.(worker) in
-          fun ~method_ ~clone p a ->
-            let e =
-              Cm.price_join ~scratch env ~method_ ~clone ~outer:p ~inner:a
-            in
-            consider e;
-            if config.Space.materialize_choices then
-              consider (Cm.materialized_twin e)
+      (* a candidate over the cap, and its materialized twin (same work) *)
+      let reject () =
+        incr generated;
+        incr rejected;
+        tick ();
+        if twins then begin
+          incr generated;
+          incr rejected;
+          tick ()
         end
-        else fun ~method_ ~clone p a ->
-          let evaluate materialize =
-            consider
-              (Cm.evaluate env
-                 (Parqo_plan.Join_tree.join ~clone ~materialize method_
-                    ~outer:p.Cm.tree ~inner:a.Cm.tree))
-          in
-          evaluate false;
-          if config.Space.materialize_choices then evaluate true
+      in
+      (* every annotated join of the memo plans of [s_j] with the access
+         plans of [j], in [Space.combine_candidates] order: per memo plan,
+         access plan, method and clone degree, the pipelined join, then
+         its materialized twin *)
+      let join_all ~joined s_j j =
+        let mask = Bitset.to_int s_j in
+        let off = memo_off.(mask) and len = memo_len.(mask) in
+        considered := !considered + len;
+        let methods = if joined then methods_joined else methods_cartesian in
+        let accs = access_evals.(j) in
+        (* the candidate joining [p] and [a] with method [mi] and clone
+           degree [ki], and its twin; the classes index the bound's
+           terms *)
+        let price =
+          if plan_cache then begin
+            let scratch = scratches.(worker) in
+            let ctx =
+              Cm.join_context env ~outer:s_j ~inner:(Bitset.singleton j)
+            in
+            fun p ~outer_class a ~inner_class ~mi ~ki ->
+              let slot = (mi * n_clones) + ki in
+              if
+                bounded
+                && Cm.class_rejects scratch ~outer:p ~outer_class ~inner_class
+                     ~slot
+              then reject ()
+              else begin
+                (match
+                   Cm.price_join ~scratch ~limit env ctx ~method_:methods.(mi)
+                     ~clone:clones.(ki) ~outer:p ~inner:a
+                 with
+                | Some e ->
+                  consider e;
+                  if twins then consider (Cm.materialized_twin e)
+                | None -> reject ());
+                if bounded then
+                  Cm.record_class_terms scratch ~outer_class ~inner_class ~slot
+              end
+          end
+          else fun p ~outer_class:_ a ~inner_class:_ ~mi ~ki ->
+            let evaluate materialize =
+              consider
+                (Cm.evaluate env
+                   (Parqo_plan.Join_tree.join ~clone:clones.(ki) ~materialize
+                      methods.(mi) ~outer:p.Cm.tree ~inner:a.Cm.tree))
+            in
+            evaluate false;
+            if twins then evaluate true
+        in
+        let plan_class =
+          if not (bounded && plan_cache) then Array.make len 0
+          else begin
+            let cls, n_classes = classify ~off ~len in
+            Cm.reset_classes scratches.(worker) ~limit ~outer_classes:n_classes
+              ~inner_classes:(Array.length accs)
+              ~slots:(Array.length methods * n_clones);
+            cls
+          end
+        in
+        for i = 0 to len - 1 do
+          let p = memo.buf.(off + i) in
+          let outer_class = plan_class.(i) in
+          for inner_class = 0 to Array.length accs - 1 do
+            let a = accs.(inner_class) in
+            for mi = 0 to Array.length methods - 1 do
+              for ki = 0 to n_clones - 1 do
+                price p ~outer_class a ~inner_class ~mi ~ki
+              done
+            done
+          done
+        done
       in
       let extend ~require_connection =
         Bitset.iter
           (fun j ->
             let s_j = Bitset.remove j s in
             let joined = Space.connects env s_j (Bitset.singleton j) in
-            if (not require_connection) || joined then begin
-              let methods = Space.join_methods config ~joined in
-              let mask = Bitset.to_int s_j in
-              let off = memo_off.(mask) in
-              for k = off to off + memo_len.(mask) - 1 do
-                let p = memo.buf.(k) in
-                incr considered;
-                List.iter
-                  (fun a ->
-                    List.iter
-                      (fun method_ ->
-                        List.iter
-                          (fun clone -> price ~method_ ~clone p a)
-                          config.Space.clone_degrees)
-                      methods)
-                  access_evals.(j)
-              done
-            end)
+            if (not require_connection) || joined then join_all ~joined s_j j)
           s
       in
       extend ~require_connection:true;
@@ -260,6 +342,7 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
         len = arena.len - start;
         considered = !considered;
         generated = !generated;
+        rejected = !rejected;
         cover_pre;
       }
     in
@@ -286,6 +369,7 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
         | Some r ->
           Search_stats.considered stats r.considered;
           Search_stats.generated stats r.generated;
+          Search_stats.rejected stats r.rejected;
           Search_stats.observe_cover stats r.cover_pre;
           if r.cover_pre > !cover_max then cover_max := r.cover_pre;
           level_sizes.(size) <- level_sizes.(size) + r.len;

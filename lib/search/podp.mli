@@ -67,7 +67,11 @@ val optimize :
     new root operators are costed; each materialized candidate is the
     {!Parqo_cost.Costmodel.materialized_twin} of the pipelined one
     generated just before it; and operator trees are numbered only when
-    a plan enters the memo.  The pruning metric therefore sees
+    a plan enters the memo.  Under a [work_cap], a candidate whose work
+    bound exceeds the cap is rejected before it is composed — by class,
+    without being expanded, once its class's bound terms are known
+    ({!Parqo_cost.Costmodel.class_rejects}) — and counted, twin
+    included, in [stats.generated] and [stats.rejected].  The pruning metric therefore sees
     candidates with unnumbered operator trees (it must not read node
     ids); every plan returned is numbered.  Off, every candidate is
     evaluated from scratch ({!Parqo_cost.Costmodel.evaluate}); the

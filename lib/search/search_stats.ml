@@ -10,6 +10,7 @@ type level = {
 type t = {
   mutable considered : int;
   mutable generated : int;
+  mutable rejected : int;
   mutable stored_peak : int;
   mutable cover_max : int;
   mutable levels : level list;  (* reverse recording order *)
@@ -22,6 +23,7 @@ let create () =
   {
     considered = 0;
     generated = 0;
+    rejected = 0;
     stored_peak = 0;
     cover_max = 0;
     levels = [];
@@ -32,6 +34,7 @@ let create () =
 
 let considered t n = t.considered <- t.considered + n
 let generated t n = t.generated <- t.generated + n
+let rejected t n = t.rejected <- t.rejected + n
 let observe_stored t n = if n > t.stored_peak then t.stored_peak <- n
 let observe_cover t n = if n > t.cover_max then t.cover_max <- n
 let observe_level t l = t.levels <- l :: t.levels
@@ -48,10 +51,10 @@ let observe_gc t ~(before : Gc.stat) ~(after : Gc.stat) =
 
 let pp ppf t =
   Format.fprintf ppf
-    "considered=%d generated=%d stored-peak=%d cover-max=%d \
+    "considered=%d generated=%d rejected=%d stored-peak=%d cover-max=%d \
      minor-words=%.0f major-words=%.0f \
      pool: spawned=%d parallel-runs=%d sequential-runs=%d parks=%d"
-    t.considered t.generated t.stored_peak t.cover_max t.minor_words
+    t.considered t.generated t.rejected t.stored_peak t.cover_max t.minor_words
     t.major_words
     t.pool.Parqo_util.Domain_pool.spawned
     t.pool.Parqo_util.Domain_pool.parallel_runs

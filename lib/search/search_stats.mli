@@ -21,8 +21,13 @@ type t = {
   mutable considered : int;
       (** accessPlan / joinPlan invocations (Table 1 time unit) *)
   mutable generated : int;
-      (** candidate plans actually costed (our joinPlan returns a
-          candidate set; this is the constant-factor-finer count) *)
+      (** candidate plans generated (our joinPlan returns a candidate
+          set; this is the constant-factor-finer count), [rejected]
+          included *)
+  mutable rejected : int;
+      (** of [generated], candidates dropped because their work bound
+          exceeded the search's limit — the work cap, or the incumbent's
+          work in the work-phase DP — before they were fully priced *)
   mutable stored_peak : int;
       (** maximum plans simultaneously retained across the memo table *)
   mutable cover_max : int;
@@ -50,6 +55,10 @@ val considered : t -> int -> unit
 (** Add to the considered counter. *)
 
 val generated : t -> int -> unit
+
+val rejected : t -> int -> unit
+(** Add to the bound-rejected counter (callers add the same candidates
+    to [generated]). *)
 
 val observe_stored : t -> int -> unit
 (** Record a current storage level; keeps the peak. *)

@@ -149,6 +149,62 @@ let singleton_query () =
   | Some e -> Alcotest.(check int) "single access plan" 0 (Parqo.Join_tree.n_joins e.Cm.tree)
   | None -> Alcotest.fail "no plan for single relation"
 
+(* property: the incrementally priced DP — incumbent-bounded under the
+   default objective, pricing every candidate under an explicit one —
+   returns exactly what the from-scratch reference loop returns: the
+   best plan field by field (operator ids, Int64 bits), the level sizes
+   and the Table 1 counts *)
+let identical_to_reference () =
+  let rng = Parqo.Rng.create 23 in
+  let work (e : Cm.eval) = e.Cm.work in
+  for _ = 1 to 6 do
+    let env = Helpers.random_env rng ~n:4 in
+    List.iter
+      (fun (space, config) ->
+        let reference = Helpers.reference_dp ~config env in
+        List.iter
+          (fun (how, (r : Dp.result)) ->
+            let msg = space ^ ", " ^ how in
+            (match (reference.Dp.best, r.Dp.best) with
+            | Some a, Some b -> Helpers.check_eval_identical msg a b
+            | _ -> Alcotest.failf "%s: missing plan" msg);
+            Alcotest.(check (list int))
+              (msg ^ ": level sizes")
+              (Array.to_list reference.Dp.level_sizes)
+              (Array.to_list r.Dp.level_sizes);
+            let count name f =
+              Alcotest.(check int) (msg ^ ": " ^ name) (f reference.Dp.stats)
+                (f r.Dp.stats)
+            in
+            count "generated" (fun s -> s.Stats.generated);
+            count "considered" (fun s -> s.Stats.considered);
+            count "stored_peak" (fun s -> s.Stats.stored_peak))
+          [
+            ("default objective", Dp.optimize ~config env);
+            ("explicit objective", Dp.optimize ~config ~objective:work env);
+          ])
+      [
+        ("default", S.default_config);
+        ("sequential", S.sequential_config);
+        ("parallel", S.parallel_config env.Parqo.Env.machine);
+      ]
+  done
+
+(* the incumbent bound prunes: under the default objective some
+   candidates are rejected before pricing, under an explicit one none;
+   and the search records its allocation *)
+let incumbent_bound_rejects () =
+  let env = env_of G.Chain 5 in
+  let config = S.parallel_config env.Parqo.Env.machine in
+  let bounded = Dp.optimize ~config env in
+  let explicit = Dp.optimize ~config ~objective:(fun e -> e.Cm.work) env in
+  Alcotest.(check bool) "rejects under the default objective" true
+    (bounded.Dp.stats.Stats.rejected > 0);
+  Alcotest.(check int) "prices every candidate otherwise" 0
+    explicit.Dp.stats.Stats.rejected;
+  Alcotest.(check bool) "allocation recorded" true
+    (bounded.Dp.stats.Stats.minor_words > 0.)
+
 let suite =
   ( "dp",
     [
@@ -160,4 +216,6 @@ let suite =
       t "disconnected queries" disconnected_queries_work;
       t "rt objective vs brute" rt_objective_suboptimal_somewhere;
       t "singleton query" singleton_query;
+      t "identical to the from-scratch reference" identical_to_reference;
+      t "incumbent bound rejects" incumbent_bound_rejects;
     ] )

@@ -14,36 +14,7 @@ module Bitset = Parqo.Bitset
 
 let t name f = Alcotest.test_case name `Quick f
 
-let bits = Int64.bits_of_float
-
-(* every float compared through its bit pattern: "close enough" would
-   hide a divergence that compounds over DP levels *)
-let check_eval_identical msg (a : Cm.eval) (b : Cm.eval) =
-  Alcotest.(check string)
-    (msg ^ ": tree")
-    (Parqo.Join_tree.to_string a.Cm.tree)
-    (Parqo.Join_tree.to_string b.Cm.tree);
-  Alcotest.(check string)
-    (msg ^ ": optree")
-    (Op.to_string a.Cm.optree) (Op.to_string b.Cm.optree);
-  let ids e = Op.fold (fun acc (n : Op.node) -> n.Op.id :: acc) [] e.Cm.optree in
-  Alcotest.(check (list int)) (msg ^ ": optree ids") (ids a) (ids b);
-  let cards e =
-    Op.fold (fun acc (n : Op.node) -> bits n.Op.out_card :: acc) [] e.Cm.optree
-  in
-  Alcotest.(check (list int64)) (msg ^ ": optree cards") (cards a) (cards b);
-  Alcotest.(check int64)
-    (msg ^ ": response_time")
-    (bits a.Cm.response_time) (bits b.Cm.response_time);
-  Alcotest.(check int64) (msg ^ ": work") (bits a.Cm.work) (bits b.Cm.work);
-  Alcotest.(check bool)
-    (msg ^ ": descriptor bit-identical")
-    true
-    (a.Cm.descriptor = b.Cm.descriptor);
-  Alcotest.(check string)
-    (msg ^ ": ordering")
-    (Parqo.Ordering.to_string a.Cm.ordering)
-    (Parqo.Ordering.to_string b.Cm.ordering)
+let check_eval_identical = Helpers.check_eval_identical
 
 (* property: on random queries and random annotated trees, the cached
    evaluator (cold cache, warm cache, remember_all cache) reproduces
@@ -118,7 +89,19 @@ let twin_matches_evaluate () =
             materialized;
           let outer = Cm.evaluate env j.Parqo.Join_tree.outer
           and inner = Cm.evaluate env j.Parqo.Join_tree.inner in
-          let priced = Cm.price_join ~scratch env ~method_ ~clone ~outer ~inner in
+          let ctx =
+            Cm.join_context env
+              ~outer:(Parqo.Join_tree.relations j.Parqo.Join_tree.outer)
+              ~inner:(Parqo.Join_tree.relations j.Parqo.Join_tree.inner)
+          in
+          let priced =
+            match
+              Cm.price_join ~scratch ~limit:infinity env ctx ~method_ ~clone
+                ~outer ~inner
+            with
+            | Some e -> e
+            | None -> Alcotest.fail "unlimited price_join rejected a plan"
+          in
           check_eval_identical "priced" (Cm.numbered priced) pipelined;
           check_eval_identical "twin of priced"
             (Cm.numbered (Cm.materialized_twin priced))
@@ -179,9 +162,15 @@ let check_result_identical msg (a : Podp.result) (b : Podp.result) =
 (* property: the whole search is bit-identical with incremental costing
    on and off — sequentially and at forced pool widths, in the
    sequential space and in the parallel one, whose materialized
-   candidates are priced as twins of their pipelined siblings *)
+   candidates are priced as twins of their pipelined siblings — with no
+   work cap and with the cap [Optimizer.minimize_response_time] derives
+   (throughput degradation 2 over the work-phase optimum), under which
+   capped candidates are rejected before pricing, by class where the
+   bound's terms are known.  The rejected count is the same at every
+   width. *)
 let podp_identical_cache_on_off () =
   let rng = Parqo.Rng.create 33 in
+  let rejected_somewhere = ref false in
   for _ = 1 to 3 do
     let env = Helpers.random_env rng ~n:4 in
     let metric =
@@ -189,22 +178,123 @@ let podp_identical_cache_on_off () =
     in
     List.iter
       (fun (space, config) ->
-        let off = Podp.optimize ~config ~metric ~plan_cache:false env in
-        check_result_identical (space ^ ", domains=1") off
-          (Podp.optimize ~config ~metric ~plan_cache:true env);
+        let work_cap =
+          match (Parqo.Dp.optimize ~config env).Parqo.Dp.best with
+          | Some wo ->
+            Parqo.Bounds.partial_work_cap
+              (Parqo.Bounds.Throughput_degradation 2.)
+              ~work_opt:wo.Cm.work ~rt_opt:wo.Cm.response_time
+          | None -> Alcotest.fail "no work-optimal plan"
+        in
         List.iter
-          (fun k ->
-            Helpers.with_forced_pool k (fun pool ->
-                check_result_identical
-                  (Printf.sprintf "%s, width=%d" space k)
-                  off
-                  (Podp.optimize ~config ~metric ~pool ~plan_cache:true env)))
-          [ 2; 3; 8 ])
+          (fun (capped, work_cap) ->
+            let space = if capped then space ^ ", capped" else space in
+            let optimize ?pool plan_cache =
+              Podp.optimize ~config ~metric ?work_cap ?pool ~plan_cache env
+            in
+            let off = optimize false in
+            let on = optimize true in
+            check_result_identical (space ^ ", domains=1") off on;
+            let rejected = on.Podp.stats.Stats.rejected in
+            if rejected > 0 then rejected_somewhere := true;
+            List.iter
+              (fun k ->
+                Helpers.with_forced_pool k (fun pool ->
+                    let msg = Printf.sprintf "%s, width=%d" space k in
+                    let r = optimize ~pool true in
+                    check_result_identical msg off r;
+                    Alcotest.(check int) (msg ^ ": rejected") rejected
+                      r.Podp.stats.Stats.rejected))
+              [ 2; 3; 8 ])
+          [ (false, None); (true, work_cap) ])
       [
         ("sequential", { S.default_config with S.clone_degrees = [ 1; 2 ] });
         ("parallel", S.parallel_config env.Parqo.Env.machine);
       ]
-  done
+  done;
+  Alcotest.(check bool) "the cap rejected candidates" true !rejected_somewhere
+
+(* property: the work bound is sound.  For every join of evaluated
+   children in random trees — on a nominal machine, on one with rescaled
+   resource speeds, and on one whose pipeline penalty scales work — the
+   bound is at most the priced work (up to 1e-12 relative), [price_join]
+   returns no plan only when the priced work exceeds the limit, and it
+   does reject when the bound clearly exceeds the limit.  The draws must
+   include joins that probe a bare index, whose inner work the bound
+   leaves out. *)
+let bound_is_sound () =
+  let rng = Parqo.Rng.create 37 in
+  let nominal = Parqo.Machine.shared_nothing ~nodes:4 () in
+  let machines =
+    [
+      ("nominal", nominal);
+      ( "rescaled",
+        Parqo.Machine.rescale nominal
+          ~speeds:[ (0, 0.5); (2, 1.75); (5, 0.3); (8, 2.5) ] );
+      ( "delta scales work",
+        Parqo.Machine.shared_nothing
+          ~params:
+            {
+              Parqo.Machine.default_params with
+              Parqo.Machine.delta_scales_work = true;
+            }
+          ~nodes:4 () );
+    ]
+  in
+  let free_inner = ref 0 and joins = ref 0 in
+  List.iter
+    (fun (name, machine) ->
+      for _ = 1 to 12 do
+        let catalog, query = Parqo.Query_gen.random rng ~n:5 () in
+        let env = Parqo.Env.create ~machine ~catalog ~query () in
+        let scratch = Cm.scratch env in
+        for _ = 1 to 6 do
+          List.iter
+            (fun (j : Parqo.Join_tree.join) ->
+              incr joins;
+              let outer = Cm.evaluate env j.Parqo.Join_tree.outer
+              and inner = Cm.evaluate env j.Parqo.Join_tree.inner in
+              let ctx =
+                Cm.join_context env
+                  ~outer:(Parqo.Join_tree.relations j.Parqo.Join_tree.outer)
+                  ~inner:(Parqo.Join_tree.relations j.Parqo.Join_tree.inner)
+              in
+              let price limit =
+                Cm.price_join ~scratch ~limit env ctx
+                  ~method_:j.Parqo.Join_tree.method_
+                  ~clone:j.Parqo.Join_tree.clone ~outer ~inner
+              in
+              let work =
+                match price infinity with
+                | Some e ->
+                  if Parqo.Opcost.nl_inner_is_free e.Cm.optree then
+                    incr free_inner;
+                  e.Cm.work
+                | None -> Alcotest.fail "unlimited price_join rejected a plan"
+              in
+              let bound = Cm.last_bound scratch in
+              if bound > work *. (1. +. 1e-12) then
+                Alcotest.failf "%s: bound %.17g above priced work %.17g" name
+                  bound work;
+              List.iter
+                (fun limit ->
+                  match price limit with
+                  | None when not (work > limit) ->
+                    Alcotest.failf "%s: rejected at limit %.17g, work %.17g"
+                      name limit work
+                  | None | Some _ -> ())
+                [ work; Float.pred work; work *. (1. -. 1e-12); bound ];
+              let clearly_over = bound /. (1. +. 1e-8) in
+              if bound > 0. && Option.is_some (price clearly_over) then
+                Alcotest.failf "%s: bound %.17g over the limit, not rejected"
+                  name bound)
+            (Parqo.Join_tree.joins (Helpers.random_tree rng env))
+        done
+      done)
+    machines;
+  Alcotest.(check bool)
+    (Printf.sprintf "bare-index probes among %d joins" !joins)
+    true (!free_inner > 0)
 
 (* the beam tie-break exercises Join_tree.key as the total order *)
 let podp_identical_cache_on_off_beamed () =
@@ -365,6 +455,7 @@ let suite =
       t "materialized twin = evaluate, bit for bit" twin_matches_evaluate;
       t "materialized twin of a non-pipelined plan" twin_rejects_non_pipelined;
       t "podp identical with cache on/off at forced widths" podp_identical_cache_on_off;
+      t "work bound is sound" bound_is_sound;
       t "podp identical under beam trim" podp_identical_cache_on_off_beamed;
       t "Join_tree.key is canonical" key_is_canonical;
       t "Plan_cache counters" plan_cache_counters;
