@@ -104,8 +104,8 @@ let check_identical name (base : Parqo.Podp.result) (r : Parqo.Podp.result) =
          name same_best same_cover same_levels same_expanded)
 
 (* all repeats share [pool]: worker spawn cost is paid once at pool
-   creation, which is the production shape (Twophase/serve reuse one
-   pool per process) and what the min-over-repeats should measure *)
+   creation, which is the production shape (serve reuses one pool per
+   process) and what the min-over-repeats should measure *)
 let time_once ~pool env =
   let t0 = Unix.gettimeofday () in
   let r = optimize ~pool env in

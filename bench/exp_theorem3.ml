@@ -10,14 +10,11 @@
 module T = Parqo.Tableau
 
 let mean_cover rng l m trials =
-  let dom a b =
-    let rec go i = i >= l || (a.(i) <= b.(i) && go (i + 1)) in
-    go 0
-  in
+  let fill p row = Array.blit p 0 row 0 l in
   let total = ref 0 in
   for _ = 1 to trials do
     let pts = List.init m (fun _ -> Array.init l (fun _ -> Parqo.Rng.float rng 1.)) in
-    total := !total + List.length (Parqo.Cover.pareto ~dominates:dom pts)
+    total := !total + List.length (Parqo.Cover.pareto ~n_dims:l ~fill pts)
   done;
   float_of_int !total /. float_of_int trials
 

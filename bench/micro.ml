@@ -25,10 +25,7 @@ let make_tests () =
   let points =
     List.init 256 (fun _ -> Array.init 4 (fun _ -> Parqo.Rng.float rng 1.))
   in
-  let dom4 a b =
-    let rec go i = i >= 4 || (a.(i) <= b.(i) && go (i + 1)) in
-    go 0
-  in
+  let fill4 p row = Array.blit p 0 row 0 4 in
   [
     Test.make ~name:"cost/evaluate (3-way plan)"
       (Staged.stage (fun () -> ignore (Parqo.Costmodel.evaluate env tree)));
@@ -39,7 +36,7 @@ let make_tests () =
       (Staged.stage (fun () -> ignore (Parqo.Simulator.run graph)));
     Test.make ~name:"cover/pareto (256 pts, 4 dims)"
       (Staged.stage (fun () ->
-           ignore (Parqo.Cover.pareto ~dominates:dom4 points)));
+           ignore (Parqo.Cover.pareto ~n_dims:4 ~fill:fill4 points)));
     Test.make ~name:"search/DP-work clique-6 (Table 1)"
       (Staged.stage (fun () ->
            ignore (Parqo.Dp.optimize ~config:Parqo.Space.minimal_config clique6)));

@@ -57,11 +57,6 @@ let search_domains =
 let bushy =
   Arg.(value & flag & info [ "bushy" ] ~doc:"Search bushy trees instead of left-deep.")
 
-let no_plan_cache =
-  Arg.(value & flag
-       & info [ "no-plan-cache" ]
-           ~doc:"Disable incremental sub-plan costing in the partial-order DP search. The chosen plan is bit-identical either way; this flag exists for benchmarking and debugging.")
-
 let sql =
   Arg.(value & opt (some string) None
        & info [ "sql" ] ~docv:"SQL" ~doc:"Optimize this SQL query against the generated catalog instead of the generated join query.")
@@ -110,8 +105,7 @@ let setup shape n nodes sql =
   let machine = Parqo.Machine.shared_nothing ~nodes () in
   (Parqo.Env.create ~machine ~catalog ~query (), query, machine)
 
-let optimize_env ?(fault_rate = 0.) ?(domains = 1) ?(plan_cache = true) env
-    machine budget bushy =
+let optimize_env ?(fault_rate = 0.) ?(domains = 1) env machine budget bushy =
   let config = Parqo.Space.parallel_config machine in
   let bound =
     match budget with
@@ -125,7 +119,7 @@ let optimize_env ?(fault_rate = 0.) ?(domains = 1) ?(plan_cache = true) env
     (* failure-aware: charge pipelined chains their expected
        re-execution cost and rank by the expected makespan *)
     Parqo.Optimizer.minimize_response_time ~config ~shape:shape_opt ~bound
-      ~domains ~plan_cache
+      ~domains
       ~metric:
         (Parqo.Metric.with_ordering
            (Parqo.Metric.expected_makespan env ~fault_rate))
@@ -133,7 +127,7 @@ let optimize_env ?(fault_rate = 0.) ?(domains = 1) ?(plan_cache = true) env
       env
   else
     Parqo.Optimizer.minimize_response_time ~config ~shape:shape_opt ~bound
-      ~domains ~plan_cache env
+      ~domains env
 
 let report_outcome query (o : Parqo.Optimizer.outcome) =
   Printf.printf "query: %s\n\n" (Parqo.Query.to_sql query);
@@ -182,19 +176,16 @@ let show_stats =
                  cover peak, wall time, domains).")
 
 let optimize_cmd =
-  let run () shape n nodes sql budget bushy fault_rate domains no_cache stats =
+  let run () shape n nodes sql budget bushy fault_rate domains stats =
     check_fault_rate fault_rate @@ fun () ->
     let env, query, machine = setup shape n nodes sql in
-    let o =
-      optimize_env ~fault_rate ~domains ~plan_cache:(not no_cache) env machine
-        budget bushy
-    in
+    let o = optimize_env ~fault_rate ~domains env machine budget bushy in
     let r = report_outcome query o in
     if stats then report_search_stats o;
     r
   in
   Cmd.v (Cmd.info "optimize" ~doc:"Minimize response time subject to a work bound.")
-    Term.(ret (const run $ setup_logs $ shape $ n_relations $ nodes $ sql $ budget $ bushy $ fault_rate $ search_domains $ no_plan_cache $ show_stats))
+    Term.(ret (const run $ setup_logs $ shape $ n_relations $ nodes $ sql $ budget $ bushy $ fault_rate $ search_domains $ show_stats))
 
 (* either the optimizer's choice or an explicitly supplied plan *)
 let chosen_plan ?fault_rate ?domains env query machine budget bushy plan_text =

@@ -61,9 +61,10 @@ let () =
   (* the frontier: the final cover set under work x response time *)
   let o = run Parqo.Bounds.Unbounded in
   let frontier =
-    Parqo.Cover.pareto
-      ~dominates:(fun (a : Cm.eval) b ->
-        a.Cm.work <= b.Cm.work && a.Cm.response_time <= b.Cm.response_time)
+    Parqo.Cover.pareto ~n_dims:2
+      ~fill:(fun (e : Cm.eval) row ->
+        row.(0) <- e.Cm.work;
+        row.(1) <- e.Cm.response_time)
       o.Parqo.Optimizer.cover
   in
   let tbl2 =

@@ -1,6 +1,5 @@
 module Op = Parqo_optree.Op
 module P = Parqo_plan
-module Plan_cache = Parqo_util.Plan_cache
 module Bitset = Parqo_util.Bitset
 
 type eval = {
@@ -225,19 +224,27 @@ let rec compose_side s p d = function
   | (node, b) :: rest ->
     compose_side s p (composed node (Descriptor.pipe_s s p d b)) rest
 
-(* Expand the join of [oe] and [ie], base its new operators and leave the
-   bound's two terms in the scratch; then, unless the bound exceeds
-   [limit], compose the root's descriptor.  The outer term sums the
-   outer side's new operators.  The inner term sums the root operator,
-   the inner side's new operators and, unless the root probes a bare
-   index ([Opcost.nl_inner_is_free]), the inner plan's work.  Both are
-   functions of the candidate's class — see [outer_shape_equal] — which
-   is what lets a DP reuse them across memo plans. *)
-let price_root ~scratch ~limit (env : Env.t) ctx ~method_ ~clone ~composition
-    oe ie =
+let check_sides (ctx : join_context) oe ie =
+  if
+    not
+      (Bitset.equal (P.Join_tree.relations oe.tree) ctx.outer_rels
+      && Bitset.equal (P.Join_tree.relations ie.tree) ctx.inner_rels)
+  then invalid_arg "Costmodel.price_join: plans outside the join context"
+
+(* Expand the pipelined join of [oe] and [ie], base its new operators and
+   leave the bound's two terms in the scratch; then, unless the bound
+   exceeds [limit], compose the root's descriptor.  The outer term sums
+   the outer side's new operators.  The inner term sums the root
+   operator, the inner side's new operators and, unless the root probes
+   a bare index ([Opcost.nl_inner_is_free]), the inner plan's work.  Both
+   are functions of the candidate's class — see [outer_shape_equal] —
+   which is what lets a DP reuse them across memo plans. *)
+let price_join ~scratch ~limit (env : Env.t) (ctx : join_context) ~method_
+    ~clone ~outer:oe ~inner:ie =
+  check_sides ctx oe ie;
   let root =
     Parqo_optree.Expand.expand_join ~config:env.expand_config ctx ~method_
-      ~clone ~composition ~outer:oe.optree ~inner:ie.optree
+      ~clone ~composition:Op.Pipelined ~outer:oe.optree ~inner:ie.optree
       ~outer_ordering:(Lazy.from_val oe.ordering)
       ~inner_ordering:(Lazy.from_val ie.ordering)
   in
@@ -258,41 +265,19 @@ let price_root ~scratch ~limit (env : Env.t) ctx ~method_ ~clone ~composition
     else begin
       let s = scratch.ds and p = env.dparams in
       let dl = compose_side s p oe.descriptor lb in
-      let combined =
+      let descriptor =
         if free then Descriptor.pipe_s s p dl rb
         else Descriptor.tree_s s p dl (compose_side s p ie.descriptor rbs) rb
       in
-      Some (root, composed root combined)
+      let tree = P.Join_tree.join ~clone method_ ~outer:oe.tree ~inner:ie.tree in
+      let ordering =
+        P.Props.join_ordering method_ ~clone
+          ~outer_key:(Lazy.from_val ctx.outer_key)
+          ~outer:(Lazy.from_val oe.ordering)
+      in
+      Some (of_descriptor ~tree ~optree:root ~ordering descriptor)
     end
   | _ -> invalid_arg "Costmodel: join root is not binary"
-
-let check_sides (ctx : join_context) oe ie =
-  if
-    not
-      (Bitset.equal (P.Join_tree.relations oe.tree) ctx.outer_rels
-      && Bitset.equal (P.Join_tree.relations ie.tree) ctx.inner_rels)
-  then invalid_arg "Costmodel.price_join: plans outside the join context"
-
-let join_ordering (ctx : join_context) ~method_ ~clone oe =
-  P.Props.join_ordering method_ ~clone
-    ~outer_key:(Lazy.from_val ctx.outer_key)
-    ~outer:(Lazy.from_val oe.ordering)
-
-let price_join ~scratch ~limit env ctx ~method_ ~clone ~outer ~inner =
-  check_sides ctx outer inner;
-  match
-    price_root ~scratch ~limit env ctx ~method_ ~clone
-      ~composition:Op.Pipelined outer inner
-  with
-  | None -> None
-  | Some (optree, descriptor) ->
-    let tree =
-      P.Join_tree.join ~clone method_ ~outer:outer.tree ~inner:inner.tree
-    in
-    Some
-      (of_descriptor ~tree ~optree
-         ~ordering:(join_ordering ctx ~method_ ~clone outer)
-         descriptor)
 
 (* The outer side's new operators read the outer root's clone degree,
    partitioning and kind (an exchange), its cardinality and width, and
@@ -330,103 +315,6 @@ let materialized_twin e =
   | _ -> invalid_arg "Costmodel.materialized_twin: not a pipelined join"
 
 let numbered e = { e with optree = Parqo_optree.Expand.renumber e.optree }
-
-(* ---------------------------------------------------------------- *)
-(* The sub-plan cache, for callers holding join trees rather than their
-   children's evaluations (annotation search).
-
-   It stores one entry per remembered sub-plan — keyed by the tree's
-   interned canonical key — holding its expansion, descriptor and output
-   ordering, and prices a join of cached children through the same
-   [price_root] as the DP, with no limit, renumbering each result.
-
-   Domain safety is by ownership, not locking: a cache handle belongs to
-   one domain; parallel regions give each worker a [shard_cache] (private
-   overlay over the shared published snapshot, lock-free reads), the
-   coordinator [absorb_cache]s the shards after the barrier and
-   [publish_cache]es its writes before the next region.  Values are pure
-   functions of the key, so independently computed entries are
-   interchangeable.  Access-plan leaves are always remembered; joins only
-   with [remember_all] (two-phase search, where revisited sub-trees are
-   the common case). *)
-
-type cache = {
-  store : eval Plan_cache.t;
-  remember_all : bool;
-  mutable scratch : scratch option;
-      (* descriptor scratch, lazily sized to the machine; owned by this
-         handle's domain like the store, never shared across shards *)
-}
-
-let create_cache ?(remember_all = false) () =
-  { store = Plan_cache.create (); remember_all; scratch = None }
-
-let shard_cache cache =
-  {
-    store = Plan_cache.shard cache.store;
-    remember_all = cache.remember_all;
-    scratch = None;
-  }
-
-let scratch_of cache env =
-  match cache.scratch with
-  | Some s -> s
-  | None ->
-    let s = scratch env in
-    cache.scratch <- Some s;
-    s
-
-let absorb_cache cache shard = Plan_cache.absorb cache.store shard.store
-let publish_cache cache = Plan_cache.publish cache.store
-
-let cache_stats cache =
-  (Plan_cache.hits cache.store, Plan_cache.misses cache.store,
-   Plan_cache.length cache.store)
-
-let rec evaluate_sub cache (env : Env.t) (tree : P.Join_tree.t) =
-  let key = P.Join_tree.key tree in
-  match Plan_cache.find cache.store key with
-  | Some e -> e
-  | None ->
-    let e =
-      match tree with
-      | P.Join_tree.Access _ -> evaluate env tree
-      | P.Join_tree.Join j -> (
-        let oe = evaluate_sub cache env j.outer in
-        let ie = evaluate_sub cache env j.inner in
-        let ctx =
-          join_context env
-            ~outer:(P.Join_tree.relations j.outer)
-            ~inner:(P.Join_tree.relations j.inner)
-        in
-        let composition =
-          if j.materialize then Op.Materialized else Op.Pipelined
-        in
-        match
-          price_root ~scratch:(scratch_of cache env) ~limit:infinity env ctx
-            ~method_:j.method_ ~clone:j.clone ~composition oe ie
-        with
-        | Some (optree, descriptor) ->
-          let ordering =
-            join_ordering ctx ~method_:j.method_ ~clone:j.clone oe
-          in
-          numbered (of_descriptor ~tree ~optree ~ordering descriptor)
-        | None -> assert false (* no limit *))
-    in
-    let keep =
-      cache.remember_all
-      || (match tree with P.Join_tree.Access _ -> true | P.Join_tree.Join _ -> false)
-    in
-    if keep then Plan_cache.remember cache.store key e;
-    e
-
-let evaluate_cached ?(required_order = P.Ordering.none) cache env tree =
-  let e = evaluate_sub cache env tree in
-  if
-    required_order <> P.Ordering.none
-    && not (P.Ordering.satisfies e.ordering required_order)
-  then with_final_sort env required_order e
-  else e
 
 let response_time env tree = (evaluate env tree).response_time
 let work env tree = (evaluate env tree).work

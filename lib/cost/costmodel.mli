@@ -164,53 +164,6 @@ val numbered : eval -> eval
     {!Parqo_optree.Expand.renumber}); the only whole-tree walk of
     incremental pricing. *)
 
-(** {2 Sub-plan cache}
-
-    A sub-plan cache keyed by {!Parqo_plan.Join_tree.key}, for callers
-    holding join trees rather than their children's evaluations.
-    {!evaluate_cached} prices a join of cached children through
-    {!price_join}'s path and numbers the result, bit-identical to
-    {!evaluate} (same arithmetic on the same values in the same order).
-
-    A cache handle is owned by one domain (its read path takes no lock);
-    parallel regions derive one {!shard_cache} per worker over the same
-    published snapshot, {!absorb_cache} them after the barrier, and
-    {!publish_cache} the coordinator's writes before the next region —
-    see {!Parqo_util.Plan_cache}. *)
-
-type cache
-
-val create_cache : ?remember_all:bool -> unit -> cache
-(** Access-plan leaves are always remembered on miss.  Join evaluations
-    are remembered only when [remember_all] is set (suits annotation
-    search, where sub-trees recur across variants). *)
-
-val evaluate_cached :
-  ?required_order:Parqo_plan.Ordering.t ->
-  cache ->
-  Env.t ->
-  Parqo_plan.Join_tree.t ->
-  eval
-(** Like {!evaluate}, reusing cached sub-plan evaluations.  Raises
-    [Invalid_argument] when a relation appears on both sides of a join;
-    sub-trees not in the cache are checked by their own evaluation. *)
-
-val shard_cache : cache -> cache
-(** A worker-private handle over the same published snapshot — one per
-    worker of a parallel region; see {!Parqo_util.Plan_cache.shard}. *)
-
-val absorb_cache : cache -> cache -> unit
-(** [absorb_cache parent shard] merges a quiesced shard's private writes
-    and hit/miss counters back into [parent] (post-barrier). *)
-
-val publish_cache : cache -> unit
-(** Fold the owner's private writes into the shared snapshot, making
-    them visible to shards derived afterwards. *)
-
-val cache_stats : cache -> int * int * int
-(** [(hits, misses, entries)] — counters observed through this handle
-    (absorbed shards included). *)
-
 val response_time : Env.t -> Parqo_plan.Join_tree.t -> float
 
 val work : Env.t -> Parqo_plan.Join_tree.t -> float

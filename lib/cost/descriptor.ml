@@ -31,16 +31,6 @@ let atomic_with ~zero usage = { rf = zero; rl = usage }
 let blocking usage = { rf = usage; rl = usage }
 let sync d = { rf = d.rl; rl = d.rl }
 
-let delta p r1 r2 =
-  let t1 = r1.Rvec.time and t2 = r2.Rvec.time in
-  let hi = t1 +. t2 and lo = Float.max t1 t2 in
-  if hi -. lo <= 1e-12 then 1.
-  else begin
-    let t' = (Rvec.par r1 r2).Rvec.time in
-    let factor = 1. +. (p.delta_k *. (t' -. lo) /. (hi -. lo)) in
-    Float.min (1. +. p.delta_k) (Float.max 1. factor)
-  end
-
 (* ---------------------------------------------------------------- *)
 (* Scratch-buffer composition.
 
@@ -99,6 +89,10 @@ let delta_factor p ~rp_t ~rc_t ~ov_t =
   else
     let factor = 1. +. (p.delta_k *. (ov_t -. lo) /. (hi -. lo)) in
     Vecf.fmin (1. +. p.delta_k) (Vecf.fmax 1. factor)
+
+let delta p r1 r2 =
+  delta_factor p ~rp_t:r1.Rvec.time ~rc_t:r2.Rvec.time
+    ~ov_t:(Rvec.par r1 r2).Rvec.time
 
 (* the arithmetic core of [pipe]: producer/consumer given as raw work
    vectors plus times, results written into the caller's [orf_w]/[orl_w]

@@ -46,8 +46,9 @@ val sync : t -> t
 val delta : params -> Rvec.t -> Rvec.t -> float
 (** [delta params r1 r2] for the pipelined residuals: the linear
     interpolation [1 + k*(t' - max(t1,t2)) / (t1 + t2 - max(t1,t2))]
-    where [t'] is the time of [par r1 r2]; [1.] when either residual has
-    zero time. *)
+    where [t'] is the time of [par r1 r2], clamped to [[1, 1 + k]];
+    [1.] when either residual has zero time.  The factor {!pipe}
+    applies. *)
 
 val pipe : params -> t -> t -> t
 (** [pipe producer consumer]: [rf = pf ; cf],

@@ -91,13 +91,15 @@ let optimize_scalar ?(config = Space.default_config)
 let optimize_po ?(config = Space.default_config)
     ?(rank = fun (e : Cm.eval) -> e.Cm.response_time) ?work_cap
     ?(final_filter = fun _ -> true) ?max_cover ~metric (env : Env.t) =
-  let dominates = Metric.dominates metric in
   let admissible e =
     match work_cap with None -> true | Some cap -> e.Cm.work <= cap +. 1e-9
   in
-  let make_cell () = Cover.create ~dominates in
+  let make_cell () =
+    Cover.create ~n_dims:metric.Metric.arity ?refines:metric.Metric.refines ()
+  in
   let add stats cover e =
     if admissible e then begin
+      metric.Metric.fill e (Cover.scratch cover);
       ignore (Cover.add cover e);
       Search_stats.observe_cover stats (Cover.size cover);
       match max_cover with

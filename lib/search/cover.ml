@@ -1,224 +1,163 @@
 type 'a t = {
-  dominates : 'a -> 'a -> bool;
-  mutable elements : 'a list;
-  mutable n : int;  (* always [List.length elements] — size is O(1) *)
+  nd : int;
+  refines : ('a -> 'a -> bool) option;
+  mutable elems : 'a array;  (* [0..n-1], oldest first *)
+  mutable dims : float array;  (* row-major, [nd] floats per element *)
+  mutable n : int;
+  scratch : float array;  (* the candidate's dims row *)
 }
 
-let create ~dominates = { dominates; elements = []; n = 0 }
+let create ~n_dims ?refines () =
+  if n_dims < 0 then invalid_arg "Cover.create: n_dims < 0";
+  {
+    nd = n_dims;
+    refines;
+    elems = [||];
+    dims = [||];
+    n = 0;
+    scratch = Array.make n_dims 0.;
+  }
 
-let is_covered t x = List.exists (fun e -> t.dominates e x) t.elements
+let size t = t.n
+let clear t = t.n <- 0
+let scratch t = t.scratch
+
+(* entry [j]'s dims pointwise <= the candidate's *)
+let row_dominates_scratch t j =
+  let base = j * t.nd in
+  let rec go d =
+    d >= t.nd || (t.dims.(base + d) <= t.scratch.(d) && go (d + 1))
+  in
+  go 0
+
+let scratch_dominates_row t j =
+  let base = j * t.nd in
+  let rec go d =
+    d >= t.nd || (t.scratch.(d) <= t.dims.(base + d) && go (d + 1))
+  in
+  go 0
+
+let refines_ok t a b =
+  match t.refines with None -> true | Some r -> r a b
+
+let is_covered t x =
+  let rec go j =
+    j < t.n
+    && ((row_dominates_scratch t j && refines_ok t t.elems.(j) x) || go (j + 1))
+  in
+  go 0
+
+let ensure_room t x =
+  if t.n = Array.length t.elems then begin
+    let cap = max 8 (2 * t.n) in
+    let elems = Array.make cap x in
+    Array.blit t.elems 0 elems 0 t.n;
+    let dims = Array.make (cap * t.nd) 0. in
+    Array.blit t.dims 0 dims 0 (t.n * t.nd);
+    t.elems <- elems;
+    t.dims <- dims
+  end
 
 let add t x =
   if is_covered t x then false
   else begin
-    let kept = ref 1 in
-    t.elements <-
-      x
-      :: List.filter
-           (fun e ->
-             let keep = not (t.dominates x e) in
-             if keep then incr kept;
-             keep)
-           t.elements;
-    t.n <- !kept;
+    (* evict entries the candidate dominates; stable compaction keeps
+       the survivors' insertion order *)
+    let k = ref 0 in
+    for j = 0 to t.n - 1 do
+      let dead = scratch_dominates_row t j && refines_ok t x t.elems.(j) in
+      if not dead then begin
+        if !k <> j then begin
+          t.elems.(!k) <- t.elems.(j);
+          Array.blit t.dims (j * t.nd) t.dims (!k * t.nd) t.nd
+        end;
+        incr k
+      end
+    done;
+    t.n <- !k;
+    ensure_room t x;
+    t.elems.(t.n) <- x;
+    Array.blit t.scratch 0 t.dims (t.n * t.nd) t.nd;
+    t.n <- t.n + 1;
     true
   end
 
-let elements t = t.elements
-let size t = t.n
+(* newest first *)
+let elements t =
+  let acc = ref [] in
+  for i = 0 to t.n - 1 do
+    acc := t.elems.(i) :: !acc
+  done;
+  !acc
 
-(* Bounded insertion selection shared by both trims: scan once keeping
-   the [keep] smallest under the total order (rank, tie, scan position)
-   in a sorted buffer.  Equal (rank, tie) keys compare [false] against an
-   occupant, so with positions scanned in ascending order the earlier
-   element wins the boundary — exactly the stable-sort-and-take-prefix
-   semantics the trim documented, at O(n·keep) without sorting the whole
-   cover. *)
-let select_top ~keep ~rank ~tie ~n ~get ~put =
-  let sel = Array.make keep (get 0) in
-  let sel_r = Array.make keep 0. in
+let iter_newest_first f t =
+  for i = t.n - 1 downto 0 do
+    f t.elems.(i)
+  done
+
+(* Bounded insertion selection: scan positions [0, n) once, keeping the
+   [keep] smallest under the total order (rank, tie, position) in a
+   sorted buffer, best first.  Equal (rank, tie) keys compare [false]
+   against an occupant, so the earlier position wins the boundary —
+   exactly the stable-sort-and-take-prefix semantics [trim] documents, at
+   O(n·keep) without sorting the whole cover. *)
+let select_top ~keep ~rank ~tie ~n =
+  let sel = Array.make keep 0 and sel_r = Array.make keep 0. in
   let m = ref 0 in
   for p = 0 to n - 1 do
-    let x = get p in
-    let r = rank x in
+    let r = rank p in
     let lt j =
       match Float.compare r sel_r.(j) with
-      | 0 -> tie x sel.(j) < 0
+      | 0 -> tie p sel.(j) < 0
       | c -> c < 0
     in
-    if !m < keep then begin
-      let j = ref !m in
+    if !m < keep || lt (keep - 1) then begin
+      let j = ref (min !m (keep - 1)) in
       while !j > 0 && lt (!j - 1) do
         sel.(!j) <- sel.(!j - 1);
         sel_r.(!j) <- sel_r.(!j - 1);
         decr j
       done;
-      sel.(!j) <- x;
+      sel.(!j) <- p;
       sel_r.(!j) <- r;
-      incr m
-    end
-    else if lt (keep - 1) then begin
-      let j = ref (keep - 1) in
-      while !j > 0 && lt (!j - 1) do
-        sel.(!j) <- sel.(!j - 1);
-        sel_r.(!j) <- sel_r.(!j - 1);
-        decr j
-      done;
-      sel.(!j) <- x;
-      sel_r.(!j) <- r
+      if !m < keep then incr m
     end
   done;
-  (* ascending (rank, tie, position), best first *)
-  for k = 0 to keep - 1 do
-    put k sel.(k)
-  done
+  sel
 
 let trim ?(tie = fun _ _ -> 0) t ~keep ~rank =
   if keep < 1 then invalid_arg "Cover.trim: keep < 1";
   if t.n > keep then begin
-    let arr = Array.of_list t.elements in
-    let out = Array.make keep arr.(0) in
-    select_top ~keep ~rank ~tie ~n:t.n
-      ~get:(fun p -> arr.(p))
-      ~put:(fun k x -> out.(k) <- x);
-    t.elements <- Array.to_list out;
+    (* select over scan positions (position [p], newest first, is array
+       index [t.n - 1 - p]) so the winners' dims rows can be carried
+       along by index *)
+    let index p = t.n - 1 - p in
+    let at p = t.elems.(index p) in
+    let sel =
+      select_top ~keep ~rank:(fun p -> rank (at p))
+        ~tie:(fun p q -> tie (at p) (at q))
+        ~n:t.n
+    in
+    let tmp_e = Array.map at sel in
+    let tmp_d = Array.make (keep * t.nd) 0. in
+    Array.iteri
+      (fun k p -> Array.blit t.dims (index p * t.nd) tmp_d (k * t.nd) t.nd)
+      sel;
+    (* selection is best first; store reversed so the array (oldest
+       first) yields the ascending order back from [elements] *)
+    for k = 0 to keep - 1 do
+      let dst = keep - 1 - k in
+      t.elems.(dst) <- tmp_e.(k);
+      Array.blit tmp_d (k * t.nd) t.dims (dst * t.nd) t.nd
+    done;
     t.n <- keep
   end
 
-let of_list ~dominates xs =
-  let t = create ~dominates in
-  List.iter (fun x -> ignore (add t x)) xs;
-  t
-
-let pareto ~dominates xs = elements (of_list ~dominates xs)
-
-(* ---------------------------------------------------------------- *)
-
-module Flat = struct
-  type 'a t = {
-    nd : int;
-    refines : ('a -> 'a -> bool) option;
-    mutable elems : 'a array;  (* [0..n-1], oldest first *)
-    mutable dims : float array;  (* row-major, [nd] floats per element *)
-    mutable n : int;
-    scratch : float array;  (* the candidate's dims row *)
-  }
-
-  let create ~n_dims ?refines () =
-    if n_dims < 0 then invalid_arg "Cover.Flat.create: n_dims < 0";
-    {
-      nd = n_dims;
-      refines;
-      elems = [||];
-      dims = [||];
-      n = 0;
-      scratch = Array.make n_dims 0.;
-    }
-
-  let n_dims t = t.nd
-  let size t = t.n
-  let clear t = t.n <- 0
-  let scratch t = t.scratch
-
-  (* entry [j]'s dims pointwise <= the candidate's *)
-  let row_dominates_scratch t j =
-    let base = j * t.nd in
-    let rec go d =
-      d >= t.nd || (t.dims.(base + d) <= t.scratch.(d) && go (d + 1))
-    in
-    go 0
-
-  let scratch_dominates_row t j =
-    let base = j * t.nd in
-    let rec go d =
-      d >= t.nd || (t.scratch.(d) <= t.dims.(base + d) && go (d + 1))
-    in
-    go 0
-
-  let refines_ok t a b =
-    match t.refines with None -> true | Some r -> r a b
-
-  let is_covered t x =
-    let rec go j =
-      j < t.n
-      && ((row_dominates_scratch t j && refines_ok t t.elems.(j) x) || go (j + 1))
-    in
-    go 0
-
-  let ensure_room t x =
-    if t.n = Array.length t.elems then begin
-      let cap = max 8 (2 * t.n) in
-      let elems = Array.make cap x in
-      Array.blit t.elems 0 elems 0 t.n;
-      let dims = Array.make (cap * t.nd) 0. in
-      Array.blit t.dims 0 dims 0 (t.n * t.nd);
-      t.elems <- elems;
-      t.dims <- dims
-    end
-
-  let add t x =
-    if is_covered t x then false
-    else begin
-      (* evict entries the candidate dominates; stable compaction keeps
-         the survivors' insertion order *)
-      let k = ref 0 in
-      for j = 0 to t.n - 1 do
-        let dead = scratch_dominates_row t j && refines_ok t x t.elems.(j) in
-        if not dead then begin
-          if !k <> j then begin
-            t.elems.(!k) <- t.elems.(j);
-            Array.blit t.dims (j * t.nd) t.dims (!k * t.nd) t.nd
-          end;
-          incr k
-        end
-      done;
-      t.n <- !k;
-      ensure_room t x;
-      t.elems.(t.n) <- x;
-      Array.blit t.scratch 0 t.dims (t.n * t.nd) t.nd;
-      t.n <- t.n + 1;
-      true
-    end
-
-  (* newest first, matching the list implementation's [elements] order *)
-  let elements t =
-    let acc = ref [] in
-    for i = 0 to t.n - 1 do
-      acc := t.elems.(i) :: !acc
-    done;
-    !acc
-
-  let iter_newest_first f t =
-    for i = t.n - 1 downto 0 do
-      f t.elems.(i)
-    done
-
-  let trim ?(tie = fun _ _ -> 0) t ~keep ~rank =
-    if keep < 1 then invalid_arg "Cover.trim: keep < 1";
-    if t.n > keep then begin
-      (* run the selection over scan positions (position [p], newest
-         first like the list's head, is array index [t.n - 1 - p]) so
-         the winners' dims rows can be carried along by index *)
-      let sel_idx = Array.make keep 0 in
-      select_top ~keep
-        ~rank:(fun p -> rank t.elems.(t.n - 1 - p))
-        ~tie:(fun p q -> tie t.elems.(t.n - 1 - p) t.elems.(t.n - 1 - q))
-        ~n:t.n
-        ~get:(fun p -> p)
-        ~put:(fun k p -> sel_idx.(k) <- t.n - 1 - p);
-      let tmp_e = Array.make keep t.elems.(0) in
-      let tmp_d = Array.make (keep * t.nd) 0. in
-      for k = 0 to keep - 1 do
-        tmp_e.(k) <- t.elems.(sel_idx.(k));
-        Array.blit t.dims (sel_idx.(k) * t.nd) tmp_d (k * t.nd) t.nd
-      done;
-      (* selection is best first; store reversed so the array (oldest
-         first) yields the ascending order back from [elements] *)
-      for k = 0 to keep - 1 do
-        let dst = keep - 1 - k in
-        t.elems.(dst) <- tmp_e.(k);
-        Array.blit tmp_d (k * t.nd) t.dims (dst * t.nd) t.nd
-      done;
-      t.n <- keep
-    end
-end
+let pareto ~n_dims ~fill xs =
+  let t = create ~n_dims () in
+  List.iter
+    (fun x ->
+      fill x t.scratch;
+      ignore (add t x))
+    xs;
+  elements t

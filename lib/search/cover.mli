@@ -1,102 +1,63 @@
 (** Cover sets (§6.2): the set of pairwise-incomparable minimal elements
     kept per relation subset by the partial-order DP.
 
-    [add] maintains the invariant incrementally: a new element enters only
-    if no current element dominates it, and evicts the elements it
-    dominates.  The module is generic in the dominance relation so the
-    Theorem 3 Monte-Carlo experiment can reuse it on raw points. *)
+    Every candidate is compared against every entry, so a cover is laid
+    out as struct-of-arrays: each entry's numeric coordinates are
+    materialized once into a flat row of a growable float array, and
+    dominance tests are tight float-array loops.  [a] dominates [b] when
+    [a]'s coordinates are pointwise [<=] [b]'s and, if given,
+    [refines a b] holds — the metric's non-numeric refinement (ordering,
+    partitioning).
+
+    [add] maintains the invariant incrementally: a new element enters
+    only if no entry dominates it, and evicts the entries it dominates. *)
 
 type 'a t
 
-val create : dominates:('a -> 'a -> bool) -> 'a t
-(** [dominates a b] must be a partial preorder ("a is at least as good as
-    b in every dimension"). *)
+val create : n_dims:int -> ?refines:('a -> 'a -> bool) -> unit -> 'a t
+(** An empty cover over [n_dims] numeric dimensions.  The handle is
+    reusable across subsets via {!clear} and grows as needed. *)
+
+val clear : 'a t -> unit
+(** Forget all entries, keeping capacity. *)
+
+val scratch : 'a t -> float array
+(** The candidate row, of length [n_dims]: fill it with the candidate's
+    coordinates, then call {!add} or {!is_covered}.  Owned by the cover. *)
+
+val is_covered : 'a t -> 'a -> bool
+(** Some entry dominates the candidate in {!scratch}. *)
 
 val add : 'a t -> 'a -> bool
-(** Returns [true] if the element was inserted (possibly evicting
-    dominated ones), [false] if it was covered by an existing element. *)
-
-val elements : 'a t -> 'a list
-(** Current cover, in unspecified order. *)
+(** Insert the element whose coordinates are in {!scratch}: [false] if
+    covered, otherwise evicts dominated entries (stable) and appends. *)
 
 val size : 'a t -> int
 
-val is_covered : 'a t -> 'a -> bool
+val elements : 'a t -> 'a list
+(** Newest first. *)
 
-val trim : ?tie:('a -> 'a -> int) -> 'a t -> keep:int -> rank:('a -> float) -> unit
+val iter_newest_first : ('a -> unit) -> 'a t -> unit
+(** Iterate in {!elements} order without building the list. *)
+
+val trim :
+  ?tie:('a -> 'a -> int) -> 'a t -> keep:int -> rank:('a -> float) -> unit
 (** Beam bound: if the cover exceeds [keep] elements, retain the [keep]
-    best (smallest) by [rank], leaving [elements] in ascending
+    best (smallest) by [rank], leaving {!elements} in ascending
     [(rank, tie)] order.  This deliberately breaks the exact-cover
     guarantee — Figure 2 with a practical size cap — and is only applied
     when the caller opts in.
 
     [tie] (default: everything equal) breaks exact [rank] ties.  Pass a
     total order on elements to make the cut deterministic: without it,
-    rank-tied elements at the beam boundary survive or die by list
-    position, so the pruned plan choice depends on insertion order.
+    rank-tied elements at the beam boundary survive or die by position,
+    so the pruned plan choice depends on insertion order.
 
     The cut runs as a bounded selection — O(n·keep), no full sort — with
-    the same boundary semantics as a stable sort by [(rank, tie)]
-    followed by taking the prefix: among fully tied elements the one
-    closer to the list head (most recently inserted) survives. *)
+    the same boundary semantics as a stable sort of {!elements} by
+    [(rank, tie)] followed by taking the prefix: among fully tied
+    elements the most recently inserted survives. *)
 
-val of_list : dominates:('a -> 'a -> bool) -> 'a list -> 'a t
-
-val pareto : dominates:('a -> 'a -> bool) -> 'a list -> 'a list
-(** One-shot cover of a list. *)
-
-(** {2 Flat covers}
-
-    The DP's cover maintenance is its inner loop: every candidate is
-    compared against every cover entry.  [Flat] is the struct-of-arrays
-    variant: each entry's numeric pruning-metric coordinates are
-    materialized once into a flat row of a growable float array, so
-    dominance tests are tight float-array loops — no closure dispatch,
-    no per-comparison recomputation — and [add] compacts in place
-    instead of rebuilding a list.  An optional [refines] predicate
-    carries the metric's non-numeric dominance refinement (ordering,
-    partitioning).
-
-    Semantics are those of the list implementation above with
-    [dominates a b = (dims a <= dims b pointwise) && refines a b]:
-    same acceptance/eviction decisions, same [elements] order
-    (newest first), same [trim] boundary behavior — property-tested
-    against it. *)
-
-module Flat : sig
-  type 'a t
-
-  val create : n_dims:int -> ?refines:('a -> 'a -> bool) -> unit -> 'a t
-  (** An empty cover over [n_dims] numeric dimensions.  The handle is
-      reusable across subsets via {!clear} and grows as needed. *)
-
-  val n_dims : 'a t -> int
-
-  val clear : 'a t -> unit
-  (** Forget all entries, keeping capacity. *)
-
-  val scratch : 'a t -> float array
-  (** The candidate row, of length [n_dims]: fill it with the
-      candidate's coordinates, then call {!add}.  Owned by the cover —
-      valid until the next {!add}/{!is_covered}. *)
-
-  val is_covered : 'a t -> 'a -> bool
-  (** Compares the current {!scratch} row (plus [refines]) against the
-      entries. *)
-
-  val add : 'a t -> 'a -> bool
-  (** Insert the element whose coordinates are in {!scratch}: [false] if
-      covered, otherwise evicts dominated entries (stable) and appends. *)
-
-  val size : 'a t -> int
-
-  val elements : 'a t -> 'a list
-  (** Newest first, like the list implementation. *)
-
-  val iter_newest_first : ('a -> unit) -> 'a t -> unit
-  (** Iterate in {!elements} order without building the list. *)
-
-  val trim :
-    ?tie:('a -> 'a -> int) -> 'a t -> keep:int -> rank:('a -> float) -> unit
-  (** Same contract and boundary semantics as the list {!trim}. *)
-end
+val pareto : n_dims:int -> fill:('a -> float array -> unit) -> 'a list -> 'a list
+(** One-shot cover of a list, newest first; [fill x row] writes [x]'s
+    coordinates into [row]. *)

@@ -11,31 +11,24 @@ let fmax (a : float) (b : float) = if a >= b then a else b
 type t = {
   name : string;
   arity : int;
-  dims : Cm.eval -> float array;
-  fill : (Cm.eval -> float array -> unit) option;
+  fill : Cm.eval -> float array -> unit;
   refines : (Cm.eval -> Cm.eval -> bool) option;
 }
 
 let dominates m a b =
-  let da = m.dims a and db = m.dims b in
-  Vecf.dominates (Vecf.of_array da) (Vecf.of_array db)
-  && match m.refines with None -> true | Some r -> r a b
+  let da = Array.make m.arity 0. and db = Array.make m.arity 0. in
+  m.fill a da;
+  m.fill b db;
+  let rec go i = i >= m.arity || (da.(i) <= db.(i) && go (i + 1)) in
+  go 0 && match m.refines with None -> true | Some r -> r a b
 
 let n_dims m _ = m.arity
-
-let fill_dims m e dst =
-  match m.fill with
-  | Some f -> f e dst
-  | None ->
-    let a = m.dims e in
-    Array.blit a 0 dst 0 (Array.length a)
 
 let work =
   {
     name = "work";
     arity = 1;
-    dims = (fun e -> [| e.Cm.work |]);
-    fill = Some (fun e dst -> dst.(0) <- e.Cm.work);
+    fill = (fun e dst -> dst.(0) <- e.Cm.work);
     refines = None;
   }
 
@@ -43,43 +36,27 @@ let response_time =
   {
     name = "response-time";
     arity = 1;
-    dims = (fun e -> [| e.Cm.response_time |]);
-    fill = Some (fun e dst -> dst.(0) <- e.Cm.response_time);
+    fill = (fun e dst -> dst.(0) <- e.Cm.response_time);
     refines = None;
   }
-
-let aggregate_work machine agg (w : Vecf.t) =
-  let groups, group_of = M.aggregate machine agg in
-  let out = Array.make groups 0. in
-  for i = 0 to Vecf.dim w - 1 do
-    out.(group_of i) <- out.(group_of i) +. Vecf.get w i
-  done;
-  out
 
 let resource_vector machine agg =
   let groups, group_of = M.aggregate machine agg in
   {
     name = Printf.sprintf "resource-vector/%d" groups;
     arity = 1 + groups;
-    dims =
-      (fun e ->
-        let d = e.Cm.descriptor in
-        Array.append
-          [| Parqo_cost.Descriptor.response_time d |]
-          (aggregate_work machine agg (Parqo_cost.Descriptor.work_vector d)));
     fill =
-      Some
-        (fun e dst ->
-          let d = e.Cm.descriptor in
-          dst.(0) <- Parqo_cost.Descriptor.response_time d;
-          for g = 0 to groups - 1 do
-            dst.(1 + g) <- 0.
-          done;
-          let w = Parqo_cost.Descriptor.work_vector d in
-          for i = 0 to Vecf.dim w - 1 do
-            let g = 1 + group_of i in
-            dst.(g) <- dst.(g) +. Vecf.get w i
-          done);
+      (fun e dst ->
+        let d = e.Cm.descriptor in
+        dst.(0) <- Parqo_cost.Descriptor.response_time d;
+        for g = 0 to groups - 1 do
+          dst.(1 + g) <- 0.
+        done;
+        let w = Parqo_cost.Descriptor.work_vector d in
+        for i = 0 to Vecf.dim w - 1 do
+          let g = 1 + group_of i in
+          dst.(g) <- dst.(g) +. Vecf.get w i
+        done);
     refines = None;
   }
 
@@ -88,47 +65,34 @@ let descriptor machine agg =
   {
     name = Printf.sprintf "descriptor/%d" groups;
     arity = 2 + (2 * groups);
-    dims =
-      (fun e ->
-        let d = e.Cm.descriptor in
-        let rf = d.Parqo_cost.Descriptor.rf and rl = d.Parqo_cost.Descriptor.rl in
-        let residual = Parqo_cost.Rvec.residual rl rf in
-        Array.concat
-          [
-            [| rf.Parqo_cost.Rvec.time; residual.Parqo_cost.Rvec.time |];
-            aggregate_work machine agg rf.Parqo_cost.Rvec.work;
-            aggregate_work machine agg residual.Parqo_cost.Rvec.work;
-          ]);
     fill =
       (* single pass over the resources: per-group first-tuple work,
          per-group residual work (clamped subtraction with [fmax], the
          same float ops as [Rvec.residual], and no boxing) and the
-         residual's busiest coordinate, staged in [dst.(1)] — values
-         identical to the [dims] thunk's *)
-      Some
-        (fun e dst ->
-          let d = e.Cm.descriptor in
-          let rf = d.Parqo_cost.Descriptor.rf
-          and rl = d.Parqo_cost.Descriptor.rl in
-          for g = 0 to groups - 1 do
-            dst.(2 + g) <- 0.;
-            dst.(2 + groups + g) <- 0.
-          done;
-          let wf = Vecf.unsafe_raw rf.Parqo_cost.Rvec.work
-          and wl = Vecf.unsafe_raw rl.Parqo_cost.Rvec.work in
-          dst.(1) <- neg_infinity;
-          for i = 0 to Array.length wf - 1 do
-            let f = wf.(i) in
-            let res = fmax 0. (wl.(i) -. f) in
-            let g = group_of i in
-            dst.(2 + g) <- dst.(2 + g) +. f;
-            dst.(2 + groups + g) <- dst.(2 + groups + g) +. res;
-            dst.(1) <- fmax dst.(1) res
-          done;
-          dst.(0) <- rf.Parqo_cost.Rvec.time;
-          dst.(1) <-
-            fmax dst.(1)
-              (fmax 0. (rl.Parqo_cost.Rvec.time -. rf.Parqo_cost.Rvec.time)));
+         residual's busiest coordinate, staged in [dst.(1)] *)
+      (fun e dst ->
+        let d = e.Cm.descriptor in
+        let rf = d.Parqo_cost.Descriptor.rf
+        and rl = d.Parqo_cost.Descriptor.rl in
+        for g = 0 to groups - 1 do
+          dst.(2 + g) <- 0.;
+          dst.(2 + groups + g) <- 0.
+        done;
+        let wf = Vecf.unsafe_raw rf.Parqo_cost.Rvec.work
+        and wl = Vecf.unsafe_raw rl.Parqo_cost.Rvec.work in
+        dst.(1) <- neg_infinity;
+        for i = 0 to Array.length wf - 1 do
+          let f = wf.(i) in
+          let res = fmax 0. (wl.(i) -. f) in
+          let g = group_of i in
+          dst.(2 + g) <- dst.(2 + g) +. f;
+          dst.(2 + groups + g) <- dst.(2 + groups + g) +. res;
+          dst.(1) <- fmax dst.(1) res
+        done;
+        dst.(0) <- rf.Parqo_cost.Rvec.time;
+        dst.(1) <-
+          fmax dst.(1)
+            (fmax 0. (rl.Parqo_cost.Rvec.time -. rf.Parqo_cost.Rvec.time)));
     refines = None;
   }
 
@@ -139,12 +103,10 @@ let expected_makespan (env : Parqo_cost.Env.t) ~fault_rate =
   {
     name = Printf.sprintf "expected-makespan/f=%.3f" fault_rate;
     arity = 2;
-    dims = (fun e -> [| dim e; e.Cm.work |]);
     fill =
-      Some
-        (fun e dst ->
-          dst.(0) <- dim e;
-          dst.(1) <- e.Cm.work);
+      (fun e dst ->
+        dst.(0) <- dim e;
+        dst.(1) <- e.Cm.work);
     refines = None;
   }
 
@@ -162,12 +124,10 @@ let contended ~pressure =
   {
     name = Printf.sprintf "contended/%.2f" peak;
     arity = 2;
-    dims = (fun e -> [| contention_rank ~pressure e; e.Cm.work |]);
     fill =
-      Some
-        (fun e dst ->
-          dst.(0) <- contention_rank ~pressure e;
-          dst.(1) <- e.Cm.work);
+      (fun e dst ->
+        dst.(0) <- contention_rank ~pressure e;
+        dst.(1) <- e.Cm.work);
     refines = None;
   }
 

@@ -17,26 +17,20 @@
 type t = {
   name : string;
   arity : int;  (** number of numeric coordinates, constant per metric *)
-  dims : Parqo_cost.Costmodel.eval -> float array;
-      (** numeric coordinates; smaller is better *)
-  fill : (Parqo_cost.Costmodel.eval -> float array -> unit) option;
-      (** allocation-free variant: write the same [arity] coordinates
-          into the buffer's prefix; the DP's flat covers use this to
-          avoid one array per candidate *)
+  fill : Parqo_cost.Costmodel.eval -> float array -> unit;
+      (** write the plan's [arity] numeric coordinates (smaller is
+          better) into the buffer's prefix, allocating nothing — the
+          covers' scratch rows *)
   refines : (Parqo_cost.Costmodel.eval -> Parqo_cost.Costmodel.eval -> bool) option;
       (** extra dominance requirement, e.g. ordering subsumption *)
 }
 
 val dominates : t -> Parqo_cost.Costmodel.eval -> Parqo_cost.Costmodel.eval -> bool
-(** [dominates m a b]: [a] is at least as good as [b] in every dimension. *)
+(** [dominates m a b]: [a] is at least as good as [b] in every dimension
+    — the relation a {!Cover} over [fill] and [refines] maintains. *)
 
 val n_dims : t -> Parqo_cost.Costmodel.eval -> int
 (** [l], the dimensionality on a given plan (constant per machine). *)
-
-val fill_dims : t -> Parqo_cost.Costmodel.eval -> float array -> unit
-(** Write the plan's coordinates into the buffer's prefix — [fill] when
-    the metric provides it, a [dims] call plus blit otherwise.  The
-    values are identical to [dims]'s either way. *)
 
 val work : t
 (** Scalar total work — the traditional metric; totally ordered. *)

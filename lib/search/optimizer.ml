@@ -49,12 +49,12 @@ let minimize_work ?(config = Space.default_config) ?(shape = Left_deep)
     }
 
 let minimize_work_with_orders ?(config = Space.default_config)
-    ?(shape = Left_deep) ?(domains = 1) ?pool ?(plan_cache = true) (env : Env.t) =
+    ?(shape = Left_deep) ?(domains = 1) ?pool (env : Env.t) =
   let metric = Metric.with_ordering Metric.work in
   let rank (e : Cm.eval) = e.Cm.work in
   match shape with
   | Left_deep ->
-    let r = Podp.optimize ~config ~metric ~rank ~domains ?pool ~plan_cache env in
+    let r = Podp.optimize ~config ~metric ~rank ~domains ?pool env in
     {
       best = r.Podp.best;
       work_optimal = r.Podp.best;
@@ -76,8 +76,7 @@ let minimize_work_with_orders ?(config = Space.default_config)
 
 let minimize_response_time ?(config = Space.default_config)
     ?(shape = Left_deep) ?metric ?(bound = Bounds.Unbounded) ?rank
-    ?(budget = Budget.unlimited) ?(domains = 1) ?pool ?(plan_cache = true)
-    (env : Env.t) =
+    ?(budget = Budget.unlimited) ?(domains = 1) ?pool (env : Env.t) =
   let metric = match metric with Some m -> m | None -> default_metric env in
   let rank =
     match rank with
@@ -107,7 +106,7 @@ let minimize_response_time ?(config = Space.default_config)
     | Left_deep ->
       let r =
         Podp.optimize ~config ?work_cap ~final_filter ~rank ~budget ~domains
-          ?pool ~plan_cache ~metric env
+          ?pool ~metric env
       in
       (r.Podp.best, r.Podp.cover, r.Podp.stats, r.Podp.gave_up)
     | Bushy ->
@@ -180,9 +179,9 @@ let minimize_response_time ?(config = Space.default_config)
   end
 
 let minimize_under_contention ?config ?shape ?bound ?budget ?domains ?pool
-    ?plan_cache ~pressure (env : Env.t) =
+    ~pressure (env : Env.t) =
   minimize_response_time ?config ?shape
     ~metric:(Metric.with_ordering (Metric.contended ~pressure))
     ?bound
     ~rank:(Metric.contention_rank ~pressure)
-    ?budget ?domains ?pool ?plan_cache env
+    ?budget ?domains ?pool env

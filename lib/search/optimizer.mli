@@ -33,7 +33,6 @@ val minimize_work_with_orders :
   ?shape:tree_shape ->
   ?domains:int ->
   ?pool:Parqo_util.Domain_pool.t ->
-  ?plan_cache:bool ->
   Parqo_cost.Env.t ->
   outcome
 (** The System R remedy for the interesting-order violation (§6.1.2):
@@ -52,7 +51,6 @@ val minimize_response_time :
   ?budget:Budget.t ->
   ?domains:int ->
   ?pool:Parqo_util.Domain_pool.t ->
-  ?plan_cache:bool ->
   Parqo_cost.Env.t ->
   outcome
 (** [metric] defaults to the descriptor metric with single-group
@@ -75,11 +73,7 @@ val minimize_response_time :
     OCaml 5 domain pool; [pool] supplies a persistent pool instead of
     creating one per call.  The chosen plan is bit-identical to the
     sequential run (see {!Podp.optimize}).  The work phase and bushy
-    search are unaffected.
-
-    [plan_cache] (default on) enables incremental candidate costing in
-    the partial-order phase (see {!Podp.optimize}); results are
-    bit-identical either way. *)
+    search are unaffected. *)
 
 val default_metric : Parqo_cost.Env.t -> Metric.t
 
@@ -90,7 +84,6 @@ val minimize_under_contention :
   ?budget:Budget.t ->
   ?domains:int ->
   ?pool:Parqo_util.Domain_pool.t ->
-  ?plan_cache:bool ->
   pressure:float array ->
   Parqo_cost.Env.t ->
   outcome

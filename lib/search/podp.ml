@@ -101,7 +101,7 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
   let apply_beam cover =
     match max_cover with
     | None -> ()
-    | Some keep -> Cover.Flat.trim ~tie cover ~keep ~rank
+    | Some keep -> Cover.trim ~tie cover ~keep ~rank
   in
   let n = Env.n_relations env in
   let stats = Search_stats.create () in
@@ -111,12 +111,12 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
      flat dims array.  Cleared per subset, capacity retained. *)
   let covers =
     Array.init width (fun _ ->
-        Cover.Flat.create ~n_dims:metric.Metric.arity
+        Cover.create ~n_dims:metric.Metric.arity
           ?refines:metric.Metric.refines ())
   in
   let cover_add cover e =
-    Metric.fill_dims metric e (Cover.Flat.scratch cover);
-    ignore (Cover.Flat.add cover e)
+    metric.Metric.fill e (Cover.scratch cover);
+    ignore (Cover.add cover e)
   in
   (* The memo: one contiguous slice of the coordinator's arena per
      subset mask, in the cover's [elements] order (newest first).  Memo
@@ -128,8 +128,8 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
   let memo_len = Array.make (1 lsl n) 0 in
   let absorb_cover ~mask cover =
     memo_off.(mask) <- memo.len;
-    memo_len.(mask) <- Cover.Flat.size cover;
-    Cover.Flat.iter_newest_first (arena_push memo) cover
+    memo_len.(mask) <- Cover.size cover;
+    Cover.iter_newest_first (arena_push memo) cover
   in
   let level_sizes = Array.make (n + 1) 0 in
   (* per-relation access plans are annotation-independent of the level
@@ -185,7 +185,7 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
   for rel = 0 to n - 1 do
     Search_stats.considered stats 1;
     let cover = covers.(0) in
-    Cover.Flat.clear cover;
+    Cover.clear cover;
     Array.iter
       (fun e ->
         Search_stats.generated stats 1;
@@ -193,9 +193,9 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
         if admissible e then cover_add cover e)
       access_evals.(rel);
     apply_beam cover;
-    Search_stats.observe_cover stats (Cover.Flat.size cover);
-    if Cover.Flat.size cover > !l1_cover_max then
-      l1_cover_max := Cover.Flat.size cover;
+    Search_stats.observe_cover stats (Cover.size cover);
+    if Cover.size cover > !l1_cover_max then
+      l1_cover_max := Cover.size cover;
     let mask = Bitset.to_int (Bitset.singleton rel) in
     absorb_cover ~mask cover;
     level_sizes.(1) <- level_sizes.(1) + memo_len.(mask)
@@ -221,7 +221,7 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
     let compute ~worker ~ticks s =
       let considered = ref 0 and generated = ref 0 and rejected = ref 0 in
       let best_plans = covers.(worker) in
-      Cover.Flat.clear best_plans;
+      Cover.clear best_plans;
       let tick () =
         incr ticks;
         if !ticks >= tick_grain then begin
@@ -326,14 +326,14 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
           s
       in
       extend ~require_connection:true;
-      if Cover.Flat.size best_plans = 0 then extend ~require_connection:false;
-      let cover_pre = Cover.Flat.size best_plans in
+      if Cover.size best_plans = 0 then extend ~require_connection:false;
+      let cover_pre = Cover.size best_plans in
       apply_beam best_plans;
       (* the kept plans enter the memo: only they get node ids *)
       let arena = arenas.(worker) in
       let start = arena.len in
       let enter = if plan_cache then Cm.numbered else Fun.id in
-      Cover.Flat.iter_newest_first
+      Cover.iter_newest_first
         (fun e -> arena_push arena (enter e))
         best_plans;
       {

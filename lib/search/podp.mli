@@ -75,4 +75,6 @@ val optimize :
     candidates with unnumbered operator trees (it must not read node
     ids); every plan returned is numbered.  Off, every candidate is
     evaluated from scratch ({!Parqo_cost.Costmodel.evaluate}); the
-    result is bit-identical either way. *)
+    result is bit-identical either way.  Off is the from-scratch
+    reference that the plan-cache and PODP tests and the E18
+    benchmark's identity check compare the incremental path against. *)

@@ -45,9 +45,47 @@ let set_leaf idx ~clone tree =
   in
   go tree
 
+(* The cross product of [tree]'s join annotations, walked depth-first:
+   [enumerate ... tree k] calls [k] on the evaluation of every
+   assignment, in the order of the post-order join slots [set_join]
+   numbers, slot 0 varying slowest.  Access plans and join contexts are
+   computed once.  A join is priced once per choice of the slots before
+   it, from its children's current evaluations ([Cm.price_join]), and
+   its materialized choice is the twin of the pipelined one.  Nothing is
+   priced once [out_of_time]. *)
+let rec enumerate env scratch ~degrees ~mats ~out_of_time tree =
+  match tree with
+  | J.Access _ ->
+    let e = Cm.evaluate env tree in
+    fun k -> k e
+  | J.Join j ->
+    let outer = enumerate env scratch ~degrees ~mats ~out_of_time j.J.outer
+    and inner = enumerate env scratch ~degrees ~mats ~out_of_time j.J.inner in
+    let ctx =
+      Cm.join_context env ~outer:(J.relations j.J.outer)
+        ~inner:(J.relations j.J.inner)
+    in
+    fun k ->
+      outer (fun oe ->
+          inner (fun ie ->
+              List.iter
+                (fun clone ->
+                  if not (out_of_time ()) then
+                    match
+                      Cm.price_join ~scratch ~limit:infinity env ctx
+                        ~method_:j.J.method_ ~clone ~outer:oe ~inner:ie
+                    with
+                    | None -> assert false (* no limit *)
+                    | Some e ->
+                      List.iter
+                        (fun materialize ->
+                          k (if materialize then Cm.materialized_twin e else e))
+                        mats)
+                degrees))
+
 let optimize ?(config = Space.default_config)
-    ?(objective = fun (e : Cm.eval) -> e.Cm.response_time) ?(domains = 1)
-    ?pool ?(budget = Budget.unlimited) (env : Env.t) =
+    ?(objective = fun (e : Cm.eval) -> e.Cm.response_time)
+    ?(budget = Budget.unlimited) (env : Env.t) =
   let sequential_config =
     { config with Space.clone_degrees = [ 1 ]; materialize_choices = false }
   in
@@ -57,34 +95,24 @@ let optimize ?(config = Space.default_config)
     { best = None; sequential = None; stats = phase1.Dp.stats; evaluated = 0;
       gave_up = false }
   | Some sequential ->
-    let phase2 pool =
     let evaluated = ref 0 in
-    (* Phase 2 can enumerate (degrees × mats)^joins assignments, each a
-       full costing pass — sparse [Budget.tick]s alone would honor a
-       deadline only between whole enumeration rounds.  Every annotation
-       slot therefore checks the wall clock cooperatively ([out_of_time])
-       before costing; on expiry the enumeration stops where it stands
-       and the best assignment seen so far (at worst the phase-1 plan
-       itself, which is always costed first) is returned with
-       [gave_up = true]. *)
+    (* Phase 2 can enumerate (degrees × mats)^joins assignments — sparse
+       [Budget.tick]s alone would honor a deadline only between whole
+       enumeration rounds.  Every annotation slot therefore checks the
+       wall clock cooperatively ([out_of_time]) before costing; on expiry
+       the enumeration stops where it stands and the best assignment seen
+       so far (at worst the phase-1 plan itself, which is always costed
+       first) is returned with [gave_up = true]. *)
     let tracker = Budget.start budget in
-    let skipped = Atomic.make false in
-    (* called from pool workers too: the flag must be an atomic *)
+    let gave_up = ref false in
     let out_of_time () =
-      if Budget.exhausted tracker then begin
-        Atomic.set skipped true;
-        true
-      end
-      else false
+      if Budget.exhausted tracker then gave_up := true;
+      !gave_up
     in
-    (* annotation variants differ in a few slots, so whole sub-trees recur
-       across the enumeration: cache every evaluation (remember_all) and
-       cost only the changed spine of each variant *)
-    let cache = Cm.create_cache ~remember_all:true () in
     let eval tree =
       incr evaluated;
       Budget.tick tracker 1;
-      Cm.evaluate_cached cache env tree
+      Cm.evaluate env tree
     in
     let tree = sequential.Cm.tree in
     let n_joins = J.n_joins tree in
@@ -98,54 +126,18 @@ let optimize ?(config = Space.default_config)
     let keep e = if objective e < objective !best then best := e in
     if n_joins <= max_exhaustive_joins then begin
       (* exhaustive cross product over joins, then coordinate pass on
-         leaves (leaf degrees interact weakly with each other).  The
-         cross product is materialized and costed across the domain
-         pool; folding the per-slot results in enumeration order keeps
-         the winner identical to the sequential first-strictly-better
-         scan. *)
-      let assignments = ref [] in
-      let rec assign_joins idx tree =
-        if out_of_time () then ()
-        else if idx >= n_joins then assignments := tree :: !assignments
-        else
-          List.iter
-            (fun (clone, materialize) ->
-              assign_joins (idx + 1) (set_join idx ~clone ~materialize tree))
-            join_choices
-      in
-      assign_joins 0 tree;
-      let assignments = Array.of_list (List.rev !assignments) in
-      let evals = Array.map (fun _ -> None) assignments in
-      (* workers read the published snapshot (which holds the shared
-         sub-trees cached so far) lock-free and keep private overlays;
-         the budget stays a per-task check — each task is a whole
-         costing pass, so responsiveness beats batching here *)
-      let width = Parqo_util.Domain_pool.width pool in
-      let shards =
-        Array.init width (fun i -> if i = 0 then cache else Cm.shard_cache cache)
-      in
-      Cm.publish_cache cache;
-      ignore
-        (Parqo_util.Domain_pool.run_ranged pool
-           ~tasks:(Array.length assignments)
-           (fun ~worker ~lo ~hi ->
-             for i = lo to hi - 1 do
-               if not (out_of_time ()) then begin
-                 Budget.tick tracker 1;
-                 evals.(i) <-
-                   Some (Cm.evaluate_cached shards.(worker) env assignments.(i))
-               end
-             done));
-      Array.iteri
-        (fun i shard -> if i > 0 then Cm.absorb_cache cache shard)
-        shards;
-      Array.iter
-        (function
-          | Some e ->
+         leaves (leaf degrees interact weakly with each other).  Each
+         assignment costs one priced join, not a tree; the first strictly
+         better assignment in enumeration order wins, and only the winner
+         is numbered. *)
+      enumerate env (Cm.scratch env) ~degrees ~mats ~out_of_time tree
+        (fun e ->
+          if not (out_of_time ()) then begin
             incr evaluated;
+            Budget.tick tracker 1;
             keep e
-          | None -> ())
-        evals;
+          end);
+      best := Cm.numbered !best;
       let refined = ref !best in
       for leaf = 0 to n_leaves - 1 do
         List.iter
@@ -196,9 +188,5 @@ let optimize ?(config = Space.default_config)
       sequential = Some sequential;
       stats = phase1.Dp.stats;
       evaluated = !evaluated;
-      gave_up = Atomic.get skipped;
+      gave_up = !gave_up;
     }
-    in
-    (match pool with
-    | Some p -> phase2 p
-    | None -> Parqo_util.Domain_pool.with_pool ~domains phase2)

@@ -27,26 +27,20 @@ type result = {
 val optimize :
   ?config:Space.config ->
   ?objective:(Parqo_cost.Costmodel.eval -> float) ->
-  ?domains:int ->
-  ?pool:Parqo_util.Domain_pool.t ->
   ?budget:Budget.t ->
   Parqo_cost.Env.t ->
   result
 (** [config] bounds phase 2's annotation choices (clone degrees,
     materialization); phase 1 always runs on the sequential projection of
     the config (degree 1, no materialization).  [objective] (default
-    response time) ranks phase-2 assignments.  Phase 2 enumerates the
-    cross product of per-join annotations exactly when the tree has at
-    most {!max_exhaustive_joins} joins, and falls back to coordinate
-    descent (optimize one join's annotation at a time to a fixed point)
-    beyond that.
-
-    [domains] (default 1) spreads the exhaustive enumeration's plan
-    costing across a domain pool (clamped to the machine's cores); the
-    chosen assignment is identical for every pool size.  [pool] reuses a
-    persistent pool instead of creating one per call (the caller keeps
-    ownership, [domains] is ignored).  The coordinate-descent fallback is
-    inherently sequential and ignores both.
+    response time) ranks phase-2 assignments; it sees unnumbered
+    operator trees, so it must not read node ids.  Phase 2 enumerates
+    the cross product of per-join annotations exactly when the tree has
+    at most {!max_exhaustive_joins} joins — depth-first, each assignment
+    priced as one join of its children's evaluations
+    ({!Parqo_cost.Costmodel.price_join}), the first strictly better one
+    winning — and falls back to coordinate descent (optimize one join's
+    annotation at a time to a fixed point) beyond that.
 
     [budget] (default unlimited) bounds phase 2 with cooperative
     wall-clock checks at every annotation slot — a 1 ms deadline stops a

@@ -1,66 +1,18 @@
-(** A memo table keyed by canonical plan keys, split into a shared frozen
-    snapshot and a single-owner overlay.
+(** A memo table keyed by strings, with hit/miss counters and an
+    invalidation epoch: the serving loop's cross-query plan cache, keyed
+    by canonical query fingerprints.
 
-    The incremental costing layer stores one entry per memoized sub-plan
-    (its operator-tree expansion, resource descriptor and output
-    ordering), keyed by the plan's interned canonical rendering
-    ({!Parqo_plan.Join_tree.key} — but this module is generic, any
-    injective string key works).
-
-    A handle is owned by exactly one domain at a time; {!find} and
-    {!remember} take no lock and touch no atomic — the sequential search
-    path is synchronization-free.  Concurrent use goes through shards:
-
-    - {!shard} derives a worker-private handle over the same snapshot;
-      workers read the snapshot lock-free and write only their own
-      overlay.
-    - {!absorb} merges a quiesced shard's overlay and counters back into
-      the parent (coordinator-side, after the barrier).
-    - {!publish} folds the owner's overlay into a freshly built snapshot
-      and swaps it in atomically, making the entries visible to shards
-      created (or probing) afterwards.
-
-    Stored values must be pure functions of (key, {!epoch}), so
-    independently computed entries for one key are interchangeable. *)
+    A handle is owned by one domain: no operation takes a lock.  Stored
+    values must be pure functions of (key, {!epoch}). *)
 
 type 'a t
 
-val create : ?size_hint:int -> unit -> 'a t
+val create : unit -> 'a t
 
 val find : 'a t -> string -> 'a option
-(** Probes the private overlay, then the published snapshot.  Also bumps
-    the handle's hit or miss counter.  Lock-free. *)
+(** Also bumps the hit or miss counter. *)
 
 val remember : 'a t -> string -> 'a -> unit
-(** Writes the private overlay; visible to this handle's {!find}
-    immediately, to other shards only after {!publish}. *)
-
-val shard : 'a t -> 'a t
-(** A fresh private handle (empty overlay, zero counters) sharing the
-    parent's snapshot and epoch.  Hand one per worker; never share one
-    handle between two domains. *)
-
-val absorb : 'a t -> 'a t -> unit
-(** [absorb parent shard] merges the shard's overlay into the parent's
-    overlay (shard entries win, though by purity they cannot differ) and
-    adds its counters, then empties the shard.  Call only after the
-    shard's owner has quiesced (post-barrier). *)
-
-val publish : 'a t -> unit
-(** Fold the overlay into a new snapshot table and swap it in.  Readers
-    racing with the swap see the old or the new snapshot, never a
-    mixture.  No-op on an empty overlay. *)
-
-val epoch : 'a t -> int
-(** Current invalidation epoch, starting at 0 and shared across shards.
-    Values are pure functions of (key, epoch): whenever what the keys
-    denote may have changed (a catalog or machine update), {!bump} the
-    epoch instead of trusting callers to stop reading. *)
-
-val bump : 'a t -> unit
-(** Invalidate every entry (overlay and snapshot) and increment
-    {!epoch}.  Owner-only, like every write.  Hit/miss counters are
-    preserved (unlike {!clear}). *)
 
 val remember_at : 'a t -> epoch:int -> string -> 'a -> unit
 (** [remember_at t ~epoch key v] stores [v] only if [t] is still at
@@ -68,15 +20,17 @@ val remember_at : 'a t -> epoch:int -> string -> 'a -> unit
     {!bump}.  A stale write is silently dropped: compute, then call this
     with the epoch observed {e before} the computation started. *)
 
-val find_or_add : 'a t -> string -> (unit -> 'a) -> 'a
+val epoch : 'a t -> int
+(** Current invalidation epoch, starting at 0.  Whenever what the keys
+    denote may have changed (a catalog or machine update), {!bump} the
+    epoch instead of trusting callers to stop reading. *)
+
+val bump : 'a t -> unit
+(** Forget every entry and increment {!epoch}; the hit/miss counters
+    are kept. *)
 
 val length : 'a t -> int
-(** Distinct keys across snapshot and overlay. *)
-
-val clear : 'a t -> unit
-(** Empty the cache and reset the counters (epoch unchanged). *)
 
 val hits : 'a t -> int
-(** Hits recorded through this handle (absorbed shards included). *)
 
 val misses : 'a t -> int

@@ -36,13 +36,66 @@ let random_tree rng (env : Parqo.Env.t) =
   in
   Parqo.Random_plans.random_tree rng env config
 
+(* The test now running, for the watchdog's report: [named] wraps a
+   suite so that each case records its name as it starts. *)
+let current_test = Atomic.make "(no test)"
+
+let named (suite, cases) =
+  ( suite,
+    List.map
+      (fun (name, speed, f) ->
+        ( name,
+          speed,
+          fun x ->
+            Atomic.set current_test (suite ^ " / " ^ name);
+            f x ))
+      cases )
+
+(* Alcotest redirects the process's stderr into each test's log file
+   while the test runs; the watchdog reports on the stderr the suite
+   started with. *)
+let suite_stderr = Unix.dup Unix.stderr
+
+let watchdog_seconds = 120.
+
+(* A hung pool region cannot be joined, so it would hang the suite
+   forever.  [with_watchdog f] runs [f] beside a watchdog domain; if [f]
+   has not returned within [watchdog_seconds], the watchdog names the
+   running test on the suite's stderr and exits the whole process with
+   status 2. *)
+let with_watchdog f =
+  let finished = Atomic.make false in
+  let deadline = Unix.gettimeofday () +. watchdog_seconds in
+  let watchdog =
+    Domain.spawn (fun () ->
+        while not (Atomic.get finished) do
+          if Unix.gettimeofday () > deadline then begin
+            let msg =
+              Printf.sprintf "watchdog: %s still running after %.0f s\n"
+                (Atomic.get current_test) watchdog_seconds
+            in
+            ignore (Unix.write_substring suite_stderr msg 0 (String.length msg));
+            Unix._exit 2
+          end;
+          Unix.sleepf 0.01
+        done)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set finished true;
+      Domain.join watchdog)
+    f
+
 (* The pool clamps [~domains] to the machine's cores, so on a one-core CI
    box plain [~domains:k] never leaves the calling domain.  The
    determinism properties must exercise REAL cross-domain execution:
    every parallel run goes through an oversubscribed persistent pool,
-   which forces k domains regardless of the core count. *)
+   which forces k domains regardless of the core count — under a
+   watchdog, so that a hung region fails the suite instead of hanging
+   it. *)
 let with_forced_pool k f =
-  Parqo.Domain_pool.with_pool ~oversubscribe:true ~domains:k f
+  with_watchdog (fun () ->
+      Parqo.Domain_pool.with_pool ~oversubscribe:true ~domains:k f)
 
 (* Field-by-field identity of two evaluations, every float compared
    through its bit pattern: "close enough" would hide a divergence that
@@ -149,3 +202,109 @@ let reference_dp ?(config = Parqo.Space.default_config)
   Stats.observe_stored stats level_sizes.(1);
   let best = if n = 0 then None else memo.(Bitset.to_int (Bitset.full n)) in
   { Parqo.Dp.best; stats; level_sizes }
+
+(* Two-phase search as it was before depth-first pricing: phase 2's
+   cross product of per-join annotations, each assignment a rewrite of
+   the phase-1 tree evaluated from scratch and folded with a strict [<]
+   in enumeration order (post-order join slots, slot 0 varying slowest),
+   then the pass over leaf clone degrees — or, beyond five joins,
+   coordinate descent.  No budget.  [Twophase.optimize] must match it bit
+   for bit, counts included. *)
+let reference_twophase ?(config = Parqo.Space.default_config)
+    (env : Parqo.Env.t) =
+  let module J = Parqo.Join_tree in
+  let module Cm = Parqo.Costmodel in
+  let module S = Parqo.Space in
+  (* rewrite the [idx]-th join (post-order) or leaf (left to right) *)
+  let rewrite ~join ~leaf tree =
+    let joins = ref (-1) and leaves = ref (-1) in
+    let rec go = function
+      | J.Access a ->
+        incr leaves;
+        leaf !leaves a
+      | J.Join j ->
+        let outer = go j.J.outer in
+        let inner = go j.J.inner in
+        incr joins;
+        join !joins j ~outer ~inner
+    in
+    go tree
+  in
+  let keep_join _ (j : J.join) ~outer ~inner =
+    J.join ~clone:j.J.clone ~materialize:j.J.materialize j.J.method_ ~outer
+      ~inner
+  in
+  let set_join idx ~clone ~materialize =
+    rewrite ~leaf:(fun _ a -> J.Access a) ~join:(fun k j ~outer ~inner ->
+        if k = idx then J.join ~clone ~materialize j.J.method_ ~outer ~inner
+        else keep_join k j ~outer ~inner)
+  in
+  let set_leaf idx ~clone =
+    rewrite ~join:keep_join ~leaf:(fun k a ->
+        if k = idx then J.access ~path:a.J.path ~clone a.J.rel else J.Access a)
+  in
+  let phase1 =
+    Parqo.Dp.optimize
+      ~config:{ config with S.clone_degrees = [ 1 ]; materialize_choices = false }
+      env
+  in
+  match phase1.Parqo.Dp.best with
+  | None ->
+    { Parqo.Twophase.best = None; sequential = None;
+      stats = phase1.Parqo.Dp.stats; evaluated = 0; gave_up = false }
+  | Some sequential ->
+    let evaluated = ref 0 in
+    let eval tree =
+      incr evaluated;
+      Cm.evaluate env tree
+    in
+    let rt (e : Cm.eval) = e.Cm.response_time in
+    let tree = sequential.Cm.tree in
+    let n_joins = J.n_joins tree and n_leaves = J.n_leaves tree in
+    let degrees = config.S.clone_degrees in
+    let mats = if config.S.materialize_choices then [ false; true ] else [ false ] in
+    let join_choices =
+      List.concat_map (fun c -> List.map (fun m -> (c, m)) mats) degrees
+    in
+    let best = ref (eval tree) in
+    let improve e = if rt e < rt !best then (best := e; true) else false in
+    let leaf_pass () =
+      let improved = ref false in
+      for leaf = 0 to n_leaves - 1 do
+        List.iter
+          (fun clone ->
+            if improve (eval (set_leaf leaf ~clone !best.Cm.tree)) then
+              improved := true)
+          degrees
+      done;
+      !improved
+    in
+    if n_joins <= Parqo.Twophase.max_exhaustive_joins then begin
+      let rec assign idx tree =
+        if idx >= n_joins then ignore (improve (eval tree))
+        else
+          List.iter
+            (fun (clone, materialize) ->
+              assign (idx + 1) (set_join idx ~clone ~materialize tree))
+            join_choices
+      in
+      assign 0 tree;
+      ignore (leaf_pass ())
+    end
+    else begin
+      let improved = ref true and rounds = ref 0 in
+      while !improved && !rounds < 5 do
+        improved := false;
+        incr rounds;
+        for idx = 0 to n_joins - 1 do
+          List.iter
+            (fun (clone, materialize) ->
+              if improve (eval (set_join idx ~clone ~materialize !best.Cm.tree))
+              then improved := true)
+            join_choices
+        done;
+        if leaf_pass () then improved := true
+      done
+    end;
+    { Parqo.Twophase.best = Some !best; sequential = Some sequential;
+      stats = phase1.Parqo.Dp.stats; evaluated = !evaluated; gave_up = false }

@@ -6,22 +6,36 @@ let t name f = Alcotest.test_case name `Quick f
 (* dominance on int pairs: componentwise <= *)
 let dom2 (a1, a2) (b1, b2) = a1 <= b1 && a2 <= b2
 
+(* int pairs as cover coordinates *)
+let fill2 (a, b) row =
+  row.(0) <- float_of_int a;
+  row.(1) <- float_of_int b
+
+let cover2 () = C.create ~n_dims:2 ()
+
+let add2 c p =
+  fill2 p (C.scratch c);
+  C.add c p
+
+let pareto2 = C.pareto ~n_dims:2 ~fill:fill2
+
 let maintenance () =
-  let c = C.create ~dominates:dom2 in
-  Alcotest.(check bool) "insert first" true (C.add c (5, 5));
-  Alcotest.(check bool) "dominated rejected" false (C.add c (6, 6));
-  Alcotest.(check bool) "incomparable accepted" true (C.add c (3, 8));
+  let c = cover2 () in
+  Alcotest.(check bool) "insert first" true (add2 c (5, 5));
+  Alcotest.(check bool) "dominated rejected" false (add2 c (6, 6));
+  Alcotest.(check bool) "incomparable accepted" true (add2 c (3, 8));
   Alcotest.(check int) "two elements" 2 (C.size c);
   (* a dominating element evicts both *)
-  Alcotest.(check bool) "dominator accepted" true (C.add c (1, 1));
+  Alcotest.(check bool) "dominator accepted" true (add2 c (1, 1));
   Alcotest.(check int) "evicted to one" 1 (C.size c);
+  fill2 (9, 9) (C.scratch c);
   Alcotest.(check bool) "covered query" true (C.is_covered c (9, 9))
 
 let incomparability_invariant () =
   let rng = Parqo.Rng.create 5 in
-  let c = C.create ~dominates:dom2 in
+  let c = cover2 () in
   for _ = 1 to 500 do
-    ignore (C.add c (Parqo.Rng.int rng 100, Parqo.Rng.int rng 100))
+    ignore (add2 c (Parqo.Rng.int rng 100, Parqo.Rng.int rng 100))
   done;
   let elems = C.elements c in
   List.iter
@@ -37,7 +51,7 @@ let coverage_invariant () =
   let points =
     List.init 300 (fun _ -> (Parqo.Rng.int rng 50, Parqo.Rng.int rng 50))
   in
-  let cover = C.pareto ~dominates:dom2 points in
+  let cover = pareto2 points in
   List.iter
     (fun p ->
       Alcotest.(check bool) "covered" true
@@ -53,17 +67,14 @@ let coverage_invariant () =
    harmonic law takes over.  See EXPERIMENTS.md (E4). *)
 let theorem3_monte_carlo () =
   let rng = Parqo.Rng.create 77 in
-  let doml l a b =
-    let rec go i = i >= l || (a.(i) <= b.(i) && go (i + 1)) in
-    go 0
-  in
   let mean_cover l m trials =
+    let fill p row = Array.blit p 0 row 0 l in
     let total = ref 0 in
     for _ = 1 to trials do
       let pts =
         List.init m (fun _ -> Array.init l (fun _ -> Parqo.Rng.float rng 1.))
       in
-      total := !total + List.length (C.pareto ~dominates:(doml l) pts)
+      total := !total + List.length (C.pareto ~n_dims:l ~fill pts)
     done;
     float_of_int !total /. float_of_int trials
   in
@@ -96,8 +107,11 @@ let two_dims_harmonic () =
   let total = ref 0 in
   for _ = 1 to trials do
     let pts = List.init m (fun _ -> (Parqo.Rng.float rng 1., Parqo.Rng.float rng 1.)) in
-    let dom (a1, a2) (b1, b2) = a1 <= b1 && a2 <= b2 in
-    total := !total + List.length (C.pareto ~dominates:dom pts)
+    let fill (a, b) row =
+      row.(0) <- a;
+      row.(1) <- b
+    in
+    total := !total + List.length (C.pareto ~n_dims:2 ~fill pts)
   done;
   let mean = float_of_int !total /. float_of_int trials in
   let expected = Combin.harmonic m in
@@ -113,7 +127,7 @@ let trim_tie_break_deterministic () =
   let rank (_, r) = r in
   let tie (a, _) (b, _) = String.compare a b in
   let survivors order =
-    let c = C.create ~dominates:incomparable in
+    let c = C.create ~n_dims:0 ~refines:incomparable () in
     List.iter (fun x -> ignore (C.add c x)) order;
     C.trim ~tie c ~keep:2 ~rank;
     List.sort compare (C.elements c)
@@ -132,7 +146,9 @@ let total_order_keeps_one () =
   (* l = 1: a total order; the cover collapses to the single best *)
   let rng = Parqo.Rng.create 3 in
   let pts = List.init 200 (fun _ -> Parqo.Rng.int rng 1000) in
-  let cover = C.pareto ~dominates:(fun a b -> a <= b) pts in
+  let cover =
+    C.pareto ~n_dims:1 ~fill:(fun p row -> row.(0) <- float_of_int p) pts
+  in
   Alcotest.(check int) "one survivor" 1 (List.length cover);
   Alcotest.(check int) "it is the min" (List.fold_left min max_int pts)
     (List.hd cover)
@@ -141,11 +157,10 @@ let total_order_keeps_one () =
    [List.length (elements t)] through every add (with evictions) and trim *)
 let size_matches_length () =
   let rng = Parqo.Rng.create 4 in
-  let dominates (a, b) (c, d) = a <= c && b <= d in
-  let t2 = C.create ~dominates in
+  let t2 = cover2 () in
   for i = 1 to 500 do
     let p = (Parqo.Rng.int rng 50, Parqo.Rng.int rng 50) in
-    ignore (C.add t2 p);
+    ignore (add2 t2 p);
     Alcotest.(check int)
       (Printf.sprintf "size after add %d" i)
       (List.length (C.elements t2))
@@ -160,9 +175,11 @@ let size_matches_length () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Flat (struct-of-arrays) covers: the list implementation is the
-   oracle.  Elements are (id, dims) pairs; dims are drawn from a small
-   integer grid so exact dominance and exact rank ties actually occur. *)
+(* The list cover the flat one replaced is the oracle: newest first, a
+   candidate enters unless an element dominates it and evicts the
+   elements it dominates.  Elements are (id, dims) pairs; dims are drawn
+   from a small integer grid so exact dominance and exact rank ties
+   actually occur. *)
 
 let random_point rng ~id ~l ~range =
   (id, Array.init l (fun _ -> float_of_int (Parqo.Rng.int rng range)))
@@ -171,6 +188,16 @@ let list_dominates refines (ai, av) (bi, bv) =
   let rec go i = i >= Array.length av || (av.(i) <= bv.(i) && go (i + 1)) in
   go 0
   && match refines with None -> true | Some r -> r (ai, av) (bi, bv)
+
+let list_covered dominates cover x = List.exists (fun e -> dominates e x) cover
+
+let list_add dominates cover x =
+  if list_covered dominates cover x then (false, cover)
+  else (true, x :: List.filter (fun e -> not (dominates x e)) cover)
+
+let flat_add flat ((_, dims) as p) =
+  Array.blit dims 0 (C.scratch flat) 0 (Array.length dims);
+  C.add flat p
 
 (* property: over random insertion sequences (with duplicates and exact
    ties), the flat cover accepts exactly the elements the list cover
@@ -181,28 +208,27 @@ let flat_matches_list_oracle () =
   List.iter
     (fun (l, range, refines) ->
       for _ = 1 to 20 do
-        let list_cover =
-          C.create ~dominates:(list_dominates refines)
-        in
-        let flat = C.Flat.create ~n_dims:l ?refines () in
+        let dominates = list_dominates refines in
+        let list_cover = ref [] in
+        let flat = C.create ~n_dims:l ?refines () in
         for id = 0 to 79 do
           let ((_, dims) as p) = random_point rng ~id ~l ~range in
-          let expect = C.add list_cover p in
-          Array.blit dims 0 (C.Flat.scratch flat) 0 l;
+          let expect, next = list_add dominates !list_cover p in
+          list_cover := next;
           Alcotest.(check bool)
             (Printf.sprintf "l=%d add %d accepted" l id)
-            expect (C.Flat.add flat p);
+            expect (flat_add flat p);
           Alcotest.(check bool)
             (Printf.sprintf "l=%d covered query %d" l id)
-            (C.is_covered list_cover p)
-            (Array.blit dims 0 (C.Flat.scratch flat) 0 l;
-             C.Flat.is_covered flat p)
+            (list_covered dominates !list_cover p)
+            (Array.blit dims 0 (C.scratch flat) 0 l;
+             C.is_covered flat p)
         done;
-        Alcotest.(check int) "size" (C.size list_cover) (C.Flat.size flat);
+        Alcotest.(check int) "size" (List.length !list_cover) (C.size flat);
         Alcotest.(check (list int))
           (Printf.sprintf "l=%d same elements, same order" l)
-          (List.map fst (C.elements list_cover))
-          (List.map fst (C.Flat.elements flat))
+          (List.map fst !list_cover)
+          (List.map fst (C.elements flat))
       done)
     [
       (1, 6, None);
@@ -213,72 +239,60 @@ let flat_matches_list_oracle () =
       (2, 6, Some (fun (ai, _) (bi, _) -> (ai : int) mod 2 = bi mod 2));
     ]
 
-(* property: both trims — list and flat — implement exactly the
-   documented boundary semantics: stable sort of [elements] (newest
-   first) by (rank, tie), then the [keep]-prefix, reported in ascending
-   order.  Coarse integer ranks force plenty of boundary ties. *)
+(* property: the trim implements exactly the documented boundary
+   semantics: stable sort of [elements] (newest first) by (rank, tie),
+   then the [keep]-prefix, reported in ascending order.  Coarse integer
+   ranks force plenty of boundary ties. *)
 let trim_matches_sort_oracle () =
   let rng = Parqo.Rng.create 42 in
   let l = 2 in
   for round = 1 to 30 do
-    let incomparable _ _ = false in
-    let list_cover = C.create ~dominates:incomparable in
-    (* a refines guard that always refuses makes the flat cover
-       incomparable as well, so both sides keep every point and the
+    (* a refines guard that always refuses keeps every point, so the
        trim has a full population to select from *)
-    let flat = C.Flat.create ~n_dims:l ~refines:incomparable () in
+    let flat = C.create ~n_dims:l ~refines:(fun _ _ -> false) () in
     let n = 5 + Parqo.Rng.int rng 20 in
     for id = 0 to n - 1 do
-      let ((_, dims) as p) = random_point rng ~id ~l ~range:3 in
-      ignore (C.add list_cover p);
-      Array.blit dims 0 (C.Flat.scratch flat) 0 l;
-      ignore (C.Flat.add flat p)
+      ignore (flat_add flat (random_point rng ~id ~l ~range:3))
     done;
+    let inserted = C.elements flat in
     let rank (_, d) = d.(0) in
     (* id-based tie on half the rounds; pure rank ties on the rest *)
     let tie = if round mod 2 = 0 then Some (fun (a, _) (b, _) -> compare (a : int) b) else None in
     let keep = 1 + Parqo.Rng.int rng n in
     let oracle =
       (* trim is a no-op when the cover already fits within [keep] *)
-      if keep >= n then C.elements list_cover
+      if keep >= n then inserted
       else
         let cmp a b =
           match Float.compare (rank a) (rank b) with
           | 0 -> (match tie with None -> 0 | Some f -> f a b)
           | c -> c
         in
-        let sorted = List.stable_sort cmp (C.elements list_cover) in
-        List.filteri (fun i _ -> i < keep) sorted
+        List.filteri (fun i _ -> i < keep) (List.stable_sort cmp inserted)
     in
-    C.trim ?tie list_cover ~keep ~rank;
-    C.Flat.trim ?tie flat ~keep ~rank;
+    C.trim ?tie flat ~keep ~rank;
     Alcotest.(check (list int))
-      (Printf.sprintf "round %d: list trim = stable-sort prefix" round)
+      (Printf.sprintf "round %d: trim = stable-sort prefix" round)
       (List.map fst oracle)
-      (List.map fst (C.elements list_cover));
-    Alcotest.(check (list int))
-      (Printf.sprintf "round %d: flat trim = stable-sort prefix" round)
-      (List.map fst oracle)
-      (List.map fst (C.Flat.elements flat))
+      (List.map fst (C.elements flat))
   done
 
 (* clear reuses the handle: after clear, behavior is as from create *)
 let flat_clear_resets () =
   let rng = Parqo.Rng.create 43 in
-  let flat = C.Flat.create ~n_dims:2 () in
+  let flat = C.create ~n_dims:2 () in
   for _ = 1 to 3 do
-    let list_cover = C.create ~dominates:(list_dominates None) in
-    C.Flat.clear flat;
+    let list_cover = ref [] in
+    C.clear flat;
     for id = 0 to 49 do
-      let ((_, dims) as p) = random_point rng ~id ~l:2 ~range:6 in
-      ignore (C.add list_cover p);
-      Array.blit dims 0 (C.Flat.scratch flat) 0 2;
-      ignore (C.Flat.add flat p)
+      let p = random_point rng ~id ~l:2 ~range:6 in
+      list_cover := snd (list_add (list_dominates None) !list_cover p);
+      ignore (flat_add flat p)
     done;
     Alcotest.(check (list int))
       "same cover after clear"
-      (List.map fst (C.elements list_cover))
-      (List.map fst (C.Flat.elements flat))
+      (List.map fst !list_cover)
+      (List.map fst (C.elements flat))
   done
 
 let suite =

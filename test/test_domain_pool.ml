@@ -2,7 +2,8 @@
    spawned once, parked between regions, and claim chunked index ranges.
    Everything here runs oversubscribed — the pool clamps to the core
    count by default, and CI may well have one core, so forcing real
-   spawned domains is the only way to exercise cross-domain execution. *)
+   spawned domains is the only way to exercise cross-domain execution —
+   and under the watchdog, so a hung region fails instead of hanging. *)
 
 module Pool = Parqo.Domain_pool
 
@@ -11,7 +12,7 @@ let t name f = Alcotest.test_case name `Quick f
 (* every index of every region is executed exactly once, across many
    region shapes (tasks above, below, and equal to the width) *)
 let exactly_once () =
-  Pool.with_pool ~oversubscribe:true ~domains:4 (fun pool ->
+  Helpers.with_forced_pool 4 (fun pool ->
       List.iter
         (fun tasks ->
           let counts = Array.init (max tasks 1) (fun _ -> Atomic.make 0) in
@@ -34,7 +35,7 @@ let exactly_once () =
    domain-safe, and a check raising on a worker must not be able to
    wedge the region. *)
 let ranges_partition () =
-  Pool.with_pool ~oversubscribe:true ~domains:3 (fun pool ->
+  Helpers.with_forced_pool 3 (fun pool ->
       let tasks = 500 in
       let claims = ref [] in
       let m = Mutex.create () in
@@ -64,7 +65,7 @@ let ranges_partition () =
 (* one pool serves many regions: the workers are spawned once and parked
    between runs, not respawned *)
 let reuse_across_runs () =
-  Pool.with_pool ~oversubscribe:true ~domains:4 (fun pool ->
+  Helpers.with_forced_pool 4 (fun pool ->
       let total = Atomic.make 0 in
       for round = 1 to 10 do
         Pool.run pool ~tasks:(10 * round) (fun _ ->
@@ -79,7 +80,7 @@ let reuse_across_runs () =
 (* a raising task aborts the region, reraises on the caller, and leaves
    the pool usable for the next region — no worker is lost *)
 let exception_safe () =
-  Pool.with_pool ~oversubscribe:true ~domains:4 (fun pool ->
+  Helpers.with_forced_pool 4 (fun pool ->
       (try
          Pool.run pool ~tasks:100 (fun i -> if i = 57 then failwith "boom");
          Alcotest.fail "exception was swallowed"
@@ -97,7 +98,7 @@ let exception_safe () =
 let with_pool_bracket () =
   let escaped = ref None in
   (try
-     Pool.with_pool ~oversubscribe:true ~domains:3 (fun pool ->
+     Helpers.with_forced_pool 3 (fun pool ->
          escaped := Some pool;
          failwith "body")
    with Failure _ -> ());
@@ -113,11 +114,12 @@ let with_pool_bracket () =
 (* clamping: requested width never exceeds the core count by default,
    and the sequential fast path reports one participant *)
 let clamps_and_fast_paths () =
-  Pool.with_pool ~domains:64 (fun pool ->
-      Alcotest.(check int) "requested preserved" 64 (Pool.requested pool);
-      Alcotest.(check bool) "clamped to cores" true
-        (Pool.width pool <= Domain.recommended_domain_count ()));
-  Pool.with_pool ~oversubscribe:true ~domains:4 (fun pool ->
+  Helpers.with_watchdog (fun () ->
+      Pool.with_pool ~domains:64 (fun pool ->
+          Alcotest.(check int) "requested preserved" 64 (Pool.requested pool);
+          Alcotest.(check bool) "clamped to cores" true
+            (Pool.width pool <= Domain.recommended_domain_count ())));
+  Helpers.with_forced_pool 4 (fun pool ->
       (* tasks <= 1 must not involve any worker *)
       let ran = ref [] in
       let used =
@@ -137,7 +139,7 @@ let clamps_and_fast_paths () =
 (* participants never exceed the width, and with enough tasks every lane
    of an oversubscribed pool eventually participates in some region *)
 let participants_bounded () =
-  Pool.with_pool ~oversubscribe:true ~domains:3 (fun pool ->
+  Helpers.with_forced_pool 3 (fun pool ->
       for _ = 1 to 5 do
         let used = Pool.run_ranged pool ~tasks:200 (fun ~worker:_ ~lo ~hi ->
             (* a little work so workers get a chance to claim *)

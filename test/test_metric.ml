@@ -109,6 +109,110 @@ let partitioning_refinement () =
   Alcotest.(check bool) "reflexive" true (Mt.dominates with_part seq seq);
   ignore machine
 
+(* property: every metric's [fill] writes exactly the coordinates its
+   definition gives — written out here from the descriptor with
+   [Rvec.residual] and per-group sums — compared through their Int64
+   bits, on random plans over a nominal machine, one with rescaled
+   resource speeds, and one whose pipeline penalty scales work *)
+let fill_matches_formula () =
+  let rng = Parqo.Rng.create 56 in
+  let nominal = Parqo.Machine.shared_nothing ~nodes:4 () in
+  let machines =
+    [
+      ("nominal", nominal);
+      ( "rescaled",
+        Parqo.Machine.rescale nominal
+          ~speeds:[ (0, 0.5); (2, 1.75); (5, 0.3); (8, 2.5) ] );
+      ( "delta scales work",
+        Parqo.Machine.shared_nothing
+          ~params:
+            {
+              Parqo.Machine.default_params with
+              Parqo.Machine.delta_scales_work = true;
+            }
+          ~nodes:4 () );
+    ]
+  in
+  let group_sums machine agg w =
+    let groups, group_of = Parqo.Machine.aggregate machine agg in
+    let out = Array.make groups 0. in
+    for i = 0 to Parqo.Vecf.dim w - 1 do
+      out.(group_of i) <- out.(group_of i) +. Parqo.Vecf.get w i
+    done;
+    Array.to_list out
+  in
+  let contention ~pressure (e : Cm.eval) =
+    let w = Parqo.Descriptor.work_vector e.Cm.descriptor in
+    let acc = ref e.Cm.response_time in
+    for r = 0 to min (Array.length pressure) (Parqo.Vecf.dim w) - 1 do
+      acc := !acc +. (pressure.(r) *. Parqo.Vecf.get w r)
+    done;
+    !acc
+  in
+  let aggs =
+    [ Parqo.Machine.Single; Parqo.Machine.By_kind; Parqo.Machine.By_node;
+      Parqo.Machine.Per_resource ]
+  in
+  List.iter
+    (fun (mname, machine) ->
+      let catalog, query = G.random rng ~n:4 () in
+      let env = Parqo.Env.create ~machine ~catalog ~query () in
+      let pressure =
+        Array.init (Parqo.Machine.n_resources machine) (fun r ->
+            float_of_int (r mod 3) *. 0.25)
+      in
+      let metrics =
+        [
+          (Mt.work, fun (e : Cm.eval) -> [ e.Cm.work ]);
+          (Mt.response_time, fun e -> [ e.Cm.response_time ]);
+          ( Mt.expected_makespan env ~fault_rate:0.1,
+            fun e ->
+              [ Parqo.Faultcost.expected_response_time env ~fault_rate:0.1 e;
+                e.Cm.work ] );
+          (Mt.contended ~pressure, fun e -> [ contention ~pressure e; e.Cm.work ]);
+        ]
+        @ List.concat_map
+            (fun agg ->
+              [
+                ( Mt.resource_vector machine agg,
+                  fun (e : Cm.eval) ->
+                    Parqo.Descriptor.response_time e.Cm.descriptor
+                    :: group_sums machine agg
+                         (Parqo.Descriptor.work_vector e.Cm.descriptor) );
+                ( Mt.with_ordering (Mt.descriptor machine agg),
+                  fun e ->
+                    let rf = e.Cm.descriptor.Parqo.Descriptor.rf
+                    and rl = e.Cm.descriptor.Parqo.Descriptor.rl in
+                    let res = Parqo.Rvec.residual rl rf in
+                    [ rf.Parqo.Rvec.time; res.Parqo.Rvec.time ]
+                    @ group_sums machine agg rf.Parqo.Rvec.work
+                    @ group_sums machine agg res.Parqo.Rvec.work );
+              ])
+            aggs
+      in
+      for _ = 1 to 10 do
+        let tree = Helpers.random_tree rng env in
+        let plans =
+          Cm.evaluate env tree
+          :: List.map
+               (fun j -> Cm.evaluate env (J.Join j))
+               (J.joins tree)
+        in
+        List.iter
+          (fun (e : Cm.eval) ->
+            List.iter
+              (fun ((m : Mt.t), formula) ->
+                let row = Array.make m.Mt.arity nan in
+                m.Mt.fill e row;
+                Alcotest.(check (list int64))
+                  (Printf.sprintf "%s, %s" mname m.Mt.name)
+                  (List.map Int64.bits_of_float (formula e))
+                  (List.map Int64.bits_of_float (Array.to_list row)))
+              metrics)
+          plans
+      done)
+    machines
+
 let suite =
   ( "metric",
     [
@@ -119,4 +223,5 @@ let suite =
       t "ordering refinement" ordering_refinement;
       t "Theorem 1: work satisfies PO" theorem1_work_po;
       t "Theorem 2: RT violates PO" theorem2_rt_violation;
+      t "fill matches the formula, bit for bit" fill_matches_formula;
     ] )

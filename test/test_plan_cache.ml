@@ -1,7 +1,7 @@
-(* Incremental costing: the memoized evaluation path must be bit-identical
-   to the from-scratch one, on every field of the eval — the whole design
-   (grafted child expansions, descriptor reuse, shape-only renumbering)
-   stands on that equivalence. *)
+(* Incremental costing: pricing a join from its children's evaluations
+   must be bit-identical to the from-scratch evaluation, on every field
+   of the eval — the whole design (grafted child expansions, descriptor
+   reuse, shape-only renumbering) stands on that equivalence. *)
 
 module Cm = Parqo.Costmodel
 module Op = Parqo.Op
@@ -16,62 +16,60 @@ let t name f = Alcotest.test_case name `Quick f
 
 let check_eval_identical = Helpers.check_eval_identical
 
-(* property: on random queries and random annotated trees, the cached
-   evaluator (cold cache, warm cache, remember_all cache) reproduces
+(* Price a tree join by join from its children's unnumbered
+   evaluations, materialized joins as twins — the path two-phase search
+   prices its assignments on. *)
+let rec price_bottom_up env scratch (tree : Parqo.Join_tree.t) =
+  match tree with
+  | Parqo.Join_tree.Access _ -> Cm.evaluate env tree
+  | Parqo.Join_tree.Join j -> (
+    let outer = price_bottom_up env scratch j.Parqo.Join_tree.outer
+    and inner = price_bottom_up env scratch j.Parqo.Join_tree.inner in
+    let ctx =
+      Cm.join_context env
+        ~outer:(Parqo.Join_tree.relations j.Parqo.Join_tree.outer)
+        ~inner:(Parqo.Join_tree.relations j.Parqo.Join_tree.inner)
+    in
+    match
+      Cm.price_join ~scratch ~limit:infinity env ctx
+        ~method_:j.Parqo.Join_tree.method_ ~clone:j.Parqo.Join_tree.clone
+        ~outer ~inner
+    with
+    | None -> Alcotest.fail "unlimited price_join rejected a plan"
+    | Some e ->
+      if j.Parqo.Join_tree.materialize then Cm.materialized_twin e else e)
+
+(* property: on random queries and random bushy trees with materialized
+   joins, pricing join by join and numbering the root reproduces
    [Cm.evaluate] exactly *)
-let cached_matches_uncached () =
+let bottom_up_matches_evaluate () =
   let rng = Parqo.Rng.create 31 in
+  let materialized = ref 0 in
   for _ = 1 to 20 do
     let env = Helpers.random_env rng ~n:5 in
-    let cache = Cm.create_cache () in
-    let cache_all = Cm.create_cache ~remember_all:true () in
+    let scratch = Cm.scratch env in
     for _ = 1 to 10 do
       let tree = Helpers.random_tree rng env in
-      let plain = Cm.evaluate env tree in
-      check_eval_identical "cold" (Cm.evaluate_cached cache env tree) plain;
-      (* warm: the same tree again, now hitting remembered leaves *)
-      check_eval_identical "warm" (Cm.evaluate_cached cache env tree) plain;
-      check_eval_identical "remember_all"
-        (Cm.evaluate_cached cache_all env tree)
-        plain;
-      (* second remember_all evaluation is a pure cache hit *)
-      check_eval_identical "remember_all hit"
-        (Cm.evaluate_cached cache_all env tree)
-        plain
+      List.iter
+        (fun (j : Parqo.Join_tree.join) ->
+          if j.Parqo.Join_tree.materialize then incr materialized)
+        (Parqo.Join_tree.joins tree);
+      check_eval_identical "bottom-up"
+        (Cm.numbered (price_bottom_up env scratch tree))
+        (Cm.evaluate env tree)
     done
-  done
-
-(* the ORDER BY path: a required ordering the plan does not deliver adds
-   the final sort identically on both paths *)
-let cached_matches_uncached_with_order () =
-  let rng = Parqo.Rng.create 32 in
-  for _ = 1 to 10 do
-    let env = Helpers.random_env rng ~n:4 in
-    (* a key no plan delivers (fresh column name) forces the sort *)
-    let required = [ { Parqo.Ordering.rel = 0; column = "__orderby" } ] in
-    let cache = Cm.create_cache ~remember_all:true () in
-    for _ = 1 to 5 do
-      let tree = Helpers.random_tree rng env in
-      check_eval_identical "forced sort"
-        (Cm.evaluate_cached ~required_order:required cache env tree)
-        (Cm.evaluate ~required_order:required env tree);
-      (* and once more with everything cached *)
-      check_eval_identical "forced sort, warm"
-        (Cm.evaluate_cached ~required_order:required cache env tree)
-        (Cm.evaluate ~required_order:required env tree)
-    done
-  done
+  done;
+  Alcotest.(check bool) "materialized joins drawn" true (!materialized > 0)
 
 (* property: on random join trees, every pipelined join priced from its
    children's evaluations ([Cm.price_join], numbered) equals
    [Cm.evaluate] of the same tree, and the materialized twin derived from
-   a pipelined evaluation — a cached one, or an unnumbered priced one —
-   equals [Cm.evaluate] of the materialized tree *)
+   a pipelined evaluation — an evaluated one, or an unnumbered priced
+   one — equals [Cm.evaluate] of the materialized tree *)
 let twin_matches_evaluate () =
   let rng = Parqo.Rng.create 36 in
   for _ = 1 to 20 do
     let env = Helpers.random_env rng ~n:5 in
-    let cache = Cm.create_cache () in
     let scratch = Cm.scratch env in
     for _ = 1 to 5 do
       List.iter
@@ -84,8 +82,8 @@ let twin_matches_evaluate () =
           in
           let pipelined = Cm.evaluate env (join false)
           and materialized = Cm.evaluate env (join true) in
-          check_eval_identical "twin of cached"
-            (Cm.materialized_twin (Cm.evaluate_cached cache env (join false)))
+          check_eval_identical "twin of evaluated"
+            (Cm.materialized_twin pipelined)
             materialized;
           let outer = Cm.evaluate env j.Parqo.Join_tree.outer
           and inner = Cm.evaluate env j.Parqo.Join_tree.inner in
@@ -121,19 +119,16 @@ let twin_rejects_non_pipelined () =
        (Parqo.Join_tree.join ~materialize:true Parqo.Join_method.Hash_join
           ~outer:(scan 0) ~inner:(scan 1)))
 
-let evaluate_cached_rejects_duplicates () =
+let join_context_rejects_overlap () =
   let env = Helpers.chain_env ~n:3 () in
-  let scan r = Parqo.Join_tree.access ~path:Parqo.Access_path.Seq_scan r in
-  let dup =
-    Parqo.Join_tree.join Parqo.Join_method.Hash_join
-      ~outer:(Parqo.Join_tree.join Parqo.Join_method.Hash_join ~outer:(scan 0)
-                ~inner:(scan 1))
-      ~inner:(scan 0)
-  in
-  let cache = Cm.create_cache () in
-  Alcotest.check_raises "duplicate relation"
+  let set = Bitset.of_list in
+  Alcotest.check_raises "overlapping sets"
     (Invalid_argument "Costmodel: relation used more than once") (fun () ->
-      ignore (Cm.evaluate_cached cache env dup))
+      ignore (Cm.join_context env ~outer:(set [ 0; 1 ]) ~inner:(set [ 1; 2 ])));
+  Alcotest.check_raises "a set joined with itself"
+    (Invalid_argument "Costmodel: relation used more than once") (fun () ->
+      ignore (Cm.join_context env ~outer:(set [ 0 ]) ~inner:(set [ 0 ])));
+  ignore (Cm.join_context env ~outer:(set [ 0; 1 ]) ~inner:(set [ 2 ]))
 
 let plan_str (e : Cm.eval) = Parqo.Join_tree.to_string e.Cm.tree
 
@@ -334,12 +329,10 @@ let plan_cache_counters () =
   Alcotest.(check int) "one entry" 1 (Parqo.Plan_cache.length c);
   Alcotest.(check int) "hits" 1 (Parqo.Plan_cache.hits c);
   Alcotest.(check int) "misses" 1 (Parqo.Plan_cache.misses c);
-  Alcotest.(check int) "find_or_add computes" 2
-    (Parqo.Plan_cache.find_or_add c "b" (fun () -> 2));
-  Alcotest.(check int) "find_or_add reuses" 2
-    (Parqo.Plan_cache.find_or_add c "b" (fun () -> 3));
-  Parqo.Plan_cache.clear c;
-  Alcotest.(check int) "cleared" 0 (Parqo.Plan_cache.length c)
+  Parqo.Plan_cache.remember c "a" 2;
+  Alcotest.(check (option int)) "overwritten" (Some 2)
+    (Parqo.Plan_cache.find c "a");
+  Alcotest.(check int) "still one entry" 1 (Parqo.Plan_cache.length c)
 
 (* epoch invalidation: bump empties the table, keeps the counters, and
    makes writes observed under an older epoch vanish *)
@@ -362,63 +355,6 @@ let plan_cache_epochs () =
   Parqo.Plan_cache.remember_at c ~epoch:1 "fresh" 8;
   Alcotest.(check (option int)) "current write lands" (Some 8)
     (Parqo.Plan_cache.find c "fresh")
-
-(* shards: private overlays over a shared published snapshot — the
-   visibility rules the PODP level loop is built on *)
-let plan_cache_shards () =
-  let c = Parqo.Plan_cache.create () in
-  Parqo.Plan_cache.remember c "base" 1;
-  let s = Parqo.Plan_cache.shard c in
-  Alcotest.(check (option int)) "unpublished parent write invisible" None
-    (Parqo.Plan_cache.find s "base");
-  Parqo.Plan_cache.publish c;
-  Alcotest.(check (option int)) "published entry visible to shard" (Some 1)
-    (Parqo.Plan_cache.find s "base");
-  Parqo.Plan_cache.remember s "w" 2;
-  Alcotest.(check (option int)) "shard write private until absorbed" None
-    (Parqo.Plan_cache.find c "w");
-  Alcotest.(check (option int)) "shard reads own write" (Some 2)
-    (Parqo.Plan_cache.find s "w");
-  Parqo.Plan_cache.absorb c s;
-  Alcotest.(check (option int)) "absorbed into parent" (Some 2)
-    (Parqo.Plan_cache.find c "w");
-  (* shard counters (1 miss on "base" pre-publish; hits on "base"
-     post-publish and on its own "w") fold into the parent's: parent saw
-     1 miss ("w" pre-absorb) + 1 hit ("w" post-absorb) of its own *)
-  Alcotest.(check int) "hits absorbed" 3 (Parqo.Plan_cache.hits c);
-  Alcotest.(check int) "misses absorbed" 2 (Parqo.Plan_cache.misses c);
-  Alcotest.(check int) "shard counters drained" 0
-    (Parqo.Plan_cache.hits s + Parqo.Plan_cache.misses s);
-  (* epoch is shared across shards *)
-  let s2 = Parqo.Plan_cache.shard c in
-  Parqo.Plan_cache.bump c;
-  Alcotest.(check int) "bump visible through shard" 1
-    (Parqo.Plan_cache.epoch s2)
-
-(* the published snapshot really is read in parallel: every domain reads
-   every key through its own shard while the parent sleeps on nothing *)
-let plan_cache_parallel_reads () =
-  let c = Parqo.Plan_cache.create () in
-  let n = 1000 in
-  for i = 0 to n - 1 do
-    Parqo.Plan_cache.remember c (string_of_int i) i
-  done;
-  Parqo.Plan_cache.publish c;
-  let readers =
-    List.init 4 (fun _ ->
-        let s = Parqo.Plan_cache.shard c in
-        Domain.spawn (fun () ->
-            let ok = ref true in
-            for i = 0 to n - 1 do
-              match Parqo.Plan_cache.find s (string_of_int i) with
-              | Some v when v = i -> ()
-              | _ -> ok := false
-            done;
-            !ok))
-  in
-  List.iter
-    (fun d -> Alcotest.(check bool) "reader saw every entry" true (Domain.join d))
-    readers
 
 (* adjacency bitsets agree with a direct scan of the predicate list *)
 let connected_between_oracle () =
@@ -449,9 +385,8 @@ let connected_between_oracle () =
 let suite =
   ( "plan_cache",
     [
-      t "evaluate_cached = evaluate, bit for bit" cached_matches_uncached;
-      t "evaluate_cached honors required_order" cached_matches_uncached_with_order;
-      t "evaluate_cached rejects duplicate relations" evaluate_cached_rejects_duplicates;
+      t "price_join bottom-up = evaluate, bit for bit" bottom_up_matches_evaluate;
+      t "join_context rejects overlapping sets" join_context_rejects_overlap;
       t "materialized twin = evaluate, bit for bit" twin_matches_evaluate;
       t "materialized twin of a non-pipelined plan" twin_rejects_non_pipelined;
       t "podp identical with cache on/off at forced widths" podp_identical_cache_on_off;
@@ -460,7 +395,5 @@ let suite =
       t "Join_tree.key is canonical" key_is_canonical;
       t "Plan_cache counters" plan_cache_counters;
       t "Plan_cache epochs" plan_cache_epochs;
-      t "Plan_cache shards and publish" plan_cache_shards;
-      t "Plan_cache parallel snapshot reads" plan_cache_parallel_reads;
       t "Query.connected_between matches predicate scan" connected_between_oracle;
     ] )

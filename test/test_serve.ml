@@ -358,7 +358,7 @@ let shared_pool_no_respawn () =
     let server = Server.create ~config:fast_config ~machine ~catalog () in
     Server.run server reqs
   in
-  Parqo.Domain_pool.with_pool ~oversubscribe:true ~domains:2 (fun dp ->
+  Helpers.with_forced_pool 2 (fun dp ->
       let spawned_at_create = (Parqo.Domain_pool.stats dp).Parqo.Domain_pool.spawned in
       Alcotest.(check int) "pool spawns at create" 1 spawned_at_create;
       let server = Server.create ~config:fast_config ~pool:dp ~machine ~catalog () in

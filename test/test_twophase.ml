@@ -92,6 +92,63 @@ let unbudgeted_never_gives_up () =
   Alcotest.(check bool) "no budget, no give-up" false
     (TP.optimize ~config:(config env) env).TP.gave_up
 
+let check_plan msg (a : Cm.eval option) (b : Cm.eval option) =
+  match (a, b) with
+  | Some x, Some y -> Helpers.check_eval_identical msg x y
+  | None, None -> ()
+  | _ -> Alcotest.failf "%s: one run found a plan, the other did not" msg
+
+(* property: depth-first pricing chooses what evaluating every
+   assignment from scratch chooses ([Helpers.reference_twophase]): the
+   same best and phase-1 plans, field by field with node ids and Int64
+   bits, and the same counts — over chain, star, cycle and clique
+   queries on two machines and four annotation spaces, plus a chain of
+   six joins for coordinate descent *)
+let matches_reference () =
+  let t0 = Unix.gettimeofday () in
+  List.iter
+    (fun (mname, machine) ->
+      List.iter
+        (fun (cname, config) ->
+          List.iter
+            (fun (shape, n) ->
+              let catalog, query = G.generate (G.default_spec shape n) in
+              let env = Parqo.Env.create ~machine ~catalog ~query () in
+              let msg =
+                Printf.sprintf "%s, %s, %s-%d" mname cname
+                  (G.shape_to_string shape) n
+              in
+              let r = TP.optimize ~config env in
+              let expect = Helpers.reference_twophase ~config env in
+              check_plan (msg ^ ": best") r.TP.best expect.TP.best;
+              check_plan (msg ^ ": sequential") r.TP.sequential
+                expect.TP.sequential;
+              Alcotest.(check int) (msg ^ ": evaluated") expect.TP.evaluated
+                r.TP.evaluated;
+              Alcotest.(check bool) (msg ^ ": gave up") false r.TP.gave_up)
+            ((G.Chain, 7)
+            :: List.concat_map
+                 (fun shape -> List.map (fun n -> (shape, n)) [ 1; 2; 3; 4; 5 ])
+                 [ G.Chain; G.Star; G.Cycle; G.Clique ]))
+        [
+          ( "degrees {1,2,4}",
+            { (Parqo.Space.parallel_config machine) with
+              Parqo.Space.clone_degrees = [ 1; 2; 4 ] } );
+          ("default", Parqo.Space.default_config);
+          ("full parallel", Parqo.Space.parallel_config machine);
+          (* leaf degrees cannot move: a winner of the cross product
+             leaves phase 2 as it was found *)
+          ( "materialization only",
+            { Parqo.Space.default_config with
+              Parqo.Space.materialize_choices = true } );
+        ])
+    [
+      ("shared-nothing x4", Parqo.Machine.shared_nothing ~nodes:4 ());
+      ("shared-memory 4c/4d", Parqo.Machine.shared_memory ~cpus:4 ~disks:4 ());
+    ];
+  Printf.printf "two-phase reference comparison: %.2f s\n"
+    (Unix.gettimeofday () -. t0)
+
 let suite =
   ( "twophase",
     [
@@ -101,4 +158,5 @@ let suite =
       t "singleton" singleton;
       t "deadline stops enumeration" deadline_stops_enumeration;
       t "unbudgeted never gives up" unbudgeted_never_gives_up;
+      t "depth-first pricing = reference" matches_reference;
     ] )
