@@ -14,6 +14,11 @@
    - shortest-remaining-work beats fair-share on mean response time at
      the saturating intensity (SRPT's classic advantage).
 
+   The event loop's allocation is gated as well: [Scheduler.run]'s
+   minor words per trace event, at 5, 10 and 40 jobs under every
+   policy, must stay under a fixed ceiling, so they cannot grow with
+   the batch.  Allocation on one domain is a deterministic count.
+
    The second half measures the work-bound dual under contention: a
    probe query's solo-optimal (lowest-response-time) plan against its
    low-work plan, co-scheduled with growing burst backgrounds.  Alone,
@@ -34,6 +39,14 @@ module O = Parqo.Optimizer
 
 let smoke = Sys.getenv_opt "PARQO_SMOKE" <> None
 let bits = Int64.bits_of_float
+
+(* ceiling on [Scheduler.run]'s minor words per trace event, at every
+   batch size and policy: about 1.2x the largest figure when it was set
+   (95.9 in smoke mode, 93.6 in full), which repeats exactly from run to
+   run.  An event loop that rescanned every job and built per-resource
+   lists at each event allocated 2 189 / 3 667 / 12 273 words per event
+   at 5 / 10 / 40 fair-share jobs of the smoke workload. *)
+let words_per_event_ceiling = 115.
 
 let fail fmt =
   Printf.ksprintf
@@ -251,6 +264,49 @@ let run () =
   if mean "srw" "heavy" > mean "fair" "heavy" *. 1.001 then
     fail "srw mean %.3f exceeds fair-share mean %.3f at heavy load"
       (mean "srw" "heavy") (mean "fair" "heavy");
+
+  (* ---------------------------------------------------------------- *)
+  (* the event loop's allocation per trace event, at growing batch
+     sizes: heavy Poisson arrivals over the plan library.  Allocation
+     on one domain is a deterministic count, and it must not grow with
+     the number of jobs in the batch. *)
+  let wtbl =
+    T.create ~title:"E22: Scheduler.run minor words per trace event"
+      ~columns:
+        [ ("jobs", T.Right); ("policy", T.Left); ("events", T.Right); ("words/event", T.Right) ]
+  in
+  List.iter
+    (fun k ->
+      let arrivals =
+        Parqo.Workloads.arrivals (Parqo.Rng.create 37)
+          ~process:(Parqo.Workloads.Poisson (3.0 /. mean_solo)) ~n:k
+      in
+      let jobs =
+        Array.init k (fun i ->
+            Sched.job ~arrival:arrivals.(i) ~priority:priorities.(i mod n_jobs)
+              ~job_id:i graphs.(i mod n_jobs))
+      in
+      List.iter
+        (fun policy ->
+          let before = Gc.minor_words () in
+          let o = Sched.run ~policy jobs in
+          let words = Gc.minor_words () -. before in
+          let n_events = List.length o.Sched.trace in
+          let per_event = words /. float_of_int n_events in
+          T.add_row wtbl
+            [
+              string_of_int k;
+              Sched.policy_to_string policy;
+              string_of_int n_events;
+              Printf.sprintf "%.1f" per_event;
+            ];
+          if per_event > words_per_event_ceiling then
+            fail "%d %s jobs: Scheduler.run allocates %.1f minor words per trace \
+                  event, over the %.0f ceiling"
+              k (Sched.policy_to_string policy) per_event words_per_event_ceiling)
+        Sched.all_policies)
+    [ 5; 10; 40 ];
+  T.print wtbl;
 
   (* ---------------------------------------------------------------- *)
   (* the work-bound dual under contention.  Not every query exhibits

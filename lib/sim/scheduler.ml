@@ -274,7 +274,18 @@ let validate_events ~nr (events : machine_event list) =
    divided by total effective speed — a processor-sharing bound that
    ignores placement, so it is optimistic per-resource but monotone in
    load — and sheds the job ([Rejected]) when the estimate exceeds its
-   deadline.  Shed jobs never run: no stage starts, no busy accrues. *)
+   deadline.  Shed jobs never run: no stage starts, no busy accrues.
+
+   Cost.  The loop keeps the {e active} jobs (arrived, neither finished
+   nor shed) in (arrival, job_id) order, a cursor on the next arrival
+   and counters of finished stages and jobs, so an event visits only
+   the running tasks of active jobs: once to count demand, once for the
+   next exhaustion and once to drain.  Live-cell and live-task counters
+   replace rescans of drained demand vectors.  Buffers are sized once
+   per run, and an event allocates only its trace records.  Each float
+   operation must keep its operands and order: a property test compares
+   every outcome field, Int64-exact, with the reference loop in
+   test/sched_reference.ml. *)
 let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
   let nr = validate_jobs jobs_in in
   let mevents = validate_events ~nr events in
@@ -289,27 +300,21 @@ let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
       | 0 -> compare jobs.(a).job_id jobs.(b).job_id
       | c -> c)
     order;
+  let per_stage f =
+    Array.map (fun (j : job) -> Array.map f j.graph.Task_graph.stages) jobs
+  in
+  let per_task f =
+    per_stage (fun (s : Task_graph.stage) ->
+        Array.of_list (List.map f s.Task_graph.tasks))
+  in
   let n_stages =
     Array.map (fun (j : job) -> Array.length j.graph.Task_graph.stages) jobs
   in
-  let status =
-    Array.map
-      (fun (j : job) -> Array.make (Array.length j.graph.Task_graph.stages) Pending)
-      jobs
-  in
+  let status = per_stage (fun _ -> Pending) in
   let remaining_deps =
-    Array.map
-      (fun (j : job) ->
-        Array.map
-          (fun (s : Task_graph.stage) -> ref (List.length s.Task_graph.deps))
-          j.graph.Task_graph.stages)
-      jobs
+    per_stage (fun (s : Task_graph.stage) -> List.length s.Task_graph.deps)
   in
-  let dependents =
-    Array.map
-      (fun (j : job) -> Array.make (Array.length j.graph.Task_graph.stages) [])
-      jobs
-  in
+  let dependents = per_stage (fun _ -> []) in
   Array.iteri
     (fun p (j : job) ->
       Array.iter
@@ -321,37 +326,34 @@ let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
         j.graph.Task_graph.stages)
     jobs;
   let remaining =
-    Array.map
-      (fun (j : job) ->
-        Array.map
-          (fun (s : Task_graph.stage) ->
-            Array.of_list
-              (List.map
-                 (fun (t : Task_graph.task) -> Array.copy t.Task_graph.demands)
-                 s.Task_graph.tasks))
-          j.graph.Task_graph.stages)
-      jobs
+    per_task (fun (t : Task_graph.task) -> Array.copy t.Task_graph.demands)
   in
-  let labels =
+  let labels = per_task (fun (t : Task_graph.task) -> t.Task_graph.label) in
+  (* live_cells.(p).(id).(ti): demand cells of a task still above [eps];
+     the task is done when it reaches 0, and its stage is done when
+     live_tasks.(p).(id) does *)
+  let live_cells =
+    Array.map
+      (Array.map
+         (Array.map
+            (Array.fold_left (fun n d -> if d > eps then n + 1 else n) 0)))
+      remaining
+  in
+  let live_tasks =
+    Array.map
+      (Array.map (Array.fold_left (fun n c -> if c > 0 then n + 1 else n) 0))
+      live_cells
+  in
+  let names =
     Array.map
       (fun (j : job) ->
-        Array.map
-          (fun (s : Task_graph.stage) ->
-            Array.of_list
-              (List.map
-                 (fun (t : Task_graph.task) -> t.Task_graph.label)
-                 s.Task_graph.tasks))
-          j.graph.Task_graph.stages)
+        if j.label <> "" then j.label else "q" ^ string_of_int j.job_id)
       jobs
   in
   let busy = Array.make nr 0. in
   let time = ref 0. in
   let trace = ref [] in
   let emit what = trace := { at = !time; what } :: !trace in
-  let jname p =
-    if jobs.(p).label <> "" then jobs.(p).label
-    else Printf.sprintf "q%d" jobs.(p).job_id
-  in
   (* piecewise-constant effective speed per resource; events already
      sorted by instant, applied once their time comes *)
   let speed_now = Array.make nr 1. in
@@ -367,94 +369,115 @@ let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
       incr ev_idx
     done
   in
-  (* next machine-event instant strictly in the future, if any *)
-  let next_event_instant () =
-    if !ev_idx < n_mev then mevents.(!ev_idx).ev_at else infinity
-  in
-  let arrived = Array.make nj false in
   let rejected = Array.make nj None in
   let finished_at = Array.make nj nan in
-  let finished p = not (Float.is_nan finished_at.(p)) in
-  let active p = arrived.(p) && not (finished p) in
   let stage_start = Array.make nj [] in
   let stage_finish = Array.make nj [] in
-  let stage_done p id =
-    Array.for_all
-      (fun demands -> Array.for_all (fun d -> d <= eps) demands)
-      remaining.(p).(id)
-  in
+  let stages_done = Array.make nj 0 in
+  let n_finished = ref 0 in
+  (* the active jobs, in (arrival, job_id) order: arrivals are taken
+     from [order] in that order, so each one joins at the end *)
+  let active = Array.make nj 0 in
+  let n_active = ref 0 in
+  let next_arrival = ref 0 in
+  (* exhausted.(p): a drain has emptied one of job p's running stages *)
+  let exhausted = Array.make nj false in
   let rec start_ready p =
-    Array.iteri
-      (fun id s ->
-        if status.(p).(id) = Pending && !(remaining_deps.(p).(id)) = 0 then begin
-          status.(p).(id) <- Running;
-          stage_start.(p) <- (id, !time) :: stage_start.(p);
-          emit (Printf.sprintf "%s stage %d start" (jname p) id);
-          if stage_done p id then complete p id
-        end;
-        ignore s)
-      jobs.(p).graph.Task_graph.stages
+    for id = 0 to n_stages.(p) - 1 do
+      if status.(p).(id) = Pending && remaining_deps.(p).(id) = 0 then begin
+        status.(p).(id) <- Running;
+        stage_start.(p) <- (id, !time) :: stage_start.(p);
+        emit (names.(p) ^ " stage " ^ string_of_int id ^ " start");
+        if live_tasks.(p).(id) = 0 then complete p id
+      end
+    done
   and complete p id =
     status.(p).(id) <- Done;
+    stages_done.(p) <- stages_done.(p) + 1;
     stage_finish.(p) <- (id, !time) :: stage_finish.(p);
-    emit (Printf.sprintf "%s stage %d done" (jname p) id);
-    List.iter (fun dep -> decr remaining_deps.(p).(dep)) dependents.(p).(id);
+    emit (names.(p) ^ " stage " ^ string_of_int id ^ " done");
+    List.iter
+      (fun dep -> remaining_deps.(p).(dep) <- remaining_deps.(p).(dep) - 1)
+      dependents.(p).(id);
     start_ready p
   in
-  let job_done p = Array.for_all (fun s -> s = Done) status.(p) in
   let finish_jobs () =
-    Array.iter
-      (fun p ->
-        if active p && job_done p then begin
-          finished_at.(p) <- !time;
-          emit (jname p ^ " done")
-        end)
-      order
+    let kept = ref 0 in
+    for k = 0 to !n_active - 1 do
+      let p = active.(k) in
+      if stages_done.(p) = n_stages.(p) then begin
+        finished_at.(p) <- !time;
+        incr n_finished;
+        emit (names.(p) ^ " done")
+      end
+      else begin
+        active.(!kept) <- p;
+        incr kept
+      end
+    done;
+    n_active := !kept
   in
-  (* next arrival instant strictly in the future, if any *)
-  let next_arrival () =
-    Array.fold_left
-      (fun acc p ->
-        if not arrived.(p) then Float.min acc jobs.(p).arrival else acc)
-      infinity order
-  in
-  (* remaining work of an active job, for shortest-remaining-work *)
-  let remaining_work p =
+  (* rem_work.(p): the remaining work of job p, for shortest-remaining-
+     work and admission *)
+  let rem_work = Array.make nj 0. in
+  let measure_remaining p =
     let acc = ref 0. in
     for id = 0 to n_stages.(p) - 1 do
-      if status.(p).(id) <> Done then
-        Array.iter
-          (fun demands -> Array.iter (fun d -> acc := !acc +. d) demands)
-          remaining.(p).(id)
+      if status.(p).(id) <> Done then begin
+        let tasks = remaining.(p).(id) in
+        for ti = 0 to Array.length tasks - 1 do
+          let cells = tasks.(ti) in
+          for r = 0 to Array.length cells - 1 do
+            acc := !acc +. cells.(r)
+          done
+        done
+      end
     done;
-    !acc
+    rem_work.(p) <- !acc
   in
   (* admission estimate at arrival: (backlog + own work) over total
      effective speed — the processor-sharing completion bound.  [infinity]
-     during a total blackout with work on offer. *)
+     during a total blackout with work on offer.  The candidate is
+     already active, so its full (undrained) work counts alongside the
+     backlog. *)
   let estimated_response () =
-    (* the candidate is already marked arrived, so the active sweep
-       counts its full (undrained) work alongside the backlog *)
     let backlog = ref 0. in
-    Array.iter (fun q -> if active q then backlog := !backlog +. remaining_work q) order;
-    let cap = Array.fold_left ( +. ) 0. speed_now in
-    if cap > eps then !backlog /. cap
+    for k = 0 to !n_active - 1 do
+      let q = active.(k) in
+      measure_remaining q;
+      backlog := !backlog +. rem_work.(q)
+    done;
+    let cap = ref 0. in
+    for r = 0 to nr - 1 do
+      cap := !cap +. speed_now.(r)
+    done;
+    if !cap > eps then !backlog /. !cap
     else if !backlog > eps then infinity
     else 0.
   in
   let activate p =
-    arrived.(p) <- true;
-    match jobs.(p).deadline with
-    | Some dl when estimated_response () > dl +. 1e-12 ->
-      let reason =
-        Printf.sprintf "estimated response %.3g exceeds deadline %.3g"
-          (estimated_response ()) dl
-      in
-      rejected.(p) <- Some reason;
+    active.(!n_active) <- p;
+    incr n_active;
+    let shed =
+      match jobs.(p).deadline with
+      | None -> None
+      | Some dl ->
+        let est = estimated_response () in
+        if est > dl +. 1e-12 then
+          Some
+            (Printf.sprintf "estimated response %.3g exceeds deadline %.3g" est
+               dl)
+        else None
+    in
+    match shed with
+    | Some reason ->
+      rejected.(p) <- shed;
       finished_at.(p) <- !time;
-      emit (Printf.sprintf "%s rejected (%s)" (jname p) reason)
-    | _ ->
-      emit (jname p ^ " arrives");
+      decr n_active;
+      incr n_finished;
+      emit (names.(p) ^ " rejected (" ^ reason ^ ")")
+    | None ->
+      emit (names.(p) ^ " arrives");
       start_ready p
   in
   (* counts.(p).(r): running tasks of job p demanding r — the
@@ -467,241 +490,211 @@ let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
   (* contended.(r): some eligible job demands r this step *)
   let contended = Array.make nr false in
   let compute_shares () =
-    Array.iter
-      (fun p ->
-        Array.fill counts.(p) 0 nr 0;
-        Array.fill factor.(p) 0 nr 0.)
-      order;
     Array.fill contended 0 nr false;
-    Array.iter
-      (fun p ->
-        if active p then
-          for id = 0 to n_stages.(p) - 1 do
-            if status.(p).(id) = Running then
-              Array.iter
-                (fun demands ->
-                  Array.iteri
-                    (fun r d ->
-                      if d > eps then counts.(p).(r) <- counts.(p).(r) + 1)
-                    demands)
-                remaining.(p).(id)
-          done)
-      order;
-    let srw =
-      match policy with
-      | Shortest_remaining_work ->
-        Array.map (fun p -> if active p then remaining_work p else infinity)
-          (Array.init nj Fun.id)
-      | _ -> [||]
-    in
+    for k = 0 to !n_active - 1 do
+      let p = active.(k) in
+      let cnt = counts.(p) in
+      Array.fill cnt 0 nr 0;
+      Array.fill factor.(p) 0 nr 0.;
+      let demanding = ref false in
+      for id = 0 to n_stages.(p) - 1 do
+        if status.(p).(id) = Running then begin
+          let tasks = remaining.(p).(id) and live = live_cells.(p).(id) in
+          for ti = 0 to Array.length tasks - 1 do
+            if live.(ti) > 0 then begin
+              let cells = tasks.(ti) in
+              for r = 0 to Array.length cells - 1 do
+                if cells.(r) > eps then begin
+                  cnt.(r) <- cnt.(r) + 1;
+                  demanding := true
+                end
+              done
+            end
+          done
+        end
+      done;
+      if !demanding && policy = Shortest_remaining_work then measure_remaining p
+    done;
     for r = 0 to nr - 1 do
-      (* contenders on r, in deterministic order *)
-      let contenders =
-        Array.to_list order
-        |> List.filter (fun p -> active p && counts.(p).(r) > 0)
-      in
-      match contenders with
-      | [] -> ()
-      | _ ->
-        contended.(r) <- true;
-        let eligible =
+      (* the contenders on r, in active order, and the policy's pick *)
+      let n = ref 0 and best = ref min_int and n_best = ref 0 in
+      let winner = ref (-1) in
+      for k = 0 to !n_active - 1 do
+        let p = active.(k) in
+        if counts.(p).(r) > 0 then begin
+          incr n;
           match policy with
-          | Fair_share -> contenders
+          | Fair_share -> ()
           | Strict_priority ->
-            let best =
-              List.fold_left
-                (fun acc p -> max acc jobs.(p).priority)
-                min_int contenders
-            in
-            List.filter (fun p -> jobs.(p).priority = best) contenders
+            let pr = jobs.(p).priority in
+            if pr > !best then begin
+              best := pr;
+              n_best := 1
+            end
+            else if pr = !best then incr n_best
           | Shortest_remaining_work ->
-            let winner =
-              List.fold_left
-                (fun acc p ->
-                  match acc with
-                  | None -> Some p
-                  | Some q ->
-                    if
-                      srw.(p) < srw.(q)
-                      || (srw.(p) = srw.(q) && jobs.(p).job_id < jobs.(q).job_id)
-                    then Some p
-                    else acc)
-                None contenders
-            in
-            (match winner with Some p -> [ p ] | None -> [])
+            let w = !winner in
+            if
+              w < 0
+              || rem_work.(p) < rem_work.(w)
+              || rem_work.(p) = rem_work.(w)
+                 && jobs.(p).job_id < jobs.(w).job_id
+            then winner := p
+        end
+      done;
+      if !n > 0 then begin
+        contended.(r) <- true;
+        let n_elig =
+          float_of_int
+            (match policy with
+            | Fair_share -> !n
+            | Strict_priority -> !n_best
+            | Shortest_remaining_work -> 1)
         in
-        let n_elig = float_of_int (List.length eligible) in
-        List.iter
-          (fun p -> factor.(p).(r) <- float_of_int counts.(p).(r) *. n_elig)
-          eligible
+        for k = 0 to !n_active - 1 do
+          let p = active.(k) in
+          let c = counts.(p).(r) in
+          if
+            c > 0
+            &&
+            match policy with
+            | Fair_share -> true
+            | Strict_priority -> jobs.(p).priority = !best
+            | Shortest_remaining_work -> p = !winner
+          then factor.(p).(r) <- float_of_int c *. n_elig
+        done
+      end
     done
   in
-  let all_jobs_done () =
-    Array.for_all (fun p -> finished p) order
+  (* next demand exhaustion among eligible tasks *)
+  let next_exhaustion () =
+    let dt = ref infinity in
+    for k = 0 to !n_active - 1 do
+      let p = active.(k) in
+      let fac = factor.(p) in
+      for id = 0 to n_stages.(p) - 1 do
+        if status.(p).(id) = Running then begin
+          let tasks = remaining.(p).(id) and live = live_cells.(p).(id) in
+          for ti = 0 to Array.length tasks - 1 do
+            if live.(ti) > 0 then begin
+              let cells = tasks.(ti) in
+              for r = 0 to Array.length cells - 1 do
+                let d = cells.(r) in
+                if d > eps && fac.(r) > 0. && speed_now.(r) > 0. then begin
+                  let c = d *. fac.(r) /. speed_now.(r) in
+                  if c < !dt then dt := c
+                end
+              done
+            end
+          done
+        end
+      done
+    done;
+    !dt
+  in
+  (* The one drain-and-complete path: move the clock to [until], drain
+     [dt] of service, then complete the stages the drain emptied (in
+     active order, then stage id) and finish the jobs they complete.  A
+     task that the drain exhausts is stamped with [until], as its stage
+     is. *)
+  let advance ~until dt =
+    time := until;
+    for r = 0 to nr - 1 do
+      if contended.(r) then busy.(r) <- busy.(r) +. (dt *. speed_now.(r))
+    done;
+    for k = 0 to !n_active - 1 do
+      let p = active.(k) in
+      let fac = factor.(p) in
+      for id = 0 to n_stages.(p) - 1 do
+        if status.(p).(id) = Running then begin
+          let tasks = remaining.(p).(id) and live = live_cells.(p).(id) in
+          for ti = 0 to Array.length tasks - 1 do
+            if live.(ti) > 0 then begin
+              let cells = tasks.(ti) in
+              for r = 0 to Array.length cells - 1 do
+                let d = cells.(r) in
+                if d > eps && fac.(r) > 0. then begin
+                  let d' = d -. (dt *. speed_now.(r) /. fac.(r)) in
+                  if d' <= eps then begin
+                    cells.(r) <- 0.;
+                    live.(ti) <- live.(ti) - 1
+                  end
+                  else cells.(r) <- d'
+                end
+              done;
+              if live.(ti) = 0 then begin
+                emit ("task " ^ labels.(p).(id).(ti) ^ " done");
+                live_tasks.(p).(id) <- live_tasks.(p).(id) - 1;
+                if live_tasks.(p).(id) = 0 then exhausted.(p) <- true
+              end
+            end
+          done
+        end
+      done
+    done;
+    for k = 0 to !n_active - 1 do
+      let p = active.(k) in
+      if exhausted.(p) then begin
+        exhausted.(p) <- false;
+        for id = 0 to n_stages.(p) - 1 do
+          if status.(p).(id) = Running && live_tasks.(p).(id) = 0 then
+            complete p id
+        done
+      end
+    done;
+    finish_jobs ()
   in
   let total_stages = Array.fold_left ( + ) 0 n_stages in
   let guard = ref 0 in
   let max_events =
     (1000 * (1 + total_stages) * (1 + nr)) + (10 * nj) + (10 * n_mev)
   in
-  while (not (all_jobs_done ())) && !guard < max_events do
+  while !n_finished < nj && !guard < max_events do
     incr guard;
     (* machine events first: admission at this instant must see the
        capacity the events just set *)
     apply_due_events ();
     (* activate everything due at the current instant *)
-    Array.iter
-      (fun p ->
-        if (not arrived.(p)) && jobs.(p).arrival <= !time +. 1e-12 then
-          activate p)
-      order;
+    while
+      !next_arrival < nj
+      && jobs.(order.(!next_arrival)).arrival <= !time +. 1e-12
+    do
+      let p = order.(!next_arrival) in
+      incr next_arrival;
+      activate p
+    done;
     finish_jobs ();
-    if not (all_jobs_done ()) then begin
+    if !n_finished < nj then begin
       compute_shares ();
-      (* next demand exhaustion among eligible tasks *)
-      let dt = ref infinity in
-      Array.iter
-        (fun p ->
-          if active p then
-            for id = 0 to n_stages.(p) - 1 do
-              if status.(p).(id) = Running then
-                Array.iter
-                  (fun demands ->
-                    Array.iteri
-                      (fun r d ->
-                        if d > eps && factor.(p).(r) > 0. && speed_now.(r) > 0.
-                        then
-                          dt :=
-                            Float.min !dt (d *. factor.(p).(r) /. speed_now.(r)))
-                      demands)
-                  remaining.(p).(id)
-            done)
-        order;
-      let na = next_arrival () in
-      let nb = Float.min na (next_event_instant ()) in
-      if nb -. !time < !dt then begin
-        (* the next event is an arrival or a machine event: drain the
-           gap, then land exactly on the boundary instant *)
-        let dt = nb -. !time in
-        if dt > 0. then begin
-          for r = 0 to nr - 1 do
-            if contended.(r) then busy.(r) <- busy.(r) +. (dt *. speed_now.(r))
-          done;
-          Array.iter
-            (fun p ->
-              if active p then
-                for id = 0 to n_stages.(p) - 1 do
-                  if status.(p).(id) = Running then
-                    Array.iteri
-                      (fun ti demands ->
-                        Array.iteri
-                          (fun r d ->
-                            if d > eps && factor.(p).(r) > 0. then begin
-                              let d' =
-                                d -. (dt *. speed_now.(r) /. factor.(p).(r))
-                              in
-                              demands.(r) <- (if d' <= eps then 0. else d');
-                              if
-                                d' <= eps
-                                && Array.for_all (fun x -> x <= eps) demands
-                              then
-                                emit
-                                  (Printf.sprintf "task %s done"
-                                     labels.(p).(id).(ti))
-                            end)
-                          demands)
-                      remaining.(p).(id)
-                done)
-            order
-        end;
-        time := nb;
-        Array.iter
-          (fun p ->
-            if active p then
-              Array.iteri
-                (fun id s ->
-                  ignore s;
-                  if status.(p).(id) = Running && stage_done p id then
-                    complete p id)
-                jobs.(p).graph.Task_graph.stages)
-          order;
-        finish_jobs ()
-      end
-      else if !dt = infinity then begin
-        (* running stages but no drainable demand: finish them (a stage
-           whose tasks all carry zero work, as in run_clean).  If nothing
-           completes here — demand parked on zero-speed resources with no
-           arrival and no machine event left to restore them — the
-           workload is starved: raise rather than spin to the guard. *)
-        let progressed = ref false in
-        Array.iter
-          (fun p ->
-            if active p then
-              Array.iteri
-                (fun id s ->
-                  ignore s;
-                  if status.(p).(id) = Running && stage_done p id then begin
-                    complete p id;
-                    progressed := true
-                  end)
-                jobs.(p).graph.Task_graph.stages)
-          order;
-        finish_jobs ();
-        if (not !progressed) && not (all_jobs_done ()) then
-          Parqo_error.fail ~subsystem:"scheduler"
-            "starved: remaining demand on zero-capacity resources with no \
-             future machine event"
-      end
-      else begin
-        let dt = !dt in
-        time := !time +. dt;
-        for r = 0 to nr - 1 do
-          if contended.(r) then busy.(r) <- busy.(r) +. (dt *. speed_now.(r))
-        done;
-        Array.iter
-          (fun p ->
-            if active p then
-              for id = 0 to n_stages.(p) - 1 do
-                if status.(p).(id) = Running then
-                  Array.iteri
-                    (fun ti demands ->
-                      Array.iteri
-                        (fun r d ->
-                          if d > eps && factor.(p).(r) > 0. then begin
-                            let d' =
-                              d -. (dt *. speed_now.(r) /. factor.(p).(r))
-                            in
-                            demands.(r) <- (if d' <= eps then 0. else d');
-                            if
-                              d' <= eps
-                              && Array.for_all (fun x -> x <= eps) demands
-                            then
-                              emit
-                                (Printf.sprintf "task %s done"
-                                   labels.(p).(id).(ti))
-                          end)
-                        demands)
-                    remaining.(p).(id)
-              done)
-          order;
-        Array.iter
-          (fun p ->
-            if active p then
-              Array.iteri
-                (fun id s ->
-                  ignore s;
-                  if status.(p).(id) = Running && stage_done p id then
-                    complete p id)
-                jobs.(p).graph.Task_graph.stages)
-          order;
-        finish_jobs ()
-      end
+      let dt = next_exhaustion () in
+      let na =
+        if !next_arrival < nj then jobs.(order.(!next_arrival)).arrival
+        else infinity
+      in
+      let nb =
+        Float.min na
+          (if !ev_idx < n_mev then mevents.(!ev_idx).ev_at else infinity)
+      in
+      let gap = nb -. !time in
+      (* the next event is an arrival or a machine event: drain the gap
+         and land exactly on the boundary instant *)
+      if gap < dt then advance ~until:nb gap
+      else if dt < infinity then advance ~until:(!time +. dt) dt
+      else
+        (* a stage with no drainable demand completes when it starts, so
+           running demand with nothing to drain it is parked on
+           zero-capacity resources with no arrival or machine event left
+           to restore them *)
+        Parqo_error.fail ~subsystem:"scheduler"
+          "starved: remaining demand on zero-capacity resources with no \
+           future machine event"
     end
   done;
-  if not (all_jobs_done ()) then
+  if !n_finished < nj then
     Parqo_error.fail ~subsystem:"scheduler" "did not converge";
   let by_id = Array.copy order in
   Array.sort (fun a b -> compare jobs.(a).job_id jobs.(b).job_id) by_id;
+  let work = Array.map (fun (j : job) -> Task_graph.total_work j.graph) jobs in
   let job_outcomes =
     Array.map
       (fun p ->
@@ -712,7 +705,7 @@ let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
           started = jobs.(p).arrival;
           finished = finished_at.(p);
           response = finished_at.(p) -. jobs.(p).arrival;
-          work = Task_graph.total_work jobs.(p).graph;
+          work = work.(p);
           disposition =
             (match rejected.(p) with
             | None -> Completed
@@ -732,9 +725,7 @@ let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
          delivered total, keeping busy conservation exact *)
       Array.fold_left
         (fun acc p ->
-          match rejected.(p) with
-          | Some _ -> acc
-          | None -> acc +. Task_graph.total_work jobs.(p).graph)
+          match rejected.(p) with Some _ -> acc | None -> acc +. work.(p))
         0. order;
     trace = List.rev !trace;
   }

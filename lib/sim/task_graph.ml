@@ -109,10 +109,10 @@ let validate t =
             else
               Array.iter
                 (fun d ->
-                  if Float.is_nan d || d < 0. then
+                  if (not (Float.is_finite d)) || d < 0. then
                     bad_demand :=
                       Some
-                        (Printf.sprintf "task %s: negative or NaN demand"
+                        (Printf.sprintf "task %s: negative or non-finite demand"
                            task.label))
                 task.demands)
           s.tasks)

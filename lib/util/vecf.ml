@@ -85,11 +85,6 @@ let sum v =
   done;
   !acc
 
-let dominates a b =
-  check_dim a b;
-  let rec loop i = i >= Array.length a || (a.(i) <= b.(i) && loop (i + 1)) in
-  loop 0
-
 let equal ?(eps = 0.) a b =
   Array.length a = Array.length b
   &&

@@ -55,10 +55,6 @@ val max_coord : t -> float
 
 val sum : t -> float
 
-val dominates : t -> t -> bool
-(** [dominates a b] iff [a.(i) <= b.(i)] for every coordinate — the
-    l-dimensional less-than of §6.2. *)
-
 val equal : ?eps:float -> t -> t -> bool
 
 val map : (float -> float) -> t -> t

@@ -459,6 +459,237 @@ let fuzz () =
   done;
   Alcotest.(check bool) "at least 30 workloads" true (!cases >= 30)
 
+(* ------------------------------------------------------------------ *)
+(* the event loop against the reference loop ([Sched_reference])       *)
+
+let disposition_string = function
+  | Sched.Completed -> "completed"
+  | Sched.Rejected reason -> "rejected: " ^ reason
+
+(* every outcome field as exact text, floats as their Int64 bits, the
+   trace's instants and texts included *)
+let render (o : Sched.outcome) =
+  let b x = Printf.sprintf "%Lx" (bits x) in
+  let times l =
+    String.concat " " (List.map (fun (id, t) -> Printf.sprintf "%d@%s" id (b t)) l)
+  in
+  [
+    ("policy", Sched.policy_to_string o.Sched.policy);
+    ("makespan", b o.Sched.makespan);
+    ("total work", b o.Sched.total_work);
+    ("busy", String.concat " " (Array.to_list (Array.map b o.Sched.busy)));
+  ]
+  @ List.concat_map
+      (fun (j : Sched.job_outcome) ->
+        let field what v = (Printf.sprintf "job %d %s" j.Sched.job_id what, v) in
+        [
+          field "label" j.Sched.label;
+          field "arrival" (b j.Sched.arrival);
+          field "started" (b j.Sched.started);
+          field "finished" (b j.Sched.finished);
+          field "response" (b j.Sched.response);
+          field "work" (b j.Sched.work);
+          field "disposition" (disposition_string j.Sched.disposition);
+          field "stage starts" (times j.Sched.stage_start);
+          field "stage finishes" (times j.Sched.stage_finish);
+        ])
+      (Array.to_list o.Sched.jobs)
+  @ List.mapi
+      (fun i (e : Sched.event) ->
+        (Printf.sprintf "trace event %d" i, b e.Sched.at ^ " " ^ e.Sched.what))
+      o.Sched.trace
+
+(* fails on the first field that differs *)
+let check_same ~ctx (want : Sched.outcome) (got : Sched.outcome) =
+  let rec go = function
+    | [], [] -> ()
+    | (field, w) :: ws, (field', g) :: gs when field = field' && w = g -> go (ws, gs)
+    | (field, w) :: _, (_, g) :: _ -> Alcotest.failf "%s: want %s, got %s" (ctx field) w g
+    | (field, _) :: _, [] -> Alcotest.failf "%s: missing" (ctx field)
+    | [], (field, _) :: _ -> Alcotest.failf "%s: not in the reference" (ctx field)
+  in
+  go (render want, render got)
+
+(* both loops on one input: the same outcome, or the same error; the
+   reference's result is returned *)
+let check_against_reference ~ctx ~policy ~events jobs =
+  let attempt f =
+    match f () with
+    | o -> Ok o
+    | exception Parqo.Parqo_error.Error e -> Error e.Parqo.Parqo_error.message
+  in
+  match
+    ( attempt (fun () -> Sched_reference.run ~policy ~events jobs),
+      attempt (fun () -> Sched.run ~policy ~events jobs) )
+  with
+  | Ok want, Ok got ->
+    check_same ~ctx want got;
+    Ok want
+  | Error want, Error got ->
+    Alcotest.(check string) (ctx "error") want got;
+    Error want
+  | Ok _, Error e -> Alcotest.failf "%s: raised %s" (ctx "run") e
+  | Error e, Ok _ -> Alcotest.failf "%s: reference raised %s" (ctx "run") e
+
+(* hand-built stage DAGs with what lowering never produces: stages
+   without tasks, demand cells of zero or below the drain threshold,
+   vectors shorter than [n_resources], repeated dependencies.  Most
+   cells are multiples of 1/4, so drains often empty several tasks and
+   stages at once, and jobs tie on remaining work. *)
+let random_dag rng ~n_resources =
+  let cell () =
+    match Parqo.Rng.int rng 6 with
+    | 0 -> 0.
+    | 1 -> 5e-10
+    | 2 -> 0.05 +. Parqo.Rng.float rng 2.
+    | _ -> 0.25 *. float_of_int (1 + Parqo.Rng.int rng 4)
+  in
+  graph ~n_resources
+    (List.init
+       (1 + Parqo.Rng.int rng 5)
+       (fun i ->
+         ( List.init (Parqo.Rng.int rng 4) (fun _ ->
+               Array.init (1 + Parqo.Rng.int rng n_resources) (fun _ -> cell ())),
+           if i = 0 then []
+           else List.init (Parqo.Rng.int rng 3) (fun _ -> Parqo.Rng.int rng i) )))
+
+(* windows of changed capacity, each restored to nominal at its end:
+   brownouts, outages and speed-ups, plus a no-op nominal event *)
+let random_events rng ~n_resources ~span =
+  List.concat
+    (List.init (Parqo.Rng.int rng 5) (fun _ ->
+         let r = Parqo.Rng.int rng n_resources in
+         let at = Parqo.Rng.float rng (2. *. span) in
+         let speed =
+           match Parqo.Rng.int rng 4 with
+           | 0 -> 0.
+           | 1 -> 1.5 +. Parqo.Rng.float rng 1.5
+           | 2 -> 1.
+           | _ -> 0.2 +. Parqo.Rng.float rng 0.7
+         in
+         [ ev at r speed; ev (at +. 0.1 +. Parqo.Rng.float rng span) r 1. ]))
+
+let random_workload rng =
+  let nj =
+    if Parqo.Rng.int rng 8 = 0 then 10 + Parqo.Rng.int rng 30
+    else 1 + Parqo.Rng.int rng 6
+  in
+  let pool =
+    if Parqo.Rng.bool rng then Array.init 3 (fun _ -> random_graph rng)
+    else begin
+      let n_resources = 1 + Parqo.Rng.int rng 3 in
+      Array.init 4 (fun _ -> random_dag rng ~n_resources)
+    end
+  in
+  let graphs = Array.init nj (fun _ -> Parqo.Rng.pick rng pool) in
+  let n_resources = graphs.(0).TG.n_resources in
+  (* one job's work spread over the machine: the timescale of arrivals,
+     deadlines and capacity windows *)
+  let span =
+    Float.max 1e-3
+      (Array.fold_left (fun acc g -> acc +. TG.total_work g) 0. graphs
+      /. float_of_int (nj * n_resources))
+  in
+  let rate = (0.3 +. Parqo.Rng.float rng 4.) /. span in
+  let process =
+    match Parqo.Rng.int rng 3 with
+    | 0 -> Parqo.Workloads.Uniform rate
+    | 1 -> Parqo.Workloads.Poisson rate
+    | _ -> Parqo.Workloads.Burst { size = 1 + Parqo.Rng.int rng nj; period = 1. /. rate }
+  in
+  let arrivals = Parqo.Workloads.arrivals rng ~process ~n:nj in
+  let jobs =
+    Array.mapi
+      (fun i g ->
+        let label = if Parqo.Rng.bool rng then "" else Printf.sprintf "L%d" i in
+        let deadline =
+          if Parqo.Rng.int rng 3 = 0 then
+            Some (span *. (0.2 +. Parqo.Rng.float rng 3.))
+          else None
+        in
+        Sched.job ~label ~arrival:arrivals.(i) ~priority:(Parqo.Rng.int rng 3)
+          ?deadline ~job_id:((3 * i) + 1) g)
+      graphs
+  in
+  let events =
+    if Parqo.Rng.int rng 3 = 0 then []
+    else
+      let windows = random_events rng ~n_resources ~span in
+      (* now and then a resource dies for good: starvation, unless no
+         job is left demanding it *)
+      if Parqo.Rng.int rng 12 = 0 then
+        windows @ [ ev (Parqo.Rng.float rng span) (Parqo.Rng.int rng n_resources) 0. ]
+      else windows
+  in
+  (jobs, events)
+
+let matches_reference () =
+  let rng = Parqo.Rng.create 20261018 in
+  let with_events = ref 0 and large = ref 0 in
+  let shed = ref 0 and starved = ref 0 and labelled = ref 0 in
+  for case = 1 to 150 do
+    let jobs, events = random_workload rng in
+    List.iter
+      (fun policy ->
+        let ctx what =
+          Printf.sprintf "case %d (%d jobs, %d events) %s: %s" case
+            (Array.length jobs) (List.length events)
+            (Sched.policy_to_string policy) what
+        in
+        if events <> [] then incr with_events;
+        if Array.length jobs >= 10 then incr large;
+        match check_against_reference ~ctx ~policy ~events jobs with
+        | Ok o ->
+          Array.iter
+            (fun (j : Sched.job_outcome) ->
+              if j.Sched.label <> "" then incr labelled;
+              match j.Sched.disposition with
+              | Sched.Rejected _ -> incr shed
+              | Sched.Completed -> ())
+            o.Sched.jobs
+        | Error _ -> incr starved)
+      Sched.all_policies
+  done;
+  (* the draw reaches every branch it is meant to *)
+  List.iter
+    (fun (what, n, least) ->
+      if n < least then Alcotest.failf "only %d %s (want %d)" n what least)
+    [
+      ("runs with machine events", !with_events, 200);
+      ("runs of 10 jobs or more", !large, 30);
+      ("shed jobs", !shed, 50);
+      ("starved runs", !starved, 3);
+      ("labelled jobs", !labelled, 200);
+    ]
+
+(* A drain cut short by a boundary can still exhaust a task: what is
+   left falls under the drain threshold.  The task is then stamped with
+   the boundary instant, as its stage is, whether the boundary is an
+   arrival or a machine event. *)
+let drain_stamps_at_boundary () =
+  let boundary = 1. -. 1e-10 in
+  List.iter
+    (fun (what, events, jobs) ->
+      let o = Sched.run ~events jobs in
+      (* job 0's task finishes first; job 1 reuses its label *)
+      let at text =
+        match List.find_opt (fun e -> e.Sched.what = text) o.Sched.trace with
+        | Some e -> e.Sched.at
+        | None -> Alcotest.failf "%s: no %S in the trace" what text
+      in
+      Alcotest.(check int64) (what ^ ": task done at the boundary")
+        (bits boundary) (bits (at "task t0_0 done"));
+      Alcotest.(check int64) (what ^ ": stage done at the same instant")
+        (bits (at "task t0_0 done")) (bits (at "q0 stage 0 done"));
+      ignore
+        (check_against_reference
+           ~ctx:(fun field -> what ^ ": " ^ field)
+           ~policy:Sched.Fair_share ~events jobs))
+    [
+      ("arrival", [], [| unit_job ~job_id:0 (); unit_job ~job_id:1 ~arrival:boundary () |]);
+      ("machine event", [ ev boundary 0 0.5 ], [| unit_job ~job_id:0 () |]);
+    ]
+
 let suite =
   ( "scheduler",
     [
@@ -479,4 +710,6 @@ let suite =
       t "pressure under speeds" pressure_with_speeds;
       t "single job bit-identical to Simulator.run" degenerate_identity;
       t "fuzz mixes x arrivals x policies" fuzz;
+      t "event loop matches the reference loop" matches_reference;
+      t "drain stamps tasks at the boundary" drain_stamps_at_boundary;
     ] )

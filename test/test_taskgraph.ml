@@ -105,6 +105,12 @@ let validate_catches_malformed () =
       n_resources = 1;
       root_stage = 0;
     };
+  expect_error "infinite demand"
+    {
+      TG.stages = [| stage 0 ~tasks:[ task 0 [| Float.infinity |] ] |];
+      n_resources = 1;
+      root_stage = 0;
+    };
   (* and a well-formed graph passes *)
   match
     TG.validate
@@ -136,6 +142,37 @@ let simulator_rejects_malformed () =
   in
   Alcotest.(check bool) "Parqo_error from the simulator" true raised
 
+(* an infinite demand is an invalid graph at both entry points, not a
+   starved workload or a run that never converges *)
+let infinite_demand_rejected () =
+  let g =
+    {
+      TG.stages = [| stage 0 ~tasks:[ task 0 [| 1.; Float.infinity |] ] |];
+      n_resources = 2;
+      root_stage = 0;
+    }
+  in
+  let rejected name subsystem f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted an infinite demand" name
+    | exception Parqo.Parqo_error.Error e ->
+      Alcotest.(check string) (name ^ " subsystem") subsystem
+        e.Parqo.Parqo_error.subsystem;
+      let msg = e.Parqo.Parqo_error.message in
+      let has sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      Alcotest.(check bool) (name ^ " names the invalid graph: " ^ msg) true
+        (has "invalid task graph")
+  in
+  rejected "Scheduler.run" "scheduler" (fun () ->
+      ignore (Parqo.Scheduler.run [| Parqo.Scheduler.job ~job_id:0 g |]));
+  rejected "Simulator.run" "simulator" (fun () -> ignore (Parqo.Simulator.run g))
+
 (* lowering records the materialized subtree on every stage, so the
    replanner can size surviving checkpoints *)
 let lowering_records_op_roots () =
@@ -160,5 +197,6 @@ let suite =
       t "validate catches cycles" validate_catches_cycles;
       t "validate catches malformed" validate_catches_malformed;
       t "simulator rejects malformed" simulator_rejects_malformed;
+      t "infinite demand rejected" infinite_demand_rejected;
       t "lowering records op roots" lowering_records_op_roots;
     ] )

@@ -37,14 +37,6 @@ let arithmetic () =
   Alcotest.(check bool) "clamp" true
     (V.equal (V.clamp_non_negative (V.sub a b)) (V.of_array [| 0.; 1. |]))
 
-let dominance () =
-  let a = V.of_array [| 1.; 2. |] in
-  Alcotest.(check bool) "reflexive" true (V.dominates a a);
-  Alcotest.(check bool) "dominates" true
-    (V.dominates a (V.of_array [| 1.; 3. |]));
-  Alcotest.(check bool) "incomparable" false
-    (V.dominates a (V.of_array [| 0.5; 3. |]))
-
 let errors () =
   Alcotest.check_raises "dim mismatch"
     (Invalid_argument "Vecf: dimension mismatch") (fun () ->
@@ -53,10 +45,6 @@ let errors () =
 let prop_add_comm =
   Helpers.qtest "add commutative" vec_pair_gen (fun (a, b) ->
       V.equal ~eps:1e-9 (V.add a b) (V.add b a))
-
-let prop_dominance_antisym =
-  Helpers.qtest "mutual dominance = equality" vec_pair_gen (fun (a, b) ->
-      if V.dominates a b && V.dominates b a then V.equal a b else true)
 
 let prop_max_le_sum =
   Helpers.qtest "max_coord <= sum for non-negative" vec_gen (fun v ->
@@ -68,9 +56,7 @@ let suite =
     [
       t "basics" basics;
       t "arithmetic" arithmetic;
-      t "dominance" dominance;
       t "errors" errors;
       prop_add_comm;
-      prop_dominance_antisym;
       prop_max_le_sum;
     ] )
