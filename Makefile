@@ -1,4 +1,4 @@
-.PHONY: all smoke test ci bench bench-search bench-search-smoke bench-cost bench-cost-smoke bench-replan bench-replan-smoke bench-serve bench-serve-smoke bench-sched bench-sched-smoke bench-hetero bench-hetero-smoke clean
+.PHONY: all smoke test ci bench bench-search bench-search-smoke bench-cost bench-cost-smoke bench-replan bench-replan-smoke bench-serve bench-serve-smoke bench-sched bench-sched-smoke bench-hetero bench-hetero-smoke bench-exec bench-exec-smoke clean
 
 all:
 	dune build @all
@@ -72,11 +72,21 @@ bench-hetero:
 bench-hetero-smoke:
 	timeout 600 env PARQO_SMOKE=1 dune exec bench/main.exe -- --only e23
 
+# executor allocation: minor words per output row of the sequential and
+# the partitioned executor on the execute workload's five prepared
+# queries, gated per query (prints a table; writes nothing)
+bench-exec:
+	dune exec bench/main.exe -- --only e24
+
+bench-exec-smoke:
+	timeout 600 env PARQO_SMOKE=1 dune exec bench/main.exe -- --only e24
+
 # the CI gate: full test suite plus the smoke micro-benches (which assert
-# cached-vs-uncached and replan bit-identity end to end, and that the
-# parallel search machinery costs at most 1.3x the sequential path)
+# cached-vs-uncached and replan bit-identity end to end, that the
+# parallel search machinery costs at most 1.3x the sequential path and
+# pays off on a multicore host, and the executors' words per row)
 ci:
-	dune build @all && dune runtest && $(MAKE) bench-search-smoke && $(MAKE) bench-cost-smoke && $(MAKE) bench-replan-smoke && $(MAKE) bench-serve-smoke && $(MAKE) bench-sched-smoke && $(MAKE) bench-hetero-smoke
+	dune build @all && dune runtest && $(MAKE) bench-search-smoke && $(MAKE) bench-cost-smoke && $(MAKE) bench-replan-smoke && $(MAKE) bench-serve-smoke && $(MAKE) bench-sched-smoke && $(MAKE) bench-hetero-smoke && $(MAKE) bench-exec-smoke
 
 clean:
 	dune clean

@@ -31,6 +31,7 @@ let experiments =
     ("e20", Exp_serve.run);
     ("e22", Exp_sched.run);
     ("e23", Exp_hetero.run);
+    ("e24", Exp_exec.run);
   ]
 
 let tables () = List.iter (fun (_, run) -> run ()) experiments

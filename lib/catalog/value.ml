@@ -5,18 +5,32 @@ let to_float = function
   | Flt f -> f
   | Str s -> float_of_int (Hashtbl.hash s)
 
+(* Numbers compare by their float images, as [Float.compare] orders them
+   (NaN equal to itself and below every other number); each pairing is
+   its own case so no image is boxed. *)
 let compare a b =
   match (a, b) with
+  | Int x, Int y -> Float.compare (float_of_int x) (float_of_int y)
+  | Int x, Flt y -> Float.compare (float_of_int x) y
+  | Flt x, Int y -> Float.compare x (float_of_int y)
+  | Flt x, Flt y -> Float.compare x y
   | Str x, Str y -> String.compare x y
   | Str _, (Int _ | Flt _) -> 1
   | (Int _ | Flt _), Str _ -> -1
-  | (Int _ | Flt _), (Int _ | Flt _) -> Float.compare (to_float a) (to_float b)
 
 let equal a b = compare a b = 0
 
+(* A number hashes as the int its float image denotes when there is one,
+   else as the image; [Hashtbl.hash] already maps every NaN, and -0 and
+   0, to one hash.  An [Int] within 2^53 is its own image. *)
+let hash_float f =
+  if Float.is_integer f && Float.abs f < 0x1p62 then Hashtbl.hash (int_of_float f)
+  else Hashtbl.hash f
+
 let hash = function
-  | Int i -> Hashtbl.hash i
-  | Flt f -> Hashtbl.hash f
+  | Int i when i >= -0x20000000000000 && i <= 0x20000000000000 -> Hashtbl.hash i
+  | Int i -> hash_float (float_of_int i)
+  | Flt f -> hash_float f
   | Str s -> Hashtbl.hash s
 
 let to_string = function

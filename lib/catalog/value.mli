@@ -4,8 +4,11 @@
 type t = Int of int | Flt of float | Str of string
 
 val compare : t -> t -> int
-(** Total order: numeric values compare numerically across [Int]/[Flt];
-    strings compare lexicographically and sort after numbers. *)
+(** Total order: numeric values compare numerically across [Int]/[Flt],
+    by their float images under [Float.compare] (so NaN equals NaN, -0
+    equals 0, and ints beyond 2^53 equal their rounded images); strings
+    compare lexicographically and sort after numbers.  Allocates
+    nothing. *)
 
 val equal : t -> t -> bool
 
@@ -13,6 +16,8 @@ val to_float : t -> float
 (** Numeric image used for statistics; strings hash to a stable float. *)
 
 val hash : t -> int
+(** Agrees with [compare]: [compare a b = 0] implies [hash a = hash b],
+    so [Int 1] and [Flt 1.0] hash alike. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -20,132 +20,119 @@ let cmp_holds cmp c =
   | Q.Gt -> c > 0
   | Q.Ge -> c >= 0
 
+(* a row passes every (column, comparison, constant) test *)
+let rec passes (row : Value.t array) = function
+  | [] -> true
+  | (i, cmp, v) :: rest -> cmp_holds cmp (Value.compare row.(i) v) && passes row rest
+
 let scan db query ~rel =
   let table = table_of db query rel in
-  let layout = [ (rel, C.Table.arity table) ] in
-  let selections = Q.selections_on query rel in
-  let keep row =
-    List.for_all
+  let tests =
+    List.map
       (fun (s : Q.selection) ->
-        let v = row.(C.Table.column_index table s.Q.on.Q.column) in
-        cmp_holds s.Q.cmp (Value.compare v s.Q.value))
-      selections
+        (C.Table.column_index table s.Q.on.Q.column, s.Q.cmp, s.Q.value))
+      (Q.selections_on query rel)
   in
-  let rows =
-    C.Datagen.rows_of db table.C.Table.name
-    |> Array.to_list
-    |> List.filter keep
+  let data = C.Datagen.rows_of db table.C.Table.name in
+  let rows = ref [] in
+  for r = Array.length data - 1 downto 0 do
+    if passes data.(r) tests then rows := data.(r) :: !rows
+  done;
+  Batch.create ~layout:[ (rel, C.Table.arity table) ] ~rows:!rows
+
+(* positions of each join predicate's columns on the outer and inner
+   sides, in predicate order *)
+let key_positions db query ~outer ~inner =
+  let outer_rels = Bitset.of_list (List.map fst outer) in
+  let inner_rels = Bitset.of_list (List.map fst inner) in
+  let sides (p : Q.join_pred) =
+    if Bitset.mem p.Q.left.Q.rel outer_rels then
+      (column_pos db query outer p.Q.left, column_pos db query inner p.Q.right)
+    else (column_pos db query outer p.Q.right, column_pos db query inner p.Q.left)
   in
-  Batch.create ~layout ~rows
+  let keys = List.map sides (Q.joins_between query outer_rels inner_rels) in
+  (Array.of_list (List.map fst keys), Array.of_list (List.map snd keys))
 
-(* key extractors: positions of each join predicate's columns on the
-   outer and inner sides *)
-let key_positions db query ~(outer : Batch.t) ~(inner : Batch.t) =
-  let outer_rels = Bitset.of_list (List.map fst outer.Batch.layout) in
-  let inner_rels = Bitset.of_list (List.map fst inner.Batch.layout) in
-  let preds = Q.joins_between query outer_rels inner_rels in
-  List.map
-    (fun (p : Q.join_pred) ->
-      if Bitset.mem p.Q.left.Q.rel outer_rels then
-        ( column_pos db query outer.Batch.layout p.Q.left,
-          column_pos db query inner.Batch.layout p.Q.right )
-      else
-        ( column_pos db query outer.Batch.layout p.Q.right,
-          column_pos db query inner.Batch.layout p.Q.left ))
-    preds
+(* lexicographic over the columns at positions.(i..); top-level, so a
+   comparison allocates no closure *)
+let rec compare_from positions (a : Value.t array) (b : Value.t array) i =
+  if i = Array.length positions then 0
+  else
+    let p = positions.(i) in
+    let c = Value.compare a.(p) b.(p) in
+    if c <> 0 then c else compare_from positions a b (i + 1)
 
-let key_of positions row = List.map (fun pos -> row.(pos)) positions
+let sort_on positions rows =
+  List.stable_sort (fun a b -> compare_from positions a b 0) rows
+
+let key_of positions (row : Value.t array) =
+  let n = Array.length positions in
+  if n = 0 then [||]
+  else begin
+    let key = Array.make n row.(positions.(0)) in
+    for i = 1 to n - 1 do
+      key.(i) <- row.(positions.(i))
+    done;
+    key
+  end
+
+let rec compare_keys (a : Value.t array) (b : Value.t array) i =
+  if i = Array.length a then 0
+  else
+    let c = Value.compare a.(i) b.(i) in
+    if c <> 0 then c else compare_keys a b (i + 1)
+
+module Keys = Hashtbl.Make (struct
+  type t = Value.t array
+
+  let equal a b = compare_keys a b 0 = 0
+  let hash k = Array.fold_left (fun h v -> (h * 31) + Value.hash v) 0 k
+end)
+
+(* the rows of each distinct key, in input order *)
+type index = Value.t array list ref Keys.t
+
+let index positions rows =
+  let groups = Keys.create (List.length rows) in
+  (* last row first, so consing keeps each group in input order *)
+  List.iter
+    (fun row ->
+      let key = key_of positions row in
+      match Keys.find groups key with
+      | same -> same := row :: !same
+      | exception Not_found -> Keys.add groups key (ref [ row ]))
+    (List.rev rows);
+  groups
+
+let matches index positions row =
+  match Keys.find index (key_of positions row) with
+  | same -> !same
+  | exception Not_found -> []
 
 let combine_row a b = Array.append a b
 
-let nested_loops keys outer_rows inner_rows =
-  let opos = List.map fst keys and ipos = List.map snd keys in
-  List.concat_map
-    (fun orow ->
-      let okey = key_of opos orow in
-      List.filter_map
-        (fun irow ->
-          if List.for_all2 (fun a b -> Value.compare a b = 0) okey (key_of ipos irow)
-          then Some (combine_row orow irow)
-          else None)
-        inner_rows)
-    outer_rows
+(* every outer row in order, each followed by its matches in inner order *)
+let[@tail_mod_cons] rec probe index positions = function
+  | [] -> []
+  | orow :: outer -> emit index positions orow (matches index positions orow) outer
 
-let hash_join keys outer_rows inner_rows =
-  let opos = List.map fst keys and ipos = List.map snd keys in
-  let table = Hashtbl.create (List.length inner_rows) in
-  List.iter
-    (fun irow -> Hashtbl.add table (key_of ipos irow) irow)
-    inner_rows;
-  List.concat_map
-    (fun orow ->
-      Hashtbl.find_all table (key_of opos orow)
-      |> List.rev_map (fun irow -> combine_row orow irow))
-    outer_rows
-
-let compare_keys a b =
-  let rec go a b =
-    match (a, b) with
-    | [], [] -> 0
-    | x :: xs, y :: ys ->
-      let c = Value.compare x y in
-      if c <> 0 then c else go xs ys
-    | [], _ :: _ -> -1
-    | _ :: _, [] -> 1
-  in
-  go a b
-
-let sort_merge keys outer_rows inner_rows =
-  let opos = List.map fst keys and ipos = List.map snd keys in
-  let outer =
-    List.sort (fun a b -> compare_keys (key_of opos a) (key_of opos b)) outer_rows
-  in
-  let inner =
-    List.sort (fun a b -> compare_keys (key_of ipos a) (key_of ipos b)) inner_rows
-  in
-  (* group inner rows by key, then merge *)
-  let rec groups = function
-    | [] -> []
-    | row :: _ as rows ->
-      let key = key_of ipos row in
-      let same, rest =
-        List.partition (fun r -> compare_keys (key_of ipos r) key = 0) rows
-      in
-      (key, same) :: groups rest
-  in
-  let inner_groups = groups inner in
-  let rec merge outer groups acc =
-    match (outer, groups) with
-    | [], _ | _, [] -> acc
-    | orow :: orest, (key, same) :: grest -> (
-      let c = compare_keys (key_of opos orow) key in
-      if c < 0 then merge orest groups acc
-      else if c > 0 then merge outer grest acc
-      else
-        merge orest groups
-          (List.fold_left (fun acc irow -> combine_row orow irow :: acc) acc same))
-  in
-  List.rev (merge outer inner_groups [])
+and[@tail_mod_cons] emit index positions orow same outer =
+  match same with
+  | [] -> probe index positions outer
+  | irow :: rest -> combine_row orow irow :: emit index positions orow rest outer
 
 let join db query ~method_ ~(outer : Batch.t) ~(inner : Batch.t) =
-  let keys = key_positions db query ~outer ~inner in
-  let rows =
-    match (keys, method_) with
-    | [], _ ->
-      (* cartesian product *)
-      List.concat_map
-        (fun orow -> List.map (combine_row orow) inner.Batch.rows)
-        outer.Batch.rows
-    | _, P.Join_method.Nested_loops ->
-      nested_loops keys outer.Batch.rows inner.Batch.rows
-    | _, P.Join_method.Hash_join ->
-      hash_join keys outer.Batch.rows inner.Batch.rows
-    | _, P.Join_method.Sort_merge ->
-      sort_merge keys outer.Batch.rows inner.Batch.rows
+  let opos, ipos =
+    key_positions db query ~outer:outer.Batch.layout ~inner:inner.Batch.layout
+  in
+  let outer_rows =
+    match method_ with
+    | P.Join_method.Sort_merge -> sort_on opos outer.Batch.rows
+    | P.Join_method.Nested_loops | P.Join_method.Hash_join -> outer.Batch.rows
   in
   Batch.create
     ~layout:(Batch.concat_layouts outer.Batch.layout inner.Batch.layout)
-    ~rows
+    ~rows:(probe (index ipos inner.Batch.rows) opos outer_rows)
 
 let run db query tree =
   (match
@@ -177,18 +164,8 @@ let order_rows db query (b : Batch.t) =
   match query.Q.order_by with
   | [] -> b
   | cols ->
-    let positions = List.map (column_pos db query b.Batch.layout) cols in
-    let compare_rows a b =
-      let rec go = function
-        | [] -> 0
-        | p :: rest ->
-          let c = Value.compare a.(p) b.(p) in
-          if c <> 0 then c else go rest
-      in
-      go positions
-    in
-    Batch.create ~layout:b.Batch.layout
-      ~rows:(List.stable_sort compare_rows b.Batch.rows)
+    let positions = Array.of_list (List.map (column_pos db query b.Batch.layout) cols) in
+    Batch.create ~layout:b.Batch.layout ~rows:(sort_on positions b.Batch.rows)
 
 let finalize db query b = project db query (order_rows db query b)
 

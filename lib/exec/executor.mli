@@ -1,4 +1,4 @@
-(** A single-threaded, tuple-at-a-time reference executor.
+(** A single-threaded, materializing reference executor.
 
     It executes annotated join trees over materialized synthetic data
     using the join method each node is annotated with (nested loops,
@@ -20,8 +20,55 @@ val join :
   inner:Batch.t ->
   Batch.t
 (** Joins two batches on every query predicate that crosses them
-    (cartesian product when none does). All three methods produce
-    identical bags. *)
+    (cartesian product when none does).  Every method is one keyed probe
+    of an {!index} over the inner: the result lists each outer row in
+    order, each followed by its matches in inner order.  Nested loops
+    and hash join probe with the outer as given; sort-merge probes with
+    the outer stably sorted on its key ({!sort_on}), which is the
+    merge's output order.  Keys are equal when {!Parqo_catalog.Value.compare}
+    says so, so all three methods return the same bag.  Apart from
+    sort-merge's sort, the work is proportional to input plus output. *)
+
+(** {1 Join keys}
+
+    Shared by every executor.  A row's key is the tuple of its values at
+    the join columns, in predicate order. *)
+
+val column_pos :
+  Parqo_catalog.Datagen.database ->
+  Parqo_query.Query.t ->
+  Batch.layout ->
+  Parqo_query.Query.column_ref ->
+  int
+(** Position of a query column in rows of the given layout. *)
+
+val key_positions :
+  Parqo_catalog.Datagen.database ->
+  Parqo_query.Query.t ->
+  outer:Batch.layout ->
+  inner:Batch.layout ->
+  int array * int array
+(** The key columns of every predicate crossing the two layouts: their
+    positions in outer rows and in inner rows (empty for a cartesian
+    product). *)
+
+val sort_on :
+  int array -> Parqo_catalog.Value.t array list -> Parqo_catalog.Value.t array list
+(** Stable sort on the values at the given positions, compared
+    lexicographically with {!Parqo_catalog.Value.compare}. *)
+
+type index
+(** An inner side's rows grouped by key, in a table hashed with
+    {!Parqo_catalog.Value.hash}. *)
+
+val index : int array -> Parqo_catalog.Value.t array list -> index
+(** [index positions rows] groups [rows] by their key at [positions],
+    each group in input order.  Extracts each row's key once. *)
+
+val matches :
+  index -> int array -> Parqo_catalog.Value.t array -> Parqo_catalog.Value.t array list
+(** [matches index positions row]: the indexed rows whose key equals
+    [row]'s key at [positions], in input order. *)
 
 val run :
   Parqo_catalog.Datagen.database ->

@@ -22,41 +22,6 @@ let close it =
 
 let rows_until_first it = it.counter
 
-let table_of db query rel =
-  C.Catalog.table db.C.Datagen.catalog (Q.table_name query rel)
-
-let col_pos db query layout (r : Q.column_ref) =
-  Batch.offset layout r.Q.rel
-  + C.Table.column_index (table_of db query r.Q.rel) r.Q.column
-
-(* positions of each cross predicate's columns on the two sides *)
-let key_positions db query ~outer_layout ~inner_layout =
-  let module B = Parqo_util.Bitset in
-  let outer_rels = B.of_list (List.map fst outer_layout) in
-  let inner_rels = B.of_list (List.map fst inner_layout) in
-  Q.joins_between query outer_rels inner_rels
-  |> List.map (fun (p : Q.join_pred) ->
-         if B.mem p.Q.left.Q.rel outer_rels then
-           (col_pos db query outer_layout p.Q.left,
-            col_pos db query inner_layout p.Q.right)
-         else
-           (col_pos db query outer_layout p.Q.right,
-            col_pos db query inner_layout p.Q.left))
-
-let key_of positions row = List.map (fun p -> row.(p)) positions
-
-let compare_keys a b =
-  let rec go a b =
-    match (a, b) with
-    | [], [] -> 0
-    | x :: xs, y :: ys ->
-      let c = Value.compare x y in
-      if c <> 0 then c else go xs ys
-    | [], _ :: _ -> -1
-    | _ :: _, [] -> 1
-  in
-  go a b
-
 (* drain another iterator completely (used by blocking operators) *)
 let drain it =
   let rec go acc =
@@ -66,171 +31,65 @@ let drain it =
   close it;
   rows
 
-let scan counter db query rel =
-  let b = Executor.scan db query ~rel in
-  let remaining = ref b.Batch.rows in
-  {
-    layout = b.Batch.layout;
-    closed = false;
-    counter;
-    pull =
-      (fun () ->
-        match !remaining with
-        | [] -> None
-        | row :: rest ->
-          remaining := rest;
-          incr counter;
-          Some row);
-  }
+let pop rest =
+  match !rest with
+  | [] -> None
+  | row :: tail ->
+    rest := tail;
+    Some row
 
-let index_scan counter db query rel (index : C.Index.t) =
-  let b = Executor.scan db query ~rel in
-  let positions =
-    List.map
-      (fun column -> col_pos db query b.Batch.layout { Q.rel; column })
-      index.C.Index.columns
+let stream counter layout rows =
+  let rest = ref rows in
+  let pull () =
+    match pop rest with
+    | Some _ as row ->
+      incr counter;
+      row
+    | None -> None
   in
-  let sorted =
-    List.stable_sort
-      (fun a b -> compare_keys (key_of positions a) (key_of positions b))
-      b.Batch.rows
-  in
-  let remaining = ref sorted in
-  {
-    layout = b.Batch.layout;
-    closed = false;
-    counter;
-    pull =
-      (fun () ->
-        match !remaining with
-        | [] -> None
-        | row :: rest ->
-          remaining := rest;
-          incr counter;
-          Some row);
-  }
+  { layout; closed = false; counter; pull }
 
-let combined_layout outer inner = Batch.concat_layouts outer.layout inner.layout
-
-(* nested loops: stream the outer, memoize the inner on first use *)
-let nl_join db query outer inner =
-  let layout = combined_layout outer inner in
-  let keys =
-    key_positions db query ~outer_layout:outer.layout ~inner_layout:inner.layout
+(* Every join probes an index over its inner, built when the first outer
+   row is wanted: nested loops and hash join stream the outer as it
+   comes; sort-merge drains and stably sorts the outer on its key first,
+   building the index at the same time, so it consumes both sides before
+   its first row. *)
+let probe_join db query ~sort_outer outer inner =
+  let opos, ipos =
+    Executor.key_positions db query ~outer:outer.layout ~inner:inner.layout
   in
-  let opos = List.map fst keys and ipos = List.map snd keys in
-  let inner_rows = lazy (drain inner) in
-  let current = ref None (* (outer_row, remaining inner matches) *) in
+  let index = lazy (Executor.index ipos (drain inner)) in
+  let next_outer =
+    if sort_outer then begin
+      let sorted =
+        lazy
+          (let rows = Executor.sort_on opos (drain outer) in
+           ignore (Lazy.force index);
+           ref rows)
+      in
+      fun () -> pop (Lazy.force sorted)
+    end
+    else fun () -> next outer
+  in
+  let current = ref ([||], []) (* outer row, its remaining matches *) in
   let rec pull () =
     match !current with
-    | Some (orow, irow :: rest) ->
-      current := Some (orow, rest);
+    | orow, irow :: rest ->
+      current := (orow, rest);
       Some (Array.append orow irow)
-    | Some (_, []) ->
-      current := None;
-      pull ()
-    | None -> (
-      match next outer with
+    | _, [] -> (
+      match next_outer () with
       | None -> None
       | Some orow ->
-        let okey = key_of opos orow in
-        let matches =
-          List.filter
-            (fun irow -> compare_keys okey (key_of ipos irow) = 0)
-            (Lazy.force inner_rows)
-        in
-        let matches =
-          if keys = [] then Lazy.force inner_rows (* cartesian *) else matches
-        in
-        current := Some (orow, matches);
+        current := (orow, Executor.matches (Lazy.force index) opos orow);
         pull ())
   in
-  { layout; closed = false; counter = outer.counter; pull }
-
-(* hash join: blocking build on the inner, streaming probe of the outer *)
-let hash_join db query outer inner =
-  let layout = combined_layout outer inner in
-  let keys =
-    key_positions db query ~outer_layout:outer.layout ~inner_layout:inner.layout
-  in
-  let opos = List.map fst keys and ipos = List.map snd keys in
-  let table =
-    lazy
-      (let tbl = Hashtbl.create 64 in
-       List.iter
-         (fun irow -> Hashtbl.add tbl (key_of ipos irow) irow)
-         (drain inner);
-       tbl)
-  in
-  let pending = ref [] in
-  let rec pull () =
-    match !pending with
-    | row :: rest ->
-      pending := rest;
-      Some row
-    | [] -> (
-      match next outer with
-      | None -> None
-      | Some orow ->
-        let matches = Hashtbl.find_all (Lazy.force table) (key_of opos orow) in
-        pending := List.rev_map (fun irow -> Array.append orow irow) matches;
-        pull ())
-  in
-  { layout; closed = false; counter = outer.counter; pull }
-
-(* sort-merge: blocking sorts, streaming merge with group cross products *)
-let merge_join db query outer inner =
-  let layout = combined_layout outer inner in
-  let keys =
-    key_positions db query ~outer_layout:outer.layout ~inner_layout:inner.layout
-  in
-  let opos = List.map fst keys and ipos = List.map snd keys in
-  let state =
-    lazy
-      (let sort pos rows =
-         List.stable_sort
-           (fun a b -> compare_keys (key_of pos a) (key_of pos b))
-           rows
-       in
-       (ref (sort opos (drain outer)), ref (sort ipos (drain inner))))
-  in
-  let pending = ref [] in
-  let rec pull () =
-    match !pending with
-    | row :: rest ->
-      pending := rest;
-      Some row
-    | [] -> (
-      let orows, irows = Lazy.force state in
-      match (!orows, !irows) with
-      | [], _ | _, [] -> None
-      | orow :: orest, irow :: _ ->
-        let c = compare_keys (key_of opos orow) (key_of ipos irow) in
-        if c < 0 then begin
-          orows := orest;
-          pull ()
-        end
-        else if c > 0 then begin
-          irows := List.tl !irows;
-          pull ()
-        end
-        else begin
-          (* emit the cross product of orow with the inner group *)
-          let okey = key_of opos orow in
-          let group =
-            let rec take = function
-              | r :: rest when compare_keys (key_of ipos r) okey = 0 ->
-                r :: take rest
-              | _ -> []
-            in
-            take !irows
-          in
-          orows := orest;
-          pending := List.map (fun irow -> Array.append orow irow) group;
-          pull ()
-        end)
-  in
-  { layout; closed = false; counter = outer.counter; pull }
+  {
+    layout = Batch.concat_layouts outer.layout inner.layout;
+    closed = false;
+    counter = outer.counter;
+    pull;
+  }
 
 let of_plan db query tree =
   (match
@@ -240,18 +99,27 @@ let of_plan db query tree =
   | Error msg -> invalid_arg ("Iterator.of_plan: " ^ msg));
   let counter = ref 0 in
   let rec build = function
-    | P.Join_tree.Access a -> (
-      match a.P.Join_tree.path with
-      | P.Access_path.Seq_scan -> scan counter db query a.P.Join_tree.rel
-      | P.Access_path.Index_scan index ->
-        index_scan counter db query a.P.Join_tree.rel index)
+    | P.Join_tree.Access a ->
+      let rel = a.P.Join_tree.rel in
+      let b = Executor.scan db query ~rel in
+      let rows =
+        match a.P.Join_tree.path with
+        | P.Access_path.Seq_scan -> b.Batch.rows
+        | P.Access_path.Index_scan index ->
+          (* an index delivers its rows in key order *)
+          let column_pos column =
+            Executor.column_pos db query b.Batch.layout { Q.rel; column }
+          in
+          Executor.sort_on
+            (Array.of_list (List.map column_pos index.C.Index.columns))
+            b.Batch.rows
+      in
+      stream counter b.Batch.layout rows
     | P.Join_tree.Join j ->
       let outer = build j.P.Join_tree.outer in
       let inner = build j.P.Join_tree.inner in
-      (match j.P.Join_tree.method_ with
-      | P.Join_method.Nested_loops -> nl_join db query outer inner
-      | P.Join_method.Hash_join -> hash_join db query outer inner
-      | P.Join_method.Sort_merge -> merge_join db query outer inner)
+      let sort_outer = j.P.Join_tree.method_ = P.Join_method.Sort_merge in
+      probe_join db query ~sort_outer outer inner
   in
   build tree
 

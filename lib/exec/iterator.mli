@@ -5,11 +5,12 @@
     [next], so pipelined composition (§4.2) is real at the data level —
     a probe emits its first joined row after only the build side has been
     consumed, exactly the first-tuple/last-tuple distinction the cost
-    model's descriptors track.  Blocking operators (sort, hash build)
-    consume their whole input inside [open_].
+    model's descriptors track.  Blocking operators (sort, index build)
+    consume their whole input on the first [next].
 
     The three executors (materializing, parallel-partitioned, streaming)
-    are mutually cross-checked by the test suite on random plans. *)
+    share one join kernel and are mutually cross-checked by the test
+    suite on random plans. *)
 
 type t
 (** An open iterator: a stream of rows over a fixed layout. *)
@@ -28,11 +29,15 @@ val of_plan :
   Parqo_plan.Join_tree.t ->
   t
 (** Compiles an annotated join tree to an iterator pipeline: accesses
-    stream base rows (index scans in key order), joins use the annotated
-    method — nested loops streams the outer and rescans a memoized inner,
-    hash join builds on the inner then streams the outer, sort-merge
-    sorts both inputs (blocking) and streams the merge. Selections are
-    applied in the scans. *)
+    stream base rows (index scans in key order), and every join probes an
+    {!Executor.index} over its inner, built from the drained inner when
+    the first outer row is wanted.  Nested loops and hash join stream the
+    outer, each outer row followed by its matches in inner order;
+    sort-merge drains the outer, sorts it stably on its key ({!Executor.sort_on})
+    and streams the same probe, so it blocks on both inputs.  Keys are
+    equal when {!Parqo_catalog.Value.compare} says so.  The joined rows
+    come in {!Executor.join}'s order for the same inputs.  Selections
+    are applied in the scans. *)
 
 val to_batch : t -> Batch.t
 (** Drains the iterator (and closes it). *)

@@ -13,12 +13,9 @@ let batch_of stream i =
 let of_batches layout batches =
   { layout; parts = Array.map (fun (b : Batch.t) -> b.Batch.rows) batches }
 
-let table_of db query rel =
-  C.Catalog.table db.C.Datagen.catalog (Q.table_name query rel)
-
 let col_pos db query layout (c : P.Ordering.col) =
-  let table = table_of db query c.P.Ordering.rel in
-  Batch.offset layout c.P.Ordering.rel + C.Table.column_index table c.P.Ordering.column
+  Executor.column_pos db query layout
+    { Q.rel = c.P.Ordering.rel; column = c.P.Ordering.column }
 
 (* round-robin split of rows into k partitions *)
 let split_rows k rows =
@@ -28,17 +25,8 @@ let split_rows k rows =
 
 let concat_parts stream = List.concat (Array.to_list stream.parts)
 
-let sort_rows positions rows =
-  let compare_rows a b =
-    let rec go = function
-      | [] -> 0
-      | p :: rest ->
-        let c = Value.compare a.(p) b.(p) in
-        if c <> 0 then c else go rest
-    in
-    go positions
-  in
-  List.stable_sort compare_rows rows
+let sort_on db query layout cols rows =
+  Executor.sort_on (Array.of_list (List.map (col_pos db query layout) cols)) rows
 
 let run_stream db query root =
   let skew_log = ref [] in
@@ -69,19 +57,15 @@ let run_stream db query root =
       | Op.Index_scan { rel; index }, [] ->
         (* an index scan delivers rows in key order *)
         let b = Executor.scan db query ~rel in
-        let positions =
-          List.map
-            (fun column ->
-              col_pos db query b.Batch.layout { P.Ordering.rel; column })
-            index.C.Index.columns
+        let key =
+          List.map (fun column -> { P.Ordering.rel; column }) index.C.Index.columns
         in
-        let rows = sort_rows positions b.Batch.rows in
+        let rows = sort_on db query b.Batch.layout key b.Batch.rows in
         { layout = b.Batch.layout; parts = split_rows k rows }
       | Op.Sort { key }, [ child ] ->
         let s = eval child in
         expect_degree "sort" k s;
-        let positions = List.map (col_pos db query s.layout) key in
-        { s with parts = Array.map (sort_rows positions) s.parts }
+        { s with parts = Array.map (sort_on db query s.layout key) s.parts }
       | Op.Exchange { mode }, [ child ] ->
         let s = eval child in
         let rows = concat_parts s in
