@@ -22,6 +22,19 @@ let shape_env ?nodes shape n =
   in
   env_for ?nodes catalog query
 
+(* PARQO_SMOKE=1 shrinks an experiment to a CI gate. *)
+let smoke = Sys.getenv_opt "PARQO_SMOKE" <> None
+
+(* Write an experiment's results file [path] with [write].  A smoke run
+   prints its tables and checks its gates but writes nothing: its shrunk
+   figures must not replace the committed full-run results. *)
+let write_results path ~what write =
+  if smoke then Printf.printf "smoke mode: %s not written\n\n" path
+  else begin
+    write path;
+    Printf.printf "wrote %s (%s)\n\n" path what
+  end
+
 let header title lines =
   Printf.printf "%s\n" (String.make 78 '=');
   Printf.printf "%s\n" title;

@@ -1,11 +1,12 @@
 (* E18 — incremental costing in the PODP hot path.
 
    Runs the partial-order DP search with the sub-plan cache on and off
-   (sequential), plus a cached domains=4 run, on the same workloads E17
-   sweeps, and verifies along the way that all runs return exactly the
-   same best plan (down to the response time's bits), cover, level sizes
-   and expansion counts — the bit-identity contract of incremental
-   pricing and of the domain-parallel memo merge.  A second pair of
+   (sequential), plus cached runs at domains 2 up to the host's cores,
+   on the same workloads E17 sweeps, and verifies along the way that
+   all runs return exactly the same best plan (down to the response
+   time's bits), cover, level sizes and expansion counts — the
+   bit-identity contract of incremental pricing and of the
+   domain-parallel memo merge.  A second pair of
    sequential runs, on and off, searches under the work cap a session
    derives (throughput degradation 2 over the work optimum), where
    capped candidates are rejected before pricing; it is checked the
@@ -14,17 +15,17 @@
    costed plan.
 
    PARQO_SMOKE=1 shrinks the sweep (one small workload, one repeat) so
-   CI gates stay fast, and gates each cached sequential run, uncapped
-   and capped: a generous container-safe ceiling on its us_per_plan,
-   and a tight one on its minor_words_per_plan — allocation on one
-   domain is a deterministic count, so it catches a slower candidate
-   loop that the wall-clock ceiling would let through. *)
+   CI gates stay fast, writes nothing, and gates each cached sequential
+   run, uncapped and capped: a generous container-safe ceiling on its
+   us_per_plan, and a tight one on its minor_words_per_plan — allocation
+   on one domain is a deterministic count, so it catches a slower
+   candidate loop that the wall-clock ceiling would let through. *)
 
 module T = Parqo.Tableau
 module Cm = Parqo.Costmodel
 module Stats = Parqo.Search_stats
 
-let smoke = Sys.getenv_opt "PARQO_SMOKE" <> None
+let smoke = Common.smoke
 
 (* minimum cached sequential throughput the smallest container should
    comfortably beat; the full run on a quiet machine is ~5x faster *)
@@ -44,6 +45,11 @@ let smoke_words_per_plan_ceiling = 440.
 let smoke_capped_words_per_plan_ceiling = 135.
 
 let plan_string (e : Cm.eval) = Parqo.Join_tree.to_string e.Cm.tree
+
+(* the cached run's curve: one pooled row per width from 2 up to the
+   host's cores (at least one, which a one-core host clamps to 1) *)
+let pooled_domains =
+  List.init (max 1 (Domain.recommended_domain_count () - 1)) (fun i -> i + 2)
 
 type run = {
   workload : string;
@@ -145,11 +151,11 @@ let run () =
     [
       "Sequential PODP with incremental pricing on vs off: every";
       "extension grafts the memoized outer plan's expansion and pipes";
-      "its descriptor, so only the new root operators are costed.  A";
-      "cached domains=4 run rides along, and a sequential pair on and";
-      "off under the session's work cap, where capped candidates are";
-      "rejected before pricing.  All runs are checked bit-identical";
-      "(plan + response-time bits, cover, levels, counts).";
+      "its descriptor, so only the new root operators are costed.";
+      "Cached runs at domains 2..cores ride along, and a sequential";
+      "pair on and off under the session's work cap, where capped";
+      "candidates are rejected before pricing.  All runs are checked";
+      "bit-identical (plan + response-time bits, cover, levels, counts).";
       (if smoke then "[smoke mode]" else "");
     ];
   let workloads =
@@ -180,9 +186,15 @@ let run () =
       let env = Common.shape_env ~nodes:4 shape n in
       let off, off_ms = time_run ~repeats ~plan_cache:false ~domains:1 env in
       let on, on_ms = time_run ~repeats ~plan_cache:true ~domains:1 env in
-      let on4, on4_ms = time_run ~repeats ~plan_cache:true ~domains:4 env in
       check_identical (name ^ "/cached") off on;
-      check_identical (name ^ "/domains=4") off on4;
+      let pooled =
+        List.map
+          (fun domains ->
+            let r, ms = time_run ~repeats ~plan_cache:true ~domains env in
+            check_identical (Printf.sprintf "%s/domains=%d" name domains) off r;
+            (false, true, domains, r, ms))
+          pooled_domains
+      in
       let work_cap = session_work_cap env in
       let coff, coff_ms =
         time_run ?work_cap ~repeats ~plan_cache:false ~domains:1 env
@@ -225,17 +237,14 @@ let run () =
               Common.cell ~decimals:2 row.us_per_plan;
               Common.cell ~decimals:1 row.minor_words_per_plan;
             ])
-        [
-          (false, false, 1, off, off_ms);
-          (false, true, 1, on, on_ms);
-          (false, true, 4, on4, on4_ms);
-          (true, false, 1, coff, coff_ms);
-          (true, true, 1, con, con_ms);
-        ])
+        ([ (false, false, 1, off, off_ms); (false, true, 1, on, on_ms) ]
+        @ pooled
+        @ [ (true, false, 1, coff, coff_ms); (true, true, 1, con, con_ms) ]))
     workloads;
   T.print tbl;
-  write_json "BENCH_cost.json" (List.rev !runs);
-  Printf.printf "wrote BENCH_cost.json (%d runs)\n\n" (List.length !runs);
+  Common.write_results "BENCH_cost.json"
+    ~what:(Printf.sprintf "%d runs" (List.length !runs))
+    (fun path -> write_json path (List.rev !runs));
   if smoke then
     List.iter
       (fun r ->

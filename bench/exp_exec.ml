@@ -20,7 +20,7 @@
 module T = Parqo.Tableau
 module Cm = Parqo.Costmodel
 
-let smoke = Sys.getenv_opt "PARQO_SMOKE" <> None
+let smoke = Common.smoke
 
 (* ceilings on minor words per output row, (query, sequential,
    parallel): about 1.2x the figures when they were set (360 / 1 374,

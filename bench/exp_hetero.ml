@@ -30,7 +30,8 @@
    AM-HM lower bound; slowest-clone-dominates).
 
    Results go to BENCH_hetero.json.  PARQO_SMOKE=1 shrinks the sweep
-   (chain only, one severity, one onset) so CI gates stay fast. *)
+   (chain only, one severity, one onset) so CI gates stay fast, and
+   writes nothing. *)
 
 module T = Parqo.Tableau
 module Cm = Parqo.Costmodel
@@ -40,7 +41,7 @@ module M = Parqo.Machine
 module R = Parqo.Resource
 module F = Parqo.Fault
 
-let smoke = Sys.getenv_opt "PARQO_SMOKE" <> None
+let smoke = Common.smoke
 
 type run = {
   part : string;  (** ["slowdown"] or ["scaleout"] *)
@@ -335,5 +336,6 @@ let run () =
     failwith "E23: adaptive never beat static under any brownout";
   if not !grown_used then
     failwith "E23: no scale-out scenario delivered work on the grown resource";
-  write_json "BENCH_hetero.json" (List.rev !runs);
-  Printf.printf "wrote BENCH_hetero.json (%d runs)\n\n" (List.length !runs)
+  Common.write_results "BENCH_hetero.json"
+    ~what:(Printf.sprintf "%d runs" (List.length !runs))
+    (fun path -> write_json path (List.rev !runs))

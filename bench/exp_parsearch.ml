@@ -16,19 +16,19 @@
    sizes, and plans_expanded — the deterministic merge contract).
 
    PARQO_SMOKE=1 shrinks the sweep (one small workload, domains
-   {1, 2, 4}, 15 interleaved repeats) and gates CI: overhead at every
-   domain count must stay ≤ 1.3× (looser than the full-run bound
-   because the smoke workload's runtime is milliseconds, where constant
-   costs loom large), and where the pool runs two or more domains it
-   must stay ≤ 0.9×, a real speedup.  Violations fail the process
-   loudly. *)
+   {1, 2, 4}, 15 interleaved repeats), writes nothing and gates CI:
+   overhead at every domain count must stay ≤ 1.3× (looser than the
+   full-run bound because the smoke workload's runtime is milliseconds,
+   where constant costs loom large), and where the pool runs two or
+   more domains it must stay ≤ 0.9×, a real speedup.  Violations fail
+   the process loudly. *)
 
 module T = Parqo.Tableau
 module Cm = Parqo.Costmodel
 module Stats = Parqo.Search_stats
 module Pool = Parqo.Domain_pool
 
-let smoke = Sys.getenv_opt "PARQO_SMOKE" <> None
+let smoke = Common.smoke
 
 (* the smoke bound is asserted in CI; the full-run bound documents the
    acceptance criterion and is asserted when regenerating the JSON *)
@@ -36,7 +36,7 @@ let overhead_limit = if smoke then 1.3 else 1.05
 
 (* On a host where the pool really runs two or more domains, the smoke
    run must also show a speedup: overhead at most this.  Chain-5 reads
-   0.61-0.71 on a 2-vCPU host with 15 interleaved repeats; a pool whose
+   0.51-0.55 on a 2-vCPU host with 15 interleaved repeats; a pool whose
    regions run one chunk at a time reads 1.03-1.06, and one that runs
    every region on the calling domain reads about 1. *)
 let multicore_overhead_limit = 0.9
@@ -243,8 +243,9 @@ let run () =
         domain_counts))
     workloads;
   T.print tbl;
-  write_json "BENCH_search.json" (List.rev !runs);
-  Printf.printf "wrote BENCH_search.json (%d runs)\n\n" (List.length !runs);
+  Common.write_results "BENCH_search.json"
+    ~what:(Printf.sprintf "%d runs" (List.length !runs))
+    (fun path -> write_json path (List.rev !runs));
   match !violations with
   | [] -> ()
   | v ->

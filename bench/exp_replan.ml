@@ -17,14 +17,15 @@
      strictly below the static one.
 
    Results go to BENCH_replan.json.  PARQO_SMOKE=1 shrinks the sweep
-   (chain only, one severity) so CI gates stay fast. *)
+   (chain only, one severity) so CI gates stay fast, and writes
+   nothing. *)
 
 module T = Parqo.Tableau
 module Cm = Parqo.Costmodel
 module TG = Parqo.Task_graph
 module Sim = Parqo.Simulator
 
-let smoke = Sys.getenv_opt "PARQO_SMOKE" <> None
+let smoke = Common.smoke
 
 type run = {
   workload : string;
@@ -211,5 +212,6 @@ let run () =
                "E19: adaptive never beat static recovery on %s" name))
     workloads;
   T.print tbl;
-  write_json "BENCH_replan.json" (List.rev !runs);
-  Printf.printf "wrote BENCH_replan.json (%d runs)\n\n" (List.length !runs)
+  Common.write_results "BENCH_replan.json"
+    ~what:(Printf.sprintf "%d runs" (List.length !runs))
+    (fun path -> write_json path (List.rev !runs))

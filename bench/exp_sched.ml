@@ -28,7 +28,7 @@
    the top pressure.
 
    Results go to BENCH_sched.json.  PARQO_SMOKE=1 shrinks the workload
-   so CI gates stay fast. *)
+   so CI gates stay fast, and writes nothing. *)
 
 module T = Parqo.Tableau
 module Sched = Parqo.Scheduler
@@ -37,7 +37,7 @@ module TG = Parqo.Task_graph
 module Cm = Parqo.Costmodel
 module O = Parqo.Optimizer
 
-let smoke = Sys.getenv_opt "PARQO_SMOKE" <> None
+let smoke = Common.smoke
 let bits = Int64.bits_of_float
 
 (* ceiling on [Scheduler.run]'s minor words per trace event, at every
@@ -456,7 +456,10 @@ let run () =
       end)
     levels;
   T.print xtbl;
-  write_json "BENCH_sched.json" ~probe_rt:rt_plan.Cm.work
-    ~probe_work:work_plan.Cm.work (List.rev !cells) (List.rev !xovers);
-  Printf.printf "wrote BENCH_sched.json (%d cells, %d crossover levels)\n\n"
-    (List.length !cells) (List.length !xovers)
+  Common.write_results "BENCH_sched.json"
+    ~what:
+      (Printf.sprintf "%d cells, %d crossover levels" (List.length !cells)
+         (List.length !xovers))
+    (fun path ->
+      write_json path ~probe_rt:rt_plan.Cm.work ~probe_work:work_plan.Cm.work
+        (List.rev !cells) (List.rev !xovers))

@@ -13,13 +13,13 @@
    - admission control holds: max in-flight never exceeds the queue cap.
 
    Results go to BENCH_serve.json.  PARQO_SMOKE=1 shrinks the stream so
-   CI gates stay fast. *)
+   CI gates stay fast, and writes nothing. *)
 
 module T = Parqo.Tableau
 module Server = Parqo_serve.Server
 module Chaos = Parqo_serve.Chaos
 
-let smoke = Sys.getenv_opt "PARQO_SMOKE" <> None
+let smoke = Common.smoke
 
 type run = {
   arrival : string;
@@ -175,5 +175,6 @@ let run () =
         [ false; true ])
     rates;
   T.print tbl;
-  write_json "BENCH_serve.json" (List.rev !runs);
-  Printf.printf "wrote BENCH_serve.json (%d runs)\n\n" (List.length !runs)
+  Common.write_results "BENCH_serve.json"
+    ~what:(Printf.sprintf "%d runs" (List.length !runs))
+    (fun path -> write_json path (List.rev !runs))

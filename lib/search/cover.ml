@@ -2,6 +2,7 @@ type 'a t = {
   nd : int;
   refines : ('a -> 'a -> bool) option;
   mutable elems : 'a array;  (* [0..n-1], oldest first *)
+  mutable tags : int array;  (* per element, as given to [add_tagged] *)
   mutable dims : float array;  (* row-major, [nd] floats per element *)
   mutable n : int;
   scratch : float array;  (* the candidate's dims row *)
@@ -13,13 +14,21 @@ let create ~n_dims ?refines () =
     nd = n_dims;
     refines;
     elems = [||];
+    tags = [||];
     dims = [||];
     n = 0;
     scratch = Array.make n_dims 0.;
   }
 
 let size t = t.n
-let clear t = t.n <- 0
+(* Slots past [n] must not keep dropped elements alive — a long-lived
+   cover's arrays sit in the major heap, so a stale slot would promote
+   the young candidate it holds at the next minor collection: [clear],
+   [add] and [trim] point them at an element the cover still holds, or
+   at its first one. *)
+let clear t =
+  if t.n > 1 then Array.fill t.elems 1 (t.n - 1) t.elems.(0);
+  t.n <- 0
 let scratch t = t.scratch
 
 (* entry [j]'s dims pointwise <= the candidate's *)
@@ -52,13 +61,16 @@ let ensure_room t x =
     let cap = max 8 (2 * t.n) in
     let elems = Array.make cap x in
     Array.blit t.elems 0 elems 0 t.n;
+    let tags = Array.make cap 0 in
+    Array.blit t.tags 0 tags 0 t.n;
     let dims = Array.make (cap * t.nd) 0. in
     Array.blit t.dims 0 dims 0 (t.n * t.nd);
     t.elems <- elems;
+    t.tags <- tags;
     t.dims <- dims
   end
 
-let add t x =
+let add_tagged t ~tag x =
   if is_covered t x then false
   else begin
     (* evict entries the candidate dominates; stable compaction keeps
@@ -69,18 +81,57 @@ let add t x =
       if not dead then begin
         if !k <> j then begin
           t.elems.(!k) <- t.elems.(j);
+          t.tags.(!k) <- t.tags.(j);
           Array.blit t.dims (j * t.nd) t.dims (!k * t.nd) t.nd
         end;
         incr k
       end
     done;
+    let old = t.n in
     t.n <- !k;
     ensure_room t x;
     t.elems.(t.n) <- x;
+    t.tags.(t.n) <- tag;
     Array.blit t.scratch 0 t.dims (t.n * t.nd) t.nd;
     t.n <- t.n + 1;
+    if old > t.n then Array.fill t.elems t.n (old - t.n) x;
     true
   end
+
+let add t x = add_tagged t ~tag:0 x
+
+(* A k-way merge on tags: each part is in insertion order, and its tags
+   ascend when its candidates were added in sequence order, so the next
+   entry to fold is the smallest head.  Equal tags go to the earliest
+   part; within a part the order is kept. *)
+let merge ~into parts =
+  let parts = Array.of_list parts in
+  let k = Array.length parts in
+  let heads = Array.make k 0 in
+  let rec next best i =
+    if i = k then best
+    else
+      let p = parts.(i) and h = heads.(i) in
+      let best =
+        if
+          h < p.n
+          && (best < 0 || p.tags.(h) < parts.(best).tags.(heads.(best)))
+        then i
+        else best
+      in
+      next best (i + 1)
+  in
+  let rec go () =
+    let b = next (-1) 0 in
+    if b >= 0 then begin
+      let p = parts.(b) and h = heads.(b) in
+      heads.(b) <- h + 1;
+      Array.blit p.dims (h * p.nd) into.scratch 0 into.nd;
+      ignore (add_tagged into ~tag:p.tags.(h) p.elems.(h));
+      go ()
+    end
+  in
+  go ()
 
 (* newest first *)
 let elements t =
@@ -139,6 +190,7 @@ let trim ?(tie = fun _ _ -> 0) t ~keep ~rank =
         ~n:t.n
     in
     let tmp_e = Array.map at sel in
+    let tmp_t = Array.map (fun p -> t.tags.(index p)) sel in
     let tmp_d = Array.make (keep * t.nd) 0. in
     Array.iteri
       (fun k p -> Array.blit t.dims (index p * t.nd) tmp_d (k * t.nd) t.nd)
@@ -148,8 +200,10 @@ let trim ?(tie = fun _ _ -> 0) t ~keep ~rank =
     for k = 0 to keep - 1 do
       let dst = keep - 1 - k in
       t.elems.(dst) <- tmp_e.(k);
+      t.tags.(dst) <- tmp_t.(k);
       Array.blit tmp_d (k * t.nd) t.dims (dst * t.nd) t.nd
     done;
+    Array.fill t.elems keep (t.n - keep) t.elems.(0);
     t.n <- keep
   end
 

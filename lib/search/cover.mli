@@ -32,6 +32,27 @@ val add : 'a t -> 'a -> bool
 (** Insert the element whose coordinates are in {!scratch}: [false] if
     covered, otherwise evicts dominated entries (stable) and appends. *)
 
+val add_tagged : 'a t -> tag:int -> 'a -> bool
+(** {!add}, recording [tag] with the element if it enters ({!add} records
+    [0]).  A tag is the candidate's position in the sequence the cover
+    is folded from; eviction and {!trim} carry it along. *)
+
+val merge : into:'a t -> 'a t list -> unit
+(** Fold the entries of the parts into [into] with {!add_tagged}, in
+    increasing tag order (equal tags: earlier part first, and each
+    part's own order kept), each with its stored coordinates.  [into]
+    must be distinct from the parts and have their dimensions.
+
+    The merge lemma: let a candidate sequence be split into
+    subsequences, and each part be the cover of one subsequence, folded
+    in order and tagged by sequence position.  Then merging the parts
+    into an empty cover yields the cover of the whole sequence, element
+    order included.  It holds because dominance (pointwise [<=], with a
+    transitive refinement) is transitive, and an element survives a fold
+    exactly when no earlier element dominates it and no later one
+    strictly dominates it (MODEL.md §12).  Concatenating the parts, or
+    folding them part by part, does not have this property. *)
+
 val size : 'a t -> int
 
 val elements : 'a t -> 'a list

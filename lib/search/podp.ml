@@ -19,17 +19,12 @@ type result = {
 let plan_key (e : Cm.eval) = Parqo_plan.Join_tree.key e.Cm.tree
 let tie a b = String.compare (plan_key a) (plan_key b)
 
-(* Outcome of one subset's cover computation, produced by a worker domain
-   into its own arena and merged by the coordinator.  Counters ride along
-   instead of being written to the shared stats record so the merge — not
-   the scheduling — decides accumulation order. *)
+(* One subset's post-beam cover: a slice of the arena of the worker that
+   finished it, and the cover's size before the beam cut. *)
 type subset_result = {
   worker : int;  (** arena holding the post-beam cover *)
   start : int;  (** slice start in that arena *)
   len : int;  (** slice length *)
-  considered : int;
-  generated : int;
-  rejected : int;  (** of [generated], rejected by the work bound *)
   cover_pre : int;  (** cover size before the beam cut *)
 }
 
@@ -56,6 +51,19 @@ let arena_push a e =
   a.buf.(a.len) <- e;
   a.len <- a.len + 1
 
+(* One worker's partial cover of one subset: the cover of the candidates
+   it priced there, each entry tagged with its unit, and their counts.
+   The lane that finishes the subset empties it and hands it back to its
+   owner through [free]. *)
+type part = {
+  mutable subset : int;  (** index of the subset in its level *)
+  cover : Cm.eval Cover.t;
+  mutable considered : int;
+  mutable generated : int;
+  mutable rejected : int;  (** of [generated], rejected by the work bound *)
+  free : bool Atomic.t;
+}
+
 let now_ms () = Unix.gettimeofday () *. 1000.
 
 (* Shared counters are touched per batch, not per candidate: each worker
@@ -64,6 +72,27 @@ let now_ms () = Unix.gettimeofday () *. 1000.
    the cap can overshoot by at most [width × tick_grain] expansions in
    exchange for an uncontended hot loop. *)
 let tick_grain = 1024
+
+(* a subset's start decision: made once, by the first worker to touch it *)
+let undecided = 0
+let started = 1
+let skipped = 2
+
+(* Per worker: its partial covers ([n_parts] of them, reused once their
+   subsets are finished), the cover it merges a subset's partial covers
+   into, the arena of finished covers, and the extension whose join
+   context and class tables it has loaded. *)
+type lane = {
+  mutable parts : part array;
+  mutable n_parts : int;
+  merged : Cm.eval Cover.t;
+  arena : arena;
+  mutable ext : int;  (** loaded extension, index in the pass; -1: none *)
+  mutable price_plan : int -> unit;  (** prices memo plan [i] of [ext] *)
+  mutable part : part;  (** where the priced candidates go: its newest *)
+  mutable tag : int;  (** the unit they belong to *)
+  mutable ticks : int;  (** expansions not yet flushed to the budget *)
+}
 
 let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
     ~pool_stats0 ~plan_cache ~metric (env : Env.t) =
@@ -105,18 +134,40 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
   in
   let n = Env.n_relations env in
   let stats = Search_stats.create () in
-  (* One reusable flat cover per worker (index 0 doubles as the
-     coordinator's): entry coordinates are materialized once per
-     candidate into the cover's scratch row, dominance tests run on the
-     flat dims array.  Cleared per subset, capacity retained. *)
-  let covers =
-    Array.init width (fun _ ->
-        Cover.create ~n_dims:metric.Metric.arity
-          ?refines:metric.Metric.refines ())
+  (* Flat covers: entry coordinates are materialized once per candidate
+     into the cover's scratch row, dominance tests run on the flat dims
+     array.  Cleared for reuse, capacity retained. *)
+  let new_cover () =
+    Cover.create ~n_dims:metric.Metric.arity ?refines:metric.Metric.refines ()
   in
-  let cover_add cover e =
+  let cover_add cover ~tag e =
     metric.Metric.fill e (Cover.scratch cover);
-    ignore (Cover.add cover e)
+    ignore (Cover.add_tagged cover ~tag e)
+  in
+  let new_part () =
+    {
+      subset = -1;
+      cover = new_cover ();
+      considered = 0;
+      generated = 0;
+      rejected = 0;
+      free = Atomic.make true;
+    }
+  in
+  let no_part = new_part () in
+  let lanes =
+    Array.init width (fun _ ->
+        {
+          parts = [||];
+          n_parts = 0;
+          merged = new_cover ();
+          arena = arena_create ();
+          ext = -1;
+          price_plan = ignore;
+          part = no_part;
+          tag = 0;
+          ticks = 0;
+        })
   in
   (* The memo: one contiguous slice of the coordinator's arena per
      subset mask, in the cover's [elements] order (newest first).  Memo
@@ -165,12 +216,13 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
     (cls, !n_classes)
   in
   let level_start = ref (now_ms ()) in
-  let finish_level ~level ~subsets ~cover_max ~used_domains =
+  let finish_level ~level ~subsets ~generated ~cover_max ~used_domains =
     let t = now_ms () in
     Search_stats.observe_level stats
       {
         Search_stats.level;
         subsets;
+        generated;
         stored = level_sizes.(level);
         cover_max;
         wall_ms = t -. !level_start;
@@ -184,13 +236,13 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
   let l1_ticks = ref 0 in
   for rel = 0 to n - 1 do
     Search_stats.considered stats 1;
-    let cover = covers.(0) in
+    let cover = lanes.(0).merged in
     Cover.clear cover;
     Array.iter
       (fun e ->
         Search_stats.generated stats 1;
         incr l1_ticks;
-        if admissible e then cover_add cover e)
+        if admissible e then cover_add cover ~tag:0 e)
       access_evals.(rel);
     apply_beam cover;
     Search_stats.observe_cover stats (Cover.size cover);
@@ -204,179 +256,371 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
   (* stored sizes are recorded in level order, level 1 first *)
   if n > 0 then begin
     Search_stats.observe_stored stats level_sizes.(1);
-    finish_level ~level:1 ~subsets:n ~cover_max:!l1_cover_max ~used_domains:1
+    finish_level ~level:1 ~subsets:n ~generated:!l1_ticks
+      ~cover_max:!l1_cover_max ~used_domains:1
   end;
-  (* The level loop: within a level every subset's cover depends only on
+  let tick lane =
+    lane.ticks <- lane.ticks + 1;
+    if lane.ticks >= tick_grain then begin
+      Budget.tick tracker lane.ticks;
+      lane.ticks <- 0
+    end
+  in
+  let consider lane e =
+    let part = lane.part in
+    part.generated <- part.generated + 1;
+    tick lane;
+    if admissible e then cover_add part.cover ~tag:lane.tag e
+  in
+  (* a candidate over the cap, and its materialized twin (same work) *)
+  let reject lane =
+    let part = lane.part in
+    part.generated <- part.generated + 1;
+    part.rejected <- part.rejected + 1;
+    tick lane;
+    if twins then begin
+      part.generated <- part.generated + 1;
+      part.rejected <- part.rejected + 1;
+      tick lane
+    end
+  in
+  (* Load extension [j] of [s] into a lane: [price_plan i] then prices
+     every annotated join of memo plan [i] of [s_j] with the access plans
+     of [j], in [Space.combine_candidates] order — per access plan,
+     method and clone degree, the pipelined join, then its materialized
+     twin. *)
+  let load ~worker lane s j ~joined =
+    let s_j = Bitset.remove j s in
+    let mask = Bitset.to_int s_j in
+    let off = memo_off.(mask) and len = memo_len.(mask) in
+    let methods = if joined then methods_joined else methods_cartesian in
+    let accs = access_evals.(j) in
+    (* the candidate joining [p] and [a] with method [mi] and clone
+       degree [ki], and its twin; the classes index the bound's terms *)
+    let price =
+      if plan_cache then begin
+        let scratch = scratches.(worker) in
+        let ctx = Cm.join_context env ~outer:s_j ~inner:(Bitset.singleton j) in
+        fun p ~outer_class a ~inner_class ~mi ~ki ->
+          let slot = (mi * n_clones) + ki in
+          if
+            bounded
+            && Cm.class_rejects scratch ~outer:p ~outer_class ~inner_class
+                 ~slot
+          then reject lane
+          else begin
+            (match
+               Cm.price_join ~scratch ~limit env ctx ~method_:methods.(mi)
+                 ~clone:clones.(ki) ~outer:p ~inner:a
+             with
+            | Some e ->
+              consider lane e;
+              if twins then consider lane (Cm.materialized_twin e)
+            | None -> reject lane);
+            if bounded then
+              Cm.record_class_terms scratch ~outer_class ~inner_class ~slot
+          end
+      end
+      else fun p ~outer_class:_ a ~inner_class:_ ~mi ~ki ->
+        let evaluate materialize =
+          consider lane
+            (Cm.evaluate env
+               (Parqo_plan.Join_tree.join ~clone:clones.(ki) ~materialize
+                  methods.(mi) ~outer:p.Cm.tree ~inner:a.Cm.tree))
+        in
+        evaluate false;
+        if twins then evaluate true
+    in
+    let plan_class =
+      if not (bounded && plan_cache) then Array.make len 0
+      else begin
+        let cls, n_classes = classify ~off ~len in
+        Cm.reset_classes scratches.(worker) ~limit ~outer_classes:n_classes
+          ~inner_classes:(Array.length accs)
+          ~slots:(Array.length methods * n_clones);
+        cls
+      end
+    in
+    lane.price_plan <-
+      (fun i ->
+        let p = memo.buf.(off + i) in
+        let outer_class = plan_class.(i) in
+        for inner_class = 0 to Array.length accs - 1 do
+          let a = accs.(inner_class) in
+          for mi = 0 to Array.length methods - 1 do
+            for ki = 0 to n_clones - 1 do
+              price p ~outer_class a ~inner_class ~mi ~ki
+            done
+          done
+        done)
+  in
+  let enter = if plan_cache then Cm.numbered else Fun.id in
+  (* The level loop.  Within a level every subset's cover depends only on
      the memo slices of strictly smaller subsets (written at earlier
-     barriers), so the subsets of one size are embarrassingly parallel
-     and level boundaries are barriers.  Workers append each subset's
-     post-beam cover to their own arena; the coordinator absorbs the
-     slices into the memo arena in increasing mask order, making the
-     result bit-identical to the sequential (domains = 1) run. *)
-  let arenas = Array.init width (fun _ -> arena_create ()) in
+     barriers), so its candidates are independent and level boundaries
+     are barriers.  The unit of parallel work is one memo plan of one
+     extension of one subset: the level's units, in the sequential
+     candidate order (subsets in mask order, extensions in [Bitset.iter]
+     order, memo plans in memo order), are claimed in ranges across the
+     pool — whole subsets while enough remain.  A lane folds the
+     candidates of its units into one partial cover per subset it
+     reaches, each entry tagged with its unit.  The lane that prices a
+     subset's last unit folds the subset's partial covers in tag order
+     (Cover.merge) — which is the sequential cover, element order
+     included (the merge lemma, MODEL.md §12) — or takes a lone one as
+     is; then come the cartesian fallback for an empty cover, the beam
+     and the numbering.  After the barrier the coordinator absorbs the
+     finished covers into the memo in increasing mask order.  At width 1
+     this is the sequential loop. *)
   for size = 2 to n do
     let subsets = Array.of_list (Bitset.subsets_of_size n ~size) in
     let n_subsets = Array.length subsets in
     let results : subset_result option array = Array.make n_subsets None in
-    let compute ~worker ~ticks s =
-      let considered = ref 0 and generated = ref 0 and rejected = ref 0 in
-      let best_plans = covers.(worker) in
-      Cover.clear best_plans;
-      let tick () =
-        incr ticks;
-        if !ticks >= tick_grain then begin
-          Budget.tick tracker !ticks;
-          ticks := 0
-        end
-      in
-      let consider e =
-        incr generated;
-        tick ();
-        if admissible e then cover_add best_plans e
-      in
-      (* a candidate over the cap, and its materialized twin (same work) *)
-      let reject () =
-        incr generated;
-        incr rejected;
-        tick ();
-        if twins then begin
-          incr generated;
-          incr rejected;
-          tick ()
-        end
-      in
-      (* every annotated join of the memo plans of [s_j] with the access
-         plans of [j], in [Space.combine_candidates] order: per memo plan,
-         access plan, method and clone degree, the pipelined join, then
-         its materialized twin *)
-      let join_all ~joined s_j j =
-        let mask = Bitset.to_int s_j in
-        let off = memo_off.(mask) and len = memo_len.(mask) in
-        considered := !considered + len;
-        let methods = if joined then methods_joined else methods_cartesian in
-        let accs = access_evals.(j) in
-        (* the candidate joining [p] and [a] with method [mi] and clone
-           degree [ki], and its twin; the classes index the bound's
-           terms *)
-        let price =
-          if plan_cache then begin
-            let scratch = scratches.(worker) in
-            let ctx =
-              Cm.join_context env ~outer:s_j ~inner:(Bitset.singleton j)
-            in
-            fun p ~outer_class a ~inner_class ~mi ~ki ->
-              let slot = (mi * n_clones) + ki in
-              if
-                bounded
-                && Cm.class_rejects scratch ~outer:p ~outer_class ~inner_class
-                     ~slot
-              then reject ()
-              else begin
-                (match
-                   Cm.price_join ~scratch ~limit env ctx ~method_:methods.(mi)
-                     ~clone:clones.(ki) ~outer:p ~inner:a
-                 with
-                | Some e ->
-                  consider e;
-                  if twins then consider (Cm.materialized_twin e)
-                | None -> reject ());
-                if bounded then
-                  Cm.record_class_terms scratch ~outer_class ~inner_class ~slot
-              end
-          end
-          else fun p ~outer_class:_ a ~inner_class:_ ~mi ~ki ->
-            let evaluate materialize =
-              consider
-                (Cm.evaluate env
-                   (Parqo_plan.Join_tree.join ~clone:clones.(ki) ~materialize
-                      methods.(mi) ~outer:p.Cm.tree ~inner:a.Cm.tree))
-            in
-            evaluate false;
-            if twins then evaluate true
-        in
-        let plan_class =
-          if not (bounded && plan_cache) then Array.make len 0
-          else begin
-            let cls, n_classes = classify ~off ~len in
-            Cm.reset_classes scratches.(worker) ~limit ~outer_classes:n_classes
-              ~inner_classes:(Array.length accs)
-              ~slots:(Array.length methods * n_clones);
-            cls
-          end
-        in
-        for i = 0 to len - 1 do
-          let p = memo.buf.(off + i) in
-          let outer_class = plan_class.(i) in
-          for inner_class = 0 to Array.length accs - 1 do
-            let a = accs.(inner_class) in
-            for mi = 0 to Array.length methods - 1 do
-              for ki = 0 to n_clones - 1 do
-                price p ~outer_class a ~inner_class ~mi ~ki
-              done
-            done
-          done
-        done
-      in
-      let extend ~require_connection =
-        Bitset.iter
-          (fun j ->
-            let s_j = Bitset.remove j s in
-            let joined = Space.connects env s_j (Bitset.singleton j) in
-            if (not require_connection) || joined then join_all ~joined s_j j)
-          s
-      in
-      extend ~require_connection:true;
-      if Cover.size best_plans = 0 then extend ~require_connection:false;
-      let cover_pre = Cover.size best_plans in
-      apply_beam best_plans;
-      (* the kept plans enter the memo: only they get node ids *)
-      let arena = arenas.(worker) in
-      let start = arena.len in
-      let enter = if plan_cache then Cm.numbered else Fun.id in
-      Cover.iter_newest_first
-        (fun e -> arena_push arena (enter e))
-        best_plans;
-      {
-        worker;
-        start;
-        len = arena.len - start;
-        considered = !considered;
-        generated = !generated;
-        rejected = !rejected;
-        cover_pre;
-      }
+    (* per subset, summed over its partial covers when it is finished and
+       added to the stats in mask order — the merge, not the scheduling,
+       decides accumulation order *)
+    let considered = Array.make n_subsets 0
+    and generated = Array.make n_subsets 0
+    and rejected = Array.make n_subsets 0 in
+    (* Budget: a subset starts only if the budget is not exhausted when a
+       worker first touches it — one atomic decision, so racing workers
+       agree — and a started subset is completed, fallback included. *)
+    let state = Array.init n_subsets (fun _ -> Atomic.make undecided) in
+    let decide i =
+      let st = state.(i) in
+      if Atomic.get st = undecided then
+        ignore
+          (Atomic.compare_and_set st undecided
+             (if Budget.exhausted tracker then skipped else started));
+      Atomic.get st = started
     in
-    (* One budget check (a clock read under time caps) per claimed chunk,
-       not per subset: an exhausted budget skips the chunk whole, leaving
-       its result slots empty — same semantics as the per-subset check at
-       a coarser cancellation granularity. *)
-    let used_domains =
-      Domain_pool.run_ranged pool ~tasks:n_subsets
-        (fun ~worker ~lo ~hi ->
-          if not (Budget.exhausted tracker) then begin
-            let ticks = ref 0 in
-            for i = lo to hi - 1 do
-              results.(i) <- Some (compute ~worker ~ticks subsets.(i))
+    (* each subset's extensions in [Bitset.iter] order: (relation,
+       connected, memo plans of the outer side) *)
+    let extensions =
+      Array.map
+        (fun s ->
+          let acc = ref [] in
+          Bitset.iter
+            (fun j ->
+              let s_j = Bitset.remove j s in
+              acc :=
+                ( j,
+                  Space.connects env s_j (Bitset.singleton j),
+                  memo_len.(Bitset.to_int s_j) )
+                :: !acc)
+            s;
+          List.rev !acc)
+        subsets
+    in
+    (* [all.(i)]: subset [i] prices every extension, cartesian ones
+       included — at once when no connected extension has a candidate,
+       else in a second pass when the connected candidates leave its
+       cover empty *)
+    let all =
+      Array.map
+        (List.for_all (fun (_, joined, len) -> (not joined) || len = 0))
+        extensions
+    in
+    let used_domains = ref 1 in
+    (* [again.(i)]: subset [i]'s connected candidates left its cover
+       empty, so it runs the cartesian fallback in a second pass *)
+    let again = Array.make n_subsets false in
+    (* Finish subset [i] from its partial covers: fold them in tag order
+       (a lone one is taken as is), then the fallback check, the beam and
+       the numbering.  The kept plans go to the finishing lane's arena;
+       the candidates are let go. *)
+    let finish ~worker i parts =
+      List.iter
+        (fun p ->
+          considered.(i) <- considered.(i) + p.considered;
+          generated.(i) <- generated.(i) + p.generated;
+          rejected.(i) <- rejected.(i) + p.rejected)
+        parts;
+      let lane = lanes.(worker) in
+      let cover =
+        match parts with
+        | [ p ] -> p.cover
+        | parts ->
+          Cover.clear lane.merged;
+          Cover.merge ~into:lane.merged (List.map (fun p -> p.cover) parts);
+          lane.merged
+      in
+      if Cover.size cover = 0 && not all.(i) then again.(i) <- true
+      else begin
+        let cover_pre = Cover.size cover in
+        apply_beam cover;
+        (* the kept plans enter the memo: only they get node ids *)
+        let arena = lane.arena in
+        let start = arena.len in
+        Cover.iter_newest_first (fun e -> arena_push arena (enter e)) cover;
+        results.(i) <-
+          Some { worker; start; len = arena.len - start; cover_pre };
+        Cover.clear cover
+      end;
+      List.iter
+        (fun p ->
+          Cover.clear p.cover;
+          Atomic.set p.free true)
+        parts
+    in
+    let pass ids =
+      (* the pass's unit table: its extensions with candidates, in
+         candidate order, and each one's first unit (strictly ascending) *)
+      let table = ref [] and firsts = ref [] and n_units = ref 0 in
+      let units = Array.make n_subsets 0 in
+      Array.iter
+        (fun i ->
+          List.iter
+            (fun (j, joined, len) ->
+              if (all.(i) || joined) && len > 0 then begin
+                table := (i, j, joined) :: !table;
+                firsts := !n_units :: !firsts;
+                n_units := !n_units + len;
+                units.(i) <- units.(i) + len
+              end)
+            extensions.(i))
+        ids;
+      let table = Array.of_list (List.rev !table) in
+      let n_ext = Array.length table in
+      (* [first.(x)]: extension [x]'s first unit; [first.(n_ext)]: the
+         pass's unit count *)
+      let first = Array.of_list (List.rev (!n_units :: !firsts)) in
+      (* the extension holding unit [u] *)
+      let rec find u lo hi =
+        if hi - lo <= 1 then lo
+        else
+          let mid = (lo + hi) / 2 in
+          if first.(mid) <= u then find u mid hi else find u lo mid
+      in
+      (* a started subset's units not yet priced: the lane that prices
+         the last of them finishes the subset, and then no lane touches
+         its partial covers any more *)
+      let remaining = Array.map Atomic.make units in
+      (* each lane's partial cover of each subset, by (subset, lane) *)
+      let slots = Array.make (n_subsets * width) no_part in
+      let parts_of i =
+        let acc = ref [] in
+        for w = width - 1 downto 0 do
+          let p = slots.((i * width) + w) in
+          if p != no_part then acc := p :: !acc
+        done;
+        !acc
+      in
+      (* the lane's partial cover of subset [i]: a lane reaches subsets
+         in ascending order, so it is the newest part, or a free one *)
+      let part_for ~worker lane i =
+        if lane.part.subset = i then lane.part
+        else begin
+          let rec find_free k =
+            if k = lane.n_parts then begin
+              if k = Array.length lane.parts then
+                lane.parts <-
+                  Array.append lane.parts
+                    (Array.init (max 1 k) (fun _ -> new_part ()));
+              lane.n_parts <- k + 1;
+              lane.parts.(k)
+            end
+            else if Atomic.get lane.parts.(k).free then lane.parts.(k)
+            else find_free (k + 1)
+          in
+          let p = find_free 0 in
+          Atomic.set p.free false;
+          p.subset <- i;
+          p.considered <- 0;
+          p.generated <- 0;
+          p.rejected <- 0;
+          slots.((i * width) + worker) <- p;
+          lane.part <- p;
+          p
+        end
+      in
+      Array.iter
+        (fun lane ->
+          lane.part <- no_part;
+          lane.ext <- -1)
+        lanes;
+      let claimed ~worker ~lo ~hi =
+        let lane = lanes.(worker) in
+        let u = ref lo and x = ref (find lo 0 n_ext) in
+        while !u < hi do
+          let i, j, joined = table.(!x) and f = first.(!x) in
+          let stop = min hi first.(!x + 1) in
+          if decide i then begin
+            if lane.ext <> !x then begin
+              load ~worker lane subsets.(i) j ~joined;
+              lane.ext <- !x
+            end;
+            let part = part_for ~worker lane i in
+            for unit = !u to stop - 1 do
+              part.considered <- part.considered + 1;
+              lane.tag <- unit;
+              lane.price_plan (unit - f)
             done;
-            if !ticks > 0 then Budget.tick tracker !ticks
-          end)
+            let n = stop - !u in
+            if Atomic.fetch_and_add remaining.(i) (-n) = n then
+              finish ~worker i (parts_of i)
+          end;
+          u := stop;
+          incr x
+        done;
+        if lane.ticks > 0 then begin
+          Budget.tick tracker lane.ticks;
+          lane.ticks <- 0
+        end
+      in
+      (* A claim takes the rest of its subset while more subsets remain
+         than lanes, and the pool's shrinking ranges otherwise: a subset
+         split across lanes keeps a partial cover per lane alive until it
+         is finished, which costs memory, so only the last [width]
+         subsets — the top level's one among them — are split, to keep
+         every lane busy. *)
+      let sub_end = Array.make n_subsets 0 and after = Array.make n_subsets 0 in
+      let n_after = ref 0 in
+      for x = n_ext - 1 downto 0 do
+        let i, _, _ = table.(x) in
+        if sub_end.(i) = 0 then begin
+          sub_end.(i) <- first.(x + 1);
+          after.(i) <- !n_after;
+          incr n_after
+        end
+      done;
+      let chunk ~pos ~default =
+        let i, _, _ = table.(find pos 0 n_ext) in
+        if after.(i) >= width then sub_end.(i) - pos else default
+      in
+      let ran =
+        Domain_pool.run_ranged ~chunk pool ~tasks:first.(n_ext) claimed
+      in
+      if ran > !used_domains then used_domains := ran;
+      (* a subset without units is decided, and finished, at the barrier *)
+      Array.iter
+        (fun i -> if units.(i) = 0 && decide i then finish ~worker:0 i [])
+        ids
     in
+    pass (Array.init n_subsets Fun.id);
+    let fallback =
+      List.filter (fun i -> again.(i)) (List.init n_subsets Fun.id)
+    in
+    if fallback <> [] then begin
+      List.iter (fun i -> all.(i) <- true) fallback;
+      pass (Array.of_list fallback)
+    end;
     let cover_max = ref 0 in
     Array.iteri
       (fun i r ->
         match r with
         | None -> gave_up := true
         | Some r ->
-          Search_stats.considered stats r.considered;
-          Search_stats.generated stats r.generated;
-          Search_stats.rejected stats r.rejected;
+          Search_stats.considered stats considered.(i);
+          Search_stats.generated stats generated.(i);
+          Search_stats.rejected stats rejected.(i);
           Search_stats.observe_cover stats r.cover_pre;
           if r.cover_pre > !cover_max then cover_max := r.cover_pre;
           level_sizes.(size) <- level_sizes.(size) + r.len;
           let mask = Bitset.to_int subsets.(i) in
           memo_off.(mask) <- memo.len;
           memo_len.(mask) <- r.len;
-          let src = arenas.(r.worker) in
+          let src = lanes.(r.worker).arena in
           if r.len > 0 then begin
             arena_room memo r.len src.buf.(r.start);
             Array.blit src.buf r.start memo.buf memo.len r.len;
@@ -384,10 +628,11 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
           end)
       results;
     (* worker arenas are consumed; recycle them for the next level *)
-    Array.iter (fun a -> a.len <- 0) arenas;
+    Array.iter (fun lane -> lane.arena.len <- 0) lanes;
     Search_stats.observe_stored stats level_sizes.(size);
-    finish_level ~level:size ~subsets:n_subsets ~cover_max:!cover_max
-      ~used_domains
+    finish_level ~level:size ~subsets:n_subsets
+      ~generated:(Array.fold_left ( + ) 0 generated)
+      ~cover_max:!cover_max ~used_domains:!used_domains
   done;
   Search_stats.observe_pool stats
     (Domain_pool.diff_stats pool_stats0 (Domain_pool.stats pool));

@@ -8,12 +8,22 @@
     fact cut[s] down the search space" (§6.4).
 
     The level loop is domain-parallel: a size-[k] subset's cover depends
-    only on size-[k-1] memo entries, so each level's subsets are
-    partitioned across a domain pool (levels are barriers) and the
-    per-subset covers are merged back in increasing mask order.  Exact
-    rank ties in beam pruning and final selection are broken by a stable
-    plan key, so the [domains > 1] result is bit-identical to the
-    sequential one. *)
+    only on size-[k-1] memo entries, so a level's candidates are
+    independent and levels are barriers.  The unit of parallel work is
+    one memo plan of one extension of one subset; a level's units, in
+    the sequential candidate order (subsets in mask order, extensions in
+    [Bitset.iter] order, memo plans in memo order), are claimed in
+    ranges across a domain pool — a subset at a time while more subsets
+    remain than the pool has lanes, finer after that — so even a
+    one-subset level, the costliest level of every small query, runs on
+    every core.  Each
+    worker folds its candidates into one partial cover per subset it
+    reaches, tagged by unit; a subset's partial covers are folded in tag
+    order ({!Cover.merge}), which yields the sequential cover, element
+    order included; and the finished covers enter the memo in
+    increasing mask order.  Exact rank ties in beam pruning and final
+    selection are broken by a stable plan key, so the [domains > 1]
+    result is bit-identical to the sequential one. *)
 
 type result = {
   best : Parqo_cost.Costmodel.eval option;
@@ -54,12 +64,15 @@ val optimize :
     supplies a persistent pool instead — the pool is reused as-is
     (workers stay parked between searches, [domains] is ignored) and the
     caller keeps ownership; without it a pool is created and shut down
-    around this search.  With an unlimited budget the result is
-    bit-identical for every [domains] value and pool width; under a
-    budget workers flush expansion ticks in batches and check exhaustion
-    once per claimed chunk, so the cap binds globally but which subsets
-    get skipped near exhaustion may differ (an exhausted budget reports
-    [gave_up] in every case).
+    around this search.  Every width runs the same loop.  With an
+    unlimited budget the result is bit-identical for every [domains]
+    value and pool width.  Under a budget, workers flush expansion ticks
+    in batches, and a subset starts only if the budget is not exhausted
+    when a worker first touches it — one decision per subset, however
+    many workers reach it — and a started subset is completed, its
+    cartesian fallback included.  The cap binds globally, but which
+    subsets get skipped near exhaustion may differ between widths (an
+    exhausted budget reports [gave_up] in every case).
 
     [plan_cache] (default on) prices candidates incrementally from the
     evaluations the search already holds — the memoized outer plan and

@@ -1,6 +1,7 @@
 type level = {
   level : int;
   subsets : int;
+  generated : int;
   stored : int;
   cover_max : int;
   wall_ms : float;
@@ -63,5 +64,6 @@ let pp ppf t =
 
 let pp_level ppf l =
   Format.fprintf ppf
-    "level=%d subsets=%d stored=%d cover-max=%d wall=%.2fms domains=%d"
-    l.level l.subsets l.stored l.cover_max l.wall_ms l.domains
+    "level=%d subsets=%d generated=%d stored=%d cover-max=%d wall=%.2fms \
+     domains=%d"
+    l.level l.subsets l.generated l.stored l.cover_max l.wall_ms l.domains

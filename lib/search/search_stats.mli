@@ -11,6 +11,9 @@
 type level = {
   level : int;  (** subset cardinality (1 = access plans) *)
   subsets : int;  (** subsets processed at this level *)
+  generated : int;
+      (** candidates generated at this level, rejected ones included —
+          the expansions it charged to the search budget *)
   stored : int;  (** plans stored across the level's cover sets *)
   cover_max : int;  (** largest (pre-beam) cover set at this level *)
   wall_ms : float;  (** wall-clock time spent on the level *)

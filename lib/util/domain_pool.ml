@@ -48,6 +48,7 @@ type t = {
   (* region state, guarded by [m] except where noted *)
   mutable epoch : int;
   mutable job : (worker:int -> lo:int -> hi:int -> unit) option;
+  mutable chunk : pos:int -> default:int -> int;  (* the region's claim size *)
   mutable tasks : int;
   mutable active : int;  (* workers still inside the current epoch *)
   mutable failure : exn option;  (* first worker exception of the epoch *)
@@ -62,17 +63,20 @@ type t = {
 }
 
 let chunk_size ~width ~tasks ~pos = max 1 ((tasks - pos) / (8 * width))
+let default_chunk ~pos:_ ~default = default
 
 (* Claim and run chunks until the cursor passes [tasks] or a failure
    aborts the region.  Exceptions from [job] are recorded (first wins)
    and abort the region; the claim loop itself never raises. *)
-let claim_loop t ~worker ~tasks job =
+let claim_loop t ~worker ~tasks ~chunk job =
   let claimed = ref false in
   let rec go () =
     if not (Atomic.get t.abort) then begin
       let pos = Atomic.get t.next in
       if pos < tasks then begin
-        let chunk = chunk_size ~width:t.width ~tasks ~pos in
+        let chunk =
+          max 1 (chunk ~pos ~default:(chunk_size ~width:t.width ~tasks ~pos))
+        in
         let lo = Atomic.fetch_and_add t.next chunk in
         if lo < tasks then begin
           let hi = min tasks (lo + chunk) in
@@ -107,9 +111,9 @@ let worker_main t worker =
     end
     else begin
       last := t.epoch;
-      let job = Option.get t.job and tasks = t.tasks in
+      let job = Option.get t.job and tasks = t.tasks and chunk = t.chunk in
       Mutex.unlock t.m;
-      claim_loop t ~worker ~tasks job;
+      claim_loop t ~worker ~tasks ~chunk job;
       Mutex.lock t.m;
       t.active <- t.active - 1;
       t.n_parks <- t.n_parks + 1;
@@ -134,6 +138,7 @@ let create ?(oversubscribe = false) ~domains () =
       work_done = Condition.create ();
       epoch = 0;
       job = None;
+      chunk = default_chunk;
       tasks = 0;
       active = 0;
       failure = None;
@@ -185,23 +190,25 @@ let shutdown t =
   Mutex.unlock t.m;
   Array.iter Domain.join workers
 
-(* The sequential path still iterates in chunks so callers that poll a
-   budget per chunk (Podp) keep the same cancellation granularity with
-   and without workers. *)
-let run_sequential t ~tasks job =
+(* The sequential path still iterates in chunks, sized as with
+   workers, so a caller sees the same kind of claims at every width. *)
+let run_sequential t ~tasks ~chunk job =
   t.n_sequential_runs <- t.n_sequential_runs + 1;
   let pos = ref 0 in
   while !pos < tasks do
-    let hi = min tasks (!pos + chunk_size ~width:1 ~tasks ~pos:!pos) in
+    let size =
+      chunk ~pos:!pos ~default:(chunk_size ~width:1 ~tasks ~pos:!pos)
+    in
+    let hi = min tasks (!pos + max 1 size) in
     job ~worker:0 ~lo:!pos ~hi;
     pos := hi
   done;
   min tasks 1
 
-let run_ranged t ~tasks job =
+let run_ranged ?(chunk = default_chunk) t ~tasks job =
   if tasks < 0 then invalid_arg "Domain_pool.run_ranged: tasks < 0";
   if t.stopping then invalid_arg "Domain_pool.run_ranged: pool is shut down";
-  if t.width = 1 || tasks <= 1 then run_sequential t ~tasks job
+  if t.width = 1 || tasks <= 1 then run_sequential t ~tasks ~chunk job
   else begin
     Mutex.lock t.m;
     if t.active <> 0 || t.job <> None then begin
@@ -212,6 +219,7 @@ let run_ranged t ~tasks job =
     Atomic.set t.abort false;
     Array.fill t.participated 0 t.width false;
     t.job <- Some job;
+    t.chunk <- chunk;
     t.tasks <- tasks;
     t.failure <- None;
     t.active <- Array.length t.workers;
@@ -220,12 +228,13 @@ let run_ranged t ~tasks job =
     Condition.broadcast t.work_ready;
     Mutex.unlock t.m;
     (* the calling domain participates as worker 0 *)
-    claim_loop t ~worker:0 ~tasks job;
+    claim_loop t ~worker:0 ~tasks ~chunk job;
     Mutex.lock t.m;
     while t.active > 0 do
       Condition.wait t.work_done t.m
     done;
     t.job <- None;
+    t.chunk <- default_chunk;
     let failure = t.failure in
     t.failure <- None;
     let participants =

@@ -13,7 +13,7 @@
     Workers claim contiguous index ranges ("chunks") with one
     fetch-and-add per chunk; the chunk size adapts as
     [max 1 (remaining / (8 × width))] so claims start coarse and shrink
-    toward the tail.  The caller stores each task's output in a per-index
+    toward the tail, unless the caller sizes the chunks itself.  The caller stores each task's output in a per-index
     slot and merges the slots in index order afterwards, which makes the
     overall result independent of the scheduling.
 
@@ -52,15 +52,27 @@ val requested : t -> int
 val width : t -> int
 (** Effective parallel width: 1 (the calling domain) + spawned workers. *)
 
-val run_ranged : t -> tasks:int -> (worker:int -> lo:int -> hi:int -> unit) -> int
+val run_ranged :
+  ?chunk:(pos:int -> default:int -> int) ->
+  t ->
+  tasks:int ->
+  (worker:int -> lo:int -> hi:int -> unit) ->
+  int
 (** [run_ranged t ~tasks job] executes [job] over chunked ranges covering
     [0 .. tasks - 1], each index in exactly one chunk, and returns when
-    all are done (a barrier).  [job ~worker ~lo ~hi] must process indices
-    [lo .. hi - 1]; [worker] identifies the executing lane
-    ([0 .. width t - 1], 0 being the calling domain) and is stable within
-    a region — per-lane accumulators can be indexed by it.  Chunk
-    boundaries are the natural place for cooperative cancellation checks
-    (a budget's clock read per chunk, not per task).
+    all are done (a barrier).  [chunk ~pos ~default] sizes the chunk
+    claimed at [pos] (at least one index); [default], what it returns
+    unless given, is the adaptive size above.  A caller whose indices
+    come in groups can return the distance to a group's end, so that a
+    chunk holds whole groups; under contention a chunk can still start
+    after [pos], so this keeps groups together mostly, not always.
+
+    [job ~worker ~lo ~hi] must process indices [lo .. hi - 1]; [worker]
+    identifies the executing lane ([0 .. width t - 1], 0 being the
+    calling domain) and is stable within a region — per-lane
+    accumulators can be indexed by it.  Chunk boundaries are the natural
+    place for cooperative cancellation checks (a budget's clock read per
+    chunk, not per task).
 
     Returns the number of lanes that executed at least one chunk — what
     actually ran, as opposed to the pool's width.  With [width t = 1] or

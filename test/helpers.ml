@@ -97,6 +97,12 @@ let with_forced_pool k f =
   with_watchdog (fun () ->
       Parqo.Domain_pool.with_pool ~oversubscribe:true ~domains:k f)
 
+(* The pool as [serve] creates it: [~domains:k] clamped to the machine's
+   cores, so the suite also runs the width production uses — under the
+   same watchdog. *)
+let with_clamped_pool k f =
+  with_watchdog (fun () -> Parqo.Domain_pool.with_pool ~domains:k f)
+
 (* Field-by-field identity of two evaluations, every float compared
    through its bit pattern: "close enough" would hide a divergence that
    compounds over DP levels.  Operator-tree ids are compared too, so a

@@ -295,6 +295,76 @@ let flat_clear_resets () =
       (List.map fst (C.elements flat))
   done
 
+(* ------------------------------------------------------------------ *)
+(* The merge lemma (MODEL.md §12): split a candidate sequence among k
+   workers at random, let each fold its own positions in order into a
+   cover tagged by position, then merge the partial covers in tag order.
+   The result is the cover of the whole sequence, element for element.
+   Coordinates come from a small grid, so exact ties and equivalent
+   elements occur; on a quarter of the rounds some are NaN, which
+   compares false both ways.  The refinement mirrors
+   [Ordering.subsumes]: [a] may dominate [b] only if [b]'s ordering is a
+   prefix of [a]'s, a transitive relation. *)
+
+type tagged = { id : int; dims : float array; ord : int list }
+
+let rec is_prefix p o =
+  match (p, o) with
+  | [], _ -> true
+  | x :: p, y :: o -> x = y && is_prefix p o
+  | _ :: _, [] -> false
+
+let random_tagged rng ~id ~l ~range ~nan_share =
+  let coord () =
+    if Parqo.Rng.float rng 1. < nan_share then nan
+    else float_of_int (Parqo.Rng.int rng range)
+  in
+  {
+    id;
+    dims = Array.init l (fun _ -> coord ());
+    ord = List.init (Parqo.Rng.int rng 3) (fun _ -> Parqo.Rng.int rng 2);
+  }
+
+let add_at cover ~pos x =
+  Array.blit x.dims 0 (C.scratch cover) 0 (Array.length x.dims);
+  ignore (C.add_tagged cover ~tag:pos x)
+
+let merge_lemma () =
+  let rng = Parqo.Rng.create 44 in
+  List.iter
+    (fun (l, range, refined) ->
+      let refines =
+        if refined then Some (fun a b -> is_prefix b.ord a.ord) else None
+      in
+      let create () = C.create ~n_dims:l ?refines () in
+      for round = 1 to 60 do
+        let m = 1 + Parqo.Rng.int rng 80 in
+        let nan_share = if round mod 4 = 0 then 0.15 else 0. in
+        let seq =
+          Array.init m (fun id -> random_tagged rng ~id ~l ~range ~nan_share)
+        in
+        let whole = create () in
+        Array.iteri (fun pos x -> add_at whole ~pos x) seq;
+        let k = 1 + Parqo.Rng.int rng 8 in
+        let owner = Array.init m (fun _ -> Parqo.Rng.int rng k) in
+        let parts =
+          List.init k (fun w ->
+              let part = create () in
+              Array.iteri
+                (fun pos x -> if owner.(pos) = w then add_at part ~pos x)
+                seq;
+              part)
+        in
+        let merged = create () in
+        C.merge ~into:merged parts;
+        Alcotest.(check (list int))
+          (Printf.sprintf "l=%d refined=%b round %d (%d elements, %d parts)" l
+             refined round m k)
+          (List.map (fun x -> x.id) (C.elements whole))
+          (List.map (fun x -> x.id) (C.elements merged))
+      done)
+    [ (1, 4, false); (2, 4, false); (3, 3, false); (2, 4, true); (3, 3, true) ]
+
 let suite =
   ( "cover",
     [
@@ -309,4 +379,5 @@ let suite =
       t "flat cover matches list oracle" flat_matches_list_oracle;
       t "trim matches stable-sort oracle" trim_matches_sort_oracle;
       t "flat clear resets" flat_clear_resets;
+      t "merge lemma: tag-order merge = sequential fold" merge_lemma;
     ] )

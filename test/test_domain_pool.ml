@@ -151,6 +151,37 @@ let participants_bounded () =
           (used >= 1 && used <= Pool.width pool)
       done)
 
+(* [run_ranged ~chunk]: claims sized by the caller still cover every
+   index exactly once, and where no other lane races for the cursor —
+   the sequential path — each claim ends where the hook says, here on
+   multiples of 7 *)
+let chunk_hook () =
+  let tasks = 100 in
+  let chunk ~pos ~default:_ = min tasks (((pos / 7) + 1) * 7) - pos in
+  Helpers.with_forced_pool 3 (fun pool ->
+      let counts = Array.init tasks (fun _ -> Atomic.make 0) in
+      ignore
+        (Pool.run_ranged ~chunk pool ~tasks (fun ~worker:_ ~lo ~hi ->
+             for i = lo to hi - 1 do
+               Atomic.incr counts.(i)
+             done));
+      Array.iteri
+        (fun i c ->
+          Alcotest.(check int)
+            (Printf.sprintf "index %d runs once" i)
+            1 (Atomic.get c))
+        counts);
+  Helpers.with_watchdog (fun () ->
+      Pool.with_pool ~domains:1 (fun pool ->
+          let claims = ref [] in
+          ignore
+            (Pool.run_ranged ~chunk pool ~tasks (fun ~worker:_ ~lo ~hi ->
+                 claims := (lo, hi) :: !claims));
+          Alcotest.(check (list (pair int int)))
+            "sequential claims are the groups"
+            (List.init 15 (fun g -> (7 * g, min tasks ((7 * g) + 7))))
+            (List.rev !claims)))
+
 let suite =
   ( "domain_pool",
     [
@@ -161,4 +192,5 @@ let suite =
       t "with_pool shuts down on raise" with_pool_bracket;
       t "clamping and sequential fast path" clamps_and_fast_paths;
       t "participants bounded by width" participants_bounded;
+      t "caller-sized chunks" chunk_hook;
     ] )

@@ -216,11 +216,17 @@ let parallel_matches_sequential () =
     let metric = metric_for env in
     let seq = Podp.optimize ~config ~metric env in
     List.iter
-      (fun k ->
-        Helpers.with_forced_pool k (fun pool ->
+      (fun (with_pool, k, name) ->
+        with_pool k (fun pool ->
             let par = Podp.optimize ~config ~metric ~pool env in
-            check_identical (Printf.sprintf "domains=%d" k) seq par))
-      [ 2; 3; 8 ]
+            check_identical (Printf.sprintf "%s domains=%d" name k) seq par))
+      [
+        (Helpers.with_forced_pool, 2, "forced");
+        (Helpers.with_forced_pool, 3, "forced");
+        (Helpers.with_forced_pool, 8, "forced");
+        (* the clamped pool serve runs on *)
+        (Helpers.with_clamped_pool, 8, "clamped");
+      ]
   done
 
 (* the beam path exercises the rank tie-break in Cover.trim; the pruned
@@ -305,8 +311,8 @@ let gave_up_consistent_across_domains () =
     [ Parqo.Budget.expansions 1; Parqo.Budget.expansions 40 ]
 
 (* level stats report what actually ran: never more lanes than the pool
-   has, and exactly one lane for one-subset levels (the pool fast-paths
-   them to the calling domain) *)
+   has, and more than one lane on chain-5's top level, a single subset
+   whose candidates are split across the pool *)
 let used_domains_honest () =
   let env = env_of G.Chain 5 in
   let metric = metric_for env in
@@ -318,12 +324,14 @@ let used_domains_honest () =
           Alcotest.(check bool)
             (Printf.sprintf "level %d: 1 <= domains <= width" l.Stats.level)
             true
-            (l.Stats.domains >= 1 && l.Stats.domains <= 3);
-          if l.Stats.subsets <= 1 then
-            Alcotest.(check int)
-              (Printf.sprintf "level %d fast-paths sequentially" l.Stats.level)
-              1 l.Stats.domains)
-        levels);
+            (l.Stats.domains >= 1 && l.Stats.domains <= 3))
+        levels;
+      let top = List.nth levels 4 in
+      Alcotest.(check int) "top level is one subset" 1 top.Stats.subsets;
+      Alcotest.(check bool)
+        (Printf.sprintf "top level ran on %d domains, more than one"
+           top.Stats.domains)
+        true (top.Stats.domains > 1));
   (* sequential search: every level reports exactly one domain *)
   let seq = Podp.optimize ~metric env in
   List.iter
@@ -355,15 +363,215 @@ let level_stats_in_order () =
   Alcotest.(check (list int)) "subset counts are C(5,k)" [ 5; 10; 10; 5; 1 ]
     (List.map (fun (l : Stats.level) -> l.Stats.subsets) levels)
 
+(* ------------------------------------------------------------------ *)
+(* The level loop against its reference (test/podp_reference.ml), in
+   which one worker computes each subset whole.  [Podp] splits a
+   subset's candidates across workers and merges their partial covers
+   in tag order; at every width its result must be the reference's, bit
+   for bit, counters included. *)
+
+type case = {
+  label : string;
+  env : Parqo.Env.t;
+  config : S.config;
+  metric : Mt.t;
+  work_cap : float option;
+  max_cover : int option;
+  plan_cache : bool;
+}
+
+let with_order_by (q : Parqo.Query.t) =
+  match q.Parqo.Query.joins with
+  | [] -> q
+  | p :: _ ->
+    Parqo.Query.create
+      ~relations:(Array.to_list q.Parqo.Query.relations)
+      ~joins:q.Parqo.Query.joins ~selections:q.Parqo.Query.selections
+      ~order_by:[ p.Parqo.Query.left ] ()
+
+(* two of each: chain, star, cycle, clique and random queries of 2 to 6
+   relations;
+   the work cap is off, the one [Optimizer] derives, or tight enough to
+   empty covers and force the cartesian fallback; the beam, ORDER BY,
+   incremental pricing and twins vary.  Large uncapped spaces take the
+   cheapest annotation space so the property stays quick. *)
+let reference_cases () =
+  let rng = Parqo.Rng.create 51 in
+  let pick k = Parqo.Rng.int rng k in
+  List.concat_map
+    (fun n ->
+      List.map
+        (fun shape ->
+          let (catalog, query), name =
+            match shape with
+            | Some s -> (G.generate (G.default_spec s n), G.shape_to_string s)
+            | None -> (G.random rng ~n (), "random")
+          in
+          let order_by = Parqo.Rng.bool rng in
+          let query = if order_by then with_order_by query else query in
+          let machine = Parqo.Machine.shared_nothing ~nodes:4 () in
+          let env = Parqo.Env.create ~machine ~catalog ~query () in
+          let small = n <= 4 in
+          let config =
+            match pick (if small then 3 else 2) with
+            | 0 -> S.default_config
+            | 1 -> { S.default_config with S.materialize_choices = true }
+            | _ -> S.parallel_config machine
+          in
+          let max_cover =
+            if small || (n = 5 && shape <> Some G.Clique && pick 2 = 0) then
+              (if pick 2 = 0 then None else Some (1 + pick 4))
+            else Some (2 + pick 3)
+          in
+          let work_opt = (Dp.optimize ~config env).Dp.best in
+          let work_cap, cap_name =
+            match (pick 3, work_opt) with
+            | 1, Some wo ->
+              ( Parqo.Bounds.partial_work_cap
+                  (Parqo.Bounds.Throughput_degradation 2.)
+                  ~work_opt:wo.Cm.work ~rt_opt:wo.Cm.response_time,
+                "capped" )
+            | 2, Some wo -> (Some (0.6 *. wo.Cm.work), "tight cap")
+            | _ -> (None, "uncapped")
+          in
+          let plan_cache = Parqo.Rng.bool rng in
+          let label =
+            Printf.sprintf "%s-%d %s%s%s%s%s%s" name n cap_name
+              (match max_cover with
+              | None -> ""
+              | Some k -> Printf.sprintf ", beam %d" k)
+              (if order_by then ", order by" else "")
+              (if config.S.materialize_choices then ", twins" else "")
+              (if config.S.clone_degrees = [ 1 ] then "" else ", clones")
+              (if plan_cache then "" else ", from scratch")
+          in
+          let metric =
+            Mt.with_ordering (Mt.descriptor machine Parqo.Machine.Single)
+          in
+          { label; env; config; metric; work_cap; max_cover; plan_cache })
+        [ Some G.Chain; Some G.Star; Some G.Cycle; Some G.Clique; None ])
+    [ 2; 3; 4; 5; 6; 2; 3; 4; 5; 6 ]
+
+let run_case ?pool c =
+  Podp.optimize ~config:c.config ~metric:c.metric ?work_cap:c.work_cap
+    ?max_cover:c.max_cover ~plan_cache:c.plan_cache ?pool c.env
+
+let check_same msg (a : Podp.result) (b : Podp.result) =
+  (match (a.Podp.best, b.Podp.best) with
+  | Some x, Some y -> Helpers.check_eval_identical (msg ^ ": best") x y
+  | None, None -> ()
+  | _ -> Alcotest.failf "%s: one run found a plan, the other did not" msg);
+  Alcotest.(check int)
+    (msg ^ ": cover size")
+    (List.length a.Podp.cover) (List.length b.Podp.cover);
+  List.iter2
+    (Helpers.check_eval_identical (msg ^ ": cover entry"))
+    a.Podp.cover b.Podp.cover;
+  Alcotest.(check (list int))
+    (msg ^ ": level sizes")
+    (Array.to_list a.Podp.level_sizes)
+    (Array.to_list b.Podp.level_sizes);
+  let sa = a.Podp.stats and sb = b.Podp.stats in
+  List.iter
+    (fun (name, f) -> Alcotest.(check int) (msg ^ ": " ^ name) (f sa) (f sb))
+    [
+      ("considered", fun s -> s.Stats.considered);
+      ("generated", fun s -> s.Stats.generated);
+      ("rejected", fun s -> s.Stats.rejected);
+      ("stored_peak", fun s -> s.Stats.stored_peak);
+      ("cover_max", fun s -> s.Stats.cover_max);
+    ];
+  Alcotest.(check bool) (msg ^ ": gave_up") a.Podp.gave_up b.Podp.gave_up
+
+let matches_reference () =
+  let expected =
+    List.map
+      (fun c ->
+        ( c,
+          Podp_reference.optimize ~config:c.config ~metric:c.metric
+            ?work_cap:c.work_cap ?max_cover:c.max_cover
+            ~plan_cache:c.plan_cache c.env ))
+      (reference_cases ())
+  in
+  List.iter
+    (fun (c, r) -> check_same (c.label ^ ", width 1") r (run_case c))
+    expected;
+  List.iter
+    (fun k ->
+      Helpers.with_forced_pool k (fun pool ->
+          List.iter
+            (fun (c, r) ->
+              check_same
+                (Printf.sprintf "%s, width %d" c.label k)
+                r (run_case ~pool c))
+            expected))
+    [ 2; 3; 8 ]
+
+(* The budget contract: a subset starts only if the budget is not
+   exhausted when a worker first touches it — one decision, however many
+   workers reach it — and a started subset is completed.  Chain-5's top
+   level is one subset split across the pool.  With [Budget.expansions
+   k], k one above the expansions spent below the top level, it starts
+   and completes at every width even though its own expansions exhaust
+   the budget midway; with k at or below that count it is skipped
+   whole.  A design that checked the budget per claimed range would cut
+   the started subset short. *)
+let budget_contract () =
+  let env = env_of G.Chain 5 in
+  let metric = metric_for env in
+  let free = Podp.optimize ~metric env in
+  let levels = Stats.levels free.Podp.stats in
+  let below_top =
+    List.fold_left
+      (fun acc (l : Stats.level) ->
+        if l.Stats.level < 5 then acc + l.Stats.generated else acc)
+      0 levels
+  in
+  let top_generated = (List.nth levels 4).Stats.generated in
+  Alcotest.(check int) "levels add up" free.Podp.stats.Stats.generated
+    (below_top + top_generated);
+  Alcotest.(check bool) "the top level outlasts the budget" true
+    (top_generated > 1);
+  let at_widths f =
+    f "width 1" None;
+    List.iter
+      (fun k ->
+        Helpers.with_forced_pool k (fun pool ->
+            f (Printf.sprintf "width %d" k) (Some pool)))
+      [ 2; 3; 8 ]
+  in
+  at_widths (fun msg pool ->
+      let budget = Parqo.Budget.expansions (below_top + 1) in
+      let r = Podp.optimize ~metric ~budget ?pool env in
+      Alcotest.(check bool) (msg ^ ": completes") false r.Podp.gave_up;
+      check_same (msg ^ ": started top level") free r);
+  List.iter
+    (fun k ->
+      at_widths (fun msg pool ->
+          let msg = Printf.sprintf "%s, budget %d" msg k in
+          let r =
+            Podp.optimize ~metric ~budget:(Parqo.Budget.expansions k) ?pool env
+          in
+          let top = List.nth (Stats.levels r.Podp.stats) 4 in
+          Alcotest.(check bool) (msg ^ ": gives up") true r.Podp.gave_up;
+          Alcotest.(check int) (msg ^ ": top level generated") 0
+            top.Stats.generated;
+          Alcotest.(check int) (msg ^ ": top level stored") 0
+            r.Podp.level_sizes.(5);
+          Alcotest.(check bool) (msg ^ ": no plan") true (r.Podp.best = None)))
+    [ below_top; below_top - 1 ]
+
 let suite =
   ( "podp",
     [
       t "finds plans" finds_plans;
+      t "matches the reference at widths 1, 2, 3, 8" matches_reference;
       t "parallel matches sequential" parallel_matches_sequential;
       t "parallel matches sequential (beamed)" parallel_matches_sequential_beamed;
       t "parallel matches sequential (cached)" parallel_matches_sequential_cached;
       t "persistent pool reuse" persistent_pool_reuse;
       t "gave-up consistent across domains" gave_up_consistent_across_domains;
+      t "budget contract: a started subset completes" budget_contract;
       t "used_domains reports what ran" used_domains_honest;
       t "level stats in order" level_stats_in_order;
       t "final cover incomparable" final_cover_incomparable;

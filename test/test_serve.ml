@@ -350,17 +350,21 @@ let chaos_machine_events () =
 
 (* regression: one persistent pool serves every request — warm requests
    spawn no domains (spawning happens at pool creation, once), and the
-   pooled plans are bit-identical to pool-less serving *)
-let shared_pool_no_respawn () =
+   pooled plans are bit-identical to pool-less serving — on a forced
+   2-domain pool and on the pool clamped to the machine's cores that
+   [serve] itself creates *)
+let shared_pool_no_respawn with_pool () =
   let catalog, pool = small_pool () in
   let reqs = trace ~n:12 pool in
   let baseline =
     let server = Server.create ~config:fast_config ~machine ~catalog () in
     Server.run server reqs
   in
-  Helpers.with_forced_pool 2 (fun dp ->
+  with_pool 2 (fun dp ->
       let spawned_at_create = (Parqo.Domain_pool.stats dp).Parqo.Domain_pool.spawned in
-      Alcotest.(check int) "pool spawns at create" 1 spawned_at_create;
+      Alcotest.(check int) "pool spawns at create"
+        (Parqo.Domain_pool.width dp - 1)
+        spawned_at_create;
       let server = Server.create ~config:fast_config ~pool:dp ~machine ~catalog () in
       let before = Parqo.Domain_pool.stats dp in
       let r = Server.run server reqs in
@@ -428,7 +432,10 @@ let suite =
       t "machine change bumps the epoch" machine_update_invalidates;
       t "speed change bumps the epoch" machine_speed_update_invalidates;
       t "chaos machine events" chaos_machine_events;
-      t "shared pool: warm requests spawn nothing" shared_pool_no_respawn;
+      t "shared pool: warm requests spawn nothing"
+        (shared_pool_no_respawn Helpers.with_forced_pool);
+      t "clamped pool: warm requests spawn nothing"
+        (shared_pool_no_respawn Helpers.with_clamped_pool);
       t "burst ties serve deterministically" burst_tie_order_deterministic;
       t "hopeless deadline degrades" hopeless_deadline_degrades;
       t "poisoned requests retry" chaos_poison_retries;
