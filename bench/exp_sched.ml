@@ -17,7 +17,9 @@
    The event loop's allocation is gated as well: [Scheduler.run]'s
    minor words per trace event, at 5, 10 and 40 jobs under every
    policy, must stay under a fixed ceiling, so they cannot grow with
-   the batch.  Allocation on one domain is a deterministic count.
+   the batch; and so must [Simulator.run]'s, a one-job run of the same
+   loop, on faulted runs of the plan library.  Allocation on one domain
+   is a deterministic count.
 
    The second half measures the work-bound dual under contention: a
    probe query's solo-optimal (lowest-response-time) plan against its
@@ -47,6 +49,14 @@ let bits = Int64.bits_of_float
    lists at each event allocated 2 189 / 3 667 / 12 273 words per event
    at 5 / 10 / 40 fair-share jobs of the smoke workload. *)
 let words_per_event_ceiling = 115.
+
+(* ceiling on [Simulator.run]'s minor words per trace event on faulted
+   runs, in every fault case: about 1.2x the largest figure when it was
+   set (237.2 in smoke mode, 229.6 in full).  A simulator with an event
+   loop of its own, which rebuilt its per-task state at each event,
+   allocated about 1 165 words per event on perfbench's faulted
+   replays. *)
+let faulted_words_per_event_ceiling = 285.
 
 let fail fmt =
   Printf.ksprintf
@@ -307,6 +317,66 @@ let run () =
         Sched.all_policies)
     [ 5; 10; 40 ];
   T.print wtbl;
+
+  (* [Simulator.run] is a one-job run of the same loop; its allocation
+     per trace event on faulted runs of the plan library: fail-stops at
+     rate 0.2 under stage restart (as perfbench's simulate op replays
+     them), the same under task retry, and a brownout plus a full outage
+     under restart-from-sync. *)
+  let ftbl =
+    T.create ~title:"E22: Simulator.run minor words per trace event, faulted"
+      ~columns:
+        [
+          ("faults", T.Left);
+          ("recovery", T.Left);
+          ("events", T.Right);
+          ("words/event", T.Right);
+        ]
+  in
+  let rate seed = Parqo.Fault.default ~seed ~fault_rate:0.2 () in
+  let outages seed span =
+    {
+      (rate seed) with
+      Parqo.Fault.outages =
+        [
+          Parqo.Fault.brownout ~resource:0 ~at:(0.2 *. span)
+            ~duration:(0.4 *. span) ~factor:0.5;
+          { Parqo.Fault.resource = 1; at = 0.5 *. span; duration = 0.2 *. span; factor = 0. };
+        ];
+    }
+  in
+  List.iter
+    (fun (faults_name, recovery, config) ->
+      let words = ref 0. and n_events = ref 0 in
+      Array.iteri
+        (fun seed g ->
+          let faults = config seed (Sim.run g).Sim.makespan in
+          let before = Gc.minor_words () in
+          let o = Sim.run ~faults ~recovery g in
+          words := !words +. (Gc.minor_words () -. before);
+          n_events := !n_events + List.length o.Sim.trace)
+        graphs;
+      let per_event = !words /. float_of_int !n_events in
+      T.add_row ftbl
+        [
+          faults_name;
+          Parqo.Recovery.to_string recovery;
+          string_of_int !n_events;
+          Printf.sprintf "%.1f" per_event;
+        ];
+      if per_event > faulted_words_per_event_ceiling then
+        fail
+          "%s under %s: Simulator.run allocates %.1f minor words per trace \
+           event, over the %.0f ceiling"
+          faults_name
+          (Parqo.Recovery.to_string recovery)
+          per_event faulted_words_per_event_ceiling)
+    [
+      ("rate 0.2", Parqo.Recovery.Restart_stage, fun seed _ -> rate seed);
+      ("rate 0.2", Parqo.Recovery.retry_task (), fun seed _ -> rate seed);
+      ("brownout + outage", Parqo.Recovery.Restart_from_sync, outages);
+    ];
+  T.print ftbl;
 
   (* ---------------------------------------------------------------- *)
   (* the work-bound dual under contention.  Not every query exhibits

@@ -52,8 +52,7 @@ let () =
     outcome.Sim.busy;
   (* compare against the cost model and the sequential baseline *)
   let e = Parqo.Costmodel.evaluate env tree in
-  let seq = Sim.run ~mode:Sim.Serialized graph in
+  let seq = Parqo.Task_graph.total_work graph in
   Printf.printf
     "\ncost model predicted %.2f; sequential execution would take %.2f (%.1fx)\n"
-    e.Parqo.Costmodel.response_time seq.Sim.makespan
-    (seq.Sim.makespan /. outcome.Sim.makespan)
+    e.Parqo.Costmodel.response_time seq (seq /. outcome.Sim.makespan)

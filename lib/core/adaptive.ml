@@ -23,7 +23,7 @@ type replan_record = {
 
 type result = { outcome : Sim.outcome; records : replan_record list }
 
-let simulate ?mode ?faults ?(recovery = Recovery.replan ()) ?(domains = 1)
+let simulate ?faults ?(recovery = Recovery.replan ()) ?(domains = 1)
     ?(max_replans = 4) (env : Env.t) tree =
   let optree =
     Parqo_optree.Expand.expand ~config:env.Env.expand_config
@@ -161,6 +161,6 @@ let simulate ?mode ?faults ?(recovery = Recovery.replan ()) ?(domains = 1)
                 })
       end
     in
-    let outcome = Sim.run ?mode ?faults ~recovery ~replanner g in
+    let outcome = Sim.run ?faults ~recovery ~replanner g in
     { outcome; records = List.rev !records }
-  | _ -> { outcome = Sim.run ?mode ?faults ~recovery g; records = [] }
+  | _ -> { outcome = Sim.run ?faults ~recovery g; records = [] }

@@ -32,7 +32,6 @@ type result = {
 }
 
 val simulate :
-  ?mode:Parqo_sim.Simulator.mode ->
   ?faults:Parqo_sim.Fault.config ->
   ?recovery:Parqo_sim.Recovery.policy ->
   ?domains:int ->

@@ -138,16 +138,21 @@ let random_rescales rng ~n_resources ~horizon ~rate ~mean_duration ~factor =
     List.rev !out
   end
 
-let capacity c ~time ~resource =
-  List.fold_left
-    (fun cap o ->
-      if
-        o.resource = resource && time >= o.at -. 1e-12
-        && time < o.at +. o.duration -. 1e-12
-      then cap *. o.factor
-      else cap)
-    1. c.outages
-  |> Float.max 0.
+(* the product of the covering outages' factors, in list order; a
+   top-level function, so that the loop asking once per resource and
+   event allocates no closure *)
+let rec covered ~time ~resource cap = function
+  | [] -> Float.max 0. cap
+  | o :: rest ->
+    covered ~time ~resource
+      (if
+         o.resource = resource && time >= o.at -. 1e-12
+         && time < o.at +. o.duration -. 1e-12
+       then cap *. o.factor
+       else cap)
+      rest
+
+let capacity c ~time ~resource = covered ~time ~resource 1. c.outages
 
 let next_capacity_change c ~after =
   let pick acc t =

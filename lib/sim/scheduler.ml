@@ -72,6 +72,68 @@ type summary = {
   max : float;
 }
 
+(* What a one-job run reports, faults and re-plans included: the
+   simulator's vocabulary, which [Simulator] includes. *)
+module Solo = struct
+  type nonrec event = event = { at : float; what : string }
+
+  type fault_event = {
+    f_at : float;
+    f_kind : Fault.kind;
+    f_stage : int option;
+    f_task : string option;
+    f_resource : int option;
+    f_attempt : int;
+  }
+
+  type replan_trigger =
+    | Checkpoint_loss of { resource : int }
+    | Work_inflation of { ratio : float }
+    | Slowdown of { resource : int; factor : float }
+    | Scale_out of { n_new : int }
+
+  type replan_event = {
+    rp_at : float;
+    rp_trigger : replan_trigger;
+    rp_plan : string;
+    rp_info : string;
+  }
+
+  type snapshot = {
+    s_at : float;
+    s_trigger : replan_trigger;
+    s_graph : Task_graph.t;
+    s_survivors : int list;
+  }
+
+  type replan = { new_graph : Task_graph.t; plan_key : string; info : string }
+  type replanner = snapshot -> replan option
+
+  let trigger_to_string = function
+    | Checkpoint_loss { resource } ->
+      Printf.sprintf "checkpoint loss (resource %d)" resource
+    | Work_inflation { ratio } -> Printf.sprintf "work inflation x%.2f" ratio
+    | Slowdown { resource; factor } ->
+      Printf.sprintf "slowdown (resource %d at x%.2f)" resource factor
+    | Scale_out { n_new } ->
+      Printf.sprintf "scale-out (%d new resource%s)" n_new
+        (if n_new = 1 then "" else "s")
+
+  type outcome = {
+    makespan : float;
+    busy : float array;
+    total_work : float;
+    stage_start : (int * float) list;
+    stage_finish : (int * float) list;
+    trace : event list;
+    n_faults : int;
+    n_retries : int;
+    n_replans : int;
+    replans : replan_event list;
+    faults : fault_event list;
+  }
+end
+
 let eps = 1e-9
 
 let utilization (o : outcome) =
@@ -243,22 +305,111 @@ let validate_events ~nr (events : machine_event list) =
          end)
   |> Array.of_list
 
-(* The event loop is [Simulator.run_clean ~mode:Concurrent] lifted to a
-   set of jobs.  Per resource and instant, the policy selects the
+(* at most this many splices per run, even if the replanner keeps
+   volunteering — a backstop against pathological callbacks *)
+let max_replans_hard = 32
+
+(* [Array.fold_left ( +. ) 0.], summed in the same order without boxing
+   each partial sum *)
+let total_of a =
+  let s = ref 0. in
+  for i = 0 to Array.length a - 1 do
+    s := !s +. a.(i)
+  done;
+  !s
+
+(* [dt], or [x] when it comes sooner and more than 1e-12 ahead *)
+let earlier x dt = if x > 1e-12 && x < dt then x else dt
+
+(* A faulted job's task: its fault-free demands and its current
+   attempt. *)
+type ftask = {
+  base : float array;
+  task_id : int;
+  mutable attempt : int;  (* attempts started so far; the first is 1 *)
+  mutable attempt_work : float;  (* the current attempt's total demand *)
+  mutable fail_at : float;
+      (* work done at which the attempt fail-stops; [infinity]: never *)
+  mutable resume_at : float;  (* end of the task's retry backoff *)
+}
+
+(* A faulted job's fault state.  The schedules, flags, counters and logs
+   last the run; the fields from [tasks] on belong to the job's current
+   graph, and a splice replaces them. *)
+type faulted = {
+  fc : Fault.config;
+  recovery : Recovery.policy;
+  replanner : Solo.replanner option;
+  nr0 : int;  (* the first graph's dimension; grown resources follow it *)
+  grows : Fault.grow array;  (* in onset order *)
+  grow_seen : bool array;
+  outages : Fault.outage array;
+  onset_seen : bool array;
+  expiry_seen : bool array;
+  mutable live_dims : int;  (* [nr0] plus the grows seen *)
+  mutable n_faults : int;
+  mutable n_retries : int;
+  mutable n_replans : int;
+  mutable faults_log : Solo.fault_event list;
+  mutable replans_log : Solo.replan_event list;
+  mutable tasks : ftask array array;
+  mutable first_start : float array;  (* per stage; [nan] until it starts *)
+  mutable last_finish : float array;  (* per stage; [nan] unless done *)
+  mutable seg_base : float;  (* the graph's fault-free work *)
+  mutable rework : float;
+      (* straggler inflation plus work lost to fail-stops, on this graph *)
+  mutable passes : int;
+  mutable max_passes : int;
+}
+
+let faulted fc recovery replanner (g : Task_graph.t) =
+  let grows =
+    Array.of_list
+      (List.stable_sort
+         (fun (a : Fault.grow) b -> Float.compare a.Fault.g_at b.Fault.g_at)
+         fc.Fault.grows)
+  in
+  let outages = Array.of_list fc.Fault.outages in
+  let nr0 = g.Task_graph.n_resources in
+  {
+    fc;
+    recovery;
+    replanner;
+    nr0;
+    grows;
+    grow_seen = Array.make (Array.length grows) false;
+    outages;
+    onset_seen = Array.make (Array.length outages) false;
+    expiry_seen = Array.make (Array.length outages) false;
+    live_dims = nr0;
+    n_faults = 0;
+    n_retries = 0;
+    n_replans = 0;
+    faults_log = [];
+    replans_log = [];
+    tasks = [||];
+    first_start = [||];
+    last_finish = [||];
+    seg_base = 0.;
+    rework = 0.;
+    passes = 0;
+    max_passes = 0;
+  }
+
+(* The event loop.  Per resource and instant, the policy selects the
    {e eligible} jobs among those demanding it; a running task of an
    eligible job drains at rate [1 / (count * n)], where [count] is its
    own job's demanding-task count on the resource (processor sharing
-   within the job, as in the single-query simulator) and [n] is the
-   number of eligible jobs (processor sharing — or preemption — across
-   jobs).  The per-task slowdown factor is [f = count * n]: candidate
-   next-event times are [d *. f] and advances [d -. dt /. f], so with a
-   single job [n = 1] and multiplication by [1.0] being IEEE-exact the
-   arithmetic is bit-for-bit the single-query simulator's — the
-   degenerate case is Int64-identical by construction, and the total
+   within the job) and [n] is the number of eligible jobs (processor
+   sharing — or preemption — across jobs).  The per-task slowdown factor
+   is [f = count * n]: candidate next-event times are [d *. f] and
+   advances [d -. dt /. f], so with a single job [n = 1] and
+   multiplication by [1.0] being IEEE-exact, a one-job run is processor
+   sharing within the job, bit for bit, whatever the policy.  The total
    drain rate on a demanded resource is exactly 1, so per-resource busy
    time equals delivered work (busy conservation).
 
-   [events] makes the machine itself time-varying: each event sets a
+   [mevents] makes the machine itself time-varying: each event sets a
    resource's absolute speed from its instant on (piecewise-constant
    capacity).  A task draining resource [r] then drains at
    [speed(r) / factor] and busy accrues [dt * speed(r)] — delivered
@@ -276,19 +427,34 @@ let validate_events ~nr (events : machine_event list) =
    load — and sheds the job ([Rejected]) when the estimate exceeds its
    deadline.  Shed jobs never run: no stage starts, no busy accrues.
 
+   A job with a fault state ([fstate]) runs fail-stop attempts,
+   stragglers, outages, grows, its recovery policy and re-plan splices.
+   Only a one-job run has one (the simulator's): its outages and grows
+   set the machine's capacity.  Such a job drains down to its own
+   threshold, one part in 1e12 of its graph's work, floored at [eps]: a
+   fixed [eps] cannot be met near 1e11 units, where one ulp is about
+   1e-5.  It completes its emptied stages not in the drain but when it
+   settles the next instant: grow boundaries, outage boundaries, the
+   work-inflation trigger, due fail-stops, then completions, repeated
+   until none fires.  Every outage onset or expiry and every grow onset
+   ends a drain, even one that leaves capacity unchanged.
+
    Cost.  The loop keeps the {e active} jobs (arrived, neither finished
    nor shed) in (arrival, job_id) order, a cursor on the next arrival
    and counters of finished stages and jobs, so an event visits only
    the running tasks of active jobs: once to count demand, once for the
    next exhaustion and once to drain.  Live-cell and live-task counters
    replace rescans of drained demand vectors.  Buffers are sized once
-   per run, and an event allocates only its trace records.  Each float
-   operation must keep its operands and order: a property test compares
-   every outcome field, Int64-exact, with the reference loop in
-   test/sched_reference.ml. *)
-let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
-  let nr = validate_jobs jobs_in in
-  let mevents = validate_events ~nr events in
+   per run, and an event allocates only its trace records.  A run
+   without fault states reads one per-job option per drain.  Each float
+   operation must keep its operands and order: property tests compare
+   every outcome field, Int64-exact, with the reference loops in
+   test/sched_reference.ml and test/sim_reference.ml. *)
+let loop ~solo ~policy ~nr ~mevents ~(fstate : faulted option array)
+    (jobs_in : job array) =
+  let subsystem = if solo then "simulator" else "scheduler" in
+  let fail msg = Parqo_error.fail ~subsystem msg in
+  let any_faulted = Array.exists Option.is_some fstate in
   let n_mev = Array.length mevents in
   let nj = Array.length jobs_in in
   let jobs = Array.copy jobs_in in
@@ -300,50 +466,97 @@ let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
       | 0 -> compare jobs.(a).job_id jobs.(b).job_id
       | c -> c)
     order;
-  let per_stage f =
-    Array.map (fun (j : job) -> Array.map f j.graph.Task_graph.stages) jobs
+  (* per-job graph state, built by [install] — and rebuilt by a splice *)
+  let n_stages = Array.make nj 0 in
+  let status = Array.make nj [||] in
+  let remaining_deps = Array.make nj [||] in
+  let dependents = Array.make nj [||] in
+  let remaining = Array.make nj [||] in
+  let labels = Array.make nj [||] in
+  (* live_cells.(p).(id).(ti): demand cells of a task above its job's
+     drain threshold [thresh.(p)]; the task is done when it reaches 0,
+     and its stage is done when live_tasks.(p).(id) does *)
+  let live_cells = Array.make nj [||] in
+  let live_tasks = Array.make nj [||] in
+  let thresh = Array.make nj eps in
+  let stages_done = Array.make nj 0 in
+  (* demand cells of job p above its threshold *)
+  let count_live p cells =
+    let e = thresh.(p) and n = ref 0 in
+    for r = 0 to Array.length cells - 1 do
+      if cells.(r) > e then incr n
+    done;
+    !n
   in
-  let per_task f =
-    per_stage (fun (s : Task_graph.stage) ->
-        Array.of_list (List.map f s.Task_graph.tasks))
-  in
-  let n_stages =
-    Array.map (fun (j : job) -> Array.length j.graph.Task_graph.stages) jobs
-  in
-  let status = per_stage (fun _ -> Pending) in
-  let remaining_deps =
-    per_stage (fun (s : Task_graph.stage) -> List.length s.Task_graph.deps)
-  in
-  let dependents = per_stage (fun _ -> []) in
-  Array.iteri
-    (fun p (j : job) ->
-      Array.iter
+  let install p (g : Task_graph.t) =
+    let stages = g.Task_graph.stages in
+    let n = Array.length stages in
+    thresh.(p) <-
+      (match fstate.(p) with
+      | None -> eps
+      | Some f ->
+        let work = Task_graph.total_work g in
+        f.tasks <-
+          Array.map
+            (fun (s : Task_graph.stage) ->
+              Array.of_list
+                (List.map
+                   (fun (t : Task_graph.task) ->
+                     {
+                       base = t.Task_graph.demands;
+                       task_id = t.Task_graph.task_id;
+                       attempt = 0;
+                       attempt_work = 0.;
+                       fail_at = infinity;
+                       resume_at = 0.;
+                     })
+                   s.Task_graph.tasks))
+            stages;
+        f.first_start <- Array.make n nan;
+        f.last_finish <- Array.make n nan;
+        f.seg_base <- work;
+        f.rework <- 0.;
+        f.passes <- 0;
+        f.max_passes <-
+          (1000 * (1 + n) * (1 + f.nr0) * (2 + f.fc.Fault.max_fail_attempts))
+          + (10 * Array.length f.outages)
+          + (10 * Array.length f.grows);
+        Float.max eps (1e-12 *. work));
+    let deps = Array.make n [] in
+    Array.iter
+      (fun (s : Task_graph.stage) ->
+        List.iter
+          (fun d -> deps.(d) <- s.Task_graph.stage_id :: deps.(d))
+          s.Task_graph.deps)
+      stages;
+    n_stages.(p) <- n;
+    status.(p) <- Array.make n Pending;
+    remaining_deps.(p) <-
+      Array.map (fun (s : Task_graph.stage) -> List.length s.Task_graph.deps) stages;
+    dependents.(p) <- deps;
+    remaining.(p) <-
+      Array.map
         (fun (s : Task_graph.stage) ->
-          List.iter
-            (fun d ->
-              dependents.(p).(d) <- s.Task_graph.stage_id :: dependents.(p).(d))
-            s.Task_graph.deps)
-        j.graph.Task_graph.stages)
-    jobs;
-  let remaining =
-    per_task (fun (t : Task_graph.task) -> Array.copy t.Task_graph.demands)
+          Array.of_list
+            (List.map
+               (fun (t : Task_graph.task) -> Array.copy t.Task_graph.demands)
+               s.Task_graph.tasks))
+        stages;
+    labels.(p) <-
+      Array.map
+        (fun (s : Task_graph.stage) ->
+          Array.of_list
+            (List.map (fun (t : Task_graph.task) -> t.Task_graph.label) s.Task_graph.tasks))
+        stages;
+    live_cells.(p) <- Array.map (Array.map (count_live p)) remaining.(p);
+    live_tasks.(p) <-
+      Array.map
+        (Array.fold_left (fun n c -> if c > 0 then n + 1 else n) 0)
+        live_cells.(p);
+    stages_done.(p) <- 0
   in
-  let labels = per_task (fun (t : Task_graph.task) -> t.Task_graph.label) in
-  (* live_cells.(p).(id).(ti): demand cells of a task still above [eps];
-     the task is done when it reaches 0, and its stage is done when
-     live_tasks.(p).(id) does *)
-  let live_cells =
-    Array.map
-      (Array.map
-         (Array.map
-            (Array.fold_left (fun n d -> if d > eps then n + 1 else n) 0)))
-      remaining
-  in
-  let live_tasks =
-    Array.map
-      (Array.map (Array.fold_left (fun n c -> if c > 0 then n + 1 else n) 0))
-      live_cells
-  in
+  Array.iteri (fun p (j : job) -> install p j.graph) jobs;
+  let work = Array.map (fun (j : job) -> Task_graph.total_work j.graph) jobs in
   let names =
     Array.map
       (fun (j : job) ->
@@ -354,6 +567,12 @@ let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
   let time = ref 0. in
   let trace = ref [] in
   let emit what = trace := { at = !time; what } :: !trace in
+  (* the simulator's trace names no job *)
+  let stage_line p id what =
+    emit
+      (if solo then "stage " ^ string_of_int id ^ what
+       else names.(p) ^ " stage " ^ string_of_int id ^ what)
+  in
   (* piecewise-constant effective speed per resource; events already
      sorted by instant, applied once their time comes *)
   let speed_now = Array.make nr 1. in
@@ -373,7 +592,6 @@ let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
   let finished_at = Array.make nj nan in
   let stage_start = Array.make nj [] in
   let stage_finish = Array.make nj [] in
-  let stages_done = Array.make nj 0 in
   let n_finished = ref 0 in
   (* the active jobs, in (arrival, job_id) order: arrivals are taken
      from [order] in that order, so each one joins at the end *)
@@ -382,24 +600,101 @@ let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
   let next_arrival = ref 0 in
   (* exhausted.(p): a drain has emptied one of job p's running stages *)
   let exhausted = Array.make nj false in
+  let log_fault f f_kind ?stage ?task ?resource f_attempt =
+    f.n_faults <- f.n_faults + 1;
+    f.faults_log <-
+      {
+        Solo.f_at = !time;
+        f_kind;
+        f_stage = stage;
+        f_task = task;
+        f_resource = resource;
+        f_attempt;
+      }
+      :: f.faults_log
+  in
+  (* a new attempt of a faulted job's task: its fault draw, its demands,
+     and its live-cell count *)
+  let start_attempt p f sid ti =
+    let t = f.tasks.(sid).(ti) in
+    let a = t.attempt + 1 in
+    t.attempt <- a;
+    if a > 1 then f.n_retries <- f.n_retries + 1;
+    let d = Fault.draw f.fc ~stage:sid ~task:t.task_id ~attempt:a in
+    let dem = Array.map (fun x -> x *. d.Fault.slowdown) t.base in
+    remaining.(p).(sid).(ti) <- dem;
+    let e = thresh.(p) in
+    let tot = total_of dem in
+    t.attempt_work <- tot;
+    let base_tot = total_of t.base in
+    if tot > base_tot +. e then f.rework <- f.rework +. (tot -. base_tot);
+    t.resume_at <- 0.;
+    t.fail_at <-
+      (if d.Fault.fails && tot > e then d.Fault.fail_point *. tot else infinity);
+    let live = live_cells.(p).(sid) in
+    let n = count_live p dem in
+    live_tasks.(p).(sid) <-
+      live_tasks.(p).(sid)
+      + (if n > 0 then 1 else 0)
+      - if live.(ti) <> 0 then 1 else 0;
+    live.(ti) <- n;
+    if d.Fault.slowdown > 1. +. eps then begin
+      let label = labels.(p).(sid).(ti) in
+      log_fault f Fault.Straggler ~stage:sid ~task:label a;
+      emit
+        (Printf.sprintf "task %s straggles x%.1f (attempt %d)" label
+           d.Fault.slowdown a)
+    end
+  in
+  let work_done p f sid ti =
+    f.tasks.(sid).(ti).attempt_work -. total_of remaining.(p).(sid).(ti)
+  in
+  let due_failure p f sid ti =
+    let fail_at = f.tasks.(sid).(ti).fail_at in
+    fail_at < infinity && work_done p f sid ti >= fail_at -. thresh.(p)
+  in
   let rec start_ready p =
     for id = 0 to n_stages.(p) - 1 do
       if status.(p).(id) = Pending && remaining_deps.(p).(id) = 0 then begin
         status.(p).(id) <- Running;
-        stage_start.(p) <- (id, !time) :: stage_start.(p);
-        emit (names.(p) ^ " stage " ^ string_of_int id ^ " start");
+        (match fstate.(p) with
+        | None ->
+          stage_start.(p) <- (id, !time) :: stage_start.(p);
+          stage_line p id " start"
+        | Some f ->
+          if Float.is_nan f.first_start.(id) then begin
+            f.first_start.(id) <- !time;
+            stage_line p id " start"
+          end
+          else stage_line p id " restart";
+          for ti = 0 to Array.length f.tasks.(id) - 1 do
+            start_attempt p f id ti
+          done);
         if live_tasks.(p).(id) = 0 then complete p id
       end
     done
   and complete p id =
     status.(p).(id) <- Done;
     stages_done.(p) <- stages_done.(p) + 1;
-    stage_finish.(p) <- (id, !time) :: stage_finish.(p);
-    emit (names.(p) ^ " stage " ^ string_of_int id ^ " done");
+    (match fstate.(p) with
+    | None -> stage_finish.(p) <- (id, !time) :: stage_finish.(p)
+    | Some f -> f.last_finish.(id) <- !time);
+    stage_line p id " done";
     List.iter
       (fun dep -> remaining_deps.(p).(dep) <- remaining_deps.(p).(dep) - 1)
       dependents.(p).(id);
     start_ready p
+  in
+  (* complete job p's running stages with no live task, in stage order *)
+  let complete_emptied p =
+    let completed = ref false in
+    for id = 0 to n_stages.(p) - 1 do
+      if status.(p).(id) = Running && live_tasks.(p).(id) = 0 then begin
+        complete p id;
+        completed := true
+      end
+    done;
+    !completed
   in
   let finish_jobs () =
     let kept = ref 0 in
@@ -408,7 +703,7 @@ let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
       if stages_done.(p) = n_stages.(p) then begin
         finished_at.(p) <- !time;
         incr n_finished;
-        emit (names.(p) ^ " done")
+        if not solo then emit (names.(p) ^ " done")
       end
       else begin
         active.(!kept) <- p;
@@ -416,6 +711,249 @@ let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
       end
     done;
     n_active := !kept
+  in
+  (* ---------------------------------------------------------------- *)
+  (* faulted jobs                                                      *)
+  let exception Splice of Task_graph.t in
+  let survivors p =
+    let ids = ref [] in
+    for id = n_stages.(p) - 1 downto 0 do
+      if status.(p).(id) = Done then ids := id :: !ids
+    done;
+    !ids
+  in
+  let try_replan p f s_trigger ~survivors =
+    match f.replanner with
+    | Some rp when f.n_replans < max_replans_hard -> (
+      let g = jobs.(p).graph in
+      match
+        rp { Solo.s_at = !time; s_trigger; s_graph = g; s_survivors = survivors }
+      with
+      | Some { Solo.new_graph; plan_key; info } ->
+        f.n_replans <- f.n_replans + 1;
+        f.replans_log <-
+          { Solo.rp_at = !time; rp_trigger = s_trigger; rp_plan = plan_key; rp_info = info }
+          :: f.replans_log;
+        emit
+          (Printf.sprintf "replan %d after %s -> %s" f.n_replans
+             (Solo.trigger_to_string s_trigger) plan_key);
+        (* keep only the surviving checkpoints' work in the useful-work
+           total; the residual graph replaces the rest *)
+        let stage_work id =
+          List.fold_left
+            (fun acc (t : Task_graph.task) -> acc +. total_of t.Task_graph.demands)
+            0. g.Task_graph.stages.(id).Task_graph.tasks
+        in
+        let survived =
+          List.fold_left (fun acc id -> acc +. stage_work id) 0. survivors
+        in
+        work.(p) <-
+          work.(p)
+          -. (Task_graph.total_work g -. survived)
+          +. Task_graph.total_work new_graph;
+        raise_notrace (Splice new_graph)
+      | None -> ())
+    | _ -> ()
+  in
+  let is_replan f =
+    match f.recovery with Recovery.Replan _ -> true | _ -> false
+  in
+  let uses_resource p f sid r =
+    Array.exists
+      (fun (t : ftask) -> r < Array.length t.base && t.base.(r) > thresh.(p))
+      f.tasks.(sid)
+  in
+  let process_grows p f =
+    let newly = ref 0 in
+    for i = 0 to Array.length f.grows - 1 do
+      let gr = f.grows.(i) in
+      if (not f.grow_seen.(i)) && gr.Fault.g_at <= !time +. 1e-12 then begin
+        f.grow_seen.(i) <- true;
+        incr newly;
+        f.live_dims <- f.live_dims + 1;
+        emit
+          (Printf.sprintf "resource %d joins (%s, speed %.2f)" (f.nr0 + i)
+             (Parqo_machine.Resource.kind_to_string gr.Fault.g_kind)
+             gr.Fault.g_speed);
+        log_fault f Fault.Scale_out ~resource:(f.nr0 + i) 0
+      end
+    done;
+    (* new capacity is useless to the in-flight plan — only a re-planner
+       can route work onto it; batch same-instant grows into one offer *)
+    if !newly > 0 && is_replan f then
+      try_replan p f (Solo.Scale_out { n_new = !newly }) ~survivors:(survivors p)
+  in
+  (* a full loss destroys the checkpoints resident on the resource:
+     completed stages there re-execute, and running consumers of a lost
+     checkpoint restart with them *)
+  let lose_checkpoints p f r =
+    for id = 0 to n_stages.(p) - 1 do
+      if status.(p).(id) = Done && uses_resource p f id r then begin
+        status.(p).(id) <- Pending;
+        stages_done.(p) <- stages_done.(p) - 1;
+        f.last_finish.(id) <- nan;
+        List.iter
+          (fun dep -> remaining_deps.(p).(dep) <- remaining_deps.(p).(dep) + 1)
+          dependents.(p).(id);
+        stage_line p id (Printf.sprintf " checkpoint lost (resource %d)" r)
+      end
+    done;
+    for id = 0 to n_stages.(p) - 1 do
+      if status.(p).(id) = Running && remaining_deps.(p).(id) > 0 then begin
+        status.(p).(id) <- Pending;
+        stage_line p id " waits (input lost)"
+      end
+    done;
+    start_ready p
+  in
+  let process_outages p f =
+    for i = 0 to Array.length f.outages - 1 do
+      let o = f.outages.(i) in
+      let r = o.Fault.resource in
+      if (not f.onset_seen.(i)) && o.Fault.at <= !time +. 1e-12 then begin
+        f.onset_seen.(i) <- true;
+        emit
+          (Printf.sprintf "resource %d down x%.2f for %.1f" r o.Fault.factor
+             o.Fault.duration);
+        log_fault f Fault.Resource_outage ~resource:r 0;
+        if
+          o.Fault.factor <= eps
+          && (f.recovery = Recovery.Restart_from_sync || is_replan f)
+        then begin
+          (if is_replan f then
+             (* recovery is about to cross a sync point: offer the
+                surviving checkpoint frontier to the re-planner *)
+             let destroyed, kept =
+               List.partition (fun id -> uses_resource p f id r) (survivors p)
+             in
+             if destroyed <> [] then
+               try_replan p f (Solo.Checkpoint_loss { resource = r }) ~survivors:kept);
+          lose_checkpoints p f r
+        end
+        else if
+          is_replan f && o.Fault.factor > eps
+          && o.Fault.factor < 1. -. eps
+          && o.Fault.duration > eps
+        then
+          (* a brownout destroys nothing, but a re-planner may prefer to
+             steer the residual work away from the slowed resource *)
+          try_replan p f
+            (Solo.Slowdown { resource = r; factor = o.Fault.factor })
+            ~survivors:(survivors p)
+      end;
+      if
+        (not f.expiry_seen.(i))
+        && o.Fault.at +. o.Fault.duration <= !time +. 1e-12
+      then begin
+        f.expiry_seen.(i) <- true;
+        emit (Printf.sprintf "resource %d restored" r)
+      end
+    done
+  in
+  let maybe_inflation_replan p f =
+    match f.recovery with
+    | Recovery.Replan { threshold; _ }
+      when Option.is_some f.replanner
+           && threshold < infinity
+           && f.seg_base > thresh.(p)
+           && f.rework > threshold *. f.seg_base -> (
+      (* at least one checkpoint must anchor the residual — otherwise
+         the restart policies already do the best possible thing *)
+      match survivors p with
+      | [] -> ()
+      | kept ->
+        try_replan p f
+          (Solo.Work_inflation { ratio = f.rework /. f.seg_base })
+          ~survivors:kept)
+    | _ -> ()
+  in
+  let inject_due_failures p f =
+    let fired = ref false in
+    for id = 0 to n_stages.(p) - 1 do
+      let tasks = f.tasks.(id) in
+      for ti = 0 to Array.length tasks - 1 do
+        if status.(p).(id) = Running && due_failure p f id ti then begin
+          fired := true;
+          let a = tasks.(ti).attempt and label = labels.(p).(id).(ti) in
+          log_fault f Fault.Task_failure ~stage:id ~task:label a;
+          emit (Printf.sprintf "task %s fault (attempt %d)" label a);
+          match f.recovery with
+          | Recovery.Retry_task _ ->
+            f.rework <- f.rework +. work_done p f id ti;
+            start_attempt p f id ti;
+            tasks.(ti).resume_at <-
+              !time +. Recovery.backoff_delay f.recovery ~attempt:a
+          | Recovery.Restart_stage | Recovery.Restart_from_sync
+          | Recovery.Replan _ ->
+            for tj = 0 to Array.length tasks - 1 do
+              f.rework <- f.rework +. work_done p f id tj
+            done;
+            stage_line p id " restart";
+            for tj = 0 to Array.length tasks - 1 do
+              start_attempt p f id tj
+            done
+        end
+      done
+    done;
+    !fired
+  in
+  (* One pass settles an instant for a faulted job, as one step of the
+     simulator's loop: boundaries, the inflation trigger, then due
+     fail-stops or else completions; it repeats while one fires.  A new
+     graph's first pass starts its ready stages first.  A splice installs
+     the new graph and starts over on it. *)
+  let rec passes p f =
+    if stages_done.(p) < n_stages.(p) then begin
+      if f.passes >= f.max_passes then fail "did not converge under faults";
+      f.passes <- f.passes + 1;
+      process_grows p f;
+      process_outages p f;
+      maybe_inflation_replan p f;
+      if inject_due_failures p f || complete_emptied p then passes p f
+    end
+  in
+  let rec settle p f =
+    match
+      if f.passes = 0 then begin
+        process_grows p f;
+        process_outages p f;
+        start_ready p
+      end;
+      passes p f
+    with
+    | () -> ()
+    | exception Splice g ->
+      if g.Task_graph.n_resources <> f.live_dims then
+        fail "replanned graph resource-dimension mismatch";
+      (match Task_graph.validate g with
+      | Ok () -> ()
+      | Error msg -> fail ("invalid replanned task graph: " ^ msg));
+      jobs.(p) <- { (jobs.(p)) with graph = g };
+      install p g;
+      settle p f
+  in
+  (* Before a faulted job drains: the capacity of this instant, zero for
+     a grown resource before its onset and at or below [eps]; and a task
+     in its retry backoff is parked, its live count negated, so the
+     drain, which looks only at positive counts, passes it by. *)
+  let prepare_drain p f =
+    for r = 0 to nr - 1 do
+      speed_now.(r) <-
+        (if r >= f.nr0 && not f.grow_seen.(r - f.nr0) then 0.
+         else
+           let c = Fault.capacity f.fc ~time:!time ~resource:r in
+           if c > eps then c else 0.)
+    done;
+    for id = 0 to n_stages.(p) - 1 do
+      if status.(p).(id) = Running then begin
+        let live = live_cells.(p).(id) in
+        for ti = 0 to Array.length live - 1 do
+          let parked = f.tasks.(id).(ti).resume_at > !time +. 1e-12 in
+          if (live.(ti) > 0 && parked) || (live.(ti) < 0 && not parked) then
+            live.(ti) <- -live.(ti)
+        done
+      end
+    done
   in
   (* rem_work.(p): the remaining work of job p, for shortest-remaining-
      work and admission *)
@@ -477,11 +1015,12 @@ let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
       incr n_finished;
       emit (names.(p) ^ " rejected (" ^ reason ^ ")")
     | None ->
-      emit (names.(p) ^ " arrives");
-      start_ready p
+      if not solo then emit (names.(p) ^ " arrives");
+      (* a faulted job starts its stages when it settles *)
+      if Option.is_none fstate.(p) then start_ready p
   in
   (* counts.(p).(r): running tasks of job p demanding r — the
-     within-job sharing degree, exactly run_clean's [count] *)
+     within-job sharing degree *)
   let counts = Array.make_matrix nj nr 0 in
   (* factor.(p).(r): per-task slowdown [count * n_eligible]; 0. when
      job p is not eligible on r (its tasks neither drain nor propose
@@ -493,7 +1032,7 @@ let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
     Array.fill contended 0 nr false;
     for k = 0 to !n_active - 1 do
       let p = active.(k) in
-      let cnt = counts.(p) in
+      let cnt = counts.(p) and e = thresh.(p) in
       Array.fill cnt 0 nr 0;
       Array.fill factor.(p) 0 nr 0.;
       let demanding = ref false in
@@ -504,7 +1043,7 @@ let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
             if live.(ti) > 0 then begin
               let cells = tasks.(ti) in
               for r = 0 to Array.length cells - 1 do
-                if cells.(r) > eps then begin
+                if cells.(r) > e then begin
                   cnt.(r) <- cnt.(r) + 1;
                   demanding := true
                 end
@@ -571,7 +1110,7 @@ let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
     let dt = ref infinity in
     for k = 0 to !n_active - 1 do
       let p = active.(k) in
-      let fac = factor.(p) in
+      let fac = factor.(p) and e = thresh.(p) in
       for id = 0 to n_stages.(p) - 1 do
         if status.(p).(id) = Running then begin
           let tasks = remaining.(p).(id) and live = live_cells.(p).(id) in
@@ -580,7 +1119,7 @@ let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
               let cells = tasks.(ti) in
               for r = 0 to Array.length cells - 1 do
                 let d = cells.(r) in
-                if d > eps && fac.(r) > 0. && speed_now.(r) > 0. then begin
+                if d > e && fac.(r) > 0. && speed_now.(r) > 0. then begin
                   let c = d *. fac.(r) /. speed_now.(r) in
                   if c < !dt then dt := c
                 end
@@ -592,11 +1131,44 @@ let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
     done;
     !dt
   in
-  (* The one drain-and-complete path: move the clock to [until], drain
-     [dt] of service, then complete the stages the drain emptied (in
-     active order, then stage id) and finish the jobs they complete.  A
-     task that the drain exhausts is stamped with [until], as its stage
-     is. *)
+  (* A faulted job's other timed events before [dt]: a fail-stop, the end
+     of a retry backoff, a capacity boundary — each only when more than
+     1e-12 ahead.  (An exhaustion always is: capacity never exceeds 1.) *)
+  let next_fault_event p f dt =
+    let dt = ref dt in
+    let fac = factor.(p) and e = thresh.(p) in
+    for id = 0 to n_stages.(p) - 1 do
+      if status.(p).(id) = Running then begin
+        let tasks = remaining.(p).(id) and live = live_cells.(p).(id) in
+        for ti = 0 to Array.length tasks - 1 do
+          let t = f.tasks.(id).(ti) and cells = tasks.(ti) in
+          if live.(ti) > 0 then begin
+            if t.fail_at < infinity then begin
+              let rate = ref 0. in
+              for r = 0 to Array.length cells - 1 do
+                if cells.(r) > e && speed_now.(r) > 0. then
+                  rate := !rate +. (speed_now.(r) /. fac.(r))
+              done;
+              if !rate > eps then
+                dt := earlier ((t.fail_at -. work_done p f id ti) /. !rate) !dt
+            end
+          end
+          else if
+            t.resume_at > !time +. 1e-12 && Array.exists (fun d -> d > eps) cells
+          then dt := earlier (t.resume_at -. !time) !dt
+        done
+      end
+    done;
+    (match Fault.next_capacity_change f.fc ~after:!time with
+    | Some t -> dt := earlier (t -. !time) !dt
+    | None -> ());
+    !dt
+  in
+  (* The one drain path: move the clock to [until] and drain [dt] of
+     service.  Then complete the stages the drain emptied (in active
+     order, then stage id) and finish the jobs they complete; a faulted
+     job completes its stages when it settles.  A task that the drain
+     exhausts is stamped with [until], as its stage is. *)
   let advance ~until dt =
     time := until;
     for r = 0 to nr - 1 do
@@ -604,7 +1176,7 @@ let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
     done;
     for k = 0 to !n_active - 1 do
       let p = active.(k) in
-      let fac = factor.(p) in
+      let fac = factor.(p) and e = thresh.(p) and fs = fstate.(p) in
       for id = 0 to n_stages.(p) - 1 do
         if status.(p).(id) = Running then begin
           let tasks = remaining.(p).(id) and live = live_cells.(p).(id) in
@@ -613,9 +1185,9 @@ let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
               let cells = tasks.(ti) in
               for r = 0 to Array.length cells - 1 do
                 let d = cells.(r) in
-                if d > eps && fac.(r) > 0. then begin
+                if d > e && fac.(r) > 0. then begin
                   let d' = d -. (dt *. speed_now.(r) /. fac.(r)) in
-                  if d' <= eps then begin
+                  if d' <= e then begin
                     cells.(r) <- 0.;
                     live.(ti) <- live.(ti) - 1
                   end
@@ -623,9 +1195,15 @@ let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
                 end
               done;
               if live.(ti) = 0 then begin
-                emit ("task " ^ labels.(p).(id).(ti) ^ " done");
                 live_tasks.(p).(id) <- live_tasks.(p).(id) - 1;
-                if live_tasks.(p).(id) = 0 then exhausted.(p) <- true
+                match fs with
+                | None ->
+                  emit ("task " ^ labels.(p).(id).(ti) ^ " done");
+                  if live_tasks.(p).(id) = 0 then exhausted.(p) <- true
+                | Some f ->
+                  (* an attempt whose fail-stop is due is not done *)
+                  if not (due_failure p f id ti) then
+                    emit ("task " ^ labels.(p).(id).(ti) ^ " done")
               end
             end
           done
@@ -636,18 +1214,17 @@ let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
       let p = active.(k) in
       if exhausted.(p) then begin
         exhausted.(p) <- false;
-        for id = 0 to n_stages.(p) - 1 do
-          if status.(p).(id) = Running && live_tasks.(p).(id) = 0 then
-            complete p id
-        done
+        ignore (complete_emptied p)
       end
     done;
     finish_jobs ()
   in
   let total_stages = Array.fold_left ( + ) 0 n_stages in
   let guard = ref 0 in
+  (* a faulted job bounds its own passes *)
   let max_events =
-    (1000 * (1 + total_stages) * (1 + nr)) + (10 * nj) + (10 * n_mev)
+    if any_faulted then max_int
+    else (1000 * (1 + total_stages) * (1 + nr)) + (10 * nj) + (10 * n_mev)
   in
   while !n_finished < nj && !guard < max_events do
     incr guard;
@@ -663,10 +1240,32 @@ let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
       incr next_arrival;
       activate p
     done;
+    if any_faulted then
+      for k = 0 to !n_active - 1 do
+        let p = active.(k) in
+        match fstate.(p) with
+        | Some f ->
+          settle p f;
+          if stages_done.(p) < n_stages.(p) then prepare_drain p f
+        | None -> ()
+      done;
     finish_jobs ();
     if !n_finished < nj then begin
       compute_shares ();
       let dt = next_exhaustion () in
+      let dt =
+        if not any_faulted then dt
+        else begin
+          let dt = ref dt in
+          for k = 0 to !n_active - 1 do
+            let p = active.(k) in
+            match fstate.(p) with
+            | Some f -> dt := next_fault_event p f !dt
+            | None -> ()
+          done;
+          !dt
+        end
+      in
       let na =
         if !next_arrival < nj then jobs.(order.(!next_arrival)).arrival
         else infinity
@@ -680,21 +1279,34 @@ let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
          and land exactly on the boundary instant *)
       if gap < dt then advance ~until:nb gap
       else if dt < infinity then advance ~until:(!time +. dt) dt
+      else if any_faulted then
+        Parqo_error.failf ~subsystem
+          "starved at t=%.2f: demand on a permanently lost resource" !time
       else
         (* a stage with no drainable demand completes when it starts, so
            running demand with nothing to drain it is parked on
            zero-capacity resources with no arrival or machine event left
            to restore them *)
-        Parqo_error.fail ~subsystem:"scheduler"
+        fail
           "starved: remaining demand on zero-capacity resources with no \
            future machine event"
     end
   done;
-  if !n_finished < nj then
-    Parqo_error.fail ~subsystem:"scheduler" "did not converge";
+  if !n_finished < nj then fail "did not converge";
   let by_id = Array.copy order in
   Array.sort (fun a b -> compare jobs.(a).job_id jobs.(b).job_id) by_id;
-  let work = Array.map (fun (j : job) -> Task_graph.total_work j.graph) jobs in
+  (* a faulted job reports each stage's first start and last finish, in
+     (time, id) order *)
+  let collect arr =
+    let entries = ref [] in
+    Array.iteri
+      (fun id t -> if not (Float.is_nan t) then entries := (id, t) :: !entries)
+      arr;
+    List.sort
+      (fun (i1, t1) (i2, t2) ->
+        match Float.compare t1 t2 with 0 -> compare i1 i2 | c -> c)
+      !entries
+  in
   let job_outcomes =
     Array.map
       (fun p ->
@@ -710,8 +1322,14 @@ let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
             (match rejected.(p) with
             | None -> Completed
             | Some reason -> Rejected reason);
-          stage_start = List.rev stage_start.(p);
-          stage_finish = List.rev stage_finish.(p);
+          stage_start =
+            (match fstate.(p) with
+            | None -> List.rev stage_start.(p)
+            | Some f -> collect f.first_start);
+          stage_finish =
+            (match fstate.(p) with
+            | None -> List.rev stage_finish.(p)
+            | Some f -> collect f.last_finish);
         })
       by_id
   in
@@ -728,4 +1346,60 @@ let run ?(policy = Fair_share) ?(events = []) (jobs_in : job array) =
           match rejected.(p) with Some _ -> acc | None -> acc +. work.(p))
         0. order;
     trace = List.rev !trace;
+  }
+
+let run ?(policy = Fair_share) ?(events = []) (jobs : job array) =
+  let nr = validate_jobs jobs in
+  let mevents = validate_events ~nr events in
+  loop ~solo:false ~policy ~nr ~mevents
+    ~fstate:(Array.make (Array.length jobs) None)
+    jobs
+
+let run_solo ?faults ?(recovery = Recovery.default) ?replanner
+    (g : Task_graph.t) =
+  (match Task_graph.validate g with
+  | Ok () -> ()
+  | Error msg ->
+    Parqo_error.fail ~subsystem:"simulator" ("invalid task graph: " ^ msg));
+  let f =
+    match faults with
+    | None -> None
+    | Some fc -> (
+      match Fault.validate fc with
+      | Error msg ->
+        Parqo_error.fail ~subsystem:"simulator" ("invalid fault config: " ^ msg)
+      | Ok () when Fault.is_active fc -> Some (faulted fc recovery replanner g)
+      | Ok () -> None)
+  in
+  let nr =
+    g.Task_graph.n_resources
+    + match f with Some f -> Array.length f.grows | None -> 0
+  in
+  let o =
+    loop ~solo:true ~policy:Fair_share ~nr ~mevents:[||] ~fstate:[| f |]
+      [| job ~job_id:0 g |]
+  in
+  let j = o.jobs.(0) in
+  let n_faults, n_retries, n_replans, replans, faults =
+    match f with
+    | None -> (0, 0, 0, [], [])
+    | Some f ->
+      ( f.n_faults,
+        f.n_retries,
+        f.n_replans,
+        List.rev f.replans_log,
+        List.rev f.faults_log )
+  in
+  {
+    Solo.makespan = o.makespan;
+    busy = o.busy;
+    total_work = o.total_work;
+    stage_start = j.stage_start;
+    stage_finish = j.stage_finish;
+    trace = o.trace;
+    n_faults;
+    n_retries;
+    n_replans;
+    replans;
+    faults;
   }

@@ -1,26 +1,27 @@
 (** Workload co-scheduling: many task graphs sharing one machine.
 
-    The single-query simulator ({!Simulator}) prices one plan against an
-    idle machine; this module runs a {e workload} — jobs with arrival
-    instants drawn from a {!Workload.arrival} process — through the same
-    processor-sharing event loop, under a scheduling policy, and reports
+    This module holds the one event loop of [lib/sim].  It runs a
+    {e workload} — jobs with arrival instants drawn from a
+    {!Workload.arrival} process — under a scheduling policy, and reports
     per-query response times plus workload-level statistics.  That makes
     the work-bound dual of the paper's §2 measurable: under contention,
     response time is governed by total work, so low-work plans beat
     solo-optimal (low-response-time) plans — see {!expected_pressure}
-    and [Optimizer.minimize_under_contention].
+    and [Optimizer.minimize_under_contention].  {!Simulator.run}, which
+    prices one plan against an idle machine under optional faults, is a
+    one-job run of the same loop ({!run_solo}).
 
     Model: per resource and instant, the policy selects the {e eligible}
     jobs among those demanding the resource; eligible jobs split its
     unit capacity evenly, and within a job the share splits evenly over
-    its demanding tasks (the single-query simulator's processor
-    sharing).  Ineligible jobs are preempted on that resource.  With one
-    job every policy degenerates to {!Simulator.run}, bit-identically
-    (Int64-bit float equality) — the per-task slowdown factor is
-    [count * n_eligible] and multiplication by [1.0] is IEEE-exact.
-    On every demanded resource the eligible class drains exactly at
-    capacity, so per-resource busy time equals delivered work (busy
-    conservation) and utilization never exceeds 1. *)
+    its demanding tasks (processor sharing).  Ineligible jobs are
+    preempted on that resource.  With one job the per-task slowdown
+    factor is [count * 1], and multiplication by [1.0] is IEEE-exact, so
+    a one-job {!run} and a fault-free {!run_solo} agree bit for bit
+    (Int64-bit float equality) under every policy.  On every demanded
+    resource the eligible class drains exactly at capacity, so
+    per-resource busy time equals delivered work (busy conservation) and
+    utilization never exceeds 1. *)
 
 type policy =
   | Fair_share
@@ -160,3 +161,110 @@ val expected_pressure :
     [Metric.contention_rank] / [Optimizer.minimize_under_contention] to
     re-rank plans for a loaded machine.  Raises [Invalid_argument] on a
     non-positive [horizon] or a mis-sized [speeds]. *)
+
+(** {1 One job alone, under faults}
+
+    What {!run_solo} reports.  [Simulator] includes this module: its
+    outcome, fault and re-plan records are these. *)
+module Solo : sig
+  type nonrec event = event = {
+    at : float;
+    what : string;  (** e.g. ["task sort done"], ["stage 3 start"] *)
+  }
+
+  type fault_event = {
+    f_at : float;
+    f_kind : Fault.kind;
+    f_stage : int option;  (** the affected stage, for task-level faults *)
+    f_task : string option;  (** the affected task's label *)
+    f_resource : int option;  (** the lost resource, for outages *)
+    f_attempt : int;  (** which attempt faulted (from 1); [0] for outages *)
+  }
+
+  type replan_trigger =
+    | Checkpoint_loss of { resource : int }
+        (** a full-loss outage destroyed checkpoints on [resource] *)
+    | Work_inflation of { ratio : float }
+        (** cumulative rework reached [ratio] × the graph's base work *)
+    | Slowdown of { resource : int; factor : float }
+        (** a brownout began: [resource] runs at [factor] of its capacity
+            — nothing is destroyed, but the residual work may be worth
+            steering elsewhere *)
+    | Scale_out of { n_new : int }
+        (** [n_new] grown resources just came online; only a re-planned
+            graph (lowered on the grown machine) can place work on them *)
+
+  val trigger_to_string : replan_trigger -> string
+  (** e.g. ["checkpoint loss (resource 3)"], ["work inflation x0.62"] *)
+
+  type replan_event = {
+    rp_at : float;  (** simulation time of the splice *)
+    rp_trigger : replan_trigger;
+    rp_plan : string;  (** canonical key of the chosen residual plan *)
+    rp_info : string;  (** re-optimization summary (expansions, fallback…) *)
+  }
+
+  type snapshot = {
+    s_at : float;  (** current simulation time *)
+    s_trigger : replan_trigger;
+    s_graph : Task_graph.t;  (** the graph being abandoned *)
+    s_survivors : int list;
+        (** stage ids of [s_graph] whose materialized outputs survive —
+            the checkpoint frontier the residual query may build on *)
+  }
+
+  type replan = {
+    new_graph : Task_graph.t;
+        (** residual graph; its [n_resources] must equal the machine's
+            {e current} dimension — the initial graph's plus every grow
+            event already online *)
+    plan_key : string;
+    info : string;
+  }
+
+  type replanner = snapshot -> replan option
+  (** Returning [None] declines — recovery falls back to
+      [Restart_from_sync] semantics for this trigger. *)
+
+  type outcome = {
+    makespan : float;
+        (** end-to-end completion time; includes recovery re-execution
+            when faults were injected *)
+    busy : float array;
+        (** per-resource busy time; equals per-resource demand totals in
+            a failure-free run, and includes re-executed and inflated work
+            under faults.  With scale-out events the array covers the
+            grown dimensions too (initial [n_resources] + one per grow
+            event, in onset order). *)
+    total_work : float;
+        (** failure-free work of the graph; after a re-plan splice, the
+            surviving checkpoints' work plus the residual graph's work *)
+    stage_start : (int * float) list;
+        (** first activation time per stage (restarts do not move it), in
+            event order — or, under faults, in (time, stage id) order;
+            stages of the {e final} graph when re-planning spliced one in *)
+    stage_finish : (int * float) list;  (** final completion time per stage *)
+    trace : event list;  (** chronological; includes fault events *)
+    n_faults : int;
+        (** injected faults: fail-stops + stragglers + outages + grows;
+            [0] without fault injection *)
+    n_retries : int;  (** task re-executions beyond each task's first attempt *)
+    n_replans : int;  (** re-plan splices performed (0 unless [Replan]) *)
+    replans : replan_event list;  (** chronological *)
+    faults : fault_event list;  (** chronological *)
+  }
+end
+
+val run_solo :
+  ?faults:Fault.config -> ?recovery:Recovery.policy ->
+  ?replanner:Solo.replanner -> Task_graph.t -> Solo.outcome
+(** One job, arriving at 0 on an idle machine of the graph's dimension
+    (plus any grown resources), under the simulator's conventions: the
+    trace names no job and has no arrival or completion lines, and errors
+    come from subsystem ["simulator"].  This is {!Simulator.run}; see
+    there.  A faulted job drains down to one part in 1e12 of its graph's
+    work (floored at 1e-9), and settles each instant in a fixed order:
+    grow boundaries, outage boundaries, the work-inflation trigger, due
+    fail-stops, then completions, repeated until none fires.  A splice
+    replaces the job's graph state; the clock, busy time, logs and the
+    outage and grow flags carry over. *)

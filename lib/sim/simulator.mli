@@ -7,11 +7,9 @@
     stages that still demand it; a task progresses on all its resources
     concurrently and finishes when every demand is exhausted; a stage
     finishes when all its tasks do, releasing dependent stages.  The
-    makespan is the simulated response time.
-
-    [Serialized] mode executes stages and tasks one at a time — the
-    sequential-execution baseline of the §5 desiderata, whose makespan is
-    exactly the total work.
+    makespan is the simulated response time.  The sequential-execution
+    baseline of the §5 desiderata is the plan's
+    {!Task_graph.total_work}.
 
     With a {!Fault.config} the simulator injects fail-stop task faults,
     stragglers and resource outages from a deterministic seed-driven
@@ -29,112 +27,30 @@
     query; if one is returned it is spliced in and simulation continues
     on it, on the same clock and busy counters.  When the callback
     declines (or none is given), [Replan] behaves exactly like
-    [Restart_from_sync]. *)
+    [Restart_from_sync].
 
-type mode = Concurrent | Serialized
+    A simulation is a one-job run of {!Scheduler}'s event loop
+    ({!Scheduler.run_solo}).  The outcome, fault and re-plan records are
+    {!Scheduler.Solo}'s, documented there. *)
 
-type event = {
-  at : float;
-  what : string;  (** e.g. ["task sort done"], ["stage 3 start"] *)
-}
-
-type fault_event = {
-  f_at : float;
-  f_kind : Fault.kind;
-  f_stage : int option;  (** the affected stage, for task-level faults *)
-  f_task : string option;  (** the affected task's label *)
-  f_resource : int option;  (** the lost resource, for outages *)
-  f_attempt : int;  (** which attempt faulted (from 1); [0] for outages *)
-}
-
-type replan_trigger =
-  | Checkpoint_loss of { resource : int }
-      (** a full-loss outage destroyed checkpoints on [resource] *)
-  | Work_inflation of { ratio : float }
-      (** cumulative rework reached [ratio] × the graph's base work *)
-  | Slowdown of { resource : int; factor : float }
-      (** a brownout began: [resource] runs at [factor] of its capacity —
-          nothing is destroyed, but the residual work may be worth
-          steering elsewhere *)
-  | Scale_out of { n_new : int }
-      (** [n_new] grown resources just came online; only a re-planned
-          graph (lowered on the grown machine) can place work on them *)
-
-val trigger_to_string : replan_trigger -> string
-(** e.g. ["checkpoint loss (resource 3)"], ["work inflation (0.62x)"] *)
-
-type replan_event = {
-  rp_at : float;  (** simulation time of the splice *)
-  rp_trigger : replan_trigger;
-  rp_plan : string;  (** canonical key of the chosen residual plan *)
-  rp_info : string;  (** re-optimization summary (expansions, fallback…) *)
-}
-
-type snapshot = {
-  s_at : float;  (** current simulation time *)
-  s_trigger : replan_trigger;
-  s_graph : Task_graph.t;  (** the graph being abandoned *)
-  s_survivors : int list;
-      (** stage ids of [s_graph] whose materialized outputs survive —
-          the checkpoint frontier the residual query may build on *)
-}
-
-type replan = {
-  new_graph : Task_graph.t;
-      (** residual graph; its [n_resources] must equal the machine's
-          {e current} dimension — the initial graph's plus every grow
-          event already online *)
-  plan_key : string;
-  info : string;
-}
-
-type replanner = snapshot -> replan option
-(** Returning [None] declines — the simulator falls back to
-    [Restart_from_sync] semantics for this trigger. *)
-
-type outcome = {
-  makespan : float;
-      (** end-to-end completion time; includes recovery re-execution when
-          faults were injected *)
-  busy : float array;
-      (** per-resource busy time; equals per-resource demand totals in a
-          failure-free run, and includes re-executed and inflated work
-          under faults.  With scale-out events the array covers the grown
-          dimensions too (initial [n_resources] + one per grow event, in
-          onset order). *)
-  total_work : float;
-      (** failure-free work of the graph; after a re-plan splice, the
-          surviving checkpoints' work plus the residual graph's work *)
-  stage_start : (int * float) list;
-      (** first activation time per stage (restarts do not move it);
-          stages of the {e final} graph when re-planning spliced one in *)
-  stage_finish : (int * float) list;  (** final completion time per stage *)
-  trace : event list;  (** chronological; includes fault events *)
-  n_faults : int;
-      (** injected faults: fail-stops + stragglers + outages; [0] without
-          fault injection *)
-  n_retries : int;  (** task re-executions beyond each task's first attempt *)
-  n_replans : int;  (** re-plan splices performed (0 unless [Replan]) *)
-  replans : replan_event list;  (** chronological *)
-  faults : fault_event list;  (** chronological *)
-}
+include module type of struct
+  include Scheduler.Solo
+end
 
 val run :
-  ?mode:mode -> ?faults:Fault.config -> ?recovery:Recovery.policy ->
+  ?faults:Fault.config -> ?recovery:Recovery.policy ->
   ?replanner:replanner -> Task_graph.t -> outcome
-(** [mode] defaults to [Concurrent], [recovery] to {!Recovery.default}.
-    When [faults] is absent or inactive, the result is bit-identical to
-    the failure-free simulator (with the fault counters zero).
-    [replanner] is consulted only under the [Replan] policy in
-    [Concurrent] mode; in [Serialized] mode (no concurrent capacity to
-    re-balance) [Replan] behaves like [Restart_stage].  Raises
+(** [recovery] defaults to {!Recovery.default}.  When [faults] is absent
+    or inactive, the result is bit-identical to the failure-free
+    simulator (with the fault counters zero).  [replanner] is consulted
+    only under the [Replan] policy.  Raises
     {!Parqo_util.Parqo_error.Error} on an invalid graph or fault config
     (task-graph validation per {!Task_graph.validate} also covers every
     spliced residual graph), and when every remaining demand sits on a
     permanently lost resource. *)
 
 val simulate_plan :
-  ?mode:mode -> ?faults:Fault.config -> ?recovery:Recovery.policy ->
+  ?faults:Fault.config -> ?recovery:Recovery.policy ->
   Parqo_cost.Env.t -> Parqo_plan.Join_tree.t -> outcome
 (** Expand, lower and simulate a join tree in one call. *)
 

@@ -65,34 +65,38 @@ type t = {
 let chunk_size ~width ~tasks ~pos = max 1 ((tasks - pos) / (8 * width))
 let default_chunk ~pos:_ ~default = default
 
+(* Record the region's first exception and stop claiming. *)
+let record_failure t exn =
+  Atomic.set t.abort true;
+  Mutex.lock t.m;
+  if t.failure = None then t.failure <- Some exn;
+  Mutex.unlock t.m
+
 (* Claim and run chunks until the cursor passes [tasks] or a failure
-   aborts the region.  Exceptions from [job] are recorded (first wins)
-   and abort the region; the claim loop itself never raises. *)
+   aborts the region.  Exceptions from [job] and from the caller's
+   [chunk] hook are recorded (first wins) and abort the region; the
+   claim loop itself never raises, so a worker always leaves the epoch
+   and the caller always waits for it. *)
 let claim_loop t ~worker ~tasks ~chunk job =
   let claimed = ref false in
   let rec go () =
     if not (Atomic.get t.abort) then begin
       let pos = Atomic.get t.next in
-      if pos < tasks then begin
-        let chunk =
-          max 1 (chunk ~pos ~default:(chunk_size ~width:t.width ~tasks ~pos))
-        in
-        let lo = Atomic.fetch_and_add t.next chunk in
-        if lo < tasks then begin
-          let hi = min tasks (lo + chunk) in
-          if not !claimed then begin
-            claimed := true;
-            t.participated.(worker) <- true
-          end;
-          (try job ~worker ~lo ~hi
-           with exn ->
-             Atomic.set t.abort true;
-             Mutex.lock t.m;
-             if t.failure = None then t.failure <- Some exn;
-             Mutex.unlock t.m);
-          go ()
-        end
-      end
+      if pos < tasks then
+        match chunk ~pos ~default:(chunk_size ~width:t.width ~tasks ~pos) with
+        | exception exn -> record_failure t exn
+        | size ->
+          let size = max 1 size in
+          let lo = Atomic.fetch_and_add t.next size in
+          if lo < tasks then begin
+            let hi = min tasks (lo + size) in
+            if not !claimed then begin
+              claimed := true;
+              t.participated.(worker) <- true
+            end;
+            (try job ~worker ~lo ~hi with exn -> record_failure t exn);
+            go ()
+          end
     end
   in
   go ()
@@ -193,7 +197,9 @@ let shutdown t =
 (* The sequential path still iterates in chunks, sized as with
    workers, so a caller sees the same kind of claims at every width. *)
 let run_sequential t ~tasks ~chunk job =
+  Mutex.lock t.m;
   t.n_sequential_runs <- t.n_sequential_runs + 1;
+  Mutex.unlock t.m;
   let pos = ref 0 in
   while !pos < tasks do
     let size =

@@ -77,13 +77,13 @@ val run_ranged :
     Returns the number of lanes that executed at least one chunk — what
     actually ran, as opposed to the pool's width.  With [width t = 1] or
     [tasks <= 1] the region runs as a chunked sequential loop on the
-    calling domain (no synchronization at all) and returns
-    [min tasks 1].
+    calling domain (no synchronization beyond counting the region in
+    {!stats}) and returns [min tasks 1].
 
     [job] must be safe to call from any domain and must not assume any
-    execution order.  If a chunk raises, claiming stops and the first
-    exception is re-raised after all workers have parked — the pool
-    remains usable.  Raises [Invalid_argument] on [tasks < 0], on a pool
+    execution order.  If a chunk or the [chunk] hook raises, on any
+    domain, claiming stops and the first exception is re-raised after
+    all workers have parked — the pool remains usable.  Raises [Invalid_argument] on [tasks < 0], on a pool
     already shut down, and on overlapping regions (one pool runs one
     region at a time). *)
 

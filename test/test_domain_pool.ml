@@ -182,6 +182,49 @@ let chunk_hook () =
             (List.init 15 (fun g -> (7 * g, min tasks ((7 * g) + 7))))
             (List.rev !claims)))
 
+(* a raising [chunk] hook is reraised once, whether it raises on the
+   calling domain or on a worker, and the next region on the pool runs.
+   The worker case makes sure a worker asks the hook: the caller's hook
+   waits until one has. *)
+let raising_chunk_hook () =
+  Helpers.with_forced_pool 2 (fun pool ->
+      let caller = Domain.self () in
+      let tasks = 64 in
+      let region ~raise_on =
+        let asked = Atomic.make false in
+        let chunk ~pos:_ ~default =
+          let on_caller = Domain.self () = caller in
+          if on_caller = (raise_on = `Caller) then begin
+            Atomic.set asked true;
+            failwith "hook"
+          end;
+          if on_caller then
+            while not (Atomic.get asked) do
+              Domain.cpu_relax ()
+            done;
+          default
+        in
+        match Pool.run_ranged ~chunk pool ~tasks (fun ~worker:_ ~lo:_ ~hi:_ -> ()) with
+        | (_ : int) -> Alcotest.fail "the hook's exception was swallowed"
+        | exception Failure msg -> Alcotest.(check string) "reraised" "hook" msg
+      in
+      List.iter
+        (fun raise_on ->
+          region ~raise_on;
+          let counts = Array.init tasks (fun _ -> Atomic.make 0) in
+          ignore
+            (Pool.run_ranged pool ~tasks (fun ~worker:_ ~lo ~hi ->
+                 for i = lo to hi - 1 do
+                   Atomic.incr counts.(i)
+                 done));
+          Array.iteri
+            (fun i c ->
+              Alcotest.(check int)
+                (Printf.sprintf "next region: index %d runs once" i)
+                1 (Atomic.get c))
+            counts)
+        [ `Caller; `Worker ])
+
 let suite =
   ( "domain_pool",
     [
@@ -193,4 +236,5 @@ let suite =
       t "clamping and sequential fast path" clamps_and_fast_paths;
       t "participants bounded by width" participants_bounded;
       t "caller-sized chunks" chunk_hook;
+      t "raising chunk hook reraised, pool survives" raising_chunk_hook;
     ] )

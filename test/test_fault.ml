@@ -200,17 +200,6 @@ let checkpoint_loss_cascades () =
   Alcotest.(check bool) "re-execution recorded" true
     (lose.Sim.n_retries > keep.Sim.n_retries)
 
-(* serialized mode injects the same fault process *)
-let serialized_faults () =
-  let fc = F.default ~seed:11 ~fault_rate:0.5 () in
-  let clean = Sim.run ~mode:Sim.Serialized (chain_graph ()) in
-  let a = Sim.run ~mode:Sim.Serialized ~faults:fc (chain_graph ()) in
-  let b = Sim.run ~mode:Sim.Serialized ~faults:fc (chain_graph ()) in
-  Helpers.check_float "deterministic" a.Sim.makespan b.Sim.makespan;
-  Alcotest.(check bool) "faults observed" true (a.Sim.n_faults > 0);
-  Alcotest.(check bool) "at least total work" true
-    (a.Sim.makespan +. 1e-9 >= clean.Sim.makespan)
-
 (* invalid configs are rejected with a structured error *)
 let invalid_config_rejected () =
   let bad = { F.none with F.task_fail_rate = 1.5 } in
@@ -330,7 +319,6 @@ let suite =
       t "forced failures" forced_failures;
       t "outage delays" outage_delays;
       t "checkpoint loss cascades" checkpoint_loss_cascades;
-      t "serialized faults" serialized_faults;
       t "invalid config rejected" invalid_config_rejected;
       t "plan-level faults" plan_level_faults;
       t "heterogeneous fault config" hetero_fault_config;

@@ -86,11 +86,10 @@ let serialized_mode () =
     graph ~n_resources:2
       [ ([ [| 6.; 0. |]; [| 0.; 4. |] ], [ 1 ]); ([ [| 2.; 2. |] ], []) ]
   in
-  let o = Sim.run ~mode:Sim.Serialized g in
-  Helpers.check_float "serialized = total work" o.Sim.total_work o.Sim.makespan;
-  let c = Sim.run ~mode:Sim.Concurrent g in
+  (* the sequential baseline is the total work *)
+  let c = Sim.run g in
   Alcotest.(check bool) "concurrent at least as fast" true
-    (c.Sim.makespan <= o.Sim.makespan +. 1e-9)
+    (c.Sim.makespan <= TG.total_work g +. 1e-9)
 
 (* the property of stretching (§5.2.1): scaling every demand by f scales
    the schedule by f and nothing else changes structurally *)
@@ -184,6 +183,278 @@ let timeline_rendering () =
     [ (0, 4.); (1, 0.) ]
     (List.sort compare o.Sim.stage_start)
 
+(* ------------------------------------------------------------------ *)
+(* the simulator against the reference loops ([Sim_reference])        *)
+
+module F = Parqo.Fault
+module R = Parqo.Recovery
+module Rng = Parqo.Rng
+
+let bits = Int64.bits_of_float
+
+(* every outcome field as exact text, floats as their Int64 bits, the
+   trace's instants and texts included *)
+let render (o : Sim.outcome) =
+  let b x = Printf.sprintf "%Lx" (bits x) in
+  let opt f = function None -> "-" | Some x -> f x in
+  let times l =
+    String.concat " " (List.map (fun (id, t) -> Printf.sprintf "%d@%s" id (b t)) l)
+  in
+  let trigger = function
+    | Sim.Checkpoint_loss { resource } -> Printf.sprintf "loss %d" resource
+    | Sim.Work_inflation { ratio } -> "inflation " ^ b ratio
+    | Sim.Slowdown { resource; factor } ->
+      Printf.sprintf "slowdown %d %s" resource (b factor)
+    | Sim.Scale_out { n_new } -> Printf.sprintf "scale-out %d" n_new
+  in
+  [
+    ("makespan", b o.Sim.makespan);
+    ("busy", String.concat " " (Array.to_list (Array.map b o.Sim.busy)));
+    ("total work", b o.Sim.total_work);
+    ("stage starts", times o.Sim.stage_start);
+    ("stage finishes", times o.Sim.stage_finish);
+    ("n_faults", string_of_int o.Sim.n_faults);
+    ("n_retries", string_of_int o.Sim.n_retries);
+    ("n_replans", string_of_int o.Sim.n_replans);
+  ]
+  @ List.mapi
+      (fun i (r : Sim.replan_event) ->
+        ( Printf.sprintf "replan %d" i,
+          String.concat " " [ b r.Sim.rp_at; trigger r.Sim.rp_trigger; r.Sim.rp_plan; r.Sim.rp_info ] ))
+      o.Sim.replans
+  @ List.mapi
+      (fun i (f : Sim.fault_event) ->
+        ( Printf.sprintf "fault %d" i,
+          String.concat " "
+            [
+              b f.Sim.f_at;
+              F.kind_name f.Sim.f_kind;
+              opt string_of_int f.Sim.f_stage;
+              opt Fun.id f.Sim.f_task;
+              opt string_of_int f.Sim.f_resource;
+              string_of_int f.Sim.f_attempt;
+            ] ))
+      o.Sim.faults
+  @ List.mapi
+      (fun i (e : Sim.event) ->
+        (Printf.sprintf "trace event %d" i, b e.Sim.at ^ " " ^ e.Sim.what))
+      o.Sim.trace
+
+(* fails on the first field that differs *)
+let check_same ~ctx want got =
+  let rec go = function
+    | [], [] -> ()
+    | (field, w) :: ws, (field', g) :: gs when field = field' && w = g -> go (ws, gs)
+    | (field, w) :: _, (_, g) :: _ -> Alcotest.failf "%s: want %s, got %s" (ctx field) w g
+    | (field, _) :: _, [] -> Alcotest.failf "%s: missing" (ctx field)
+    | [], (field, _) :: _ -> Alcotest.failf "%s: not in the reference" (ctx field)
+  in
+  go (render want, render got)
+
+let scaled s (g : TG.t) =
+  let task (t : TG.task) = { t with TG.demands = Array.map (fun d -> d *. s) t.TG.demands } in
+  {
+    g with
+    TG.stages =
+      Array.map (fun (st : TG.stage) -> { st with TG.tasks = List.map task st.TG.tasks }) g.TG.stages;
+  }
+
+(* hand-built stage DAGs with what lowering never produces: stages
+   without tasks, demand cells of zero or below the drain threshold
+   (also below a large graph's), vectors shorter than [n_resources],
+   repeated dependencies.  Most cells are multiples of [q / 4], so
+   exhaustions tie with each other and with boundaries on that grid. *)
+let random_dag rng ~n_resources ~q =
+  let cell () =
+    match Rng.int rng 7 with
+    | 0 -> 0.
+    | 1 -> 5e-10
+    | 2 -> 1e-13 *. q
+    | 3 -> q *. (0.05 +. Rng.float rng 2.)
+    | _ -> 0.25 *. q *. float_of_int (1 + Rng.int rng 4)
+  in
+  graph ~n_resources
+    (List.init
+       (1 + Rng.int rng 5)
+       (fun i ->
+         ( List.init (Rng.int rng 4) (fun _ ->
+               Array.init (1 + Rng.int rng n_resources) (fun _ -> cell ())),
+           if i = 0 then [] else List.init (Rng.int rng 3) (fun _ -> Rng.int rng i) )))
+
+let random_lowered rng =
+  let env = Helpers.random_env rng ~n:(2 + Rng.int rng 3) in
+  let eval = Parqo.Costmodel.evaluate env (Helpers.random_tree rng env) in
+  TG.of_optree env eval.Parqo.Costmodel.optree
+
+(* Outages and grows on a grid of [q / 2]: full losses (now and then
+   for good), brownouts, windows of factor 1 that change nothing, and
+   windows overlapping on one resource. *)
+let random_faults rng ~n_resources ~q ~span =
+  let instant () = 0.5 *. q *. float_of_int (Rng.int rng (2 + int_of_float (2. *. span /. q))) in
+  let grows =
+    List.init
+      (if Rng.int rng 3 = 0 then 1 + Rng.int rng 2 else 0)
+      (fun _ ->
+        { F.g_at = instant (); g_kind = Parqo.Resource.Cpu; g_node = 0; g_speed = 1. })
+  in
+  let dims = n_resources + List.length grows in
+  let outage () =
+    let factor =
+      match Rng.int rng 5 with
+      | 0 | 1 -> 0.
+      | 2 -> 1.
+      | _ -> 0.25 *. float_of_int (1 + Rng.int rng 3)
+    in
+    let duration =
+      if factor = 0. && Rng.int rng 8 = 0 then infinity
+      else 0.5 *. q *. float_of_int (Rng.int rng 6)
+    in
+    { F.resource = Rng.int rng dims; at = instant (); duration; factor }
+  in
+  let outages =
+    List.concat
+      (List.init (Rng.int rng 4) (fun _ ->
+           let o = outage () in
+           if Rng.int rng 4 = 0 then
+             [ o; { (outage ()) with F.resource = o.F.resource; at = o.F.at +. (0.5 *. q) } ]
+           else [ o ]))
+  in
+  let pick l = List.nth l (Rng.int rng (List.length l)) in
+  {
+    F.seed = Rng.int rng 1_000_000;
+    task_fail_rate = pick [ 0.; 0.2; 0.5; 0.9 ];
+    max_fail_attempts = 1 + Rng.int rng 4;
+    straggler_rate = pick [ 0.; 0.; 0.3 ];
+    straggler_factor = pick [ 1.; 2.; 4. ];
+    outages;
+    grows;
+  }
+
+type replanner_kind = No_replanner | Declines | Splices | Wrong_dimension
+
+(* A synthetic re-planner, fresh for each run so that both loops see the
+   same answers: it splices a random DAG over the machine's current
+   dimension (declining now and then), or one dimension too many. *)
+let synthetic kind ~seed ~q (fc : F.config) ~n_resources =
+  match kind with
+  | No_replanner -> None
+  | Declines -> Some (fun (_ : Sim.snapshot) -> None)
+  | Splices | Wrong_dimension ->
+    let calls = ref 0 in
+    Some
+      (fun (s : Sim.snapshot) ->
+        incr calls;
+        let rng = Rng.create ((seed * 7919) + !calls) in
+        let live =
+          n_resources
+          + List.length
+              (List.filter (fun (g : F.grow) -> g.F.g_at <= s.Sim.s_at +. 1e-12) fc.F.grows)
+        in
+        let n_resources = if kind = Wrong_dimension then live + 1 else live in
+        if Rng.int rng 4 = 0 then None
+        else
+          Some
+            {
+              Sim.new_graph = random_dag rng ~n_resources ~q;
+              plan_key = Printf.sprintf "p%d" !calls;
+              info = "synthetic";
+            })
+
+let contains hay needle =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+let matches_reference () =
+  let rng = Rng.create 20261019 in
+  let count = Hashtbl.create 16 in
+  let seen what = Hashtbl.replace count what (1 + Option.value ~default:0 (Hashtbl.find_opt count what)) in
+  for case = 1 to 300 do
+    let q = match Rng.int rng 5 with 0 -> 400. | 1 -> 2e10 | _ -> 1. in
+    let g0 =
+      if Rng.bool rng then scaled q (random_lowered rng)
+      else random_dag rng ~n_resources:(1 + Rng.int rng 3) ~q
+    in
+    let n_resources = g0.TG.n_resources in
+    let total = TG.total_work g0 in
+    if total > 1000. then seen "totals above 1000";
+    if total > 1e10 then seen "totals near 1e11";
+    let span = Float.max q (total /. float_of_int n_resources) in
+    let fc = random_faults rng ~n_resources ~q ~span in
+    let kind =
+      match Rng.int rng 6 with
+      | 0 -> No_replanner
+      | 1 -> Declines
+      | 2 -> Wrong_dimension
+      | _ -> Splices
+    in
+    let seed = Rng.int rng 1_000_000 in
+    let policies =
+      [
+        ("retry", R.retry_task ~backoff:(0.25 *. q *. float_of_int (Rng.int rng 3)) ~backoff_cap:(2. *. q) ());
+        ("stage", R.Restart_stage);
+        ("sync", R.Restart_from_sync);
+        ("replan", R.replan ~threshold:(List.nth [ 0.1; 0.5; infinity ] (Rng.int rng 3)) ());
+      ]
+    in
+    List.iter
+      (fun (name, recovery) ->
+        let ctx field = Printf.sprintf "case %d (%s): %s" case name field in
+        let attempt run =
+          match run (synthetic kind ~seed ~q fc ~n_resources) with
+          | o -> Ok o
+          | exception Parqo.Parqo_error.Error e ->
+            Error (e.Parqo.Parqo_error.subsystem ^ ": " ^ e.Parqo.Parqo_error.message)
+        in
+        match
+          ( attempt (fun replanner -> Sim_reference.run ~faults:fc ~recovery ?replanner g0),
+            attempt (fun replanner -> Sim.run ~faults:fc ~recovery ?replanner g0) )
+        with
+        | Ok want, Ok got ->
+          check_same ~ctx want got;
+          if want.Sim.n_retries > 0 then seen ("retries under " ^ name);
+          if List.exists (fun (e : Sim.event) -> contains e.Sim.what "checkpoint lost") want.Sim.trace
+          then seen "checkpoint losses";
+          List.iter
+            (fun (r : Sim.replan_event) ->
+              seen
+                (match r.Sim.rp_trigger with
+                | Sim.Checkpoint_loss _ -> "splices on checkpoint loss"
+                | Sim.Work_inflation _ -> "splices on work inflation"
+                | Sim.Slowdown _ -> "splices on slowdown"
+                | Sim.Scale_out _ -> "splices on scale-out"))
+            want.Sim.replans
+        | Error want, Error got ->
+          Alcotest.(check string) (ctx "error") want got;
+          seen
+            (if contains want "starved" then "starved runs"
+             else if contains want "dimension mismatch" then "dimension mismatches"
+             else "other errors")
+        | Ok _, Error e -> Alcotest.failf "%s: raised %s" (ctx "run") e
+        | Error e, Ok _ -> Alcotest.failf "%s: reference raised %s" (ctx "run") e)
+      policies
+  done;
+  (* the draw reaches every branch it is meant to *)
+  List.iter
+    (fun (what, least) ->
+      let n = Option.value ~default:0 (Hashtbl.find_opt count what) in
+      if n < least then Alcotest.failf "only %d %s (want %d)" n what least)
+    [
+      ("totals above 1000", 50);
+      ("totals near 1e11", 30);
+      ("retries under retry", 50);
+      ("retries under stage", 50);
+      ("retries under sync", 50);
+      ("retries under replan", 50);
+      ("checkpoint losses", 20);
+      ("splices on checkpoint loss", 3);
+      ("splices on work inflation", 30);
+      ("splices on slowdown", 20);
+      ("splices on scale-out", 10);
+      ("starved runs", 10);
+      ("dimension mismatches", 10);
+    ]
+
 let suite =
   ( "simulator",
     [
@@ -199,4 +470,5 @@ let suite =
       t "work conservation (random)" work_conservation_random;
       t "plan simulation" plan_simulation_consistency;
       t "cloning speeds simulation" cloning_speeds_simulation;
+      t "simulator matches the reference loop" matches_reference;
     ] )
