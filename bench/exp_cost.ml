@@ -31,18 +31,20 @@ let smoke = Common.smoke
    comfortably beat; the full run on a quiet machine is ~5x faster *)
 let smoke_us_per_plan_ceiling = 30.
 
-(* about 1.2x the cached sequential chain-5 smoke run's 365.9 minor
-   words per plan when it was set (328.9 since the join context is
-   computed once per extension), which repeats exactly from run to run;
-   pricing every candidate from scratch again (renumbering it,
-   re-costing the materialized twin) allocated 861.5 *)
-let smoke_words_per_plan_ceiling = 440.
+(* about 1.2x the cached sequential chain-5 smoke run's 169.1 minor
+   words per plan when it was set, which repeats exactly from run to
+   run; building every candidate's join tree and eval before its cover
+   test, with composition kernels that box their floats, allocated
+   324.2, and pricing every candidate from scratch again (renumbering
+   it, re-costing the materialized twin) 861.5 *)
+let smoke_words_per_plan_ceiling = 203.
 
-(* about 1.2x the capped cached sequential chain-5 smoke run's 111.9
-   minor words per plan, which repeats exactly from run to run; pricing
-   every capped candidate in full before comparing its work with the
-   cap allocated 293.4 *)
-let smoke_capped_words_per_plan_ceiling = 135.
+(* about 1.2x the capped cached sequential chain-5 smoke run's 59.7 to
+   62.2 minor words per plan when it was set; building every priced
+   candidate before its cover test allocated 109.4, and pricing every
+   capped candidate in full before comparing its work with the cap
+   293.4 *)
+let smoke_capped_words_per_plan_ceiling = 75.
 
 let plan_string (e : Cm.eval) = Parqo.Join_tree.to_string e.Cm.tree
 

@@ -66,7 +66,7 @@ let example3 () =
   (* end-to-end through the full cost model on the CTR/CI database *)
   let catalog, query, machine = Sc.ctr_ci () in
   let env = Parqo.Env.create ~machine ~catalog ~query () in
-  let objective (e : Parqo.Costmodel.eval) = e.Parqo.Costmodel.response_time in
+  let objective (e : _ Parqo.Costmodel.priced) = e.Parqo.Costmodel.response_time in
   let naive = Parqo.Dp.optimize ~objective env in
   let metric = Parqo.Metric.descriptor machine Parqo.Machine.Per_resource in
   let po = Parqo.Podp.optimize ~metric env in

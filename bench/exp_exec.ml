@@ -23,16 +23,19 @@ module Cm = Parqo.Costmodel
 let smoke = Common.smoke
 
 (* ceilings on minor words per output row, (query, sequential,
-   parallel): about 1.2x the figures when they were set (360 / 1 374,
-   2 676 / 5 534, 360 / 736, 106 / 221 and 100 / 194), which repeat
-   exactly from run to run.  Kernels that tested every (outer, inner)
-   pair over rebuilt key lists read 17 379 / 20 650 on q3 and 66 961 /
-   75 946 on q5, and their hash join 207 / 300 on chain. *)
+   parallel): about 1.2x the figures when they were set (360 / 527,
+   2 676 / 3 102, 360 / 567, 106 / 221 and 100 / 194), which repeat
+   exactly from run to run; portfolio's partitioned run reads 206 since
+   index scans read a precomputed key order.  Sorting each index scan's
+   rows on every run read 1 374 on q3, 5 534 on q5 and 736 on q10.
+   Kernels that tested every (outer, inner) pair over rebuilt key lists
+   read 17 379 / 20 650 on q3 and 66 961 / 75 946 on q5, and their hash
+   join 207 / 300 on chain. *)
 let ceilings =
   [
-    ("q3", 432., 1649.);
-    ("q5", 3211., 6640.);
-    ("q10", 432., 883.);
+    ("q3", 432., 632.);
+    ("q5", 3211., 3722.);
+    ("q10", 432., 681.);
     ("portfolio", 128., 265.);
     ("chain", 120., 232.);
   ]

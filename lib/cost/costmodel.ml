@@ -2,14 +2,19 @@ module Op = Parqo_optree.Op
 module P = Parqo_plan
 module Bitset = Parqo_util.Bitset
 
-type eval = {
-  tree : P.Join_tree.t;
+type 'tree priced = {
+  tree : 'tree;
   optree : Op.node;
   descriptor : Descriptor.t;
   response_time : float;
   work : float;
   ordering : P.Ordering.t;
 }
+
+type eval = P.Join_tree.t priced
+type candidate = unit priced
+
+let without_tree c = { c with tree = () }
 
 let rec reuse_find node = function
   | [] -> None
@@ -122,13 +127,15 @@ let evaluate ?(required_order = P.Ordering.none) (env : Env.t) tree =
    would.  Between the two steps the candidate's work is bounded from
    below and compared with the caller's limit: pipe, tree and sync
    never lose work, so a candidate over the limit is dropped before any
-   composition, key, ordering or eval record is built.  The
-   materialized variant of a join is derived from the pipelined one
-   ([materialized_twin]), and the node-id renumbering — the one walk
-   over the whole tree — is left to [numbered], which the DP runs only
-   on the plans it keeps.  Every arithmetic operation on a priced plan
-   runs on the same values in the same order as the from-scratch path,
-   so the results are bit-identical. *)
+   composition.  Pricing stops at a [candidate]: the cost, ordering and
+   operators, but no join tree — the tree, its key and the eval record
+   are built by [admit], which a DP calls only for the candidates it
+   keeps.  The materialized variant of a join is derived from the
+   pipelined one ([materialized_twin]), and the node-id renumbering —
+   the one walk over the whole tree — is left to [numbered], which the
+   DP runs only on the plans it keeps.  Every arithmetic operation on a
+   priced plan runs on the same values in the same order as the
+   from-scratch path, so the results are bit-identical. *)
 
 type join_context = Parqo_optree.Expand.context
 
@@ -269,13 +276,12 @@ let price_join ~scratch ~limit (env : Env.t) (ctx : join_context) ~method_
         if free then Descriptor.pipe_s s p dl rb
         else Descriptor.tree_s s p dl (compose_side s p ie.descriptor rbs) rb
       in
-      let tree = P.Join_tree.join ~clone method_ ~outer:oe.tree ~inner:ie.tree in
       let ordering =
         P.Props.join_ordering method_ ~clone
           ~outer_key:(Lazy.from_val ctx.outer_key)
           ~outer:(Lazy.from_val oe.ordering)
       in
-      Some (of_descriptor ~tree ~optree:root ~ordering descriptor)
+      Some (of_descriptor ~tree:() ~optree:root ~ordering descriptor)
     end
   | _ -> invalid_arg "Costmodel: join root is not binary"
 
@@ -299,20 +305,47 @@ let outer_shape_equal a b =
    [sync] to the root's combined descriptor last: so the materialized
    join is the pipelined one with its root flipped and [sync] applied.
    [sync] keeps [rl], hence response time and work, bit for bit. *)
-let materialized_twin e =
-  match e.tree with
-  | P.Join_tree.Join ({ materialize = false; _ } as j) ->
-    let tree =
-      P.Join_tree.join ~clone:j.clone ~materialize:true j.method_
-        ~outer:j.outer ~inner:j.inner
-    in
+let materialized_twin (c : candidate) =
+  match c.optree with
+  | {
+   Op.composition = Op.Pipelined;
+   kind = Op.Hash_probe | Op.Merge_join | Op.Nl_join;
+   _;
+  } ->
     {
-      e with
-      tree;
-      optree = { e.optree with Op.composition = Op.Materialized };
-      descriptor = Descriptor.sync e.descriptor;
+      c with
+      optree = { c.optree with Op.composition = Op.Materialized };
+      descriptor = Descriptor.sync c.descriptor;
     }
   | _ -> invalid_arg "Costmodel.materialized_twin: not a pipelined join"
+
+(* the join method whose expansion has this root (Expand.expand_join) *)
+let method_of_root (root : Op.node) =
+  match root.Op.kind with
+  | Op.Hash_probe -> P.Join_method.Hash_join
+  | Op.Merge_join -> P.Join_method.Sort_merge
+  | Op.Nl_join -> P.Join_method.Nested_loops
+  | _ -> invalid_arg "Costmodel.admit: not a join"
+
+(* [node]'s unary chain reaches the grafted operator tree [stop] *)
+let rec grafts stop (node : Op.node) =
+  node == stop
+  || match node.Op.children with [ c ] -> grafts stop c | _ -> false
+
+(* The join tree is read off the candidate's root operator — method,
+   clone degree and composition — over the children it grafts, so an
+   eval can only be built with the tree that was priced. *)
+let admit ~outer ~inner (c : candidate) : eval =
+  let root = c.optree in
+  match root.Op.children with
+  | [ l; r ] when grafts outer.optree l && grafts inner.optree r ->
+    let tree =
+      P.Join_tree.join ~clone:root.Op.clone
+        ~materialize:(root.Op.composition = Op.Materialized)
+        (method_of_root root) ~outer:outer.tree ~inner:inner.tree
+    in
+    { c with tree }
+  | _ -> invalid_arg "Costmodel.admit: not a join of these plans"
 
 let numbered e = { e with optree = Parqo_optree.Expand.renumber e.optree }
 

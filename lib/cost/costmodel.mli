@@ -2,17 +2,29 @@
     (§5): descriptors are combined bottom-up with [pipe], [tree] and
     [sync] exactly as the calculus prescribes. *)
 
-type eval = {
-  tree : Parqo_plan.Join_tree.t;
+type 'tree priced = {
+  tree : 'tree;
   optree : Parqo_optree.Op.node;
   descriptor : Descriptor.t;
   response_time : float;
   work : float;
   ordering : Parqo_plan.Ordering.t;
 }
-(** A fully-costed plan: the join tree, its unique operator-tree
-    expansion, the resource descriptor, and the derived response time,
-    total work and output ordering. *)
+(** A costed plan: its operator-tree expansion, the resource descriptor,
+    the derived response time, total work and output ordering — and,
+    once it is built, its join tree. *)
+
+type eval = Parqo_plan.Join_tree.t priced
+(** A fully-costed plan: the join tree and its cost. *)
+
+type candidate = unit priced
+(** A join priced by {!price_join} and not yet built: everything an
+    {!eval} holds but the join tree, its key and the record that holds
+    them.  Pruning metrics read only this much ([Metric.fill]), so a DP
+    tests a candidate before it builds it ({!admit}). *)
+
+val without_tree : 'tree priced -> candidate
+(** The cost of a plan, as a candidate. *)
 
 val of_optree :
   ?reuse:(Parqo_optree.Op.node * Descriptor.t) list ->
@@ -46,8 +58,9 @@ val required_order : Env.t -> Parqo_plan.Ordering.t
 
     The DP hot path: a candidate is a join of two plans already
     evaluated, priced in O(new root operators) from their evaluations —
-    and, when a limit is given, bounded before it is composed.  Results
-    are bit-identical to {!evaluate} of the same tree once {!numbered}.
+    and, when a limit is given, bounded before it is composed.  Pricing
+    yields a {!candidate}; {!admit} builds its eval.  Results are
+    bit-identical to {!evaluate} of the same tree once {!numbered}.
 
     {b The bound.}  The new operators' base descriptors are computed
     first.  The candidate's priced work is at least
@@ -57,8 +70,8 @@ val required_order : Env.t -> Parqo_plan.Ordering.t
     work, since the residuals they add back are clamped at zero and the
     [Scale_all] penalty multiplies the overlap by a factor [>= 1].  A
     candidate whose bound exceeds the limit (by a relative slack of
-    1e-9, far above float rounding) is rejected before any composition,
-    join-tree key, ordering or eval record is built. *)
+    1e-9, far above float rounding) is rejected before any composition
+    or ordering is computed. *)
 
 type join_context = Parqo_optree.Expand.context
 (** What every join between two relation sets shares: the output
@@ -88,7 +101,7 @@ val price_join :
   clone:int ->
   outer:eval ->
   inner:eval ->
-  eval option
+  candidate option
 (** The pipelined join of two evaluated plans (its materialized variant
     is {!materialized_twin}): the new root operators are expanded over
     the children's operator trees, which are grafted unchanged, and only
@@ -97,6 +110,13 @@ val price_join :
     work exceeds [limit].  The operator tree is {e unnumbered} — the new
     nodes carry id 0 — until {!numbered}.  Raises [Invalid_argument]
     when the plans are not over the context's relation sets. *)
+
+val admit : outer:eval -> inner:eval -> candidate -> eval
+(** [admit ~outer ~inner c] builds the eval of a join {!price_join}
+    priced over [outer] and [inner] (or its {!materialized_twin}): its
+    join tree, with method, clone degree and materialization read off
+    [c]'s root operator, and the tree's key.  Raises [Invalid_argument]
+    unless [c]'s root grafts [outer]'s and [inner]'s operator trees. *)
 
 val last_bound : scratch -> float
 (** The work bound of the last join {!price_join} saw on this scratch,
@@ -150,14 +170,14 @@ val outer_shape_equal : eval -> eval -> bool
     bound — the outer roots agree on clone degree, partitioning and
     kind, and the plans on their output ordering. *)
 
-val materialized_twin : eval -> eval
-(** [materialized_twin e] for a pipelined join [e]: the same join with
+val materialized_twin : candidate -> candidate
+(** [materialized_twin c] for a pipelined join [c]: the same join with
     its output materialized, derived without re-expanding or re-costing
     — the root operator's composition flipped to [Materialized] and the
     descriptor [Descriptor.sync]ed, which is exactly what {!evaluate}
     computes (the composition is set on the root only and no base cost
-    reads it).  Response time and work are [e]'s.  Raises
-    [Invalid_argument] unless [e] is a pipelined join. *)
+    reads it).  Response time and work are [c]'s.  Raises
+    [Invalid_argument] unless [c]'s root is pipelined. *)
 
 val numbered : eval -> eval
 (** Assign the operator tree the preorder ids {!evaluate} gives (see

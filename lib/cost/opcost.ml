@@ -4,6 +4,10 @@ module Est = Parqo_plan.Estimator
 
 let log2 x = log x /. log 2.
 
+(* [Vecf.fmax], local so that it inlines rather than boxing its floats
+   across a module compiled [-opaque] *)
+let fmax (a : float) (b : float) = if a >= b then a else b
+
 let child n i =
   match List.nth_opt n.Op.children i with
   | Some c -> c
@@ -100,9 +104,9 @@ let base (pc : Placement.cache) est node =
     finish_atomic pc p.clone_overhead work lanes
   | Op.Sort _ ->
     let n = (child node 0).Op.out_card in
-    let per_lane = Parqo_util.Vecf.fmax 1. (n /. float_of_int lanes) in
+    let per_lane = fmax 1. (n /. float_of_int lanes) in
     spread_n work pc.speeds cpu_ids n_used
-      (n *. log2 (Parqo_util.Vecf.fmax 2. per_lane) *. p.cpu_compare_cost);
+      (n *. log2 (fmax 2. per_lane) *. p.cpu_compare_cost);
     if per_lane > p.sort_memory_tuples then
       spread work pc.speeds pc.spill.(n_used) (2. *. (n /. tpp) *. p.io_page_cost);
     finish_blocking p.clone_overhead work lanes
@@ -150,7 +154,7 @@ let base (pc : Placement.cache) est node =
   | Op.Create_index _ ->
     let n = (child node 0).Op.out_card in
     spread_n work pc.speeds cpu_ids n_used
-      ((n *. log2 (Parqo_util.Vecf.fmax 2. n) *. p.cpu_compare_cost)
+      ((n *. log2 (fmax 2. n) *. p.cpu_compare_cost)
       +. (n *. p.cpu_hash_cost));
     finish_blocking p.clone_overhead work lanes
   | Op.Exchange _ ->

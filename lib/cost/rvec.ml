@@ -9,17 +9,28 @@ let make ~time ~work =
     invalid_arg "Rvec.make: time below busiest resource";
   { time; work }
 
+(* [Vecf.fmax], local so that it inlines: a call into another module
+   compiled [-opaque] is not inlined, and then it boxes its floats *)
+let fmax (a : float) (b : float) = if a >= b then a else b
+
 (* [work] is adopted, not copied: the caller hands over a freshly
    accumulated per-resource array (see {!of_demands} and
-   [Opcost]'s scratch accumulation) and must not write it again *)
-let of_accumulated work ~lanes ~overhead =
+   [Opcost]'s scratch accumulation) and must not write it again.  One
+   pass takes the sum and the busiest coordinate, with the float
+   operations of [Vecf.sum] and [Vecf.max_coord]. *)
+let of_accumulated (work : float array) ~lanes ~overhead =
   if lanes < 1 then invalid_arg "Rvec.of_accumulated: lanes < 1";
-  let work = Vecf.unsafe_adopt work in
-  let total = Vecf.sum work in
+  let total = ref 0. and busiest = ref neg_infinity in
+  for i = 0 to Array.length work - 1 do
+    let w = work.(i) in
+    total := !total +. w;
+    busiest := fmax !busiest w
+  done;
   let cloned =
-    total /. float_of_int lanes *. (1. +. (overhead *. float_of_int (lanes - 1)))
+    !total /. float_of_int lanes
+    *. (1. +. (overhead *. float_of_int (lanes - 1)))
   in
-  { time = Vecf.fmax (Vecf.max_coord work) cloned; work }
+  { time = fmax !busiest cloned; work = Vecf.unsafe_adopt work }
 
 let of_demands dim demands ~lanes ~overhead =
   if lanes < 1 then invalid_arg "Rvec.of_demands: lanes < 1";

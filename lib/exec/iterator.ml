@@ -101,20 +101,14 @@ let of_plan db query tree =
   let rec build = function
     | P.Join_tree.Access a ->
       let rel = a.P.Join_tree.rel in
-      let b = Executor.scan db query ~rel in
-      let rows =
+      let b =
         match a.P.Join_tree.path with
-        | P.Access_path.Seq_scan -> b.Batch.rows
+        | P.Access_path.Seq_scan -> Executor.scan db query ~rel
         | P.Access_path.Index_scan index ->
           (* an index delivers its rows in key order *)
-          let column_pos column =
-            Executor.column_pos db query b.Batch.layout { Q.rel; column }
-          in
-          Executor.sort_on
-            (Array.of_list (List.map column_pos index.C.Index.columns))
-            b.Batch.rows
+          Executor.index_scan db query ~rel index
       in
-      stream counter b.Batch.layout rows
+      stream counter b.Batch.layout b.Batch.rows
     | P.Join_tree.Join j ->
       let outer = build j.P.Join_tree.outer in
       let inner = build j.P.Join_tree.inner in

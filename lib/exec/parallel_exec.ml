@@ -56,12 +56,8 @@ let run_stream db query root =
         { layout = b.Batch.layout; parts = split_rows k b.Batch.rows }
       | Op.Index_scan { rel; index }, [] ->
         (* an index scan delivers rows in key order *)
-        let b = Executor.scan db query ~rel in
-        let key =
-          List.map (fun column -> { P.Ordering.rel; column }) index.C.Index.columns
-        in
-        let rows = sort_on db query b.Batch.layout key b.Batch.rows in
-        { layout = b.Batch.layout; parts = split_rows k rows }
+        let b = Executor.index_scan db query ~rel index in
+        { layout = b.Batch.layout; parts = split_rows k b.Batch.rows }
       | Op.Sort { key }, [ child ] ->
         let s = eval child in
         expect_degree "sort" k s;

@@ -100,7 +100,7 @@ let optimize_po ?(config = Space.default_config)
   let add stats cover e =
     if admissible e then begin
       metric.Metric.fill e (Cover.scratch cover);
-      ignore (Cover.add cover e);
+      ignore (Cover.add cover (Cm.without_tree e) e);
       Search_stats.observe_cover stats (Cover.size cover);
       match max_cover with
       | None -> ()

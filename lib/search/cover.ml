@@ -1,8 +1,9 @@
-type 'a t = {
+type ('k, 'a) t = {
   nd : int;
-  refines : ('a -> 'a -> bool) option;
+  refines : ('k -> 'k -> bool) option;
+  mutable keys : 'k array;  (* per element, what [refines] compares *)
   mutable elems : 'a array;  (* [0..n-1], oldest first *)
-  mutable tags : int array;  (* per element, as given to [add_tagged] *)
+  mutable tags : int array;  (* per element, as given to [insert] *)
   mutable dims : float array;  (* row-major, [nd] floats per element *)
   mutable n : int;
   scratch : float array;  (* the candidate's dims row *)
@@ -13,6 +14,7 @@ let create ~n_dims ?refines () =
   {
     nd = n_dims;
     refines;
+    keys = [||];
     elems = [||];
     tags = [||];
     dims = [||];
@@ -24,81 +26,108 @@ let size t = t.n
 (* Slots past [n] must not keep dropped elements alive — a long-lived
    cover's arrays sit in the major heap, so a stale slot would promote
    the young candidate it holds at the next minor collection: [clear],
-   [add] and [trim] point them at an element the cover still holds, or
-   at its first one. *)
+   [insert] and [trim] point them at an element the cover still holds,
+   or at its first one. *)
 let clear t =
-  if t.n > 1 then Array.fill t.elems 1 (t.n - 1) t.elems.(0);
+  if t.n > 1 then begin
+    Array.fill t.keys 1 (t.n - 1) t.keys.(0);
+    Array.fill t.elems 1 (t.n - 1) t.elems.(0)
+  end;
   t.n <- 0
 let scratch t = t.scratch
 
-(* entry [j]'s dims pointwise <= the candidate's *)
-let row_dominates_scratch t j =
-  let base = j * t.nd in
-  let rec go d =
-    d >= t.nd || (t.dims.(base + d) <= t.scratch.(d) && go (d + 1))
-  in
-  go 0
+(* The scans below run once per candidate and cover entry.  They are
+   top-level loops over explicitly typed float arrays: a local recursive
+   function would be a closure allocated per call, and without the types
+   the comparisons would be the polymorphic ones. *)
 
-let scratch_dominates_row t j =
-  let base = j * t.nd in
-  let rec go d =
-    d >= t.nd || (t.scratch.(d) <= t.dims.(base + d) && go (d + 1))
-  in
-  go 0
+(* entry [j]'s row pointwise <= the candidate's *)
+let row_le_scratch (dims : float array) (scratch : float array) nd j =
+  let base = j * nd in
+  let d = ref 0 in
+  while !d < nd && dims.(base + !d) <= scratch.(!d) do
+    incr d
+  done;
+  !d = nd
+
+(* the candidate's row pointwise <= entry [j]'s *)
+let scratch_le_row (dims : float array) (scratch : float array) nd j =
+  let base = j * nd in
+  let d = ref 0 in
+  while !d < nd && scratch.(!d) <= dims.(base + !d) do
+    incr d
+  done;
+  !d = nd
 
 let refines_ok t a b =
   match t.refines with None -> true | Some r -> r a b
 
-let is_covered t x =
-  let rec go j =
-    j < t.n
-    && ((row_dominates_scratch t j && refines_ok t t.elems.(j) x) || go (j + 1))
-  in
-  go 0
+let is_covered t k =
+  let j = ref 0 in
+  while
+    !j < t.n
+    && not
+         (row_le_scratch t.dims t.scratch t.nd !j
+         && refines_ok t t.keys.(!j) k)
+  do
+    incr j
+  done;
+  !j < t.n
 
-let ensure_room t x =
+let ensure_room t k x =
   if t.n = Array.length t.elems then begin
     let cap = max 8 (2 * t.n) in
+    let keys = Array.make cap k in
+    Array.blit t.keys 0 keys 0 t.n;
     let elems = Array.make cap x in
     Array.blit t.elems 0 elems 0 t.n;
     let tags = Array.make cap 0 in
     Array.blit t.tags 0 tags 0 t.n;
     let dims = Array.make (cap * t.nd) 0. in
     Array.blit t.dims 0 dims 0 (t.n * t.nd);
+    t.keys <- keys;
     t.elems <- elems;
     t.tags <- tags;
     t.dims <- dims
   end
 
-let add_tagged t ~tag x =
-  if is_covered t x then false
-  else begin
-    (* evict entries the candidate dominates; stable compaction keeps
-       the survivors' insertion order *)
-    let k = ref 0 in
-    for j = 0 to t.n - 1 do
-      let dead = scratch_dominates_row t j && refines_ok t x t.elems.(j) in
-      if not dead then begin
-        if !k <> j then begin
-          t.elems.(!k) <- t.elems.(j);
-          t.tags.(!k) <- t.tags.(j);
-          Array.blit t.dims (j * t.nd) t.dims (!k * t.nd) t.nd
-        end;
-        incr k
-      end
-    done;
-    let old = t.n in
-    t.n <- !k;
-    ensure_room t x;
-    t.elems.(t.n) <- x;
-    t.tags.(t.n) <- tag;
-    Array.blit t.scratch 0 t.dims (t.n * t.nd) t.nd;
-    t.n <- t.n + 1;
-    if old > t.n then Array.fill t.elems t.n (old - t.n) x;
-    true
+let insert t ~tag k x =
+  (* evict entries the candidate dominates; stable compaction keeps
+     the survivors' insertion order *)
+  let kept = ref 0 in
+  for j = 0 to t.n - 1 do
+    if
+      not (scratch_le_row t.dims t.scratch t.nd j && refines_ok t k t.keys.(j))
+    then begin
+      let m = !kept in
+      if m <> j then begin
+        t.keys.(m) <- t.keys.(j);
+        t.elems.(m) <- t.elems.(j);
+        t.tags.(m) <- t.tags.(j);
+        Array.blit t.dims (j * t.nd) t.dims (m * t.nd) t.nd
+      end;
+      kept := m + 1
+    end
+  done;
+  let old = t.n in
+  t.n <- !kept;
+  ensure_room t k x;
+  t.keys.(t.n) <- k;
+  t.elems.(t.n) <- x;
+  t.tags.(t.n) <- tag;
+  Array.blit t.scratch 0 t.dims (t.n * t.nd) t.nd;
+  t.n <- t.n + 1;
+  if old > t.n then begin
+    Array.fill t.keys t.n (old - t.n) k;
+    Array.fill t.elems t.n (old - t.n) x
   end
 
-let add t x = add_tagged t ~tag:0 x
+let add t k x =
+  if is_covered t k then false
+  else begin
+    insert t ~tag:0 k x;
+    true
+  end
 
 (* A k-way merge on tags: each part is in insertion order, and its tags
    ascend when its candidates were added in sequence order, so the next
@@ -127,7 +156,9 @@ let merge ~into parts =
       let p = parts.(b) and h = heads.(b) in
       heads.(b) <- h + 1;
       Array.blit p.dims (h * p.nd) into.scratch 0 into.nd;
-      ignore (add_tagged into ~tag:p.tags.(h) p.elems.(h));
+      let k = p.keys.(h) in
+      if not (is_covered into k) then
+        insert into ~tag:p.tags.(h) k p.elems.(h);
       go ()
     end
   in
@@ -189,6 +220,7 @@ let trim ?(tie = fun _ _ -> 0) t ~keep ~rank =
         ~tie:(fun p q -> tie (at p) (at q))
         ~n:t.n
     in
+    let tmp_k = Array.map (fun p -> t.keys.(index p)) sel in
     let tmp_e = Array.map at sel in
     let tmp_t = Array.map (fun p -> t.tags.(index p)) sel in
     let tmp_d = Array.make (keep * t.nd) 0. in
@@ -199,10 +231,12 @@ let trim ?(tie = fun _ _ -> 0) t ~keep ~rank =
        first) yields the ascending order back from [elements] *)
     for k = 0 to keep - 1 do
       let dst = keep - 1 - k in
+      t.keys.(dst) <- tmp_k.(k);
       t.elems.(dst) <- tmp_e.(k);
       t.tags.(dst) <- tmp_t.(k);
       Array.blit tmp_d (k * t.nd) t.dims (dst * t.nd) t.nd
     done;
+    Array.fill t.keys keep (t.n - keep) t.keys.(0);
     Array.fill t.elems keep (t.n - keep) t.elems.(0);
     t.n <- keep
   end
@@ -212,6 +246,6 @@ let pareto ~n_dims ~fill xs =
   List.iter
     (fun x ->
       fill x t.scratch;
-      ignore (add t x))
+      ignore (add t x x))
     xs;
   elements t

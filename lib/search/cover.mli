@@ -10,38 +10,48 @@
     partitioning).
 
     [add] maintains the invariant incrementally: a new element enters
-    only if no entry dominates it, and evicts the entries it dominates. *)
+    only if no entry dominates it, and evicts the entries it dominates.
 
-type 'a t
+    Each entry is a {e key}, what [refines] compares, and an {e element},
+    what the cover returns.  The two are separate so that a caller can
+    test a candidate before building the element it would store: the
+    partial-order DP tests a priced join by its cost and builds the plan
+    only when the cover admits it ({!is_covered}, then {!insert}). *)
 
-val create : n_dims:int -> ?refines:('a -> 'a -> bool) -> unit -> 'a t
+type ('k, 'a) t
+
+val create : n_dims:int -> ?refines:('k -> 'k -> bool) -> unit -> ('k, 'a) t
 (** An empty cover over [n_dims] numeric dimensions.  The handle is
     reusable across subsets via {!clear} and grows as needed. *)
 
-val clear : 'a t -> unit
+val clear : ('k, 'a) t -> unit
 (** Forget all entries, keeping capacity. *)
 
-val scratch : 'a t -> float array
+val scratch : ('k, 'a) t -> float array
 (** The candidate row, of length [n_dims]: fill it with the candidate's
-    coordinates, then call {!add} or {!is_covered}.  Owned by the cover. *)
+    coordinates, then call {!add}, {!is_covered} or {!insert}.  Owned by
+    the cover. *)
 
-val is_covered : 'a t -> 'a -> bool
-(** Some entry dominates the candidate in {!scratch}. *)
+val is_covered : ('k, 'a) t -> 'k -> bool
+(** Some entry dominates the candidate with key [k] and the coordinates
+    in {!scratch}.  Allocates nothing. *)
 
-val add : 'a t -> 'a -> bool
-(** Insert the element whose coordinates are in {!scratch}: [false] if
-    covered, otherwise evicts dominated entries (stable) and appends. *)
+val insert : ('k, 'a) t -> tag:int -> 'k -> 'a -> unit
+(** Enter a candidate that {!is_covered} has just found uncovered, with
+    the coordinates still in {!scratch}: evict the entries it dominates
+    (stable) and append it, recording [tag].  A tag is the candidate's
+    position in the sequence the cover is folded from; eviction and
+    {!trim} carry it along. *)
 
-val add_tagged : 'a t -> tag:int -> 'a -> bool
-(** {!add}, recording [tag] with the element if it enters ({!add} records
-    [0]).  A tag is the candidate's position in the sequence the cover
-    is folded from; eviction and {!trim} carry it along. *)
+val add : ('k, 'a) t -> 'k -> 'a -> bool
+(** {!is_covered}, then {!insert} with tag [0] unless covered: [false]
+    if covered. *)
 
-val merge : into:'a t -> 'a t list -> unit
-(** Fold the entries of the parts into [into] with {!add_tagged}, in
-    increasing tag order (equal tags: earlier part first, and each
-    part's own order kept), each with its stored coordinates.  [into]
-    must be distinct from the parts and have their dimensions.
+val merge : into:('k, 'a) t -> ('k, 'a) t list -> unit
+(** Fold the entries of the parts into [into], each tested and inserted
+    with its stored key, coordinates and tag, in increasing tag order
+    (equal tags: earlier part first, and each part's own order kept).
+    [into] must be distinct from the parts and have their dimensions.
 
     The merge lemma: let a candidate sequence be split into
     subsequences, and each part be the cover of one subsequence, folded
@@ -53,16 +63,16 @@ val merge : into:'a t -> 'a t list -> unit
     strictly dominates it (MODEL.md §12).  Concatenating the parts, or
     folding them part by part, does not have this property. *)
 
-val size : 'a t -> int
+val size : ('k, 'a) t -> int
 
-val elements : 'a t -> 'a list
+val elements : ('k, 'a) t -> 'a list
 (** Newest first. *)
 
-val iter_newest_first : ('a -> unit) -> 'a t -> unit
+val iter_newest_first : ('a -> unit) -> ('k, 'a) t -> unit
 (** Iterate in {!elements} order without building the list. *)
 
 val trim :
-  ?tie:('a -> 'a -> int) -> 'a t -> keep:int -> rank:('a -> float) -> unit
+  ?tie:('a -> 'a -> int) -> ('k, 'a) t -> keep:int -> rank:('a -> float) -> unit
 (** Beam bound: if the cover exceeds [keep] elements, retain the [keep]
     best (smallest) by [rank], leaving {!elements} in ascending
     [(rank, tie)] order.  This deliberately breaks the exact-cover

@@ -10,9 +10,10 @@ type result = {
 
 (* Every candidate joins the memo winner of a smaller subset with an
    access plan, both already evaluated, so it is priced incrementally
-   (Cm.price_join over a join context computed once per extension) and
-   only the final plan's operator tree is numbered.  The fold keeps the
-   first candidate of least objective (strict [<]).  Under the default
+   (Cm.price_join over a join context computed once per extension), and
+   it is built (Cm.admit) only when it beats the incumbent; only the
+   final plan's operator tree is numbered.  The fold keeps the first
+   candidate of least objective (strict [<]).  Under the default
    objective, total work, a candidate can therefore win only if its work
    is below the incumbent's: it is priced with the incumbent's work as
    the limit, and one whose work bound exceeds it is dropped before it is
@@ -25,12 +26,8 @@ let optimize ?(config = Space.default_config) ?objective (env : Env.t) =
   let stats = Search_stats.create () in
   let bounded, objective =
     match objective with
-    | None -> (true, fun (e : Cm.eval) -> e.Cm.work)
+    | None -> (true, fun (c : Cm.candidate) -> c.Cm.work)
     | Some f -> (false, f)
-  in
-  let better cand = function
-    | None -> true
-    | Some b -> objective cand < objective b
   in
   let memo : Cm.eval option array = Array.make (1 lsl n) None in
   let level_sizes = Array.make (n + 1) 0 in
@@ -44,9 +41,13 @@ let optimize ?(config = Space.default_config) ?objective (env : Env.t) =
     Search_stats.considered stats 1;
     Search_stats.generated stats (List.length access_evals.(rel));
     memo.(Bitset.to_int (Bitset.singleton rel)) <-
-      List.fold_left
-        (fun best e -> if better e best then Some e else best)
-        None access_evals.(rel)
+      fst
+        (List.fold_left
+           (fun (best, best_obj) e ->
+             let o = objective (Cm.without_tree e) in
+             if Option.is_none best || o < best_obj then (Some e, o)
+             else (best, best_obj))
+           (None, infinity) access_evals.(rel))
   done;
   level_sizes.(1) <- n;
   let scratch = Cm.scratch env in
@@ -57,7 +58,15 @@ let optimize ?(config = Space.default_config) ?objective (env : Env.t) =
     let subsets = Bitset.subsets_of_size n ~size in
     List.iter
       (fun s ->
-        let best = ref None in
+        let best = ref None and best_obj = ref infinity in
+        (* build [c], a join of [p] and [a], if it beats the incumbent *)
+        let keep p a c =
+          let o = objective c in
+          if Option.is_none !best || o < !best_obj then begin
+            best := Some (Cm.admit ~outer:p ~inner:a c);
+            best_obj := o
+          end
+        in
         let price ctx p a ~method_ ~clone =
           let limit =
             match !best with
@@ -70,12 +79,9 @@ let optimize ?(config = Space.default_config) ?objective (env : Env.t) =
               ~inner:a
           with
           | None -> Search_stats.rejected stats per_candidate
-          | Some e ->
-            if better e !best then best := Some e;
-            if twins && not bounded then begin
-              let twin = Cm.materialized_twin e in
-              if better twin !best then best := Some twin
-            end
+          | Some c ->
+            keep p a c;
+            if twins && not bounded then keep p a (Cm.materialized_twin c)
         in
         let extend ~require_connection =
           Bitset.iter

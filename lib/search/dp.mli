@@ -17,15 +17,17 @@ type result = {
 
 val optimize :
   ?config:Space.config ->
-  ?objective:(Parqo_cost.Costmodel.eval -> float) ->
+  ?objective:(Parqo_cost.Costmodel.candidate -> float) ->
   Parqo_cost.Env.t ->
   result
 (** [config] defaults to {!Space.default_config}, [objective] to total
-    work.  Cartesian products are considered only for subsets that have
-    no connected extension.
+    work.  The objective reads a plan's cost, not its join tree.
+    Cartesian products are considered only for subsets that have no
+    connected extension.
 
     Candidates are priced incrementally from the memo winner and the
-    access evaluations ({!Parqo_cost.Costmodel.price_join}); only the
+    access evaluations ({!Parqo_cost.Costmodel.price_join}), and a
+    candidate's eval is built only when it beats the incumbent; only the
     returned plan's operator tree is numbered.  The fold keeps the first
     candidate of least objective, so under the default objective a
     candidate is priced with the incumbent's work as its limit and

@@ -11,8 +11,8 @@ let fmax (a : float) (b : float) = if a >= b then a else b
 type t = {
   name : string;
   arity : int;
-  fill : Cm.eval -> float array -> unit;
-  refines : (Cm.eval -> Cm.eval -> bool) option;
+  fill : 'tree. 'tree Cm.priced -> float array -> unit;
+  refines : (Cm.candidate -> Cm.candidate -> bool) option;
 }
 
 let dominates m a b =
@@ -20,7 +20,11 @@ let dominates m a b =
   m.fill a da;
   m.fill b db;
   let rec go i = i >= m.arity || (da.(i) <= db.(i) && go (i + 1)) in
-  go 0 && match m.refines with None -> true | Some r -> r a b
+  go 0
+  &&
+  match m.refines with
+  | None -> true
+  | Some r -> r (Cm.without_tree a) (Cm.without_tree b)
 
 let n_dims m _ = m.arity
 
@@ -110,7 +114,7 @@ let expected_makespan (env : Parqo_cost.Env.t) ~fault_rate =
     refines = None;
   }
 
-let contention_rank ~pressure (e : Cm.eval) =
+let contention_rank ~pressure (e : _ Cm.priced) =
   let w = Vecf.unsafe_raw (Parqo_cost.Descriptor.work_vector e.Cm.descriptor) in
   let n = min (Array.length pressure) (Array.length w) in
   let acc = ref e.Cm.response_time in
@@ -132,7 +136,7 @@ let contended ~pressure =
   }
 
 let with_partitioning m =
-  let key (e : Cm.eval) =
+  let key (e : Cm.candidate) =
     let root = e.Cm.optree in
     (root.Parqo_optree.Op.partition, root.Parqo_optree.Op.clone)
   in

@@ -17,15 +17,21 @@
 type t = {
   name : string;
   arity : int;  (** number of numeric coordinates, constant per metric *)
-  fill : Parqo_cost.Costmodel.eval -> float array -> unit;
+  fill : 'tree. 'tree Parqo_cost.Costmodel.priced -> float array -> unit;
       (** write the plan's [arity] numeric coordinates (smaller is
           better) into the buffer's prefix, allocating nothing — the
-          covers' scratch rows *)
-  refines : (Parqo_cost.Costmodel.eval -> Parqo_cost.Costmodel.eval -> bool) option;
-      (** extra dominance requirement, e.g. ordering subsumption *)
+          covers' scratch rows.  It reads only the plan's cost, never its
+          join tree, so a priced candidate is filled before it is
+          built *)
+  refines :
+    (Parqo_cost.Costmodel.candidate -> Parqo_cost.Costmodel.candidate -> bool)
+    option;
+      (** extra dominance requirement, e.g. ordering subsumption — on
+          the covers' keys, the plans' costs *)
 }
 
-val dominates : t -> Parqo_cost.Costmodel.eval -> Parqo_cost.Costmodel.eval -> bool
+val dominates :
+  t -> 'a Parqo_cost.Costmodel.priced -> 'b Parqo_cost.Costmodel.priced -> bool
 (** [dominates m a b]: [a] is at least as good as [b] in every dimension
     — the relation a {!Cover} over [fill] and [refines] maintains. *)
 
@@ -59,7 +65,7 @@ val expected_makespan : Parqo_cost.Env.t -> fault_rate:float -> t
     the failure-aware objective. *)
 
 val contention_rank :
-  pressure:float array -> Parqo_cost.Costmodel.eval -> float
+  pressure:float array -> 'tree Parqo_cost.Costmodel.priced -> float
 (** Response time on a {e loaded} machine: the solo response time plus
     the plan's per-resource work priced at the ambient load
     ([Σ_r pressure_r · work_r], pressure from

@@ -57,7 +57,7 @@ let arena_push a e =
    owner through [free]. *)
 type part = {
   mutable subset : int;  (** index of the subset in its level *)
-  cover : Cm.eval Cover.t;
+  cover : (Cm.candidate, Cm.eval) Cover.t;
   mutable considered : int;
   mutable generated : int;
   mutable rejected : int;  (** of [generated], rejected by the work bound *)
@@ -85,7 +85,7 @@ let skipped = 2
 type lane = {
   mutable parts : part array;
   mutable n_parts : int;
-  merged : Cm.eval Cover.t;
+  merged : (Cm.candidate, Cm.eval) Cover.t;
   arena : arena;
   mutable ext : int;  (** loaded extension, index in the pass; -1: none *)
   mutable price_plan : int -> unit;  (** prices memo plan [i] of [ext] *)
@@ -105,10 +105,14 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
      so pricing it costs only the new root operators (Cm.price_join on a
      per-worker scratch, over a join context computed once per
      extension).  The memo arena and the level-1 access evaluations are
-     the children's cache: nothing is looked up by key.  Each
+     the children's cache: nothing is looked up by key.  A priced
+     candidate is tested against the partial cover before it is built:
+     its coordinates are filled from its cost, and only a candidate the
+     cover admits gets its join tree, key and eval (Cm.admit).  Each
      materialized candidate is the twin of the pipelined one generated
-     just before it (Cm.materialized_twin), and operator trees are
-     numbered only when a plan enters the memo.  Under a work cap,
+     just before it (Cm.materialized_twin), tested after that one has
+     entered, and operator trees are numbered only when a plan enters
+     the memo.  Under a work cap,
      candidates are bounded before they are composed, and per extension
      the bound's terms are kept per class (Cm.class_rejects), so a capped
      candidate of a seen class is counted without being expanded.  With
@@ -140,9 +144,9 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
   let new_cover () =
     Cover.create ~n_dims:metric.Metric.arity ?refines:metric.Metric.refines ()
   in
-  let cover_add cover ~tag e =
+  let cover_add cover e =
     metric.Metric.fill e (Cover.scratch cover);
-    ignore (Cover.add_tagged cover ~tag e)
+    ignore (Cover.add cover (Cm.without_tree e) e)
   in
   let new_part () =
     {
@@ -242,7 +246,7 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
       (fun e ->
         Search_stats.generated stats 1;
         incr l1_ticks;
-        if admissible e then cover_add cover ~tag:0 e)
+        if admissible e then cover_add cover e)
       access_evals.(rel);
     apply_beam cover;
     Search_stats.observe_cover stats (Cover.size cover);
@@ -266,11 +270,23 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
       lane.ticks <- 0
     end
   in
-  let consider lane e =
+  (* Count a candidate, then test it: within the cap and, its
+     coordinates filled, not covered by the lane's partial cover.  The
+     caller builds an admitted candidate's eval and [enter]s it. *)
+  let admits lane c =
     let part = lane.part in
     part.generated <- part.generated + 1;
     tick lane;
-    if admissible e then cover_add part.cover ~tag:lane.tag e
+    admissible c
+    && begin
+      metric.Metric.fill c (Cover.scratch part.cover);
+      not (Cover.is_covered part.cover c)
+    end
+  in
+  let enter lane c e = Cover.insert lane.part.cover ~tag:lane.tag c e in
+  (* a priced join of [p] and [a], built only if admitted *)
+  let offer lane p a c =
+    if admits lane c then enter lane c (Cm.admit ~outer:p ~inner:a c)
   in
   (* a candidate over the cap, and its materialized twin (same work) *)
   let reject lane =
@@ -313,9 +329,9 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
                Cm.price_join ~scratch ~limit env ctx ~method_:methods.(mi)
                  ~clone:clones.(ki) ~outer:p ~inner:a
              with
-            | Some e ->
-              consider lane e;
-              if twins then consider lane (Cm.materialized_twin e)
+            | Some c ->
+              offer lane p a c;
+              if twins then offer lane p a (Cm.materialized_twin c)
             | None -> reject lane);
             if bounded then
               Cm.record_class_terms scratch ~outer_class ~inner_class ~slot
@@ -323,10 +339,13 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
       end
       else fun p ~outer_class:_ a ~inner_class:_ ~mi ~ki ->
         let evaluate materialize =
-          consider lane
-            (Cm.evaluate env
-               (Parqo_plan.Join_tree.join ~clone:clones.(ki) ~materialize
-                  methods.(mi) ~outer:p.Cm.tree ~inner:a.Cm.tree))
+          let e =
+            Cm.evaluate env
+              (Parqo_plan.Join_tree.join ~clone:clones.(ki) ~materialize
+                 methods.(mi) ~outer:p.Cm.tree ~inner:a.Cm.tree)
+          in
+          let c = Cm.without_tree e in
+          if admits lane c then enter lane c e
         in
         evaluate false;
         if twins then evaluate true

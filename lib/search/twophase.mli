@@ -26,15 +26,16 @@ type result = {
 
 val optimize :
   ?config:Space.config ->
-  ?objective:(Parqo_cost.Costmodel.eval -> float) ->
+  ?objective:(Parqo_cost.Costmodel.candidate -> float) ->
   ?budget:Budget.t ->
   Parqo_cost.Env.t ->
   result
 (** [config] bounds phase 2's annotation choices (clone degrees,
     materialization); phase 1 always runs on the sequential projection of
     the config (degree 1, no materialization).  [objective] (default
-    response time) ranks phase-2 assignments; it sees unnumbered
-    operator trees, so it must not read node ids.  Phase 2 enumerates
+    response time) ranks phase-2 assignments by their cost, before their
+    eval is built; it sees unnumbered operator trees, so it must not read
+    node ids.  Phase 2 enumerates
     the cross product of per-join annotations exactly when the tree has
     at most {!max_exhaustive_joins} joins — depth-first, each assignment
     priced as one join of its children's evaluations

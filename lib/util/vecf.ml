@@ -108,18 +108,6 @@ let clamp_non_negative v =
 let unsafe_adopt a = a
 let unsafe_raw v = v
 
-let blit_into v dst = Array.blit v 0 dst 0 (Array.length v)
-
-let add_into a b dst =
-  for i = 0 to Array.length a - 1 do
-    dst.(i) <- a.(i) +. b.(i)
-  done
-
-let residual_into whole front dst =
-  for i = 0 to Array.length whole - 1 do
-    dst.(i) <- fmax 0. (whole.(i) -. front.(i))
-  done
-
 let pp ppf v =
   Format.fprintf ppf "[%s]"
     (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%.3g") v)))

@@ -82,15 +82,4 @@ val unsafe_adopt : float array -> t
 val unsafe_raw : t -> float array
 (** The vector's backing array {e without copying} — read-only view. *)
 
-val blit_into : t -> float array -> unit
-(** Copies the vector's coordinates into the buffer's prefix. *)
-
-val add_into : t -> t -> float array -> unit
-(** [add_into a b dst] writes the coordinate-wise sum into [dst]. *)
-
-val residual_into : t -> t -> float array -> unit
-(** [residual_into whole front dst]: [dst.(i) = max 0 (whole.(i) - front.(i))]
-    — the fused [clamp_non_negative (sub whole front)] of the [⊖]
-    operator, bit-identical to the two-step form. *)
-
 val pp : Format.formatter -> t -> unit

@@ -121,7 +121,7 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
   in
   let cover_add cover e =
     metric.Metric.fill e (Cover.scratch cover);
-    ignore (Cover.add cover e)
+    ignore (Cover.add cover (Cm.without_tree e) e)
   in
   (* The memo: one contiguous slice of the coordinator's arena per
      subset mask, in the cover's [elements] order (newest first).  Memo
@@ -283,9 +283,10 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
                    Cm.price_join ~scratch ~limit env ctx ~method_:methods.(mi)
                      ~clone:clones.(ki) ~outer:p ~inner:a
                  with
-                | Some e ->
-                  consider e;
-                  if twins then consider (Cm.materialized_twin e)
+                | Some c ->
+                  consider (Cm.admit ~outer:p ~inner:a c);
+                  if twins then
+                    consider (Cm.admit ~outer:p ~inner:a (Cm.materialized_twin c))
                 | None -> reject ());
                 if bounded then
                   Cm.record_class_terms scratch ~outer_class ~inner_class ~slot

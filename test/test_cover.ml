@@ -15,7 +15,7 @@ let cover2 () = C.create ~n_dims:2 ()
 
 let add2 c p =
   fill2 p (C.scratch c);
-  C.add c p
+  C.add c p p
 
 let pareto2 = C.pareto ~n_dims:2 ~fill:fill2
 
@@ -128,7 +128,7 @@ let trim_tie_break_deterministic () =
   let tie (a, _) (b, _) = String.compare a b in
   let survivors order =
     let c = C.create ~n_dims:0 ~refines:incomparable () in
-    List.iter (fun x -> ignore (C.add c x)) order;
+    List.iter (fun x -> ignore (C.add c x x)) order;
     C.trim ~tie c ~keep:2 ~rank;
     List.sort compare (C.elements c)
   in
@@ -197,7 +197,7 @@ let list_add dominates cover x =
 
 let flat_add flat ((_, dims) as p) =
   Array.blit dims 0 (C.scratch flat) 0 (Array.length dims);
-  C.add flat p
+  C.add flat p p
 
 (* property: over random insertion sequences (with duplicates and exact
    ties), the flat cover accepts exactly the elements the list cover
@@ -327,7 +327,7 @@ let random_tagged rng ~id ~l ~range ~nan_share =
 
 let add_at cover ~pos x =
   Array.blit x.dims 0 (C.scratch cover) 0 (Array.length x.dims);
-  ignore (C.add_tagged cover ~tag:pos x)
+  if not (C.is_covered cover x) then C.insert cover ~tag:pos x x
 
 let merge_lemma () =
   let rng = Parqo.Rng.create 44 in
@@ -365,6 +365,30 @@ let merge_lemma () =
       done)
     [ (1, 4, false); (2, 4, false); (3, 3, false); (2, 4, true); (3, 3, true) ]
 
+(* The dominance scans allocate nothing: a thousand dominated candidates
+   tested against a filled cover, with and without a refinement, cost a
+   few words in all (the measurement's own), not words per candidate. *)
+let dominated_adds_allocate_nothing () =
+  List.iter
+    (fun refines ->
+      let c = C.create ~n_dims:2 ?refines () in
+      for i = 0 to 63 do
+        fill2 (i, 63 - i) (C.scratch c);
+        ignore (C.add c i i)
+      done;
+      Alcotest.(check int) "filled" 64 (C.size c);
+      let before = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        fill2 (64, 64) (C.scratch c);
+        ignore (C.add c 0 (-1))
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check int) "none entered" 64 (C.size c);
+      Alcotest.(check bool)
+        (Printf.sprintf "%.0f words for 1000 candidates" words)
+        true (words < 64.))
+    [ None; Some (fun (a : int) b -> a <= b) ]
+
 let suite =
   ( "cover",
     [
@@ -380,4 +404,5 @@ let suite =
       t "trim matches stable-sort oracle" trim_matches_sort_oracle;
       t "flat clear resets" flat_clear_resets;
       t "merge lemma: tag-order merge = sequential fold" merge_lemma;
+      t "dominated candidates allocate nothing" dominated_adds_allocate_nothing;
     ] )

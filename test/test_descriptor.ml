@@ -163,6 +163,143 @@ let prop_delta_in_range =
       in
       d >= 1. -. 1e-9 && d <= 1. +. k +. 1e-9)
 
+(* ---- the one-pass kernels against the reference kernels ---- *)
+
+module Ref = Descriptor_reference
+
+let bits = Int64.bits_of_float
+
+let rvec_bits (r : R.t) = bits r.R.time :: List.map bits (Array.to_list (V.to_array r.R.work))
+let desc_bits (d : D.t) = rvec_bits d.D.rf @ rvec_bits d.D.rl
+
+(* coordinates of varied magnitude, so that summation order shows in the
+   last bits, with exact zeros *)
+let coord =
+  QCheck2.Gen.(
+    frequency
+      [
+        (1, return 0.);
+        ( 5,
+          map2
+            (fun m e -> m *. (10. ** float_of_int e))
+            (float_bound_inclusive 1.) (int_range (-4) 4) );
+      ])
+
+(* raw rows: an all-zero row, or independent coordinates — so residuals
+   go negative (and are clamped) as well as positive *)
+let row dim =
+  QCheck2.Gen.(
+    frequency
+      [ (1, return (Array.make dim 0.)); (5, array_size (return dim) coord) ])
+
+(* a time at or above the row's busiest coordinate, or an arbitrary one *)
+let rvec dim =
+  QCheck2.Gen.(
+    map3
+      (fun w slack free ->
+        let busiest = Array.fold_left Float.max 0. w in
+        let time = match free with Some t -> t | None -> busiest +. slack in
+        { R.time; work = V.of_array w })
+      (row dim) coord (opt ~ratio:0.2 coord))
+
+let desc dim = QCheck2.Gen.map2 (fun rf rl -> { D.rf; rl }) (rvec dim) (rvec dim)
+
+let dparams =
+  QCheck2.Gen.(
+    map2
+      (fun k scale ->
+        D.params ~delta_mode:(if scale then D.Scale_all else D.Stretch_time) k)
+      (frequency [ (1, return 0.); (4, float_bound_inclusive 3.) ])
+      bool)
+
+(* one machine dimension (one-resource machines included), the
+   parameters, and several calls on one reused scratch *)
+let kernel_case =
+  QCheck2.Gen.(
+    int_range 0 6 >>= fun dim ->
+    pair dparams (list_size (int_range 1 4) (quad (desc dim) (desc dim) (desc dim) bool))
+    |> map (fun x -> (dim, x)))
+
+let prop_kernels_match_reference =
+  Helpers.qtest ~count:500 "pipe_s and tree_s = reference, Int64-exact"
+    kernel_case (fun (dim, (p, calls)) ->
+      let s = D.scratch dim and rs = Ref.scratch dim in
+      List.for_all
+        (fun (a, b, c, as_tree) ->
+          if as_tree then
+            desc_bits (D.tree_s s p a b c) = desc_bits (Ref.tree_s rs p a b c)
+          else desc_bits (D.pipe_s s p a b) = desc_bits (Ref.pipe_s rs p a b))
+        calls)
+
+(* [delta] over residuals, a zero-time one included: the [hi - lo <=
+   1e-12] branch *)
+let prop_delta_matches_reference =
+  Helpers.qtest ~count:500 "delta = reference delta_factor, Int64-exact"
+    QCheck2.Gen.(
+      int_range 0 6 >>= fun dim ->
+      triple dparams (rvec dim)
+        (frequency [ (1, return (R.zero dim)); (3, rvec dim) ]))
+    (fun (p, r1, r2) ->
+      bits (D.delta p r1 r2)
+      = bits
+          (Ref.delta_factor p ~rp_t:r1.R.time ~rc_t:r2.R.time
+             ~ov_t:(R.par r1 r2).R.time))
+
+let prop_of_accumulated_matches_reference =
+  Helpers.qtest ~count:500 "Rvec.of_accumulated = reference, Int64-exact"
+    QCheck2.Gen.(
+      int_range 0 8 >>= fun dim ->
+      triple (row dim) (int_range 1 8) (float_bound_inclusive 0.5))
+    (fun (w, lanes, overhead) ->
+      rvec_bits (R.of_accumulated (Array.copy w) ~lanes ~overhead)
+      = rvec_bits (Ref.of_accumulated (Array.copy w) ~lanes ~overhead))
+
+(* every operator of random plans, on machines with rescaled speeds: the
+   base descriptor's time is the reference [of_accumulated] over the
+   work row [Opcost.base] accumulated *)
+let opcost_base_matches_reference () =
+  let module Op = Parqo.Op in
+  let module M = Parqo.Machine in
+  let rng = Parqo.Rng.create 22 in
+  for _ = 1 to 60 do
+    let n = Parqo.Rng.range rng 1 4 in
+    let catalog, query = Parqo.Query_gen.random rng ~n () in
+    let machine =
+      match Parqo.Rng.int rng 3 with
+      | 0 -> M.shared_nothing ~nodes:(Parqo.Rng.range rng 1 4) ()
+      | 1 -> M.shared_memory ~cpus:(Parqo.Rng.range rng 1 4) ~disks:2 ()
+      | _ -> M.sequential ()
+    in
+    let machine =
+      M.rescale machine
+        ~speeds:
+          (List.init (M.n_resources machine) (fun id ->
+               (id, 0.25 +. Parqo.Rng.float rng 1.75)))
+    in
+    let env = Parqo.Env.create ~machine ~catalog ~query () in
+    let pc = env.Parqo.Env.placement and est = env.Parqo.Env.estimator in
+    let overhead = machine.M.params.M.clone_overhead in
+    let root = Parqo.Expand.expand est (Helpers.random_tree rng env) in
+    Op.iter
+      (fun (node : Op.node) ->
+        let d = Parqo.Opcost.base pc est node in
+        let n_cpus = Array.length pc.Parqo.Placement.cpu_ids in
+        let lanes =
+          match node.Op.kind with
+          | Op.Seq_scan { rel } when n_cpus = 0 ->
+            max 1
+              (min node.Op.clone
+                 (Array.length pc.Parqo.Placement.disks_of_rel.(rel)))
+          | _ -> if n_cpus = 0 then 1 else min node.Op.clone n_cpus
+        in
+        let w = V.to_array d.D.rl.R.work in
+        Alcotest.(check (list int64))
+          (Op.kind_name node.Op.kind)
+          (rvec_bits (Ref.of_accumulated w ~lanes ~overhead))
+          (rvec_bits d.D.rl))
+      root
+  done
+
 let suite =
   ( "descriptor",
     [
@@ -177,4 +314,8 @@ let suite =
       prop_pipe_first_before_last;
       prop_pipe_work_conserved_stretch;
       prop_delta_in_range;
+      prop_kernels_match_reference;
+      prop_delta_matches_reference;
+      prop_of_accumulated_matches_reference;
+      t "Opcost.base = reference of_accumulated" opcost_base_matches_reference;
     ] )

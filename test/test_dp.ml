@@ -43,7 +43,7 @@ let matches_brute_force () =
   in
   for _ = 1 to 8 do
     let env = Helpers.random_env rng ~n:3 in
-    let objective (e : Cm.eval) = e.Cm.work in
+    let objective (e : _ Cm.priced) = e.Cm.work in
     let dp = Dp.optimize ~config ~objective env in
     let brute = Brute.leftdeep ~config ~objective env in
     match (dp.Dp.best, brute.Brute.best) with
@@ -58,7 +58,7 @@ let matches_brute_force () =
 let interesting_orders_gap () =
   let rng = Parqo.Rng.create 22 in
   let config = S.default_config in
-  let objective (e : Cm.eval) = e.Cm.work in
+  let objective (e : _ Cm.priced) = e.Cm.work in
   for _ = 1 to 8 do
     let env = Helpers.random_env rng ~n:3 in
     let dp = Dp.optimize ~config ~objective env in
@@ -125,7 +125,7 @@ let disconnected_queries_work () =
    strictly better response times (the paper's motivation for §6.2) *)
 let rt_objective_suboptimal_somewhere () =
   let rng = Parqo.Rng.create 4242 in
-  let objective (e : Cm.eval) = e.Cm.response_time in
+  let objective (e : _ Cm.priced) = e.Cm.response_time in
   let found_gap = ref false in
   (* also verify DP-RT never beats brute force (it searches a subset) *)
   for _ = 1 to 12 do
@@ -156,7 +156,7 @@ let singleton_query () =
    and the Table 1 counts *)
 let identical_to_reference () =
   let rng = Parqo.Rng.create 23 in
-  let work (e : Cm.eval) = e.Cm.work in
+  let work (e : _ Cm.priced) = e.Cm.work in
   for _ = 1 to 6 do
     let env = Helpers.random_env rng ~n:4 in
     List.iter

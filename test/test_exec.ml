@@ -255,6 +255,7 @@ let keyed_join rng =
       Parqo.Datagen.catalog =
         Parqo.Catalog.create ~tables:[ table "o" orows; table "i" irows ] ~indexes:[];
       data = [ ("o", orows); ("i", irows) ];
+      index_order = [];
     }
   in
   let order = Array.init n_keys Fun.id in

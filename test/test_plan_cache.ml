@@ -36,8 +36,9 @@ let rec price_bottom_up env scratch (tree : Parqo.Join_tree.t) =
         ~outer ~inner
     with
     | None -> Alcotest.fail "unlimited price_join rejected a plan"
-    | Some e ->
-      if j.Parqo.Join_tree.materialize then Cm.materialized_twin e else e)
+    | Some c ->
+      Cm.admit ~outer ~inner
+        (if j.Parqo.Join_tree.materialize then Cm.materialized_twin c else c))
 
 (* property: on random queries and random bushy trees with materialized
    joins, pricing join by join and numbering the root reproduces
@@ -83,7 +84,10 @@ let twin_matches_evaluate () =
           let pipelined = Cm.evaluate env (join false)
           and materialized = Cm.evaluate env (join true) in
           check_eval_identical "twin of evaluated"
-            (Cm.materialized_twin pipelined)
+            {
+              (Cm.materialized_twin (Cm.without_tree pipelined)) with
+              Cm.tree = materialized.Cm.tree;
+            }
             materialized;
           let outer = Cm.evaluate env j.Parqo.Join_tree.outer
           and inner = Cm.evaluate env j.Parqo.Join_tree.inner in
@@ -97,12 +101,14 @@ let twin_matches_evaluate () =
               Cm.price_join ~scratch ~limit:infinity env ctx ~method_ ~clone
                 ~outer ~inner
             with
-            | Some e -> e
+            | Some c -> c
             | None -> Alcotest.fail "unlimited price_join rejected a plan"
           in
-          check_eval_identical "priced" (Cm.numbered priced) pipelined;
+          check_eval_identical "priced"
+            (Cm.numbered (Cm.admit ~outer ~inner priced))
+            pipelined;
           check_eval_identical "twin of priced"
-            (Cm.numbered (Cm.materialized_twin priced))
+            (Cm.numbered (Cm.admit ~outer ~inner (Cm.materialized_twin priced)))
             materialized)
         (Parqo.Join_tree.joins (Helpers.random_tree rng env))
     done
@@ -111,13 +117,40 @@ let twin_matches_evaluate () =
 let twin_rejects_non_pipelined () =
   let env = Helpers.chain_env ~n:2 () in
   let scan r = Parqo.Join_tree.access ~path:Parqo.Access_path.Seq_scan r in
-  let twin_of tree () = ignore (Cm.materialized_twin (Cm.evaluate env tree)) in
+  let twin_of tree () =
+    ignore (Cm.materialized_twin (Cm.without_tree (Cm.evaluate env tree)))
+  in
   let err = Invalid_argument "Costmodel.materialized_twin: not a pipelined join" in
   Alcotest.check_raises "access" err (twin_of (scan 0));
   Alcotest.check_raises "materialized join" err
     (twin_of
        (Parqo.Join_tree.join ~materialize:true Parqo.Join_method.Hash_join
           ~outer:(scan 0) ~inner:(scan 1)))
+
+(* an eval is built only over the plans its candidate was priced on *)
+let admit_rejects_other_plans () =
+  let env = Helpers.chain_env ~n:3 () in
+  let scan r = Cm.evaluate env (Parqo.Join_tree.access r) in
+  let s0 = scan 0 and s1 = scan 1 in
+  let ctx =
+    Cm.join_context env ~outer:(Bitset.singleton 0) ~inner:(Bitset.singleton 1)
+  in
+  let c =
+    match
+      Cm.price_join ~scratch:(Cm.scratch env) ~limit:infinity env ctx
+        ~method_:Parqo.Join_method.Hash_join ~clone:1 ~outer:s0 ~inner:s1
+    with
+    | Some c -> c
+    | None -> Alcotest.fail "unlimited price_join rejected a plan"
+  in
+  let err = Invalid_argument "Costmodel.admit: not a join of these plans" in
+  Alcotest.check_raises "swapped sides" err (fun () ->
+      ignore (Cm.admit ~outer:s1 ~inner:s0 c));
+  Alcotest.check_raises "an equal plan, not the priced one" err (fun () ->
+      ignore (Cm.admit ~outer:(scan 0) ~inner:s1 c));
+  Alcotest.(check string)
+    "the priced plans" "HJ(scan(r0), scan(r1))"
+    (Parqo.Join_tree.to_string (Cm.admit ~outer:s0 ~inner:s1 c).Cm.tree)
 
 let join_context_rejects_overlap () =
   let env = Helpers.chain_env ~n:3 () in
@@ -389,6 +422,7 @@ let suite =
       t "join_context rejects overlapping sets" join_context_rejects_overlap;
       t "materialized twin = evaluate, bit for bit" twin_matches_evaluate;
       t "materialized twin of a non-pipelined plan" twin_rejects_non_pipelined;
+      t "admit builds only over the priced plans" admit_rejects_other_plans;
       t "podp identical with cache on/off at forced widths" podp_identical_cache_on_off;
       t "work bound is sound" bound_is_sound;
       t "podp identical under beam trim" podp_identical_cache_on_off_beamed;

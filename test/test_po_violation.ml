@@ -45,7 +45,7 @@ let podp_fixes_the_example () =
   let catalog, query, machine = Sc.ctr_ci () in
   let env = Parqo.Env.create ~machine ~catalog ~query () in
   let config = Parqo.Space.default_config in
-  let objective (e : Cm.eval) = e.Cm.response_time in
+  let objective (e : _ Cm.priced) = e.Cm.response_time in
   let naive = Parqo.Dp.optimize ~config ~objective env in
   let metric = Parqo.Metric.descriptor machine Parqo.Machine.Per_resource in
   let po = Parqo.Podp.optimize ~config ~metric env in
