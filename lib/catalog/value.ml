@@ -20,6 +20,17 @@ let compare a b =
 
 let equal a b = compare a b = 0
 
+(* lexicographic over the values at positions.(i..); top-level, so a
+   comparison allocates no closure *)
+let rec compare_from positions (a : t array) (b : t array) i =
+  if i = Array.length positions then 0
+  else
+    let p = positions.(i) in
+    let c = compare a.(p) b.(p) in
+    if c <> 0 then c else compare_from positions a b (i + 1)
+
+let compare_at positions a b = compare_from positions a b 0
+
 (* A number hashes as the int its float image denotes when there is one,
    else as the image; [Hashtbl.hash] already maps every NaN, and -0 and
    0, to one hash.  An [Int] within 2^53 is its own image. *)

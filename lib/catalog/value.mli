@@ -12,6 +12,12 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
+val compare_at : int array -> t array -> t array -> int
+(** [compare_at positions a b] compares rows [a] and [b]
+    lexicographically on their values at [positions], each pair under
+    {!compare}: the one order of index keys and sort keys.  Allocates
+    nothing. *)
+
 val to_float : t -> float
 (** Numeric image used for statistics; strings hash to a stable float. *)
 
