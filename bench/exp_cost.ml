@@ -12,14 +12,32 @@
    capped candidates are rejected before pricing; it is checked the
    same way.  Wall-clock is the minimum over repeats; results go to
    BENCH_cost.json together with the coordinator's allocation per
-   costed plan.
+   costed plan, the words its minor collections promoted per plan, and
+   the shared pricing entries the search filled (its reuse of them is
+   expanded / entries).
+
+   Minor words are [Gc.minor_words] deltas on the searching domain
+   ([Search_stats.gc_sample]), an exact count.  They were
+   [Gc.quick_stat] deltas, which under OCaml 5.1 count a minor heap
+   only once it is collected, so a search's figure gained or lost what
+   the heap held at its two samples; the capped smoke run read 59.7 or
+   62.2 words per plan by where its collections fell.  Promoted words
+   can only be counted at collections, so each timed search starts
+   from an emptied minor heap ([Gc.minor]), and every sequential run,
+   of every workload, runs before the first pool is created, because
+   [Gc.quick_stat] also sums the pool's domains' counters as of their
+   last collection: after a pooled run the capped smoke run's promoted
+   words read 0.59 or 0.61 per plan where every run without one read
+   0.76.  Both figures then repeat exactly from run to run.
 
    PARQO_SMOKE=1 shrinks the sweep (one small workload, one repeat) so
    CI gates stay fast, writes nothing, and gates each cached sequential
    run, uncapped and capped: a generous container-safe ceiling on its
-   us_per_plan, and a tight one on its minor_words_per_plan — allocation
-   on one domain is a deterministic count, so it catches a slower
-   candidate loop that the wall-clock ceiling would let through. *)
+   us_per_plan, and tight ones on its minor_words_per_plan and
+   promoted_words_per_plan — allocation on one domain is a
+   deterministic count, so it catches a slower candidate loop that the
+   wall-clock ceiling would let through, and promotion catches a table
+   that keeps young values alive, which allocates no more. *)
 
 module T = Parqo.Tableau
 module Cm = Parqo.Costmodel
@@ -31,20 +49,28 @@ let smoke = Common.smoke
    comfortably beat; the full run on a quiet machine is ~5x faster *)
 let smoke_us_per_plan_ceiling = 30.
 
-(* about 1.2x the cached sequential chain-5 smoke run's 169.1 minor
-   words per plan when it was set, which repeats exactly from run to
-   run; building every candidate's join tree and eval before its cover
-   test, with composition kernels that box their floats, allocated
+(* about 1.2x the cached sequential chain-5 smoke run's 63.1 minor
+   words per plan when it was set; pricing each candidate's new
+   operators from its own expansion and composing them into fresh
+   vectors allocated 167.2 (169.1 as [Gc.quick_stat] counted it),
+   building every candidate's join tree and eval before its cover test
    324.2, and pricing every candidate from scratch again (renumbering
-   it, re-costing the materialized twin) 861.5 *)
-let smoke_words_per_plan_ceiling = 203.
+   it, re-costing the materialized twin) 861.5, the last two as
+   [Gc.quick_stat] counted them *)
+let smoke_words_per_plan_ceiling = 76.
 
-(* about 1.2x the capped cached sequential chain-5 smoke run's 59.7 to
-   62.2 minor words per plan when it was set; building every priced
-   candidate before its cover test allocated 109.4, and pricing every
-   capped candidate in full before comparing its work with the cap
-   293.4 *)
-let smoke_capped_words_per_plan_ceiling = 75.
+(* about 1.2x the capped cached sequential chain-5 smoke run's 28.2
+   minor words per plan when it was set; the same steps back allocated
+   61.6, 109.4, and 293.4 when every capped candidate was priced in
+   full before its work was compared with the cap *)
+let smoke_capped_words_per_plan_ceiling = 34.
+
+(* about 1.2x the promoted words per plan of the same two runs, 1.60
+   and 0.74 when they were set.  Tables that also pointed to each inner
+   entry's young root operator and base descriptor promoted about twice
+   as much, with minor words inside their gates *)
+let smoke_promoted_per_plan_ceiling = 1.9
+let smoke_capped_promoted_per_plan_ceiling = 0.9
 
 let plan_string (e : Cm.eval) = Parqo.Join_tree.to_string e.Cm.tree
 
@@ -65,6 +91,9 @@ type run = {
   us_per_plan : float;
   minor_words_per_plan : float;
       (** coordinator-domain minor-heap words per costed plan *)
+  promoted_words_per_plan : float;
+      (** of those, words the coordinator's minor collections promoted *)
+  entries : int;  (** shared pricing entries filled *)
 }
 
 let json_of_run r =
@@ -72,16 +101,19 @@ let json_of_run r =
     "  {\"workload\": %S, \"n_relations\": %d, \"capped\": %b, \
      \"plan_cache\": %b, \"domains\": %d, \"wall_ms\": %.3f, \
      \"speedup\": %.3f, \"plans_expanded\": %d, \"us_per_plan\": %.3f, \
-     \"minor_words_per_plan\": %.1f}"
+     \"minor_words_per_plan\": %.1f, \"promoted_words_per_plan\": %.2f, \
+     \"entries\": %d}"
     r.workload r.n_relations r.capped r.plan_cache r.domains r.wall_ms r.speedup
     r.plans_expanded r.us_per_plan r.minor_words_per_plan
+    r.promoted_words_per_plan r.entries
 
 let write_json path runs =
   let oc = open_out path in
   Printf.fprintf oc
     "{\n\"schema\": [\"workload\", \"n_relations\", \"capped\", \
      \"plan_cache\", \"domains\", \"wall_ms\", \"speedup\", \
-     \"plans_expanded\", \"us_per_plan\", \"minor_words_per_plan\"],\n\
+     \"plans_expanded\", \"us_per_plan\", \"minor_words_per_plan\", \
+     \"promoted_words_per_plan\", \"entries\"],\n\
      \"cores\": %d,\n\"smoke\": %b,\n\"runs\": [\n%s\n]}\n"
     (Domain.recommended_domain_count ())
     smoke
@@ -140,6 +172,8 @@ let time_run ?work_cap ~repeats ~plan_cache ~domains env =
   let best = ref infinity in
   let result = ref None in
   for _ = 1 to repeats do
+    (* every search starts from an emptied minor heap *)
+    Gc.minor ();
     let t0 = Unix.gettimeofday () in
     let r = optimize ?work_cap ~plan_cache ~domains env in
     let dt = (Unix.gettimeofday () -. t0) *. 1000. in
@@ -179,16 +213,34 @@ let run () =
           ("expanded", T.Right);
           ("us/plan", T.Right);
           ("words/plan", T.Right);
+          ("promoted/plan", T.Right);
+          ("entries", T.Right);
         ]
   in
   let runs = ref [] in
+  (* the sequential runs of every workload, then the pooled ones *)
+  let sequential =
+    List.map
+      (fun (shape, n) ->
+        let name = Parqo.Query_gen.shape_to_string shape in
+        let env = Common.shape_env ~nodes:4 shape n in
+        let off, off_ms = time_run ~repeats ~plan_cache:false ~domains:1 env in
+        let on, on_ms = time_run ~repeats ~plan_cache:true ~domains:1 env in
+        check_identical (name ^ "/cached") off on;
+        let work_cap = session_work_cap env in
+        let coff, coff_ms =
+          time_run ?work_cap ~repeats ~plan_cache:false ~domains:1 env
+        in
+        let con, con_ms =
+          time_run ?work_cap ~repeats ~plan_cache:true ~domains:1 env
+        in
+        check_identical (name ^ "/capped/cached") coff con;
+        (shape, n, env, off, off_ms, on, on_ms, coff, coff_ms, con, con_ms))
+      workloads
+  in
   List.iter
-    (fun (shape, n) ->
+    (fun (shape, n, env, off, off_ms, on, on_ms, coff, coff_ms, con, con_ms) ->
       let name = Parqo.Query_gen.shape_to_string shape in
-      let env = Common.shape_env ~nodes:4 shape n in
-      let off, off_ms = time_run ~repeats ~plan_cache:false ~domains:1 env in
-      let on, on_ms = time_run ~repeats ~plan_cache:true ~domains:1 env in
-      check_identical (name ^ "/cached") off on;
       let pooled =
         List.map
           (fun domains ->
@@ -197,18 +249,12 @@ let run () =
             (false, true, domains, r, ms))
           pooled_domains
       in
-      let work_cap = session_work_cap env in
-      let coff, coff_ms =
-        time_run ?work_cap ~repeats ~plan_cache:false ~domains:1 env
-      in
-      let con, con_ms =
-        time_run ?work_cap ~repeats ~plan_cache:true ~domains:1 env
-      in
-      check_identical (name ^ "/capped/cached") coff con;
       List.iter
         (fun (capped, plan_cache, domains, r, wall_ms) ->
           let r : Parqo.Podp.result = r in
-          let expanded = r.Parqo.Podp.stats.Stats.generated in
+          let stats = r.Parqo.Podp.stats in
+          let expanded = stats.Stats.generated in
+          let per_plan x = x /. float_of_int (max 1 expanded) in
           let row =
             {
               workload = name;
@@ -219,10 +265,10 @@ let run () =
               wall_ms;
               speedup = (if capped then coff_ms else off_ms) /. wall_ms;
               plans_expanded = expanded;
-              us_per_plan = wall_ms *. 1000. /. float_of_int (max 1 expanded);
-              minor_words_per_plan =
-                r.Parqo.Podp.stats.Stats.minor_words
-                /. float_of_int (max 1 expanded);
+              us_per_plan = per_plan (wall_ms *. 1000.);
+              minor_words_per_plan = per_plan stats.Stats.minor_words;
+              promoted_words_per_plan = per_plan stats.Stats.promoted_words;
+              entries = stats.Stats.entries;
             }
           in
           runs := row :: !runs;
@@ -238,11 +284,13 @@ let run () =
               Common.celli expanded;
               Common.cell ~decimals:2 row.us_per_plan;
               Common.cell ~decimals:1 row.minor_words_per_plan;
+              Common.cell ~decimals:2 row.promoted_words_per_plan;
+              Common.celli row.entries;
             ])
         ([ (false, false, 1, off, off_ms); (false, true, 1, on, on_ms) ]
         @ pooled
         @ [ (true, false, 1, coff, coff_ms); (true, true, 1, con, con_ms) ]))
-    workloads;
+    sequential;
   T.print tbl;
   Common.write_results "BENCH_cost.json"
     ~what:(Printf.sprintf "%d runs" (List.length !runs))
@@ -267,6 +315,16 @@ let run () =
               (Printf.sprintf
                  "E18 smoke: %s minor_words_per_plan %.1f exceeds the %.0f \
                   ceiling — costing hot path allocates more"
-                 label r.minor_words_per_plan words_ceiling)
+                 label r.minor_words_per_plan words_ceiling);
+          let promoted_ceiling =
+            if r.capped then smoke_capped_promoted_per_plan_ceiling
+            else smoke_promoted_per_plan_ceiling
+          in
+          if r.promoted_words_per_plan > promoted_ceiling then
+            failwith
+              (Printf.sprintf
+                 "E18 smoke: %s promoted_words_per_plan %.2f exceeds the \
+                  %.2f ceiling — the search keeps young values alive"
+                 label r.promoted_words_per_plan promoted_ceiling)
         end)
       !runs

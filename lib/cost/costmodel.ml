@@ -135,7 +135,19 @@ let evaluate ?(required_order = P.Ordering.none) (env : Env.t) tree =
    the one walk over the whole tree — is left to [numbered], which the
    DP runs only on the plans it keeps.  Every arithmetic operation on a
    priced plan runs on the same values in the same order as the
-   from-scratch path, so the results are bit-identical. *)
+   from-scratch path, so the results are bit-identical.
+
+   What a join's new operators cost splits in two.  The inner entry —
+   the root's base, the inner plan's descriptor piped through the inner
+   side's bases and the bound's inner term — depends on the inner plan,
+   the method and the clone degree alone; the outer entry — the
+   outer side's bases, their compositions and the outer term — on the
+   method, the clone degree and the outer plan's class
+   ([outer_shape_equal]).  Both are kept as flat float rows in the
+   scratch ([Descriptor.rows]), so the joins of one extension compute
+   each entry once and compose only the outer side and the root per
+   candidate, into the scratch; [price_join] fills both entries from its
+   one join and copies the result out. *)
 
 type join_context = Parqo_optree.Expand.context
 
@@ -146,28 +158,85 @@ let join_context (env : Env.t) ~outer ~inner =
     invalid_arg "Costmodel: relation used more than once";
   Parqo_optree.Expand.context env.estimator ~outer ~inner
 
+(* Row slots: three for composing a candidate's outer side and two for
+   an inner side's bases while they are composed; then the entries'
+   rows, allocated as entries are filled and forgotten with them: per
+   inner entry the root's base and, unless the root probes a bare
+   index, the composed inner descriptor after it; per outer entry the
+   outer side's bases, bottom-most first.  Entry 0 of each table is
+   [price_join]'s, which gives its rows back when it returns. *)
+let tmp_a = 0
+let tmp_b = 1
+let left = 2
+let side_rows = 3
+let entry_rows = 5
+
 type scratch = {
   ds : Descriptor.scratch;
-  last : float array;
-      (* [| outer term; inner term; bound |] of the last join priced *)
-  class_limit : float array;  (* [| limit |] the class tables serve *)
-  mutable slots : int;  (* table entries per class *)
-  mutable outer_terms : float array;  (* (outer class, slot); nan: unseen *)
-  mutable inner_terms : float array;  (* (inner class, slot); nan: unseen *)
+  rows : Descriptor.rows;
+  mutable next : int;  (* the first row no entry holds *)
+  mutable stamp : int;  (* the loaded extension; entries stamped so are valid *)
+  mutable in_stamp : int array;
+  mutable in_row : int array;
+  mutable in_free : bool array;  (* the root probes a bare index *)
+  mutable in_term : float array;
+  mutable out_stamp : int array;
+  mutable out_row : int array;
+  mutable out_side : int array;
+      (* the side's operator count, plus 4 (8) when its first (second)
+         operator, bottom-most first, is materialized *)
+  mutable out_term : float array;
+  mutable flags : int;  (* [store_side]'s materialized operators *)
+  work : float array;  (* [| [store_side]'s base work sum |] *)
 }
 
 let scratch (env : Env.t) =
+  let dim = env.placement.Placement.dim in
+  let rows = Descriptor.rows dim in
+  Descriptor.rows_reserve rows entry_rows;
   {
-    ds = Descriptor.scratch env.placement.Placement.dim;
-    last = Array.make 3 0.;
-    class_limit = [| infinity |];
-    slots = 0;
-    outer_terms = [||];
-    inner_terms = [||];
+    ds = Descriptor.scratch dim;
+    rows;
+    next = entry_rows;
+    stamp = 0;
+    in_stamp = [| -1 |];
+    in_row = [| 0 |];
+    in_free = [| false |];
+    in_term = [| 0. |];
+    out_stamp = [| -1 |];
+    out_row = [| 0 |];
+    out_side = [| 0 |];
+    out_term = [| 0. |];
+    flags = 0;
+    work = [| 0. |];
   }
 
-let work_bound ~outer_work ~outer_term ~inner_term =
-  outer_work +. outer_term +. inner_term
+(* Forget every entry, with room for [n_in] inner and [n_out] outer
+   ones. *)
+let reset s ~n_in ~n_out =
+  if n_in > Array.length s.in_stamp then begin
+    let n = max n_in (2 * Array.length s.in_stamp) in
+    s.in_stamp <- Array.make n (-1);
+    s.in_row <- Array.make n 0;
+    s.in_free <- Array.make n false;
+    s.in_term <- Array.make n 0.
+  end;
+  if n_out > Array.length s.out_stamp then begin
+    let n = max n_out (2 * Array.length s.out_stamp) in
+    s.out_stamp <- Array.make n (-1);
+    s.out_row <- Array.make n 0;
+    s.out_side <- Array.make n 0;
+    s.out_term <- Array.make n 0.
+  end;
+  s.next <- entry_rows;
+  s.stamp <- s.stamp + 1
+
+(* [n] rows for an entry *)
+let take s n =
+  let k = s.next in
+  s.next <- k + n;
+  Descriptor.rows_reserve s.rows s.next;
+  k
 
 (* The bound is a sum of non-negative terms, each a float sum over the
    resources, so it can exceed the exact priced work only by rounding —
@@ -176,60 +245,123 @@ let work_bound ~outer_work ~outer_term ~inner_term =
 let slack = 1e-9
 let over_limit ~limit bound = bound > limit *. (1. +. slack)
 
-let last_bound s = s.last.(2)
-
-let nan_table a n =
-  let a =
-    if Array.length a >= n then a
-    else Array.make (max n (2 * Array.length a)) nan
-  in
-  Array.fill a 0 n nan;
-  a
-
-let reset_classes s ~limit ~outer_classes ~inner_classes ~slots =
-  s.class_limit.(0) <- limit;
-  s.slots <- slots;
-  s.outer_terms <- nan_table s.outer_terms (outer_classes * slots);
-  s.inner_terms <- nan_table s.inner_terms (inner_classes * slots)
-
-let class_rejects s ~outer ~outer_class ~inner_class ~slot =
-  let ot = s.outer_terms.((outer_class * s.slots) + slot)
-  and it = s.inner_terms.((inner_class * s.slots) + slot) in
-  (* nan <> nan: both terms recorded *)
-  ot = ot && it = it
-  && over_limit ~limit:s.class_limit.(0)
-       (work_bound ~outer_work:outer.work ~outer_term:ot ~inner_term:it)
-
-let record_class_terms s ~outer_class ~inner_class ~slot =
-  s.outer_terms.((outer_class * s.slots) + slot) <- s.last.(0);
-  s.inner_terms.((inner_class * s.slots) + slot) <- s.last.(1)
-
-(* The base descriptors of one side's new operators: the unary chain from
-   [node] down to the grafted child [stop], bottom-most first. *)
-let rec side_bases (env : Env.t) stop (node : Op.node) acc =
-  if node == stop then acc
+(* The number of new operators on one side: the unary chain from
+   [node] down to the grafted child [stop].  Expansion adds at most two
+   (an exchange, then a sort, build or index creation). *)
+let rec side_length stop (node : Op.node) =
+  if node == stop then 0
   else
     match node.Op.children with
     | [ c ] ->
-      side_bases env stop c
-        ((node, Opcost.base env.placement env.estimator node) :: acc)
+      let n = 1 + side_length stop c in
+      if n > 2 then
+        invalid_arg "Costmodel: join side of more than two operators";
+      n
     | _ -> invalid_arg "Costmodel: join side is not a unary chain"
 
-let rec side_work acc = function
-  | [] -> acc
-  | (_, b) :: rest -> side_work (acc +. Descriptor.work b) rest
+(* Store the base descriptors of that chain's operators, bottom-most
+   first from slot [first], and return their count; set bit [j] of
+   [s.flags] when the [j]-th is materialized, and add their base work
+   to [s.work.(0)] in that order. *)
+let rec store_side s (env : Env.t) ~first stop (node : Op.node) =
+  if node == stop then 0
+  else
+    match node.Op.children with
+    | [ c ] ->
+      let j = store_side s env ~first stop c in
+      let b = Opcost.base env.placement env.estimator node in
+      Descriptor.set_row s.rows (first + j) b;
+      if node.Op.composition = Op.Materialized then
+        s.flags <- s.flags lor (1 lsl j);
+      s.work.(0) <- s.work.(0) +. Descriptor.work b;
+      j + 1
+    | _ -> invalid_arg "Costmodel: join side is not a unary chain"
 
-let composed (node : Op.node) d =
-  match node.Op.composition with
-  | Op.Materialized -> Descriptor.sync d
-  | Op.Pipelined -> d
+(* [d] piped bottom-up through the [n] side bases from slot [first] into
+   slot [dst], synced after each materialized one — [of_optree]'s unary
+   case, node by node *)
+let compose_side s (env : Env.t) d ~first ~n ~flags ~dst =
+  let rows = s.rows and p = env.dparams in
+  Descriptor.set_row rows (if n = 0 then dst else tmp_a) d;
+  for j = 0 to n - 1 do
+    let src = if j = 0 then tmp_a else tmp_b in
+    let out = if j = n - 1 then dst else tmp_b in
+    Descriptor.pipe_row s.ds p rows ~src ~cons:(first + j) ~dst:out;
+    if flags land (1 lsl j) <> 0 then Descriptor.sync_row rows out
+  done
 
-(* a side's descriptor: the grafted child's, piped bottom-up through the
-   side's new operators — [of_optree]'s unary case, node by node *)
-let rec compose_side s p d = function
-  | [] -> d
-  | (node, b) :: rest ->
-    compose_side s p (composed node (Descriptor.pipe_s s p d b)) rest
+let child (root : Op.node) side =
+  match root.Op.children with
+  | [ l; r ] -> if side = 0 then l else r
+  | _ -> invalid_arg "Costmodel: join root is not binary"
+
+(* Inner entry [i] from [root], a join over [ie]: the root's base;
+   unless the root probes a bare index ([Opcost.nl_inner_is_free]),
+   [ie]'s descriptor piped through the inner side's bases; and the inner
+   term — the root's and the side's base work, plus the inner plan's
+   work unless the index is probed. *)
+let fill_inner s (env : Env.t) root (ie : eval) i =
+  let r = child root 1 in
+  ignore (side_length ie.optree r);
+  let free = Opcost.nl_inner_is_free root in
+  let row = take s (if free then 1 else 2) in
+  let rb = Opcost.base env.placement env.estimator root in
+  Descriptor.set_row s.rows row rb;
+  s.flags <- 0;
+  s.work.(0) <- Descriptor.work rb;
+  let n = store_side s env ~first:side_rows ie.optree r in
+  if not free then
+    compose_side s env ie.descriptor ~first:side_rows ~n ~flags:s.flags
+      ~dst:(row + 1);
+  s.in_row.(i) <- row;
+  s.in_free.(i) <- free;
+  s.in_term.(i) <- (if free then s.work.(0) else s.work.(0) +. ie.work);
+  s.in_stamp.(i) <- s.stamp
+
+(* Outer entry [o] from [root], a join over [oe]: the outer side's
+   bases and compositions, and the outer term, their base work. *)
+let fill_outer s (env : Env.t) root (oe : eval) o =
+  let l = child root 0 in
+  let n = side_length oe.optree l in
+  let first = take s n in
+  s.flags <- 0;
+  s.work.(0) <- 0.;
+  ignore (store_side s env ~first oe.optree l);
+  s.out_row.(o) <- first;
+  s.out_side.(o) <- n lor (s.flags lsl 2);
+  s.out_term.(o) <- s.work.(0);
+  s.out_stamp.(o) <- s.stamp
+
+(* the bound: outer work + outer term + inner term *)
+let bound_of s ~(outer : eval) ~o ~i =
+  outer.work +. s.out_term.(o) +. s.in_term.(i)
+
+(* The candidate over [root]: [oe]'s descriptor piped through outer
+   entry [o]'s side, then with inner entry [i]'s root base — piped when
+   the root probes a bare index, else in a [tree] with the composed
+   inner descriptor.  Its descriptor views the scratch. *)
+let compose s (env : Env.t) ctx root ~method_ ~clone ~(outer : eval) ~o ~i =
+  let side = s.out_side.(o) in
+  compose_side s env outer.descriptor ~first:s.out_row.(o) ~n:(side land 3)
+    ~flags:(side lsr 2) ~dst:left;
+  let row = s.in_row.(i) and p = env.dparams in
+  let descriptor =
+    if s.in_free.(i) then Descriptor.pipe_view s.ds p s.rows ~src:left ~cons:row
+    else
+      Descriptor.tree_view s.ds p s.rows ~l:left ~r:(row + 1) ~root:row
+  in
+  let ordering =
+    P.Props.join_ordering method_ ~clone
+      ~outer_key:(Lazy.from_val ctx.Parqo_optree.Expand.outer_key)
+      ~outer:(Lazy.from_val outer.ordering)
+  in
+  of_descriptor ~tree:() ~optree:root ~ordering descriptor
+
+let expand (env : Env.t) ctx ~method_ ~clone (oe : eval) (ie : eval) =
+  Parqo_optree.Expand.expand_join ~config:env.expand_config ctx ~method_
+    ~clone ~composition:Op.Pipelined ~outer:oe.optree ~inner:ie.optree
+    ~outer_ordering:(Lazy.from_val oe.ordering)
+    ~inner_ordering:(Lazy.from_val ie.ordering)
 
 let check_sides (ctx : join_context) oe ie =
   if
@@ -238,52 +370,80 @@ let check_sides (ctx : join_context) oe ie =
       && Bitset.equal (P.Join_tree.relations ie.tree) ctx.inner_rels)
   then invalid_arg "Costmodel.price_join: plans outside the join context"
 
-(* Expand the pipelined join of [oe] and [ie], base its new operators and
-   leave the bound's two terms in the scratch; then, unless the bound
-   exceeds [limit], compose the root's descriptor.  The outer term sums
-   the outer side's new operators.  The inner term sums the root
-   operator, the inner side's new operators and, unless the root probes
-   a bare index ([Opcost.nl_inner_is_free]), the inner plan's work.  Both
-   are functions of the candidate's class — see [outer_shape_equal] —
-   which is what lets a DP reuse them across memo plans. *)
-let price_join ~scratch ~limit (env : Env.t) (ctx : join_context) ~method_
+let price_join ~scratch:s ~limit (env : Env.t) (ctx : join_context) ~method_
     ~clone ~outer:oe ~inner:ie =
   check_sides ctx oe ie;
-  let root =
-    Parqo_optree.Expand.expand_join ~config:env.expand_config ctx ~method_
-      ~clone ~composition:Op.Pipelined ~outer:oe.optree ~inner:ie.optree
-      ~outer_ordering:(Lazy.from_val oe.ordering)
-      ~inner_ordering:(Lazy.from_val ie.ordering)
+  let root = expand env ctx ~method_ ~clone oe ie in
+  let next = s.next in
+  fill_inner s env root ie 0;
+  fill_outer s env root oe 0;
+  let c =
+    if over_limit ~limit (bound_of s ~outer:oe ~o:0 ~i:0) then None
+    else
+      let c = compose s env ctx root ~method_ ~clone ~outer:oe ~o:0 ~i:0 in
+      Some { c with descriptor = Descriptor.copy c.descriptor }
   in
-  match root.Op.children with
-  | [ l; r ] ->
-    let rb = Opcost.base env.placement env.estimator root in
-    let lb = side_bases env oe.optree l [] in
-    let rbs = side_bases env ie.optree r [] in
-    let free = Opcost.nl_inner_is_free root in
-    let outer_term = side_work 0. lb in
-    let inner_new = side_work (Descriptor.work rb) rbs in
-    let inner_term = if free then inner_new else inner_new +. ie.work in
-    let bound = work_bound ~outer_work:oe.work ~outer_term ~inner_term in
-    scratch.last.(0) <- outer_term;
-    scratch.last.(1) <- inner_term;
-    scratch.last.(2) <- bound;
-    if over_limit ~limit bound then None
-    else begin
-      let s = scratch.ds and p = env.dparams in
-      let dl = compose_side s p oe.descriptor lb in
-      let descriptor =
-        if free then Descriptor.pipe_s s p dl rb
-        else Descriptor.tree_s s p dl (compose_side s p ie.descriptor rbs) rb
-      in
-      let ordering =
-        P.Props.join_ordering method_ ~clone
-          ~outer_key:(Lazy.from_val ctx.outer_key)
-          ~outer:(Lazy.from_val oe.ordering)
-      in
-      Some (of_descriptor ~tree:() ~optree:root ~ordering descriptor)
-    end
-  | _ -> invalid_arg "Costmodel: join root is not binary"
+  s.next <- next;
+  c
+
+type extension = {
+  scratch : scratch;
+  env : Env.t;
+  ctx : join_context;
+  inner : eval array;
+  methods : P.Join_method.t array;
+  clones : int array;
+  limit : float;
+}
+
+let extension scratch (env : Env.t) ctx ~inner ~methods ~clones ~classes
+    ~limit =
+  let slots = Array.length methods * Array.length clones in
+  reset scratch
+    ~n_in:(1 + (Array.length inner * slots))
+    ~n_out:(1 + (classes * slots));
+  { scratch; env; ctx; inner; methods; clones; limit }
+
+(* the entry of inner plan (or outer class) [k] under method [mi] and
+   clone degree [ki] *)
+let entry x k ~mi ~ki =
+  1 + (((k * Array.length x.methods) + mi) * Array.length x.clones) + ki
+
+(* Fill entries [i] and [o] unless the loaded extension already has
+   them, expanding the join to do so: the join's root if it was
+   expanded. *)
+let fill x ~outer ~inner ~mi ~ki ~i ~o =
+  let s = x.scratch in
+  if s.in_stamp.(i) = s.stamp && s.out_stamp.(o) = s.stamp then None
+  else begin
+    let ie = x.inner.(inner) in
+    let root =
+      expand x.env x.ctx ~method_:x.methods.(mi) ~clone:x.clones.(ki) outer ie
+    in
+    if s.in_stamp.(i) <> s.stamp then fill_inner s x.env root ie i;
+    if s.out_stamp.(o) <> s.stamp then fill_outer s x.env root outer o;
+    Some root
+  end
+
+let bound x ~outer ~outer_class ~inner ~method_:mi ~clone:ki =
+  let i = entry x inner ~mi ~ki and o = entry x outer_class ~mi ~ki in
+  ignore (fill x ~outer ~inner ~mi ~ki ~i ~o);
+  bound_of x.scratch ~outer ~o ~i
+
+let price x ~outer ~outer_class ~inner ~method_:mi ~clone:ki =
+  let i = entry x inner ~mi ~ki and o = entry x outer_class ~mi ~ki in
+  let root = fill x ~outer ~inner ~mi ~ki ~i ~o in
+  let s = x.scratch in
+  if over_limit ~limit:x.limit (bound_of s ~outer ~o ~i) then None
+  else begin
+    let method_ = x.methods.(mi) and clone = x.clones.(ki) in
+    let root =
+      match root with
+      | Some root -> root
+      | None -> expand x.env x.ctx ~method_ ~clone outer x.inner.(inner)
+    in
+    Some (compose s x.env x.ctx root ~method_ ~clone ~outer ~o ~i)
+  end
 
 (* The outer side's new operators read the outer root's clone degree,
    partitioning and kind (an exchange), its cardinality and width, and
@@ -344,7 +504,7 @@ let admit ~outer ~inner (c : candidate) : eval =
         ~materialize:(root.Op.composition = Op.Materialized)
         (method_of_root root) ~outer:outer.tree ~inner:inner.tree
     in
-    { c with tree }
+    { c with tree; descriptor = Descriptor.copy c.descriptor }
   | _ -> invalid_arg "Costmodel.admit: not a join of these plans"
 
 let numbered e = { e with optree = Parqo_optree.Expand.renumber e.optree }

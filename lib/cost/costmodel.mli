@@ -86,9 +86,8 @@ val join_context :
     between them.  Raises [Invalid_argument] when the sets intersect. *)
 
 type scratch
-(** Descriptor buffers sized to the environment's machine, the bound of
-    the last join priced, and the class tables below; owned by one
-    domain. *)
+(** Descriptor buffers sized to the environment's machine, and the
+    entry tables below; owned by one domain. *)
 
 val scratch : Env.t -> scratch
 
@@ -108,67 +107,96 @@ val price_join :
     they are costed.  [None] when the work bound exceeds [limit] (pass
     [infinity] to price unconditionally) — so [None] implies the priced
     work exceeds [limit].  The operator tree is {e unnumbered} — the new
-    nodes carry id 0 — until {!numbered}.  Raises [Invalid_argument]
-    when the plans are not over the context's relation sets. *)
+    nodes carry id 0 — until {!numbered}.  It fills the two entries
+    below from its one join, and its candidate owns its descriptor.
+    Raises [Invalid_argument] when the plans are not over the context's
+    relation sets. *)
 
 val admit : outer:eval -> inner:eval -> candidate -> eval
-(** [admit ~outer ~inner c] builds the eval of a join {!price_join}
-    priced over [outer] and [inner] (or its {!materialized_twin}): its
-    join tree, with method, clone degree and materialization read off
-    [c]'s root operator, and the tree's key.  Raises [Invalid_argument]
-    unless [c]'s root grafts [outer]'s and [inner]'s operator trees. *)
+(** [admit ~outer ~inner c] builds the eval of a join {!price_join} or
+    {!price} priced over [outer] and [inner] (or its
+    {!materialized_twin}): its join tree, with method, clone degree and
+    materialization read off [c]'s root operator, the tree's key, and a
+    copy of [c]'s descriptor.  Raises [Invalid_argument] unless [c]'s
+    root grafts [outer]'s and [inner]'s operator trees. *)
 
-val last_bound : scratch -> float
-(** The work bound of the last join {!price_join} saw on this scratch,
-    priced or rejected. *)
-
-(** {3 Class-level rejection}
+(** {3 Shared entries}
 
     The bound is [outer work + outer term + inner term].  Over one
-    context, the outer term depends only on the method, the clone degree
-    and the outer plan's class under {!outer_shape_equal}: the base work
-    of the outer side's new operators.  The inner term depends only on
-    the method, the clone degree and the inner plan: the base work of the
-    root operator and the inner side's new operators, plus the inner
-    plan's work unless the root probes a bare index (every plan of one
-    relation set has the same cardinality).  A DP that prices many joins
-    of one context keeps one float per class and decides, from the outer
-    plan's work alone, what {!price_join} would decide — without
-    expanding the candidate.  Only these floats are kept: never
-    descriptors or operator nodes. *)
+    context, what the join's new operators cost splits in two.  The
+    {e inner entry} depends only on the inner plan, the method and the
+    clone degree: the root operator's base descriptor, the inner plan's
+    descriptor piped through the inner side's new operators, and the
+    inner term — the new operators' base work, plus the inner plan's
+    work unless the root probes a bare index (every plan of one relation
+    set has the same cardinality).  The {e outer entry} depends only on the
+    method, the clone degree and the outer plan's class under
+    {!outer_shape_equal}: the outer side's base descriptors and
+    compositions, and the outer term, their base work.  A DP that
+    prices many joins of one context loads them as an {!extension}: each
+    entry is computed from the first join that needs it, and a join then
+    costs one expansion and the composition of its outer side and root.
 
-val reset_classes :
+    Entries are flat float rows in the scratch ({!Descriptor.rows}),
+    reused from one extension to the next: a table holds no pointer to
+    a descriptor, an operator or any other value allocated while an
+    extension is priced.  A long-lived table that pointed to young
+    descriptors or operators would make every minor collection promote
+    them, and the search's heap would grow with them (MODEL.md §9). *)
+
+type extension
+(** The joins between two relation sets that one DP step prices, loaded
+    in a scratch. *)
+
+val extension :
   scratch ->
+  Env.t ->
+  join_context ->
+  inner:eval array ->
+  methods:Parqo_plan.Join_method.t array ->
+  clones:int array ->
+  classes:int ->
   limit:float ->
-  outer_classes:int ->
-  inner_classes:int ->
-  slots:int ->
-  unit
-(** Forget every recorded term: tables for a new context, with [slots]
-    (method, clone) entries per class, serving [limit]. *)
+  extension
+(** Load the joins of outer plans of [classes] classes with the [inner]
+    plans, under every method and clone degree, priced against [limit]:
+    the scratch forgets the entries of the extension it held (keeping
+    their room). *)
 
-val class_rejects :
-  scratch ->
+val price :
+  extension ->
   outer:eval ->
   outer_class:int ->
-  inner_class:int ->
-  slot:int ->
-  bool
-(** Both classes' terms are recorded for [slot] and the bound they give
-    with [outer]'s work exceeds the limit — exactly {!price_join}'s
-    rejection of that candidate.  [false] while a term is unknown. *)
+  inner:int ->
+  method_:int ->
+  clone:int ->
+  candidate option
+(** [price x ~outer ~outer_class ~inner ~method_ ~clone] is
+    {!price_join} of [outer], of class [outer_class], with
+    [x]'s inner plan [inner] under its method [method_] and clone
+    degree [clone] (indices), bit for bit — except that its descriptor
+    {e views} the scratch: it is valid until the next pricing on the
+    scratch, and {!admit} copies it.  The bound is read from the entries
+    before the join is expanded.  Classes are the caller's: two plans
+    given one class must be {!outer_shape_equal}. *)
 
-val record_class_terms :
-  scratch -> outer_class:int -> inner_class:int -> slot:int -> unit
-(** Record the terms of the last join {!price_join} saw as those of the
-    given classes and slot. *)
+val bound :
+  extension ->
+  outer:eval ->
+  outer_class:int ->
+  inner:int ->
+  method_:int ->
+  clone:int ->
+  float
+(** The work bound {!price} compares with the limit. *)
 
 val outer_shape_equal : eval -> eval -> bool
 (** [outer_shape_equal a b] for two plans over one relation set: joins
     with either as the outer (same context, method, clone and inner)
-    get the same outer-side operators, hence the same outer term of the
-    bound — the outer roots agree on clone degree, partitioning and
-    kind, and the plans on their output ordering. *)
+    get the same outer-side operators, hence the same outer entry and
+    the same output ordering — the outer roots agree on clone degree,
+    partitioning and kind, and the plans on their output ordering.
+    Two such plans are of one class. *)
 
 val materialized_twin : candidate -> candidate
 (** [materialized_twin c] for a pipelined join [c]: the same join with

@@ -75,17 +75,48 @@ val scratch : int -> scratch
 (** [scratch dim] allocates reusable buffers for [dim]-resource
     machines. *)
 
-val scratch_dim : scratch -> int
-
-val scratch_zero : scratch -> Rvec.t
-(** A shared all-zero vector of the scratch's dimension (immutable;
-    safe to embed in descriptors via {!atomic_with}). *)
-
 val pipe_s : scratch -> params -> t -> t -> t
 (** Scratch-backed {!pipe}. *)
 
 val tree_s : scratch -> params -> t -> t -> t -> t
 (** Scratch-backed {!tree}. *)
+
+(** {2 Flat rows}
+
+    A store of descriptors as flat float rows, addressed by slot, and
+    the same kernels over them: what a search keeps across the joins of
+    one extension without holding a pointer to any descriptor.  The
+    [_view] kernels write their result into the store and return a
+    descriptor that {e views} it: valid until the next [_view] call on
+    that store, and {!copy} makes it the caller's. *)
+
+type rows
+
+val rows : int -> rows
+(** An empty store for [dim]-resource descriptors. *)
+
+val rows_reserve : rows -> int -> unit
+(** Room for slots [0 .. n-1], keeping the slots' contents. *)
+
+val set_row : rows -> int -> t -> unit
+(** Store a descriptor in a slot. *)
+
+val sync_row : rows -> int -> unit
+(** {!sync} a slot in place. *)
+
+val pipe_row :
+  scratch -> params -> rows -> src:int -> cons:int -> dst:int -> unit
+(** [pipe_row s p r ~src ~cons ~dst]: slot [dst] becomes {!pipe} of
+    slots [src] and [cons]; [dst] differs from both. *)
+
+val pipe_view : scratch -> params -> rows -> src:int -> cons:int -> t
+(** {!pipe} of two slots, viewing the store. *)
+
+val tree_view : scratch -> params -> rows -> l:int -> r:int -> root:int -> t
+(** {!tree} of three slots, viewing the store. *)
+
+val copy : t -> t
+(** The descriptor over vectors of its own. *)
 
 val response_time : t -> float
 (** [rl] time — the metric being minimized. *)

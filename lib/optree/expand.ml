@@ -69,7 +69,11 @@ type context = {
   out_width : float;
   outer_key : P.Ordering.t;
   inner_key : P.Ordering.t;
+  outer_attr : P.Ordering.col option;
+  inner_attr : P.Ordering.col option;
 }
+
+let attr_of = function [] -> None | (c : P.Ordering.col) :: _ -> Some c
 
 let context est ~outer ~inner =
   let rels = Parqo_util.Bitset.union outer inner in
@@ -83,6 +87,8 @@ let context est ~outer ~inner =
     out_width = P.Estimator.width est rels;
     outer_key;
     inner_key;
+    outer_attr = attr_of outer_key;
+    inner_attr = attr_of inner_key;
   }
 
 (* Expand one join over already-expanded children.  The child operator
@@ -96,18 +102,18 @@ let expand_join ?(config = default_config) ctx ~method_ ~clone:k ~composition
     ~outer ~inner ~outer_ordering ~inner_ordering =
   let out_card = ctx.out_card and out_width = ctx.out_width in
   let outer_key = ctx.outer_key and inner_key = ctx.inner_key in
-  let attr_of = function [] -> None | (c : P.Ordering.col) :: _ -> Some c in
+  let outer_attr = ctx.outer_attr and inner_attr = ctx.inner_attr in
   match method_ with
   | P.Join_method.Hash_join ->
-    let inner' = ensure_partition inner ~degree:k ~attr:(attr_of inner_key) in
+    let inner' = ensure_partition inner ~degree:k ~attr:inner_attr in
     let build =
       node Op.Hash_build [ inner' ] ~composition:Op.Materialized ~clone:k
-        ?partition:(attr_of inner_key) ~out_card:inner'.Op.out_card
+        ?partition:inner_attr ~out_card:inner'.Op.out_card
         ~out_width:inner'.Op.out_width
     in
-    let outer' = ensure_partition outer ~degree:k ~attr:(attr_of outer_key) in
+    let outer' = ensure_partition outer ~degree:k ~attr:outer_attr in
     node Op.Hash_probe [ outer'; build ] ~composition ~clone:k
-      ?partition:(attr_of outer_key) ~out_card ~out_width
+      ?partition:outer_attr ~out_card ~out_width
   | P.Join_method.Sort_merge ->
     let sorted side_ordering child key =
       (* A sort is needed unless the stream is single (k = 1), no
@@ -127,12 +133,12 @@ let expand_join ?(config = default_config) ctx ~method_ ~clone:k ~composition
           ~out_width:child.Op.out_width
       else child
     in
-    let outer' = ensure_partition outer ~degree:k ~attr:(attr_of outer_key) in
-    let inner' = ensure_partition inner ~degree:k ~attr:(attr_of inner_key) in
+    let outer' = ensure_partition outer ~degree:k ~attr:outer_attr in
+    let inner' = ensure_partition inner ~degree:k ~attr:inner_attr in
     let sorted_outer = sorted outer_ordering outer' outer_key in
     let sorted_inner = sorted inner_ordering inner' inner_key in
     node Op.Merge_join [ sorted_outer; sorted_inner ] ~composition ~clone:k
-      ?partition:(attr_of outer_key) ~out_card ~out_width
+      ?partition:outer_attr ~out_card ~out_width
   | P.Join_method.Nested_loops ->
     let outer' = ensure_partition outer ~degree:k ~attr:None in
     let inner' = broadcast inner ~degree:k in

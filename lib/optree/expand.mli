@@ -41,6 +41,11 @@ type context = {
       (** {!Parqo_plan.Props.sort_key_outer} of any such join *)
   inner_key : Parqo_plan.Ordering.t;
       (** {!Parqo_plan.Props.sort_key_inner} of any such join *)
+  outer_attr : Parqo_plan.Ordering.col option;
+      (** the outer key's leading column: what a cloned join partitions
+          its outer input on *)
+  inner_attr : Parqo_plan.Ordering.col option;
+      (** the inner key's leading column *)
 }
 (** What every join of a plan over [outer_rels] with a plan over
     [inner_rels] shares, whatever the plans, method or annotations: the

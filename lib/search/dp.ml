@@ -21,7 +21,7 @@ type result = {
    win either and is only counted.  A custom objective prices every
    candidate and its twin. *)
 let optimize ?(config = Space.default_config) ?objective (env : Env.t) =
-  let gc0 = Gc.quick_stat () in
+  let gc0 = Search_stats.gc_sample () in
   let n = Env.n_relations env in
   let stats = Search_stats.create () in
   let bounded, objective =
@@ -121,5 +121,6 @@ let optimize ?(config = Space.default_config) ?objective (env : Env.t) =
     if n = 0 then None
     else Option.map Cm.numbered memo.(Bitset.to_int (Bitset.full n))
   in
-  Search_stats.observe_gc stats ~before:gc0 ~after:(Gc.quick_stat ());
+  Search_stats.observe_gc stats ~before:gc0
+    ~after:(Search_stats.gc_sample ());
   { best; stats; level_sizes }

@@ -61,6 +61,7 @@ type part = {
   mutable considered : int;
   mutable generated : int;
   mutable rejected : int;  (** of [generated], rejected by the work bound *)
+  mutable entries : int;  (** shared pricing entries filled *)
   free : bool Atomic.t;
 }
 
@@ -80,8 +81,8 @@ let skipped = 2
 
 (* Per worker: its partial covers ([n_parts] of them, reused once their
    subsets are finished), the cover it merges a subset's partial covers
-   into, the arena of finished covers, and the extension whose join
-   context and class tables it has loaded. *)
+   into, the arena of finished covers, and the extension it has loaded
+   in its pricing scratch. *)
 type lane = {
   mutable parts : part array;
   mutable n_parts : int;
@@ -96,28 +97,31 @@ type lane = {
 
 let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
     ~pool_stats0 ~plan_cache ~metric (env : Env.t) =
-  let gc0 = Gc.quick_stat () in
+  let gc0 = Search_stats.gc_sample () in
   let width = Domain_pool.width pool in
   let tracker = Budget.start budget in
   let gave_up = ref false in
   (* Incremental costing: every candidate at level l + 1 joins a
      memoized level-l plan with an access plan, both already evaluated,
-     so pricing it costs only the new root operators (Cm.price_join on a
-     per-worker scratch, over a join context computed once per
-     extension).  The memo arena and the level-1 access evaluations are
-     the children's cache: nothing is looked up by key.  A priced
-     candidate is tested against the partial cover before it is built:
-     its coordinates are filled from its cost, and only a candidate the
-     cover admits gets its join tree, key and eval (Cm.admit).  Each
-     materialized candidate is the twin of the pipelined one generated
-     just before it (Cm.materialized_twin), tested after that one has
-     entered, and operator trees are numbered only when a plan enters
-     the memo.  Under a work cap,
-     candidates are bounded before they are composed, and per extension
-     the bound's terms are kept per class (Cm.class_rejects), so a capped
-     candidate of a seen class is counted without being expanded.  With
-     [plan_cache] off every candidate is evaluated from scratch instead —
-     the reference the incremental path is bit-identical to. *)
+     so pricing it costs only the new root operators.  A lane loads each
+     extension into its scratch (Cm.extension, over a join context
+     computed once per extension), with the memo plans grouped into
+     classes (Cm.outer_shape_equal): what a join's new operators cost is
+     computed once per (access plan, method, clone) and once per (class,
+     method, clone), and a candidate costs one expansion and the
+     composition of its outer side and root (Cm.price).  The memo arena
+     and the level-1 access evaluations are the children's cache:
+     nothing is looked up by key.  A priced candidate is tested against
+     the partial cover before it is built: its coordinates are filled
+     from its cost, and only a candidate the cover admits gets its join
+     tree, key and eval (Cm.admit, which copies its descriptor out of
+     the scratch).  Each materialized candidate is the twin of the
+     pipelined one generated just before it (Cm.materialized_twin),
+     tested after that one has entered, and operator trees are numbered
+     only when a plan enters the memo.  Under a work cap a candidate is
+     bounded from the entries before it is expanded.  With [plan_cache]
+     off every candidate is evaluated from scratch instead — the
+     reference the incremental path is bit-identical to. *)
   let scratches =
     if plan_cache then Array.init width (fun _ -> Cm.scratch env) else [||]
   in
@@ -155,6 +159,7 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
       considered = 0;
       generated = 0;
       rejected = 0;
+      entries = 0;
       free = Atomic.make true;
     }
   in
@@ -198,7 +203,8 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
   let admissible e = (not bounded) || e.Cm.work <= limit in
   (* The outer plans of one extension — [len] memo entries from [off] —
      grouped by the operators a join adds above them
-     (Cm.outer_shape_equal): each plan's class, and the class count. *)
+     (Cm.outer_shape_equal): each plan's class, each class's first plan,
+     and the class count. *)
   let classify ~off ~len =
     let cls = Array.make len 0 and first = Array.make len 0 in
     let n_classes = ref 0 in
@@ -217,7 +223,7 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
       end;
       cls.(i) <- !c
     done;
-    (cls, !n_classes)
+    (cls, first, !n_classes)
   in
   let level_start = ref (now_ms ()) in
   let finish_level ~level ~subsets ~generated ~cover_max ~used_domains =
@@ -284,9 +290,13 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
     end
   in
   let enter lane c e = Cover.insert lane.part.cover ~tag:lane.tag c e in
-  (* a priced join of [p] and [a], built only if admitted *)
+  (* a priced join of [p] and [a], built only if admitted; the cover
+     keeps the built plan's cost, not the scratch's *)
   let offer lane p a c =
-    if admits lane c then enter lane c (Cm.admit ~outer:p ~inner:a c)
+    if admits lane c then begin
+      let e = Cm.admit ~outer:p ~inner:a c in
+      enter lane (Cm.without_tree e) e
+    end
   in
   (* a candidate over the cap, and its materialized twin (same work) *)
   let reject lane =
@@ -311,33 +321,28 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
     let off = memo_off.(mask) and len = memo_len.(mask) in
     let methods = if joined then methods_joined else methods_cartesian in
     let accs = access_evals.(j) in
+    let cls, first, classes =
+      if plan_cache then classify ~off ~len else (Array.make len 0, [||], 0)
+    in
     (* the candidate joining [p] and [a] with method [mi] and clone
-       degree [ki], and its twin; the classes index the bound's terms *)
+       degree [ki], and its twin *)
     let price =
       if plan_cache then begin
-        let scratch = scratches.(worker) in
-        let ctx = Cm.join_context env ~outer:s_j ~inner:(Bitset.singleton j) in
-        fun p ~outer_class a ~inner_class ~mi ~ki ->
-          let slot = (mi * n_clones) + ki in
-          if
-            bounded
-            && Cm.class_rejects scratch ~outer:p ~outer_class ~inner_class
-                 ~slot
-          then reject lane
-          else begin
-            (match
-               Cm.price_join ~scratch ~limit env ctx ~method_:methods.(mi)
-                 ~clone:clones.(ki) ~outer:p ~inner:a
-             with
-            | Some c ->
-              offer lane p a c;
-              if twins then offer lane p a (Cm.materialized_twin c)
-            | None -> reject lane);
-            if bounded then
-              Cm.record_class_terms scratch ~outer_class ~inner_class ~slot
-          end
+        let x =
+          Cm.extension scratches.(worker) env
+            (Cm.join_context env ~outer:s_j ~inner:(Bitset.singleton j))
+            ~inner:accs ~methods ~clones ~classes ~limit
+        in
+        fun p ~outer_class a ~inner ~mi ~ki ->
+          match
+            Cm.price x ~outer:p ~outer_class ~inner ~method_:mi ~clone:ki
+          with
+          | Some c ->
+            offer lane p a c;
+            if twins then offer lane p a (Cm.materialized_twin c)
+          | None -> reject lane
       end
-      else fun p ~outer_class:_ a ~inner_class:_ ~mi ~ki ->
+      else fun p ~outer_class:_ a ~inner:_ ~mi ~ki ->
         let evaluate materialize =
           let e =
             Cm.evaluate env
@@ -350,25 +355,26 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
         evaluate false;
         if twins then evaluate true
     in
-    let plan_class =
-      if not (bounded && plan_cache) then Array.make len 0
-      else begin
-        let cls, n_classes = classify ~off ~len in
-        Cm.reset_classes scratches.(worker) ~limit ~outer_classes:n_classes
-          ~inner_classes:(Array.length accs)
-          ~slots:(Array.length methods * n_clones);
-        cls
-      end
-    in
+    let slots = Array.length methods * n_clones in
     lane.price_plan <-
       (fun i ->
         let p = memo.buf.(off + i) in
-        let outer_class = plan_class.(i) in
-        for inner_class = 0 to Array.length accs - 1 do
-          let a = accs.(inner_class) in
+        let outer_class = cls.(i) in
+        (* the shared entries a lane pricing the extension alone fills:
+           the inner ones at its first plan, a class's outer ones at the
+           class's first plan — so the count is the same at every
+           width *)
+        if plan_cache then begin
+          let part = lane.part in
+          if i = 0 then
+            part.entries <- part.entries + (Array.length accs * slots);
+          if first.(outer_class) = i then part.entries <- part.entries + slots
+        end;
+        for inner = 0 to Array.length accs - 1 do
+          let a = accs.(inner) in
           for mi = 0 to Array.length methods - 1 do
             for ki = 0 to n_clones - 1 do
-              price p ~outer_class a ~inner_class ~mi ~ki
+              price p ~outer_class a ~inner ~mi ~ki
             done
           done
         done)
@@ -400,7 +406,8 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
        decides accumulation order *)
     let considered = Array.make n_subsets 0
     and generated = Array.make n_subsets 0
-    and rejected = Array.make n_subsets 0 in
+    and rejected = Array.make n_subsets 0
+    and entries = Array.make n_subsets 0 in
     (* Budget: a subset starts only if the budget is not exhausted when a
        worker first touches it — one atomic decision, so racing workers
        agree — and a started subset is completed, fallback included. *)
@@ -453,7 +460,8 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
         (fun p ->
           considered.(i) <- considered.(i) + p.considered;
           generated.(i) <- generated.(i) + p.generated;
-          rejected.(i) <- rejected.(i) + p.rejected)
+          rejected.(i) <- rejected.(i) + p.rejected;
+          entries.(i) <- entries.(i) + p.entries)
         parts;
       let lane = lanes.(worker) in
       let cover =
@@ -548,6 +556,7 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
           p.considered <- 0;
           p.generated <- 0;
           p.rejected <- 0;
+          p.entries <- 0;
           slots.((i * width) + worker) <- p;
           lane.part <- p;
           p
@@ -633,6 +642,7 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
           Search_stats.considered stats considered.(i);
           Search_stats.generated stats generated.(i);
           Search_stats.rejected stats rejected.(i);
+          Search_stats.entries stats entries.(i);
           Search_stats.observe_cover stats r.cover_pre;
           if r.cover_pre > !cover_max then cover_max := r.cover_pre;
           level_sizes.(size) <- level_sizes.(size) + r.len;
@@ -677,7 +687,8 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
              if c < 0 || (c = 0 && tie e b < 0) then Some e else Some b)
          None
   in
-  Search_stats.observe_gc stats ~before:gc0 ~after:(Gc.quick_stat ());
+  Search_stats.observe_gc stats ~before:gc0
+    ~after:(Search_stats.gc_sample ());
   { best; cover; stats; level_sizes; gave_up = !gave_up }
 
 let optimize ?(config = Space.default_config)

@@ -76,17 +76,22 @@ val optimize :
 
     [plan_cache] (default on) prices candidates incrementally from the
     evaluations the search already holds — the memoized outer plan and
-    the access plan ({!Parqo_cost.Costmodel.price_join}) — so only the
-    new root operators are costed; each materialized candidate is the
+    the access plan — so only the new root operators are costed, and
+    what they cost is shared: each extension is loaded into the lane's
+    scratch ({!Parqo_cost.Costmodel.extension}), its memo plans grouped
+    into classes ({!Parqo_cost.Costmodel.outer_shape_equal}), and a
+    candidate ({!Parqo_cost.Costmodel.price}) reuses the entries of its
+    access plan and of its class, computed once each and counted in
+    [stats.entries].  Each materialized candidate is the
     {!Parqo_cost.Costmodel.materialized_twin} of the pipelined one
     generated just before it; and operator trees are numbered only when
     a plan enters the memo.  Under a [work_cap], a candidate whose work
-    bound exceeds the cap is rejected before it is composed — by class,
-    without being expanded, once its class's bound terms are known
-    ({!Parqo_cost.Costmodel.class_rejects}) — and counted, twin
-    included, in [stats.generated] and [stats.rejected].  The pruning metric therefore sees
-    candidates with unnumbered operator trees (it must not read node
-    ids); every plan returned is numbered.  Off, every candidate is
+    bound exceeds the cap is rejected from the entries, before it is
+    expanded, and counted, twin included, in [stats.generated] and
+    [stats.rejected].  The pruning metric therefore sees candidates with
+    unnumbered operator trees (it must not read node ids) and
+    descriptors that view the lane's scratch (it must not keep them);
+    every plan returned is numbered and owns its descriptor.  Off, every candidate is
     evaluated from scratch ({!Parqo_cost.Costmodel.evaluate}); the
     result is bit-identical either way.  Off is the from-scratch
     reference that the plan-cache and PODP tests and the E18

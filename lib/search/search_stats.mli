@@ -31,6 +31,12 @@ type t = {
       (** of [generated], candidates dropped because their work bound
           exceeded the search's limit — the work cap, or the incumbent's
           work in the work-phase DP — before they were fully priced *)
+  mutable entries : int;
+      (** shared pricing entries the partial-order DP filled
+          ([Costmodel.extension]): per extension, one per (access plan,
+          method, clone degree) and one per (outer class, method, clone
+          degree) — what one lane pricing each extension alone fills, so
+          [generated / entries] is the search's reuse of them *)
   mutable stored_peak : int;
       (** maximum plans simultaneously retained across the memo table *)
   mutable cover_max : int;
@@ -50,6 +56,10 @@ type t = {
   mutable major_words : float;
       (** words allocated directly on / promoted to the coordinator's
           major heap during the search *)
+  mutable promoted_words : float;
+      (** of [major_words], words the coordinator's minor collections
+          promoted: young values that something long-lived still pointed
+          to *)
 }
 
 val create : unit -> t
@@ -62,6 +72,9 @@ val generated : t -> int -> unit
 val rejected : t -> int -> unit
 (** Add to the bound-rejected counter (callers add the same candidates
     to [generated]). *)
+
+val entries : t -> int -> unit
+(** Add to the shared-entry counter. *)
 
 val observe_stored : t -> int -> unit
 (** Record a current storage level; keeps the peak. *)
@@ -79,9 +92,18 @@ val observe_pool : t -> Parqo_util.Domain_pool.stats -> unit
 (** Record the pool counters this search contributed (already
     differenced when the pool persists across searches). *)
 
-val observe_gc : t -> before:Gc.stat -> after:Gc.stat -> unit
-(** Accumulate the allocation delta between two [Gc.quick_stat] samples
-    bracketing (a phase of) the search, on the calling domain. *)
+type gc_sample
+(** The calling domain's allocation counters at one moment. *)
+
+val gc_sample : unit -> gc_sample
+(** Minor words from [Gc.minor_words], which counts the words the minor
+    heap holds when it is read (OCaml 5.1's [Gc.quick_stat] counts them
+    only once the heap is collected); major and promoted words from
+    [Gc.quick_stat]. *)
+
+val observe_gc : t -> before:gc_sample -> after:gc_sample -> unit
+(** Accumulate the allocation delta between two samples bracketing (a
+    phase of) the search, on the calling domain. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -4,7 +4,8 @@
    beam and numbering included, and the coordinator absorbs the covers
    in increasing mask order.  The property tests compare [Podp.optimize]
    against it at every pool width: best plan, cover in element order,
-   level sizes and counters must be identical. *)
+   level sizes and counters must be identical.  [~memo] hands every memo
+   entry to a test that prices joins of real memo plans. *)
 
 module Cm = Parqo.Costmodel
 module Bitset = Parqo.Bitset
@@ -15,6 +16,153 @@ module Cover = Parqo.Cover
 module Budget = Parqo.Budget
 module Search_stats = Parqo.Search_stats
 module Metric = Parqo.Metric
+
+(* The parent's incremental pricing, kept verbatim with the class term
+   tables it served: [price_join] leaves the bound's two terms in the
+   scratch, and the DP records them per class ([record_class_terms]) to
+   reject a capped candidate of a seen class without expanding it
+   ([class_rejects]).  [Costmodel] now keeps whole shared entries
+   instead; the reference loop still runs on these. *)
+module Ref_cm = struct
+  module Op = Parqo.Op
+  module P = Parqo.Props
+  module Descriptor = Parqo.Descriptor
+  module Opcost = Parqo.Opcost
+
+  let of_descriptor ~tree ~optree ~ordering descriptor =
+    {
+      Cm.tree;
+      optree;
+      descriptor;
+      response_time = Descriptor.response_time descriptor;
+      work = Descriptor.work descriptor;
+      ordering;
+    }
+
+  type scratch = {
+    ds : Descriptor.scratch;
+    last : float array;
+        (* [| outer term; inner term; bound |] of the last join priced *)
+    class_limit : float array;  (* [| limit |] the class tables serve *)
+    mutable slots : int;  (* table entries per class *)
+    mutable outer_terms : float array;  (* (outer class, slot); nan: unseen *)
+    mutable inner_terms : float array;  (* (inner class, slot); nan: unseen *)
+  }
+
+  let scratch (env : Env.t) =
+    {
+      ds = Descriptor.scratch env.placement.Parqo.Placement.dim;
+      last = Array.make 3 0.;
+      class_limit = [| infinity |];
+      slots = 0;
+      outer_terms = [||];
+      inner_terms = [||];
+    }
+
+  let work_bound ~outer_work ~outer_term ~inner_term =
+    outer_work +. outer_term +. inner_term
+
+  let slack = 1e-9
+  let over_limit ~limit bound = bound > limit *. (1. +. slack)
+
+  let nan_table a n =
+    let a =
+      if Array.length a >= n then a
+      else Array.make (max n (2 * Array.length a)) nan
+    in
+    Array.fill a 0 n nan;
+    a
+
+  let reset_classes s ~limit ~outer_classes ~inner_classes ~slots =
+    s.class_limit.(0) <- limit;
+    s.slots <- slots;
+    s.outer_terms <- nan_table s.outer_terms (outer_classes * slots);
+    s.inner_terms <- nan_table s.inner_terms (inner_classes * slots)
+
+  let class_rejects s ~outer ~outer_class ~inner_class ~slot =
+    let ot = s.outer_terms.((outer_class * s.slots) + slot)
+    and it = s.inner_terms.((inner_class * s.slots) + slot) in
+    (* nan <> nan: both terms recorded *)
+    ot = ot && it = it
+    && over_limit ~limit:s.class_limit.(0)
+         (work_bound ~outer_work:outer.Cm.work ~outer_term:ot ~inner_term:it)
+
+  let record_class_terms s ~outer_class ~inner_class ~slot =
+    s.outer_terms.((outer_class * s.slots) + slot) <- s.last.(0);
+    s.inner_terms.((inner_class * s.slots) + slot) <- s.last.(1)
+
+  let rec side_bases (env : Env.t) stop (node : Op.node) acc =
+    if node == stop then acc
+    else
+      match node.Op.children with
+      | [ c ] ->
+        side_bases env stop c
+          ((node, Opcost.base env.placement env.estimator node) :: acc)
+      | _ -> invalid_arg "Costmodel: join side is not a unary chain"
+
+  let rec side_work acc = function
+    | [] -> acc
+    | (_, b) :: rest -> side_work (acc +. Descriptor.work b) rest
+
+  let composed (node : Op.node) d =
+    match node.Op.composition with
+    | Op.Materialized -> Descriptor.sync d
+    | Op.Pipelined -> d
+
+  let rec compose_side s p d = function
+    | [] -> d
+    | (node, b) :: rest ->
+      compose_side s p (composed node (Descriptor.pipe_s s p d b)) rest
+
+  let check_sides (ctx : Cm.join_context) (oe : Cm.eval) (ie : Cm.eval) =
+    if
+      not
+        (Bitset.equal (Parqo.Join_tree.relations oe.Cm.tree)
+           ctx.Parqo.Expand.outer_rels
+        && Bitset.equal (Parqo.Join_tree.relations ie.Cm.tree)
+             ctx.Parqo.Expand.inner_rels)
+    then invalid_arg "Costmodel.price_join: plans outside the join context"
+
+  let price_join ~scratch ~limit (env : Env.t) (ctx : Cm.join_context)
+      ~method_ ~clone ~outer:(oe : Cm.eval) ~inner:(ie : Cm.eval) =
+    check_sides ctx oe ie;
+    let root =
+      Parqo.Expand.expand_join ~config:env.expand_config ctx ~method_ ~clone
+        ~composition:Op.Pipelined ~outer:oe.Cm.optree ~inner:ie.Cm.optree
+        ~outer_ordering:(Lazy.from_val oe.Cm.ordering)
+        ~inner_ordering:(Lazy.from_val ie.Cm.ordering)
+    in
+    match root.Op.children with
+    | [ l; r ] ->
+      let rb = Opcost.base env.placement env.estimator root in
+      let lb = side_bases env oe.Cm.optree l [] in
+      let rbs = side_bases env ie.Cm.optree r [] in
+      let free = Opcost.nl_inner_is_free root in
+      let outer_term = side_work 0. lb in
+      let inner_new = side_work (Descriptor.work rb) rbs in
+      let inner_term = if free then inner_new else inner_new +. ie.Cm.work in
+      let bound = work_bound ~outer_work:oe.Cm.work ~outer_term ~inner_term in
+      scratch.last.(0) <- outer_term;
+      scratch.last.(1) <- inner_term;
+      scratch.last.(2) <- bound;
+      if over_limit ~limit bound then None
+      else begin
+        let s = scratch.ds and p = env.dparams in
+        let dl = compose_side s p oe.Cm.descriptor lb in
+        let descriptor =
+          if free then Descriptor.pipe_s s p dl rb
+          else
+            Descriptor.tree_s s p dl (compose_side s p ie.Cm.descriptor rbs) rb
+        in
+        let ordering =
+          P.join_ordering method_ ~clone
+            ~outer_key:(Lazy.from_val ctx.Parqo.Expand.outer_key)
+            ~outer:(Lazy.from_val oe.Cm.ordering)
+        in
+        Some (of_descriptor ~tree:() ~optree:root ~ordering descriptor)
+      end
+    | _ -> invalid_arg "Costmodel: join root is not binary"
+end
 
 (* Stable total key on plans: used to break exact rank ties so that beam
    pruning and final-plan selection are deterministic — independent of
@@ -71,14 +219,14 @@ let now_ms () = Unix.gettimeofday () *. 1000.
 let tick_grain = 1024
 
 let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
-    ~pool_stats0 ~plan_cache ~metric (env : Env.t) =
-  let gc0 = Gc.quick_stat () in
+    ~pool_stats0 ~plan_cache ~metric ~memo:on_memo (env : Env.t) =
+  let gc0 = Search_stats.gc_sample () in
   let width = Domain_pool.width pool in
   let tracker = Budget.start budget in
   let gave_up = ref false in
   (* Incremental costing: every candidate at level l + 1 joins a
      memoized level-l plan with an access plan, both already evaluated,
-     so pricing it costs only the new root operators (Cm.price_join on a
+     so pricing it costs only the new root operators (Ref_cm.price_join on a
      per-worker scratch, over a join context computed once per
      extension).  The memo arena and the level-1 access evaluations are
      the children's cache: nothing is looked up by key.  Each
@@ -86,12 +234,12 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
      just before it (Cm.materialized_twin), and operator trees are
      numbered only when a plan enters the memo.  Under a work cap,
      candidates are bounded before they are composed, and per extension
-     the bound's terms are kept per class (Cm.class_rejects), so a capped
+     the bound's terms are kept per class (Ref_cm.class_rejects), so a capped
      candidate of a seen class is counted without being expanded.  With
      [plan_cache] off every candidate is evaluated from scratch instead —
      the reference the incremental path is bit-identical to. *)
   let scratches =
-    if plan_cache then Array.init width (fun _ -> Cm.scratch env) else [||]
+    if plan_cache then Array.init width (fun _ -> Ref_cm.scratch env) else [||]
   in
   let limit =
     match work_cap with None -> infinity | Some cap -> cap +. 1e-9
@@ -275,13 +423,13 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
               let slot = (mi * n_clones) + ki in
               if
                 bounded
-                && Cm.class_rejects scratch ~outer:p ~outer_class ~inner_class
-                     ~slot
+                && Ref_cm.class_rejects scratch ~outer:p ~outer_class
+                     ~inner_class ~slot
               then reject ()
               else begin
                 (match
-                   Cm.price_join ~scratch ~limit env ctx ~method_:methods.(mi)
-                     ~clone:clones.(ki) ~outer:p ~inner:a
+                   Ref_cm.price_join ~scratch ~limit env ctx
+                     ~method_:methods.(mi) ~clone:clones.(ki) ~outer:p ~inner:a
                  with
                 | Some c ->
                   consider (Cm.admit ~outer:p ~inner:a c);
@@ -289,7 +437,8 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
                     consider (Cm.admit ~outer:p ~inner:a (Cm.materialized_twin c))
                 | None -> reject ());
                 if bounded then
-                  Cm.record_class_terms scratch ~outer_class ~inner_class ~slot
+                  Ref_cm.record_class_terms scratch ~outer_class ~inner_class
+                    ~slot
               end
           end
           else fun p ~outer_class:_ a ~inner_class:_ ~mi ~ki ->
@@ -306,8 +455,8 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
           if not (bounded && plan_cache) then Array.make len 0
           else begin
             let cls, n_classes = classify ~off ~len in
-            Cm.reset_classes scratches.(worker) ~limit ~outer_classes:n_classes
-              ~inner_classes:(Array.length accs)
+            Ref_cm.reset_classes scratches.(worker) ~limit
+              ~outer_classes:n_classes ~inner_classes:(Array.length accs)
               ~slots:(Array.length methods * n_clones);
             cls
           end
@@ -422,16 +571,25 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
              if c < 0 || (c = 0 && tie e b < 0) then Some e else Some b)
          None
   in
-  Search_stats.observe_gc stats ~before:gc0 ~after:(Gc.quick_stat ());
+  Search_stats.observe_gc stats ~before:gc0 ~after:(Search_stats.gc_sample ());
+  (* every memo entry, for the tests that price joins of real memo
+     plans *)
+  Array.iteri
+    (fun mask len ->
+      if len > 0 then
+        on_memo (Bitset.of_int_unsafe mask)
+          (Array.sub memo.buf memo_off.(mask) len))
+    memo_len;
   { Parqo.Podp.best; cover; stats; level_sizes; gave_up = !gave_up }
 
 let optimize ?(config = Space.default_config)
     ?(rank = fun (e : Cm.eval) -> e.Cm.response_time) ?work_cap
     ?(final_filter = fun _ -> true) ?max_cover ?(budget = Budget.unlimited)
-    ?(domains = 1) ?pool ?(plan_cache = true) ~metric (env : Env.t) =
+    ?(domains = 1) ?pool ?(plan_cache = true) ?(memo = fun _ _ -> ()) ~metric
+    (env : Env.t) =
   let go ~pool_stats0 pool =
     search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
-      ~pool_stats0 ~plan_cache ~metric env
+      ~pool_stats0 ~plan_cache ~metric ~memo env
   in
   match pool with
   (* a persistent pool's spawns belong to whoever created it; an

@@ -193,9 +193,9 @@ let check_result_identical msg (a : Podp.result) (b : Podp.result) =
    candidates are priced as twins of their pipelined siblings — with no
    work cap and with the cap [Optimizer.minimize_response_time] derives
    (throughput degradation 2 over the work-phase optimum), under which
-   capped candidates are rejected before pricing, by class where the
-   bound's terms are known.  The rejected count is the same at every
-   width. *)
+   capped candidates are rejected from the shared entries' terms before
+   they are expanded.  The rejected count is the same at every
+   width, and so is the count of shared pricing entries. *)
 let podp_identical_cache_on_off () =
   let rng = Parqo.Rng.create 33 in
   let rejected_somewhere = ref false in
@@ -223,7 +223,8 @@ let podp_identical_cache_on_off () =
             let off = optimize false in
             let on = optimize true in
             check_result_identical (space ^ ", domains=1") off on;
-            let rejected = on.Podp.stats.Stats.rejected in
+            let rejected = on.Podp.stats.Stats.rejected
+            and entries = on.Podp.stats.Stats.entries in
             if rejected > 0 then rejected_somewhere := true;
             List.iter
               (fun k ->
@@ -232,7 +233,9 @@ let podp_identical_cache_on_off () =
                     let r = optimize ~pool true in
                     check_result_identical msg off r;
                     Alcotest.(check int) (msg ^ ": rejected") rejected
-                      r.Podp.stats.Stats.rejected))
+                      r.Podp.stats.Stats.rejected;
+                    Alcotest.(check int) (msg ^ ": entries") entries
+                      r.Podp.stats.Stats.entries))
               [ 2; 3; 8 ])
           [ (false, None); (true, work_cap) ])
       [
@@ -242,33 +245,34 @@ let podp_identical_cache_on_off () =
   done;
   Alcotest.(check bool) "the cap rejected candidates" true !rejected_somewhere
 
+(* The machines the pricing properties run on: nominal, with rescaled
+   resource speeds, and with a pipeline penalty that scales work. *)
+let pricing_machines () =
+  let nominal = Parqo.Machine.shared_nothing ~nodes:4 () in
+  [
+    ("nominal", nominal);
+    ( "rescaled",
+      Parqo.Machine.rescale nominal
+        ~speeds:[ (0, 0.5); (2, 1.75); (5, 0.3); (8, 2.5) ] );
+    ( "delta scales work",
+      Parqo.Machine.shared_nothing
+        ~params:
+          {
+            Parqo.Machine.default_params with
+            Parqo.Machine.delta_scales_work = true;
+          }
+        ~nodes:4 () );
+  ]
+
 (* property: the work bound is sound.  For every join of evaluated
-   children in random trees — on a nominal machine, on one with rescaled
-   resource speeds, and on one whose pipeline penalty scales work — the
-   bound is at most the priced work (up to 1e-12 relative), [price_join]
-   returns no plan only when the priced work exceeds the limit, and it
-   does reject when the bound clearly exceeds the limit.  The draws must
-   include joins that probe a bare index, whose inner work the bound
-   leaves out. *)
+   children in random trees, loaded as a one-join extension, the bound
+   its shared entries give ([Cm.bound]) is at most the priced work (up
+   to 1e-12 relative), [Cm.price] and [Cm.price_join] return no plan
+   only when the priced work exceeds the limit, and they do reject when
+   the bound clearly exceeds the limit.  The draws must include joins
+   that probe a bare index, whose inner work the bound leaves out. *)
 let bound_is_sound () =
   let rng = Parqo.Rng.create 37 in
-  let nominal = Parqo.Machine.shared_nothing ~nodes:4 () in
-  let machines =
-    [
-      ("nominal", nominal);
-      ( "rescaled",
-        Parqo.Machine.rescale nominal
-          ~speeds:[ (0, 0.5); (2, 1.75); (5, 0.3); (8, 2.5) ] );
-      ( "delta scales work",
-        Parqo.Machine.shared_nothing
-          ~params:
-            {
-              Parqo.Machine.default_params with
-              Parqo.Machine.delta_scales_work = true;
-            }
-          ~nodes:4 () );
-    ]
-  in
   let free_inner = ref 0 and joins = ref 0 in
   List.iter
     (fun (name, machine) ->
@@ -282,15 +286,23 @@ let bound_is_sound () =
               incr joins;
               let outer = Cm.evaluate env j.Parqo.Join_tree.outer
               and inner = Cm.evaluate env j.Parqo.Join_tree.inner in
+              let method_ = j.Parqo.Join_tree.method_
+              and clone = j.Parqo.Join_tree.clone in
               let ctx =
                 Cm.join_context env
                   ~outer:(Parqo.Join_tree.relations j.Parqo.Join_tree.outer)
                   ~inner:(Parqo.Join_tree.relations j.Parqo.Join_tree.inner)
               in
+              let load limit =
+                Cm.extension scratch env ctx ~inner:[| inner |]
+                  ~methods:[| method_ |] ~clones:[| clone |] ~classes:1 ~limit
+              in
               let price limit =
-                Cm.price_join ~scratch ~limit env ctx
-                  ~method_:j.Parqo.Join_tree.method_
-                  ~clone:j.Parqo.Join_tree.clone ~outer ~inner
+                Cm.price (load limit) ~outer ~outer_class:0 ~inner:0
+                  ~method_:0 ~clone:0
+              and price_join limit =
+                Cm.price_join ~scratch ~limit env ctx ~method_ ~clone ~outer
+                  ~inner
               in
               let work =
                 match price infinity with
@@ -298,31 +310,236 @@ let bound_is_sound () =
                   if Parqo.Opcost.nl_inner_is_free e.Cm.optree then
                     incr free_inner;
                   e.Cm.work
-                | None -> Alcotest.fail "unlimited price_join rejected a plan"
+                | None -> Alcotest.fail "unlimited price rejected a plan"
               in
-              let bound = Cm.last_bound scratch in
+              let bound =
+                Cm.bound (load infinity) ~outer ~outer_class:0 ~inner:0
+                  ~method_:0 ~clone:0
+              in
               if bound > work *. (1. +. 1e-12) then
                 Alcotest.failf "%s: bound %.17g above priced work %.17g" name
                   bound work;
               List.iter
                 (fun limit ->
-                  match price limit with
-                  | None when not (work > limit) ->
-                    Alcotest.failf "%s: rejected at limit %.17g, work %.17g"
-                      name limit work
-                  | None | Some _ -> ())
+                  List.iter
+                    (fun (path, price) ->
+                      match price limit with
+                      | None when not (work > limit) ->
+                        Alcotest.failf
+                          "%s: %s rejected at limit %.17g, work %.17g" name
+                          path limit work
+                      | None | Some _ -> ())
+                    [ ("price", price); ("price_join", price_join) ])
                 [ work; Float.pred work; work *. (1. -. 1e-12); bound ];
               let clearly_over = bound /. (1. +. 1e-8) in
-              if bound > 0. && Option.is_some (price clearly_over) then
+              if
+                bound > 0.
+                && (Option.is_some (price clearly_over)
+                   || Option.is_some (price_join clearly_over))
+              then
                 Alcotest.failf "%s: bound %.17g over the limit, not rejected"
                   name bound)
             (Parqo.Join_tree.joins (Helpers.random_tree rng env))
         done
       done)
-    machines;
+    (pricing_machines ());
   Alcotest.(check bool)
     (Printf.sprintf "bare-index probes among %d joins" !joins)
     true (!free_inner > 0)
+
+let bits = Int64.bits_of_float
+
+let desc_bits (d : Parqo.Descriptor.t) =
+  let rvec (r : Parqo.Rvec.t) =
+    bits r.Parqo.Rvec.time
+    :: List.map bits (Array.to_list (Parqo.Vecf.to_array r.Parqo.Rvec.work))
+  in
+  rvec d.Parqo.Descriptor.rf @ rvec d.Parqo.Descriptor.rl
+
+(* a priced candidate, as Int64 bits and strings: descriptor rows and
+   times, response time, work, ordering, and the root operator with its
+   composition, clone degree and partitioning *)
+let candidate_bits (c : Cm.candidate) =
+  let root = c.Cm.optree in
+  ( desc_bits c.Cm.descriptor,
+    (bits c.Cm.response_time, bits c.Cm.work),
+    Parqo.Ordering.to_string c.Cm.ordering,
+    ( Op.to_string root,
+      root.Op.composition = Op.Materialized,
+      root.Op.clone,
+      Option.map
+        (fun (col : Parqo.Ordering.col) -> (col.Parqo.Ordering.rel, col.column))
+        root.Op.partition ) )
+
+(* The outer side of the join of [p] and [a]: the base descriptors of
+   its new operators, bottom-most first, with their compositions, and
+   the outer term, their base work summed in that order. *)
+let outer_side env ctx ~method_ ~clone (p : Cm.eval) (a : Cm.eval) =
+  let root =
+    Parqo.Expand.expand_join ~config:env.Parqo.Env.expand_config ctx ~method_
+      ~clone ~composition:Op.Pipelined ~outer:p.Cm.optree ~inner:a.Cm.optree
+      ~outer_ordering:(Lazy.from_val p.Cm.ordering)
+      ~inner_ordering:(Lazy.from_val a.Cm.ordering)
+  in
+  let rec chain (n : Op.node) acc =
+    if n == p.Cm.optree then acc
+    else
+      match n.Op.children with
+      | [ c ] -> chain c (n :: acc)
+      | _ -> Alcotest.fail "outer side is not a unary chain"
+  in
+  let nodes =
+    match root.Op.children with
+    | [ l; _ ] -> chain l []
+    | _ -> Alcotest.fail "join root is not binary"
+  in
+  let bases =
+    List.map
+      (fun n ->
+        Parqo.Opcost.base env.Parqo.Env.placement env.Parqo.Env.estimator n)
+      nodes
+  in
+  ( List.map2
+      (fun (n : Op.node) b -> (desc_bits b, n.Op.composition = Op.Materialized))
+      nodes bases,
+    bits
+      (List.fold_left (fun acc b -> acc +. Parqo.Descriptor.work b) 0. bases) )
+
+(* property: shared pricing, and the class premise it rests on, on real
+   memo plans.  For random queries on the three pricing machines, the
+   reference search hands over every memo entry; for every extension
+   (S - j, j) and every (access plan of j, method, clone degree):
+   - two memo plans that [Cm.outer_shape_equal] puts in one class get
+     Int64-equal outer-side base descriptors and compositions, outer
+     term and ordering;
+   - [Cm.price] of every memo plan, its class drawn as PODP draws it,
+     equals [Cm.price_join] bit for bit, and so do their materialized
+     twins. *)
+let shared_pricing_matches_price_join () =
+  let rng = Parqo.Rng.create 38 in
+  let shared_classes = ref 0 and priced = ref 0 in
+  (* every join of the extension of [plans] (over [s_j]) by relation
+     [j], its access plans [access] *)
+  let check_extension name env ~scratch ~reference ~access s_j j
+      (plans : Cm.eval array) =
+    let config = S.parallel_config env.Parqo.Env.machine in
+    let inner = Bitset.singleton j in
+    let methods =
+      Array.of_list (S.join_methods config ~joined:(S.connects env s_j inner))
+    and clones = Array.of_list config.S.clone_degrees in
+    (* PODP's classes: the first earlier plan of equal shape *)
+    let first = Array.make (Array.length plans) 0 in
+    let cls = Array.make (Array.length plans) 0 in
+    let classes = ref 0 in
+    Array.iteri
+      (fun i p ->
+        let rec find c =
+          if c = !classes then begin
+            first.(c) <- i;
+            incr classes;
+            c
+          end
+          else if Cm.outer_shape_equal p plans.(first.(c)) then c
+          else find (c + 1)
+        in
+        cls.(i) <- find 0;
+        if first.(cls.(i)) <> i then incr shared_classes)
+      plans;
+    let ctx = Cm.join_context env ~outer:s_j ~inner in
+    let x =
+      Cm.extension scratch env ctx ~inner:access ~methods ~clones
+        ~classes:!classes ~limit:infinity
+    in
+    let check_join ai (a : Cm.eval) mi method_ ki clone =
+      let msg i =
+        Printf.sprintf "%s: plan %d of set %d joined with r%d, %s, clone %d"
+          name i (Bitset.to_int s_j) j
+          (Parqo.Join_method.to_string method_)
+          clone
+      in
+      let sides =
+        Array.map (fun p -> outer_side env ctx ~method_ ~clone p a) plans
+      in
+      let direct =
+        Array.map
+          (fun outer ->
+            match
+              Cm.price_join ~scratch:reference ~limit:infinity env ctx
+                ~method_ ~clone ~outer ~inner:a
+            with
+            | Some c -> c
+            | None -> Alcotest.fail "price_join rejected")
+          plans
+      in
+      Array.iteri
+        (fun i p ->
+          let q = first.(cls.(i)) in
+          if sides.(i) <> sides.(q) then
+            Alcotest.failf "%s: outer side differs from its class's" (msg i);
+          let ordering c = Parqo.Ordering.to_string c.Cm.ordering in
+          Alcotest.(check string)
+            (msg i ^ ": class ordering")
+            (ordering direct.(q)) (ordering direct.(i));
+          match
+            Cm.price x ~outer:p ~outer_class:cls.(i) ~inner:ai ~method_:mi
+              ~clone:ki
+          with
+          | None -> Alcotest.failf "%s: price rejected" (msg i)
+          | Some shared ->
+            incr priced;
+            if candidate_bits shared <> candidate_bits direct.(i) then
+              Alcotest.failf "%s: price <> price_join" (msg i);
+            if
+              candidate_bits (Cm.materialized_twin shared)
+              <> candidate_bits (Cm.materialized_twin direct.(i))
+            then Alcotest.failf "%s: twins differ" (msg i))
+        plans
+    in
+    Array.iteri
+      (fun ai a ->
+        Array.iteri
+          (fun mi method_ ->
+            Array.iteri
+              (fun ki clone -> check_join ai a mi method_ ki clone)
+              clones)
+          methods)
+      access
+  in
+  List.iter
+    (fun (name, machine) ->
+      for _ = 1 to 4 do
+        let catalog, query = Parqo.Query_gen.random rng ~n:3 () in
+        let env = Parqo.Env.create ~machine ~catalog ~query () in
+        let n = Parqo.Env.n_relations env in
+        let config = S.parallel_config machine in
+        let metric =
+          Mt.with_ordering (Mt.descriptor machine Parqo.Machine.Single)
+        in
+        let memo = ref [] in
+        ignore
+          (Podp_reference.optimize ~config ~metric
+             ~memo:(fun mask plans -> memo := (mask, plans) :: !memo)
+             env);
+        let access =
+          Array.init n (fun rel ->
+              Array.of_list
+                (List.map (Cm.evaluate env) (S.access_plans env config rel)))
+        in
+        let scratch = Cm.scratch env and reference = Cm.scratch env in
+        List.iter
+          (fun (s_j, plans) ->
+            for j = 0 to n - 1 do
+              if not (Bitset.mem j s_j) then
+                check_extension name env ~scratch ~reference
+                  ~access:access.(j) s_j j plans
+            done)
+          !memo
+      done)
+    (pricing_machines ());
+  Alcotest.(check bool)
+    (Printf.sprintf "plans sharing a class (%d), among %d priced joins"
+       !shared_classes !priced)
+    true (!shared_classes > 0)
 
 (* the beam tie-break exercises Join_tree.key as the total order *)
 let podp_identical_cache_on_off_beamed () =
@@ -425,6 +642,8 @@ let suite =
       t "admit builds only over the priced plans" admit_rejects_other_plans;
       t "podp identical with cache on/off at forced widths" podp_identical_cache_on_off;
       t "work bound is sound" bound_is_sound;
+      t "shared pricing = price_join on real memo plans, classes included"
+        shared_pricing_matches_price_join;
       t "podp identical under beam trim" podp_identical_cache_on_off_beamed;
       t "Join_tree.key is canonical" key_is_canonical;
       t "Plan_cache counters" plan_cache_counters;
