@@ -24,11 +24,13 @@ bench-search-smoke:
 	timeout 600 env PARQO_SMOKE=1 dune exec bench/main.exe -- --only e17
 
 # incremental-costing micro-bench: cached vs uncached PODP, identity
-# checked, writes BENCH_cost.json (full: chain-8 and star-8)
+# checked, writes BENCH_cost.json (full: chain-8, star-8 and bushy
+# chain-4)
 bench-cost:
 	dune exec bench/main.exe -- --only e18
 
-# same experiment shrunk for CI gates (chain-5, one repeat)
+# same experiment shrunk for CI gates (chain-5 and bushy chain-4, one
+# repeat)
 bench-cost-smoke:
 	timeout 600 env PARQO_SMOKE=1 dune exec bench/main.exe -- --only e18
 

@@ -10,7 +10,9 @@
    sequential runs, on and off, searches under the work cap a session
    derives (throughput degradation 2 over the work optimum), where
    capped candidates are rejected before pricing; it is checked the
-   same way.  Wall-clock is the minimum over repeats; results go to
+   same way.  A bushy workload runs the same level loop over bushy
+   trees (its extensions are splits), uncapped, and is checked the same
+   way.  Wall-clock is the minimum over repeats; results go to
    BENCH_cost.json together with the coordinator's allocation per
    costed plan, the words its minor collections promoted per plan, and
    the shared pricing entries the search filled (its reuse of them is
@@ -30,10 +32,10 @@
    words read 0.59 or 0.61 per plan where every run without one read
    0.76.  Both figures then repeat exactly from run to run.
 
-   PARQO_SMOKE=1 shrinks the sweep (one small workload, one repeat) so
-   CI gates stay fast, writes nothing, and gates each cached sequential
-   run, uncapped and capped: a generous container-safe ceiling on its
-   us_per_plan, and tight ones on its minor_words_per_plan and
+   PARQO_SMOKE=1 shrinks the sweep (chain-5, and the bushy chain-4; one
+   repeat) so CI gates stay fast, writes nothing, and gates each cached sequential
+   run, uncapped, capped and bushy: a generous container-safe ceiling
+   on its us_per_plan, and tight ones on its minor_words_per_plan and
    promoted_words_per_plan — allocation on one domain is a
    deterministic count, so it catches a slower candidate loop that the
    wall-clock ceiling would let through, and promotion catches a table
@@ -72,6 +74,13 @@ let smoke_capped_words_per_plan_ceiling = 34.
 let smoke_promoted_per_plan_ceiling = 1.9
 let smoke_capped_promoted_per_plan_ceiling = 0.9
 
+(* about 1.2x the cached sequential bushy chain-4 smoke run's 67.6
+   minor words and 2.55 promoted words per plan when they were set;
+   pricing every bushy candidate from scratch, as the uncached run
+   does, allocates 1262.5 and promotes 13.11 *)
+let smoke_bushy_words_per_plan_ceiling = 81.
+let smoke_bushy_promoted_per_plan_ceiling = 3.1
+
 let plan_string (e : Cm.eval) = Parqo.Join_tree.to_string e.Cm.tree
 
 (* the cached run's curve: one pooled row per width from 2 up to the
@@ -82,6 +91,7 @@ let pooled_domains =
 type run = {
   workload : string;
   n_relations : int;
+  bushy : bool;  (** searched over bushy trees *)
   capped : bool;  (** searched under the session's work cap *)
   plan_cache : bool;
   domains : int;
@@ -98,19 +108,19 @@ type run = {
 
 let json_of_run r =
   Printf.sprintf
-    "  {\"workload\": %S, \"n_relations\": %d, \"capped\": %b, \
-     \"plan_cache\": %b, \"domains\": %d, \"wall_ms\": %.3f, \
+    "  {\"workload\": %S, \"n_relations\": %d, \"bushy\": %b, \
+     \"capped\": %b, \"plan_cache\": %b, \"domains\": %d, \"wall_ms\": %.3f, \
      \"speedup\": %.3f, \"plans_expanded\": %d, \"us_per_plan\": %.3f, \
      \"minor_words_per_plan\": %.1f, \"promoted_words_per_plan\": %.2f, \
      \"entries\": %d}"
-    r.workload r.n_relations r.capped r.plan_cache r.domains r.wall_ms r.speedup
-    r.plans_expanded r.us_per_plan r.minor_words_per_plan
+    r.workload r.n_relations r.bushy r.capped r.plan_cache r.domains
+    r.wall_ms r.speedup r.plans_expanded r.us_per_plan r.minor_words_per_plan
     r.promoted_words_per_plan r.entries
 
 let write_json path runs =
   let oc = open_out path in
   Printf.fprintf oc
-    "{\n\"schema\": [\"workload\", \"n_relations\", \"capped\", \
+    "{\n\"schema\": [\"workload\", \"n_relations\", \"bushy\", \"capped\", \
      \"plan_cache\", \"domains\", \"wall_ms\", \"speedup\", \
      \"plans_expanded\", \"us_per_plan\", \"minor_words_per_plan\", \
      \"promoted_words_per_plan\", \"entries\"],\n\
@@ -121,10 +131,10 @@ let write_json path runs =
   close_out oc
 
 (* the E17 configuration: beam cap 8, parallel space *)
-let optimize ?work_cap ~plan_cache ~domains env =
+let optimize ?work_cap ~shape ~plan_cache ~domains env =
   let config = Parqo.Space.parallel_config env.Parqo.Env.machine in
   let metric = Parqo.Optimizer.default_metric env in
-  Parqo.Podp.optimize ~config ~metric ~max_cover:8 ?work_cap ~domains
+  Parqo.Podp.optimize ~shape ~config ~metric ~max_cover:8 ?work_cap ~domains
     ~plan_cache env
 
 (* the cap Optimizer.minimize_response_time searches under by default:
@@ -168,14 +178,14 @@ let check_identical name (base : Parqo.Podp.result) (r : Parqo.Podp.result) =
           (best %b bits %b cover %b levels %b counts %b)"
          name same_best same_bits same_cover same_levels same_counts)
 
-let time_run ?work_cap ~repeats ~plan_cache ~domains env =
+let time_run ?work_cap ~shape ~repeats ~plan_cache ~domains env =
   let best = ref infinity in
   let result = ref None in
   for _ = 1 to repeats do
     (* every search starts from an emptied minor heap *)
     Gc.minor ();
     let t0 = Unix.gettimeofday () in
-    let r = optimize ?work_cap ~plan_cache ~domains env in
+    let r = optimize ?work_cap ~shape ~plan_cache ~domains env in
     let dt = (Unix.gettimeofday () -. t0) *. 1000. in
     if dt < !best then best := dt;
     result := Some r
@@ -192,11 +202,18 @@ let run () =
       "pair on and off under the session's work cap, where capped";
       "candidates are rejected before pricing.  All runs are checked";
       "bit-identical (plan + response-time bits, cover, levels, counts).";
+      "The bushy workload runs the same loop over bushy trees, uncapped.";
       (if smoke then "[smoke mode]" else "");
     ];
   let workloads =
-    if smoke then [ (Parqo.Query_gen.Chain, 5) ]
-    else [ (Parqo.Query_gen.Chain, 8); (Parqo.Query_gen.Star, 8) ]
+    let bushy = (Parqo.Query_gen.Chain, 4, Parqo.Space.Bushy) in
+    if smoke then [ (Parqo.Query_gen.Chain, 5, Parqo.Space.Left_deep); bushy ]
+    else
+      [
+        (Parqo.Query_gen.Chain, 8, Parqo.Space.Left_deep);
+        (Parqo.Query_gen.Star, 8, Parqo.Space.Left_deep);
+        bushy;
+      ]
   in
   let repeats = if smoke then 1 else 2 in
   let tbl =
@@ -205,6 +222,7 @@ let run () =
         [
           ("workload", T.Left);
           ("n", T.Right);
+          ("tree", T.Left);
           ("cap", T.Left);
           ("cache", T.Left);
           ("domains", T.Right);
@@ -218,33 +236,48 @@ let run () =
         ]
   in
   let runs = ref [] in
-  (* the sequential runs of every workload, then the pooled ones *)
+  (* the sequential runs of every workload, then the pooled ones; the
+     capped pair runs on the left-deep workloads *)
   let sequential =
     List.map
-      (fun (shape, n) ->
-        let name = Parqo.Query_gen.shape_to_string shape in
-        let env = Common.shape_env ~nodes:4 shape n in
-        let off, off_ms = time_run ~repeats ~plan_cache:false ~domains:1 env in
-        let on, on_ms = time_run ~repeats ~plan_cache:true ~domains:1 env in
+      (fun (query, n, shape) ->
+        let bushy = shape = Parqo.Space.Bushy in
+        let name =
+          Parqo.Query_gen.shape_to_string query ^ if bushy then "/bushy" else ""
+        in
+        let env = Common.shape_env ~nodes:4 query n in
+        let time_run = time_run ~shape ~repeats in
+        let off, off_ms = time_run ~plan_cache:false ~domains:1 env in
+        let on, on_ms = time_run ~plan_cache:true ~domains:1 env in
         check_identical (name ^ "/cached") off on;
-        let work_cap = session_work_cap env in
-        let coff, coff_ms =
-          time_run ?work_cap ~repeats ~plan_cache:false ~domains:1 env
+        let capped =
+          if bushy then []
+          else begin
+            let work_cap = session_work_cap env in
+            let coff, coff_ms =
+              time_run ?work_cap ~plan_cache:false ~domains:1 env
+            in
+            let con, con_ms =
+              time_run ?work_cap ~plan_cache:true ~domains:1 env
+            in
+            check_identical (name ^ "/capped/cached") coff con;
+            [ (true, false, 1, coff, coff_ms); (true, true, 1, con, con_ms) ]
+          end
         in
-        let con, con_ms =
-          time_run ?work_cap ~repeats ~plan_cache:true ~domains:1 env
-        in
-        check_identical (name ^ "/capped/cached") coff con;
-        (shape, n, env, off, off_ms, on, on_ms, coff, coff_ms, con, con_ms))
+        (query, n, shape, name, env, off, off_ms, on, on_ms, capped))
       workloads
   in
   List.iter
-    (fun (shape, n, env, off, off_ms, on, on_ms, coff, coff_ms, con, con_ms) ->
-      let name = Parqo.Query_gen.shape_to_string shape in
+    (fun (query, n, shape, name, env, off, off_ms, on, on_ms, capped) ->
+      let capped_ms =
+        match capped with (_, _, _, _, ms) :: _ -> ms | [] -> nan
+      in
       let pooled =
         List.map
           (fun domains ->
-            let r, ms = time_run ~repeats ~plan_cache:true ~domains env in
+            let r, ms =
+              time_run ~shape ~repeats ~plan_cache:true ~domains env
+            in
             check_identical (Printf.sprintf "%s/domains=%d" name domains) off r;
             (false, true, domains, r, ms))
           pooled_domains
@@ -257,13 +290,14 @@ let run () =
           let per_plan x = x /. float_of_int (max 1 expanded) in
           let row =
             {
-              workload = name;
+              workload = Parqo.Query_gen.shape_to_string query;
               n_relations = n;
+              bushy = shape = Parqo.Space.Bushy;
               capped;
               plan_cache;
               domains;
               wall_ms;
-              speedup = (if capped then coff_ms else off_ms) /. wall_ms;
+              speedup = (if capped then capped_ms else off_ms) /. wall_ms;
               plans_expanded = expanded;
               us_per_plan = per_plan (wall_ms *. 1000.);
               minor_words_per_plan = per_plan stats.Stats.minor_words;
@@ -274,8 +308,9 @@ let run () =
           runs := row :: !runs;
           T.add_row tbl
             [
-              name;
+              row.workload;
               Common.celli n;
+              (if row.bushy then "bushy" else "left-deep");
               (if capped then "2x" else "none");
               (if plan_cache then "on" else "off");
               Common.celli domains;
@@ -288,8 +323,7 @@ let run () =
               Common.celli row.entries;
             ])
         ([ (false, false, 1, off, off_ms); (false, true, 1, on, on_ms) ]
-        @ pooled
-        @ [ (true, false, 1, coff, coff_ms); (true, true, 1, con, con_ms) ]))
+        @ pooled @ capped))
     sequential;
   T.print tbl;
   Common.write_results "BENCH_cost.json"
@@ -299,7 +333,11 @@ let run () =
     List.iter
       (fun r ->
         if r.plan_cache && r.domains = 1 then begin
-          let label = if r.capped then "capped cached" else "cached" in
+          let label =
+            if r.bushy then "bushy cached"
+            else if r.capped then "capped cached"
+            else "cached"
+          in
           if r.us_per_plan > smoke_us_per_plan_ceiling then
             failwith
               (Printf.sprintf
@@ -307,7 +345,8 @@ let run () =
                   — costing hot path regressed"
                  label r.us_per_plan smoke_us_per_plan_ceiling);
           let words_ceiling =
-            if r.capped then smoke_capped_words_per_plan_ceiling
+            if r.bushy then smoke_bushy_words_per_plan_ceiling
+            else if r.capped then smoke_capped_words_per_plan_ceiling
             else smoke_words_per_plan_ceiling
           in
           if r.minor_words_per_plan > words_ceiling then
@@ -317,7 +356,8 @@ let run () =
                   ceiling — costing hot path allocates more"
                  label r.minor_words_per_plan words_ceiling);
           let promoted_ceiling =
-            if r.capped then smoke_capped_promoted_per_plan_ceiling
+            if r.bushy then smoke_bushy_promoted_per_plan_ceiling
+            else if r.capped then smoke_capped_promoted_per_plan_ceiling
             else smoke_promoted_per_plan_ceiling
           in
           if r.promoted_words_per_plan > promoted_ceiling then

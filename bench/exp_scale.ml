@@ -52,9 +52,10 @@ let run () =
               if n > 6 then (None, 0)
               else begin
                 let r =
-                  Parqo.Bushy.optimize_po ~config ~metric ~max_cover:8 env
+                  Parqo.Podp.optimize ~shape:Parqo.Space.Bushy ~config ~metric
+                    ~max_cover:8 env
                 in
-                (r.Parqo.Bushy.best, r.Parqo.Bushy.stats.Parqo.Search_stats.generated)
+                (r.Parqo.Podp.best, r.Parqo.Podp.stats.Parqo.Search_stats.generated)
               end );
           ( "greedy",
             fun () ->

@@ -77,12 +77,16 @@ let bushy () =
                (Parqo.Brute.bushy ~config:S.minimal_config env).Parqo.Brute.n_plans)
         else "-"
       in
-      let dp = Parqo.Bushy.optimize_scalar ~config:S.minimal_config env in
+      let dp =
+        Parqo.Optimizer.minimize_work ~shape:Parqo.Optimizer.Bushy
+          ~config:S.minimal_config env
+      in
       let metric =
         Parqo.Metric.descriptor env.Parqo.Env.machine Parqo.Machine.Single
       in
       let podp =
-        Parqo.Bushy.optimize_po ~config:S.minimal_config ~metric ~max_cover:32 env
+        Parqo.Podp.optimize ~shape:S.Bushy ~config:S.minimal_config ~metric
+          ~max_cover:32 env
       in
       T.add_row tbl
         [
@@ -90,9 +94,9 @@ let bushy () =
           Common.cell (Parqo.Combin.bushy_space n);
           brute_plans;
           Common.cell (Parqo.Combin.dp_bushy_time n ~b:0);
-          Common.celli dp.Parqo.Bushy.stats.Stats.considered;
-          Common.celli podp.Parqo.Bushy.stats.Stats.considered;
-          Common.celli podp.Parqo.Bushy.stats.Stats.cover_max;
+          Common.celli dp.Parqo.Optimizer.stats.Stats.considered;
+          Common.celli podp.Parqo.Podp.stats.Stats.considered;
+          Common.celli podp.Parqo.Podp.stats.Stats.cover_max;
         ])
     [ 2; 3; 4; 5; 6; 7 ];
   T.print tbl

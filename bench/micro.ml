@@ -47,7 +47,8 @@ let make_tests () =
     Test.make ~name:"search/bushy-DP-work clique-6"
       (Staged.stage (fun () ->
            ignore
-             (Parqo.Bushy.optimize_scalar ~config:Parqo.Space.minimal_config clique6)));
+             (Parqo.Optimizer.minimize_work ~shape:Parqo.Optimizer.Bushy
+                ~config:Parqo.Space.minimal_config clique6)));
   ]
 
 let benchmark () =

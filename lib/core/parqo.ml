@@ -76,7 +76,6 @@ module Metric = Parqo_search.Metric
 module Cover = Parqo_search.Cover
 module Dp = Parqo_search.Dp
 module Podp = Parqo_search.Podp
-module Bushy = Parqo_search.Bushy
 module Brute = Parqo_search.Brute
 module Greedy = Parqo_search.Greedy
 module Twophase = Parqo_search.Twophase
@@ -97,7 +96,6 @@ module Adaptive = Adaptive
 module Batch = Parqo_exec.Batch
 module Executor = Parqo_exec.Executor
 module Parallel_exec = Parqo_exec.Parallel_exec
-module Iterator = Parqo_exec.Iterator
 
 module Scenarios = Scenarios
 module Workloads = Workloads

@@ -118,7 +118,8 @@ let evaluate ?(required_order = P.Ordering.none) (env : Env.t) tree =
 (* Incremental, bounded costing (the DP hot path).
 
    Every candidate a DP prices is a join of sub-plans it already
-   evaluated — a memoized plan and an access plan — so pricing from the
+   evaluated — a memoized plan and an access plan, or two memoized
+   plans in a bushy search — so pricing from the
    children's evaluations costs O(new root operators): the new root
    operators are expanded over the children's operator trees
    (Expand.expand_join, over a context computed once per pair of

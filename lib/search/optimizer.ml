@@ -5,7 +5,7 @@ let src = Logs.Src.create "parqo.optimizer" ~doc:"Top-level optimizer phases"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type tree_shape = Left_deep | Bushy
+type tree_shape = Space.tree_shape = Left_deep | Bushy
 
 type outcome = {
   best : Cm.eval option;
@@ -24,8 +24,24 @@ let default_metric (env : Env.t) =
   Metric.with_ordering
     (Metric.descriptor env.Env.machine Parqo_machine.Machine.Single)
 
-let minimize_work ?(config = Space.default_config) ?(shape = Left_deep)
-    (env : Env.t) =
+let work (e : Cm.eval) = e.Cm.work
+
+(* a search whose best plan is also its work-optimal one *)
+let of_podp (r : Podp.result) =
+  {
+    best = r.Podp.best;
+    work_optimal = r.Podp.best;
+    cover = r.Podp.cover;
+    stats = r.Podp.stats;
+    work_stats = None;
+    gave_up = r.Podp.gave_up;
+  }
+
+(* Figure 1.  Left-deep it runs on [Dp], whose incumbent bound rejects
+   most candidates before they are composed; bushy it is PODP under the
+   total order of work, which keeps the first least-work plan of each
+   subset. *)
+let work_phase ~config ~shape ?budget ?domains ?pool (env : Env.t) =
   match shape with
   | Left_deep ->
     let r = Dp.optimize ~config env in
@@ -38,41 +54,19 @@ let minimize_work ?(config = Space.default_config) ?(shape = Left_deep)
       gave_up = false;
     }
   | Bushy ->
-    let r = Bushy.optimize_scalar ~config env in
-    {
-      best = r.Bushy.best;
-      work_optimal = r.Bushy.best;
-      cover = r.Bushy.cover;
-      stats = r.Bushy.stats;
-      work_stats = None;
-      gave_up = false;
-    }
+    of_podp
+      (Podp.optimize ~shape ~config ~metric:Metric.work ~rank:work ?budget
+         ?domains ?pool env)
+
+let minimize_work ?(config = Space.default_config) ?(shape = Left_deep)
+    (env : Env.t) =
+  work_phase ~config ~shape env
 
 let minimize_work_with_orders ?(config = Space.default_config)
     ?(shape = Left_deep) ?(domains = 1) ?pool (env : Env.t) =
-  let metric = Metric.with_ordering Metric.work in
-  let rank (e : Cm.eval) = e.Cm.work in
-  match shape with
-  | Left_deep ->
-    let r = Podp.optimize ~config ~metric ~rank ~domains ?pool env in
-    {
-      best = r.Podp.best;
-      work_optimal = r.Podp.best;
-      cover = r.Podp.cover;
-      stats = r.Podp.stats;
-      work_stats = None;
-      gave_up = r.Podp.gave_up;
-    }
-  | Bushy ->
-    let r = Bushy.optimize_po ~config ~metric ~rank env in
-    {
-      best = r.Bushy.best;
-      work_optimal = r.Bushy.best;
-      cover = r.Bushy.cover;
-      stats = r.Bushy.stats;
-      work_stats = None;
-      gave_up = false;
-    }
+  of_podp
+    (Podp.optimize ~shape ~config ~metric:(Metric.with_ordering Metric.work)
+       ~rank:work ~domains ?pool env)
 
 let minimize_response_time ?(config = Space.default_config)
     ?(shape = Left_deep) ?metric ?(bound = Bounds.Unbounded) ?rank
@@ -83,7 +77,7 @@ let minimize_response_time ?(config = Space.default_config)
     | Some r -> r
     | None -> fun (e : Cm.eval) -> e.Cm.response_time
   in
-  let work_phase = minimize_work ~config ~shape env in
+  let work_phase = work_phase ~config ~shape ~budget ~domains ?pool env in
   let work_optimal = work_phase.work_optimal in
   (match work_optimal with
   | Some w ->
@@ -101,20 +95,11 @@ let minimize_response_time ?(config = Space.default_config)
       ( Bounds.partial_work_cap bound ~work_opt ~rt_opt,
         Bounds.admits bound ~work_opt ~rt_opt )
   in
-  let best, cover, stats, gave_up =
-    match shape with
-    | Left_deep ->
-      let r =
-        Podp.optimize ~config ?work_cap ~final_filter ~rank ~budget ~domains
-          ?pool ~metric env
-      in
-      (r.Podp.best, r.Podp.cover, r.Podp.stats, r.Podp.gave_up)
-    | Bushy ->
-      let r =
-        Bushy.optimize_po ~config ?work_cap ~final_filter ~rank ~metric env
-      in
-      (r.Bushy.best, r.Bushy.cover, r.Bushy.stats, false)
+  let { Podp.best; cover; stats; gave_up; _ } =
+    Podp.optimize ~shape ~config ?work_cap ~final_filter ~rank ~budget
+      ~domains ?pool ~metric env
   in
+  let gave_up = gave_up || work_phase.gave_up in
   (* A truncated search may have missed (or degraded) the answer: degrade
      gracefully to the greedy plan rather than failing or returning a
      poor partial result. *)

@@ -7,7 +7,7 @@
     work cap from the bound, then run the partial-order DP with the cap
     folded into the pruning order. *)
 
-type tree_shape = Left_deep | Bushy
+type tree_shape = Space.tree_shape = Left_deep | Bushy
 
 type outcome = {
   best : Parqo_cost.Costmodel.eval option;
@@ -26,7 +26,10 @@ type outcome = {
 
 val minimize_work :
   ?config:Space.config -> ?shape:tree_shape -> Parqo_cost.Env.t -> outcome
-(** Figure 1 (or its bushy analogue). [shape] defaults to [Left_deep]. *)
+(** Figure 1 (or its bushy analogue). [shape] defaults to [Left_deep].
+    Left-deep it runs on {!Dp}; bushy it is {!Podp.optimize} under
+    {!Metric.work}, ranked by work — Figure 1 run as Figure 2 under a
+    total order, which keeps the first least-work plan of each subset. *)
 
 val minimize_work_with_orders :
   ?config:Space.config ->
@@ -63,17 +66,25 @@ val minimize_response_time :
     [~metric:(Metric.expected_makespan ...)] for failure-aware plan
     choice.
 
-    [budget] (default unlimited) caps the partial-order phase (left-deep
-    shape); when exhausted the optimizer degrades gracefully to the
+    [budget] (default unlimited) caps the partial-order phase of either
+    shape, and the bushy work phase, each search with a tracker of its
+    own; when one is exhausted the optimizer degrades gracefully to the
     greedy plan — it always returns a valid plan and never raises, at
     the price of optimality (and possibly of the work bound, which
     greedy does not enforce).
 
-    [domains] (default 1) parallelizes the partial-order phase across an
-    OCaml 5 domain pool; [pool] supplies a persistent pool instead of
-    creating one per call.  The chosen plan is bit-identical to the
-    sequential run (see {!Podp.optimize}).  The work phase and bushy
-    search are unaffected. *)
+    [domains] (default 1) parallelizes the partial-order phase, and the
+    bushy work phase, across an OCaml 5 domain pool; [pool] supplies a
+    persistent pool instead of creating one per call.  The chosen plan
+    is bit-identical to the sequential run (see {!Podp.optimize}).
+
+    Only the left-deep work phase stays outside budget and pool: it runs
+    on {!Dp}, whose incumbent bound rejects most candidates before they
+    are composed (7 948 of chain-5's 8 265).  {!Podp} under
+    {!Metric.work} found the same plans for the 160 [optimize] ops of
+    two perfbench seeds but took 151 and 152 ms where [Dp] took 92 and
+    91 (best of 5 on a 2-vCPU host), about 3% of the whole [optimize]
+    time. *)
 
 val default_metric : Parqo_cost.Env.t -> Metric.t
 

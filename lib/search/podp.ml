@@ -95,22 +95,23 @@ type lane = {
   mutable ticks : int;  (** expansions not yet flushed to the budget *)
 }
 
-let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
-    ~pool_stats0 ~plan_cache ~metric (env : Env.t) =
+let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
+    ~pool ~pool_stats0 ~plan_cache ~metric (env : Env.t) =
   let gc0 = Search_stats.gc_sample () in
   let width = Domain_pool.width pool in
   let tracker = Budget.start budget in
   let gave_up = ref false in
-  (* Incremental costing: every candidate at level l + 1 joins a
-     memoized level-l plan with an access plan, both already evaluated,
-     so pricing it costs only the new root operators.  A lane loads each
-     extension into its scratch (Cm.extension, over a join context
-     computed once per extension), with the memo plans grouped into
-     classes (Cm.outer_shape_equal): what a join's new operators cost is
-     computed once per (access plan, method, clone) and once per (class,
-     method, clone), and a candidate costs one expansion and the
-     composition of its outer side and root (Cm.price).  The memo arena
-     and the level-1 access evaluations are the children's cache:
+  (* Incremental costing: every candidate joins a memoized plan with an
+     inner plan — an access plan (left-deep) or another memoized plan
+     (bushy) — both already evaluated, so pricing it costs only the new
+     root operators.  A lane loads each extension into its scratch
+     (Cm.extension, over a join context computed once per extension),
+     with the memo plans grouped into classes (Cm.outer_shape_equal):
+     what a join's new operators cost is computed once per (inner plan,
+     method, clone) and once per (class, method, clone), and a candidate
+     costs one expansion and the composition of its outer side and root
+     (Cm.price).  The memo arena and the level-1 access evaluations are
+     the children's cache:
      nothing is looked up by key.  A priced candidate is tested against
      the partial cover before it is built: its coordinates are filled
      from its cost, and only a candidate the cover admits gets its join
@@ -194,13 +195,22 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
   let level_sizes = Array.make (n + 1) 0 in
   (* per-relation access plans are annotation-independent of the level
      loop: generate and evaluate them once, as level 1 and as the inner
-     side of every extension *)
+     side of every left-deep extension *)
   let access_evals =
     Array.init n (fun rel ->
         Array.of_list
           (List.map (Cm.evaluate env) (Space.access_plans env config rel)))
   in
   let admissible e = (not bounded) || e.Cm.work <= limit in
+  (* an extension's inner plans: the access plans of its relation
+     (left-deep), or the memo slice of its inner side (bushy) *)
+  let inner_plans inner =
+    match shape with
+    | Space.Left_deep -> access_evals.(Bitset.choose inner)
+    | Space.Bushy ->
+      let mask = Bitset.to_int inner in
+      Array.sub memo.buf memo_off.(mask) memo_len.(mask)
+  in
   (* The outer plans of one extension — [len] memo entries from [off] —
      grouped by the operators a join adds above them
      (Cm.outer_shape_equal): each plan's class, each class's first plan,
@@ -310,17 +320,16 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
       tick lane
     end
   in
-  (* Load extension [j] of [s] into a lane: [price_plan i] then prices
-     every annotated join of memo plan [i] of [s_j] with the access plans
-     of [j], in [Space.combine_candidates] order — per access plan,
-     method and clone degree, the pipelined join, then its materialized
-     twin. *)
-  let load ~worker lane s j ~joined =
-    let s_j = Bitset.remove j s in
-    let mask = Bitset.to_int s_j in
+  (* Load the extension joining [outer] to [inner] into a lane:
+     [price_plan i] then prices every annotated join of memo plan [i] of
+     [outer] with the inner plans, in [Space.combine_candidates] order —
+     per inner plan, method and clone degree, the pipelined join, then
+     its materialized twin. *)
+  let load ~worker lane ~outer ~inner ~joined =
+    let mask = Bitset.to_int outer in
     let off = memo_off.(mask) and len = memo_len.(mask) in
     let methods = if joined then methods_joined else methods_cartesian in
-    let accs = access_evals.(j) in
+    let inners = inner_plans inner in
     let cls, first, classes =
       if plan_cache then classify ~off ~len else (Array.make len 0, [||], 0)
     in
@@ -330,8 +339,8 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
       if plan_cache then begin
         let x =
           Cm.extension scratches.(worker) env
-            (Cm.join_context env ~outer:s_j ~inner:(Bitset.singleton j))
-            ~inner:accs ~methods ~clones ~classes ~limit
+            (Cm.join_context env ~outer ~inner)
+            ~inner:inners ~methods ~clones ~classes ~limit
         in
         fun p ~outer_class a ~inner ~mi ~ki ->
           match
@@ -367,11 +376,11 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
         if plan_cache then begin
           let part = lane.part in
           if i = 0 then
-            part.entries <- part.entries + (Array.length accs * slots);
+            part.entries <- part.entries + (Array.length inners * slots);
           if first.(outer_class) = i then part.entries <- part.entries + slots
         end;
-        for inner = 0 to Array.length accs - 1 do
-          let a = accs.(inner) in
+        for inner = 0 to Array.length inners - 1 do
+          let a = inners.(inner) in
           for mi = 0 to Array.length methods - 1 do
             for ki = 0 to n_clones - 1 do
               price p ~outer_class a ~inner ~mi ~ki
@@ -383,12 +392,12 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
   (* The level loop.  Within a level every subset's cover depends only on
      the memo slices of strictly smaller subsets (written at earlier
      barriers), so its candidates are independent and level boundaries
-     are barriers.  The unit of parallel work is one memo plan of one
-     extension of one subset: the level's units, in the sequential
-     candidate order (subsets in mask order, extensions in [Bitset.iter]
-     order, memo plans in memo order), are claimed in ranges across the
-     pool — whole subsets while enough remain.  A lane folds the
-     candidates of its units into one partial cover per subset it
+     are barriers.  The unit of parallel work is one memo plan of the
+     outer side of one extension of one subset: the level's units, in
+     the sequential candidate order (subsets in mask order, extensions
+     in their order, memo plans in memo order), are claimed in ranges
+     across the pool — whole subsets while enough remain.  A lane folds
+     the candidates of its units into one partial cover per subset it
      reaches, each entry tagged with its unit.  The lane that prices a
      subset's last unit folds the subset's partial covers in tag order
      (Cover.merge) — which is the sequential cover, element order
@@ -420,22 +429,29 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
              (if Budget.exhausted tracker then skipped else started));
       Atomic.get st = started
     in
-    (* each subset's extensions in [Bitset.iter] order: (relation,
-       connected, memo plans of the outer side) *)
+    (* each subset's extensions, as (outer side, inner side, connected,
+       units): left-deep, relation j joined to S - j, in [Bitset.iter]
+       order; bushy, the splits (S1, S - S1) in
+       [Bitset.proper_nonempty_subsets] order.  A unit is one memo plan
+       of the outer side; an extension whose inner side has no plan has
+       no unit *)
     let extensions =
       Array.map
         (fun s ->
-          let acc = ref [] in
-          Bitset.iter
-            (fun j ->
-              let s_j = Bitset.remove j s in
-              acc :=
-                ( j,
-                  Space.connects env s_j (Bitset.singleton j),
-                  memo_len.(Bitset.to_int s_j) )
-                :: !acc)
-            s;
-          List.rev !acc)
+          let extension outer =
+            let inner = Bitset.diff s outer in
+            let units =
+              if shape = Space.Bushy && memo_len.(Bitset.to_int inner) = 0
+              then 0
+              else memo_len.(Bitset.to_int outer)
+            in
+            (outer, inner, Space.connects env outer inner, units)
+          in
+          List.map extension
+            (match shape with
+            | Space.Left_deep ->
+              List.map (fun j -> Bitset.remove j s) (Bitset.to_list s)
+            | Space.Bushy -> Bitset.proper_nonempty_subsets s))
         subsets
     in
     (* [all.(i)]: subset [i] prices every extension, cartesian ones
@@ -444,7 +460,7 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
        cover empty *)
     let all =
       Array.map
-        (List.for_all (fun (_, joined, len) -> (not joined) || len = 0))
+        (List.for_all (fun (_, _, joined, len) -> (not joined) || len = 0))
         extensions
     in
     let used_domains = ref 1 in
@@ -498,9 +514,9 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
       Array.iter
         (fun i ->
           List.iter
-            (fun (j, joined, len) ->
+            (fun (outer, inner, joined, len) ->
               if (all.(i) || joined) && len > 0 then begin
-                table := (i, j, joined) :: !table;
+                table := (i, outer, inner, joined) :: !table;
                 firsts := !n_units :: !firsts;
                 n_units := !n_units + len;
                 units.(i) <- units.(i) + len
@@ -571,11 +587,11 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
         let lane = lanes.(worker) in
         let u = ref lo and x = ref (find lo 0 n_ext) in
         while !u < hi do
-          let i, j, joined = table.(!x) and f = first.(!x) in
+          let i, outer, inner, joined = table.(!x) and f = first.(!x) in
           let stop = min hi first.(!x + 1) in
           if decide i then begin
             if lane.ext <> !x then begin
-              load ~worker lane subsets.(i) j ~joined;
+              load ~worker lane ~outer ~inner ~joined;
               lane.ext <- !x
             end;
             let part = part_for ~worker lane i in
@@ -605,7 +621,7 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
       let sub_end = Array.make n_subsets 0 and after = Array.make n_subsets 0 in
       let n_after = ref 0 in
       for x = n_ext - 1 downto 0 do
-        let i, _, _ = table.(x) in
+        let i, _, _, _ = table.(x) in
         if sub_end.(i) = 0 then begin
           sub_end.(i) <- first.(x + 1);
           after.(i) <- !n_after;
@@ -613,7 +629,7 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
         end
       done;
       let chunk ~pos ~default =
-        let i, _, _ = table.(find pos 0 n_ext) in
+        let i, _, _, _ = table.(find pos 0 n_ext) in
         if after.(i) >= width then sub_end.(i) - pos else default
       in
       let ran =
@@ -691,13 +707,13 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
     ~after:(Search_stats.gc_sample ());
   { best; cover; stats; level_sizes; gave_up = !gave_up }
 
-let optimize ?(config = Space.default_config)
+let optimize ?(shape = Space.Left_deep) ?(config = Space.default_config)
     ?(rank = fun (e : Cm.eval) -> e.Cm.response_time) ?work_cap
     ?(final_filter = fun _ -> true) ?max_cover ?(budget = Budget.unlimited)
     ?(domains = 1) ?pool ?(plan_cache = true) ~metric (env : Env.t) =
   let go ~pool_stats0 pool =
-    search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
-      ~pool_stats0 ~plan_cache ~metric env
+    search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
+      ~pool ~pool_stats0 ~plan_cache ~metric env
   in
   match pool with
   (* a persistent pool's spawns belong to whoever created it; an

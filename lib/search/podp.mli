@@ -1,29 +1,39 @@
-(** Figure 2: partial-order dynamic programming over left-deep join trees.
+(** Figure 2: partial-order dynamic programming over left-deep or bushy
+    join trees.
 
     Instead of one optimal plan per relation subset, a cover set of
     incomparable plans (under the pruning metric's partial order) is kept;
     the final answer is the best-ranked member of the cover for the full
-    set.  An optional work cap (from {!Bounds}) prunes partial plans —
-    work only grows along extensions, so the cap is admissible, and "in
-    fact cut[s] down the search space" (§6.4).
+    set.  Both tree shapes run one level loop and differ only in a
+    subset's {e extensions}, the pairs of sides its candidates join:
+    left-deep, relation [j] joined to [S - j] for each [j] of [S], in
+    [Bitset.iter] order, with [j]'s access plans as the inner plans;
+    bushy (§6.4), each split [(S1, S - S1)] in
+    [Bitset.proper_nonempty_subsets] order, with [S - S1]'s memo plans
+    as the inner plans.  Under a total-order metric such as
+    {!Metric.work} a cover keeps one plan, the first least one, and the
+    loop is Figure 1's.  An optional work cap (from {!Bounds}) prunes
+    partial plans — work only grows along extensions, so the cap is
+    admissible, and "in fact cut[s] down the search space" (§6.4).
 
     The level loop is domain-parallel: a size-[k] subset's cover depends
-    only on size-[k-1] memo entries, so a level's candidates are
-    independent and levels are barriers.  The unit of parallel work is
-    one memo plan of one extension of one subset; a level's units, in
-    the sequential candidate order (subsets in mask order, extensions in
-    [Bitset.iter] order, memo plans in memo order), are claimed in
-    ranges across a domain pool — a subset at a time while more subsets
-    remain than the pool has lanes, finer after that — so even a
-    one-subset level, the costliest level of every small query, runs on
-    every core.  Each
-    worker folds its candidates into one partial cover per subset it
-    reaches, tagged by unit; a subset's partial covers are folded in tag
-    order ({!Cover.merge}), which yields the sequential cover, element
-    order included; and the finished covers enter the memo in
-    increasing mask order.  Exact rank ties in beam pruning and final
-    selection are broken by a stable plan key, so the [domains > 1]
-    result is bit-identical to the sequential one. *)
+    only on the memo entries of smaller subsets, so a level's candidates
+    are independent and levels are barriers.  The unit of parallel work
+    is one memo plan of the outer side of one extension of one subset —
+    of [S - j] (left-deep) or of [S1] (bushy; a split whose [S - S1] has
+    no plan has no unit); a level's units, in the sequential candidate
+    order (subsets in mask order, extensions in their order, memo plans
+    in memo order), are claimed in ranges across a domain pool — a
+    subset at a time while more subsets remain than the pool has lanes,
+    finer after that — so even a one-subset level, the costliest level
+    of every small query, runs on every core.  Each worker folds its
+    candidates into one partial cover per subset it reaches, tagged by
+    unit; a subset's partial covers are folded in tag order
+    ({!Cover.merge}), which yields the sequential cover, element order
+    included; and the finished covers enter the memo in increasing mask
+    order.  Exact rank ties in beam pruning and final selection are
+    broken by a stable plan key, so the [domains > 1] result is
+    bit-identical to the sequential one. *)
 
 type result = {
   best : Parqo_cost.Costmodel.eval option;
@@ -37,6 +47,7 @@ type result = {
 }
 
 val optimize :
+  ?shape:Space.tree_shape ->
   ?config:Space.config ->
   ?rank:(Parqo_cost.Costmodel.eval -> float) ->
   ?work_cap:float ->
@@ -49,7 +60,11 @@ val optimize :
   metric:Metric.t ->
   Parqo_cost.Env.t ->
   result
-(** [rank] (default response time) selects among the final cover;
+(** [shape] (default [Left_deep]) picks the extensions, as above.
+    [stats.considered] counts units, one per memo plan of an extension's
+    outer side, plus one per relation at level 1.
+
+    [rank] (default response time) selects among the final cover;
     [final_filter] (default accept-all) implements exact bound checks
     that are valid only on complete plans (cost–benefit ratio);
     [max_cover] (default unbounded) beam-bounds each cover set by [rank],
@@ -76,12 +91,12 @@ val optimize :
 
     [plan_cache] (default on) prices candidates incrementally from the
     evaluations the search already holds — the memoized outer plan and
-    the access plan — so only the new root operators are costed, and
+    the inner plan — so only the new root operators are costed, and
     what they cost is shared: each extension is loaded into the lane's
     scratch ({!Parqo_cost.Costmodel.extension}), its memo plans grouped
     into classes ({!Parqo_cost.Costmodel.outer_shape_equal}), and a
     candidate ({!Parqo_cost.Costmodel.price}) reuses the entries of its
-    access plan and of its class, computed once each and counted in
+    inner plan and of its class, computed once each and counted in
     [stats.entries].  Each materialized candidate is the
     {!Parqo_cost.Costmodel.materialized_twin} of the pipelined one
     generated just before it; and operator trees are numbered only when

@@ -33,7 +33,7 @@ type t = {
           work in the work-phase DP — before they were fully priced *)
   mutable entries : int;
       (** shared pricing entries the partial-order DP filled
-          ([Costmodel.extension]): per extension, one per (access plan,
+          ([Costmodel.extension]): per extension, one per (inner plan,
           method, clone degree) and one per (outer class, method, clone
           degree) — what one lane pricing each extension alone fills, so
           [generated / entries] is the search's reuse of them *)

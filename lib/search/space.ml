@@ -4,6 +4,8 @@ module C = Parqo_catalog
 module Bitset = Parqo_util.Bitset
 module Env = Parqo_cost.Env
 
+type tree_shape = Left_deep | Bushy
+
 type config = {
   methods : P.Join_method.t list;
   clone_degrees : int list;

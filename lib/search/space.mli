@@ -7,6 +7,11 @@
     it returns every candidate extension and lets the caller keep the best
     one (Figure 1) or the cover set (Figure 2). *)
 
+type tree_shape = Left_deep | Bushy
+(** The join trees a search builds: left-deep, where every join's inner
+    side is one base relation (Figures 1 and 2), or bushy, where both
+    sides may be composite (§6.4). *)
+
 type config = {
   methods : Parqo_plan.Join_method.t list;
   clone_degrees : int list;  (** candidate cloning degrees; must include 1 *)

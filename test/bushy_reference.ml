@@ -1,6 +1,24 @@
-module Cm = Parqo_cost.Costmodel
-module Bitset = Parqo_util.Bitset
-module Env = Parqo_cost.Env
+(* The reference bushy DP: the search [Podp.optimize ~shape:Bushy]
+   replaced, a second level loop that enumerates, for every relation
+   subset, every ordered split into two non-empty disjoint parts and
+   prices each candidate from scratch ([Costmodel.evaluate]).  It is kept
+   as it was, but for three rules it now shares with [Podp]: the beam
+   trims a cover once per subset (it trimmed on a 2x overshoot while
+   adding), exact rank ties are broken by the plan key, in the beam and
+   in the final choice, and the cartesian fallback runs when the
+   connected splits leave a subset's cover empty (it ran only when they
+   generated no candidate, so a work cap that rejected every connected
+   candidate left the subset empty).  The property tests compare the
+   bushy search against it at every pool width: best plan, cover in
+   element order, level sizes and [generated] must be identical. *)
+
+module Cm = Parqo.Costmodel
+module Bitset = Parqo.Bitset
+module Env = Parqo.Env
+module Space = Parqo.Space
+module Cover = Parqo.Cover
+module Metric = Parqo.Metric
+module Search_stats = Parqo.Search_stats
 
 type result = {
   best : Cm.eval option;
@@ -8,6 +26,9 @@ type result = {
   stats : Search_stats.t;
   level_sizes : int array;
 }
+
+let tie (a : Cm.eval) (b : Cm.eval) =
+  String.compare (Parqo.Join_tree.key a.Cm.tree) (Parqo.Join_tree.key b.Cm.tree)
 
 (* The common skeleton: per subset an abstract mutable accumulator [cell]
    collects candidate plans; splits are ordered pairs (S1, S2) of
@@ -33,7 +54,6 @@ let run ~config ~make_cell ~add ~contents (env : Env.t) =
     List.iter
       (fun s ->
         let cell = make_cell () in
-        let filled = ref false in
         let try_splits ~require_connection =
           List.iter
             (fun s1 ->
@@ -47,7 +67,6 @@ let run ~config ~make_cell ~add ~contents (env : Env.t) =
                         List.iter
                           (fun tree ->
                             Search_stats.generated stats 1;
-                            filled := true;
                             add stats cell (Cm.evaluate env tree))
                           (Space.combine_candidates env config
                              ~outer:p1.Cm.tree ~inner:p2.Cm.tree))
@@ -57,7 +76,7 @@ let run ~config ~make_cell ~add ~contents (env : Env.t) =
             (Bitset.proper_nonempty_subsets s)
         in
         try_splits ~require_connection:true;
-        if not !filled then try_splits ~require_connection:false;
+        if contents cell = [] then try_splits ~require_connection:false;
         let plans = contents cell in
         level_sizes.(size) <- level_sizes.(size) + List.length plans;
         memo.(Bitset.to_int s) <- plans)
@@ -73,7 +92,9 @@ let argmin rank plans =
     (fun acc e ->
       match acc with
       | None -> Some e
-      | Some b -> if rank e < rank b then Some e else Some b)
+      | Some b ->
+        let c = Float.compare (rank e) (rank b) in
+        if c < 0 || (c = 0 && tie e b < 0) then Some e else Some b)
     None plans
 
 let optimize_scalar ?(config = Space.default_config)
@@ -101,18 +122,13 @@ let optimize_po ?(config = Space.default_config)
     if admissible e then begin
       metric.Metric.fill e (Cover.scratch cover);
       ignore (Cover.add cover (Cm.without_tree e) e);
-      Search_stats.observe_cover stats (Cover.size cover);
-      match max_cover with
-      | None -> ()
-      | Some keep ->
-        (* amortize trimming: allow 2x overshoot before cutting back *)
-        if Cover.size cover > 2 * keep then Cover.trim cover ~keep ~rank
+      Search_stats.observe_cover stats (Cover.size cover)
     end
   in
   let contents cover =
     (match max_cover with
     | None -> ()
-    | Some keep -> Cover.trim cover ~keep ~rank);
+    | Some keep -> Cover.trim ~tie cover ~keep ~rank);
     Cover.elements cover
   in
   let final, stats, level_sizes = run ~config ~make_cell ~add ~contents env in

@@ -3,9 +3,9 @@
    compared by.  Nested loops tests every (outer, inner) pair; hash join
    buckets the inner in a structural [Hashtbl], so it matches only
    same-typed keys; sort-merge sorts both sides and merges key groups.
-   The property tests compare [Executor.join] (and [Iterator] and
-   [Parallel_exec], through it) against these output lists, row by row,
-   on same-typed keys. *)
+   The property tests compare [Executor.join] (and [Parallel_exec],
+   through it) against these output lists, row by row, on same-typed
+   keys. *)
 
 module C = Parqo.Catalog
 module Q = Parqo.Query

@@ -1,7 +1,8 @@
 (* The installed CLI surface, driven as a subprocess (the binary is a
    declared test dependency, built into ../bin).  Bad flag values must
    exit nonzero with the list of valid choices and no backtrace; the
-   replan policy must run end to end. *)
+   replan policy must run end to end, and bushy search must report its
+   statistics. *)
 
 let t name f = Alcotest.test_case name `Quick f
 
@@ -86,6 +87,30 @@ let bad_deadline_rejected () =
   Alcotest.(check bool) "explains the constraint" true (contains text "> 0");
   Alcotest.(check bool) "no backtrace" false (contains text "Raised at")
 
+(* Bushy search reports what the left-deep search does: one line per
+   level of both phases, and the allocation it measured *)
+let bushy_stats_reported () =
+  skip_unless_built @@ fun () ->
+  let code, text =
+    run_cli "optimize --shape chain -n 4 --bushy --stats --search-domains 2"
+  in
+  Alcotest.(check int) "exit 0" 0 code;
+  List.iter
+    (fun level ->
+      Alcotest.(check bool) ("reports " ^ level) true (contains text level))
+    [ "level=2"; "level=3"; "level=4" ];
+  let lines = String.split_on_char '\n' text in
+  List.iter
+    (fun name ->
+      match List.find_opt (String.starts_with ~prefix:name) lines with
+      | Some line ->
+        Alcotest.(check bool)
+          (name ^ " minor words measured")
+          false
+          (contains line "minor-words=0 ")
+      | None -> Alcotest.failf "no %s line" name)
+    [ "search:"; "work phase:" ]
+
 let suite =
   ( "cli",
     [
@@ -95,4 +120,5 @@ let suite =
       t "serve runs end to end" serve_runs;
       t "bad arrival process lists choices" bad_arrival_listed;
       t "bad deadline rejected" bad_deadline_rejected;
+      t "bushy search reports its stats" bushy_stats_reported;
     ] )

@@ -4,7 +4,6 @@ module J = Parqo.Join_tree
 module M = Parqo.Join_method
 module Q = Parqo.Query
 module V = Parqo.Value
-module I = Parqo.Iterator
 module PE = Parqo.Parallel_exec
 module R = Exec_reference
 
@@ -164,8 +163,6 @@ let mixed_int_float_keys () =
       let tree clone = J.join ~clone method_ ~outer:(J.access 0) ~inner:(J.access 1) in
       Alcotest.(check bool) (name ^ ": Executor") true
         (B.equal_bags nl (Ex.join db query ~method_ ~outer ~inner));
-      Alcotest.(check bool) (name ^ ": Iterator") true
-        (B.equal_bags nl (I.run_query db query (tree 1)));
       List.iter
         (fun clone ->
           Alcotest.(check bool)
@@ -342,7 +339,6 @@ let matches_reference () =
               (M.to_string method_) executor (List.length rows) (List.length want)
         in
         check "Executor" (Ex.join db query ~method_ ~outer ~inner).B.rows;
-        check "Iterator" (I.to_batch (I.of_plan db query tree)).B.rows;
         check "Parallel_exec" (PE.run db query (expand db query tree)).B.rows)
       methods;
     let width = 1 + Array.length kinds in
@@ -379,6 +375,23 @@ let value_order_matches_reference () =
         edges)
     edges
 
+(* an index scan delivers its rows in the index's key order *)
+let index_scan_order () =
+  let { Parqo.Workloads.db; q3; _ } = Parqo.Workloads.tpch ~seed:5 () in
+  let idx =
+    List.find
+      (fun (i : Parqo.Index.t) -> i.Parqo.Index.name = "idx_orders_o_key")
+      (Parqo.Catalog.indexes db.Parqo.Datagen.catalog)
+  in
+  let b = Ex.index_scan db q3 ~rel:1 idx in
+  (* o_key is the first column *)
+  let rec sorted = function
+    | a :: (b :: _ as rest) -> V.compare a.(0) b.(0) <= 0 && sorted rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "non-empty" true (B.n_rows b > 0);
+  Alcotest.(check bool) "index order delivered" true (sorted b.B.rows)
+
 let suite =
   ( "executor",
     [
@@ -394,4 +407,5 @@ let suite =
       t "mixed Int/Flt keys agree" mixed_int_float_keys;
       t "join lists match the reference" matches_reference;
       t "value order matches the reference" value_order_matches_reference;
+      t "index scan order" index_scan_order;
     ] )

@@ -88,8 +88,9 @@ let every_algorithm_same_answer () =
     [
       (Parqo.Dp.optimize env).Parqo.Dp.best;
       (Parqo.Podp.optimize ~metric env).Parqo.Podp.best;
-      (Parqo.Bushy.optimize_scalar env).Parqo.Bushy.best;
-      (Parqo.Bushy.optimize_po ~metric ~max_cover:16 env).Parqo.Bushy.best;
+      (Opt.minimize_work ~shape:Opt.Bushy env).Opt.best;
+      (Parqo.Podp.optimize ~shape:Parqo.Space.Bushy ~metric ~max_cover:16 env)
+        .Parqo.Podp.best;
       (Parqo.Brute.leftdeep env).Parqo.Brute.best;
       (Parqo.Brute.bushy ~config:Parqo.Space.minimal_config env).Parqo.Brute.best;
     ]

@@ -111,6 +111,22 @@ let missing_exchange_detected () =
      with Parqo.Parqo_error.Error e ->
        e.Parqo.Parqo_error.subsystem = "parallel-exec")
 
+(* a TPC-H plan mixing methods and clone degrees: the partitioned
+   execution returns the materializing executor's rows *)
+let tpch_plan_agrees () =
+  let { Parqo.Workloads.db; q3; _ } = Parqo.Workloads.tpch ~seed:5 () in
+  let machine = Parqo.Machine.shared_nothing ~nodes:4 () in
+  let env = Parqo.Env.create ~machine ~catalog:db.Parqo.Datagen.catalog ~query:q3 () in
+  let tree =
+    J.join ~clone:2 M.Hash_join
+      ~outer:(J.join M.Sort_merge ~outer:(J.access 0) ~inner:(J.access 1))
+      ~inner:(J.access 2)
+  in
+  let a = Ex.run_query db q3 tree in
+  let b = PE.run_query db q3 (expand env tree) in
+  Alcotest.(check bool) "partitioned = materializing" true (B.equal_bags a b);
+  Alcotest.(check bool) "non-empty" true (B.n_rows a > 0)
+
 let suite =
   ( "parallel-exec",
     [
@@ -120,4 +136,5 @@ let suite =
       t "repartition skew" repartition_routes_by_key;
       t "random plans agree" random_plans_agree;
       t "missing exchange detected" missing_exchange_detected;
+      t "TPC-H plan agrees" tpch_plan_agrees;
     ] )
