@@ -51,35 +51,39 @@ let smoke = Common.smoke
    comfortably beat; the full run on a quiet machine is ~5x faster *)
 let smoke_us_per_plan_ceiling = 30.
 
-(* about 1.2x the cached sequential chain-5 smoke run's 63.1 minor
-   words per plan when it was set; pricing each candidate's new
-   operators from its own expansion and composing them into fresh
-   vectors allocated 167.2 (169.1 as [Gc.quick_stat] counted it),
+(* about 1.2x the cached sequential chain-5 smoke run's 20.6 minor
+   words per plan when it was set; composing every candidate in about a
+   dozen passes and building it before its cover test (expanded, boxed,
+   its coordinates filled from the built record) allocated 63.2, pricing
+   each candidate's new operators from its own expansion and composing
+   them into fresh vectors 167.2 (169.1 as [Gc.quick_stat] counted it),
    building every candidate's join tree and eval before its cover test
    324.2, and pricing every candidate from scratch again (renumbering
    it, re-costing the materialized twin) 861.5, the last two as
    [Gc.quick_stat] counted them *)
-let smoke_words_per_plan_ceiling = 76.
+let smoke_words_per_plan_ceiling = 25.
 
-(* about 1.2x the capped cached sequential chain-5 smoke run's 28.2
+(* about 1.2x the capped cached sequential chain-5 smoke run's 15.7
    minor words per plan when it was set; the same steps back allocated
-   61.6, 109.4, and 293.4 when every capped candidate was priced in
-   full before its work was compared with the cap *)
-let smoke_capped_words_per_plan_ceiling = 34.
+   28.2, 61.6, 109.4, and 293.4 when every capped candidate was priced
+   in full before its work was compared with the cap *)
+let smoke_capped_words_per_plan_ceiling = 19.
 
-(* about 1.2x the promoted words per plan of the same two runs, 1.60
-   and 0.74 when they were set.  Tables that also pointed to each inner
+(* about 1.2x the promoted words per plan of the same two runs, 0.80
+   and 0.55 when they were set (1.64 and 0.75 before candidates were
+   priced, tested, then built).  Tables that also pointed to each inner
    entry's young root operator and base descriptor promoted about twice
    as much, with minor words inside their gates *)
-let smoke_promoted_per_plan_ceiling = 1.9
-let smoke_capped_promoted_per_plan_ceiling = 0.9
+let smoke_promoted_per_plan_ceiling = 0.96
+let smoke_capped_promoted_per_plan_ceiling = 0.66
 
-(* about 1.2x the cached sequential bushy chain-4 smoke run's 67.6
-   minor words and 2.55 promoted words per plan when they were set;
-   pricing every bushy candidate from scratch, as the uncached run
-   does, allocates 1262.5 and promotes 13.11 *)
-let smoke_bushy_words_per_plan_ceiling = 81.
-let smoke_bushy_promoted_per_plan_ceiling = 3.1
+(* about 1.2x the cached sequential bushy chain-4 smoke run's 28.4
+   minor words and 0.90 promoted words per plan when they were set
+   (67.6 and 2.55 before its candidates were priced, tested, then
+   built); pricing every bushy candidate from scratch, as the uncached
+   run does, allocates 1182.0 and promotes 13.45 *)
+let smoke_bushy_words_per_plan_ceiling = 34.
+let smoke_bushy_promoted_per_plan_ceiling = 1.1
 
 let plan_string (e : Cm.eval) = Parqo.Join_tree.to_string e.Cm.tree
 

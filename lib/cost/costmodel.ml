@@ -98,21 +98,20 @@ let of_descriptor ~tree ~optree ~ordering descriptor =
    merge) descriptors pipe onto the root's, exactly as a from-scratch
    [of_optree] over the extended tree would compute them *)
 let with_final_sort (env : Env.t) required e =
-  let optree = add_final_sort e.optree required in
-  let descriptor = of_optree ~reuse:[ (e.optree, e.descriptor) ] env optree in
-  of_descriptor ~tree:e.tree ~optree ~ordering:e.ordering descriptor
+  if required = P.Ordering.none || P.Ordering.satisfies e.ordering required
+  then e
+  else
+    let optree = add_final_sort e.optree required in
+    let descriptor = of_optree ~reuse:[ (e.optree, e.descriptor) ] env optree in
+    of_descriptor ~tree:e.tree ~optree ~ordering:e.ordering descriptor
 
 let evaluate ?(required_order = P.Ordering.none) (env : Env.t) tree =
   let optree =
     Parqo_optree.Expand.expand ~config:env.expand_config env.estimator tree
   in
   let ordering = P.Props.ordering (Env.query env) tree in
-  let e = of_descriptor ~tree ~optree ~ordering (of_optree env optree) in
-  if
-    required_order <> P.Ordering.none
-    && not (P.Ordering.satisfies ordering required_order)
-  then with_final_sort env required_order e
-  else e
+  with_final_sort env required_order
+    (of_descriptor ~tree ~optree ~ordering (of_optree env optree))
 
 (* ---------------------------------------------------------------- *)
 (* Incremental, bounded costing (the DP hot path).
@@ -128,27 +127,35 @@ let evaluate ?(required_order = P.Ordering.none) (env : Env.t) tree =
    would.  Between the two steps the candidate's work is bounded from
    below and compared with the caller's limit: pipe, tree and sync
    never lose work, so a candidate over the limit is dropped before any
-   composition.  Pricing stops at a [candidate]: the cost, ordering and
-   operators, but no join tree — the tree, its key and the eval record
-   are built by [admit], which a DP calls only for the candidates it
-   keeps.  The materialized variant of a join is derived from the
-   pipelined one ([materialized_twin]), and the node-id renumbering —
-   the one walk over the whole tree — is left to [numbered], which the
-   DP runs only on the plans it keeps.  Every arithmetic operation on a
-   priced plan runs on the same values in the same order as the
-   from-scratch path, so the results are bit-identical.
+   composition.  [price_join] stops at a [candidate]: the cost, ordering
+   and operators, but no join tree — the tree, its key and the eval
+   record are built by [admit], which a DP calls only for the
+   candidates it keeps.  The materialized variant of a join is derived
+   from the pipelined one ([materialized_twin]), and the node-id
+   renumbering — the one walk over the whole tree — is left to
+   [numbered], which the DP runs only on the plans it keeps.  Every
+   arithmetic operation on a priced plan runs on the same values in the
+   same order as the from-scratch path, so the results are
+   bit-identical.
 
    What a join's new operators cost splits in two.  The inner entry —
    the root's base, the inner plan's descriptor piped through the inner
    side's bases and the bound's inner term — depends on the inner plan,
    the method and the clone degree alone; the outer entry — the
-   outer side's bases, their compositions and the outer term — on the
-   method, the clone degree and the outer plan's class
+   outer side's bases, their compositions, the outer term and the key
+   — on the method, the clone degree and the outer plan's class
    ([outer_shape_equal]).  Both are kept as flat float rows in the
    scratch ([Descriptor.rows]), so the joins of one extension compute
-   each entry once and compose only the outer side and the root per
-   candidate, into the scratch; [price_join] fills both entries from its
-   one join and copies the result out. *)
+   each entry once.  An outer plan piped through an entry's side is
+   kept in the entry's last row, stamped with the plan, so the joins of
+   one memo plan compose it once per entry.  Each join then costs one
+   kernel pass over its root, into the scratch's view ([price]): no
+   expansion, no record.  The view's measures and rows are what pruning
+   metrics read, the entry's key what their refinements compare, so a
+   join is tested before anything of it is built, and [build] expands
+   and builds only a join its cover admits.  [price_join] fills both
+   entries from its one join, composes with the same kernel and copies
+   the result out. *)
 
 type join_context = Parqo_optree.Expand.context
 
@@ -159,24 +166,70 @@ let join_context (env : Env.t) ~outer ~inner =
     invalid_arg "Costmodel: relation used more than once";
   Parqo_optree.Expand.context env.estimator ~outer ~inner
 
-(* Row slots: three for composing a candidate's outer side and two for
-   an inner side's bases while they are composed; then the entries'
-   rows, allocated as entries are filled and forgotten with them: per
-   inner entry the root's base and, unless the root probes a bare
-   index, the composed inner descriptor after it; per outer entry the
-   outer side's bases, bottom-most first.  Entry 0 of each table is
-   [price_join]'s, which gives its rows back when it returns. *)
+type key = {
+  ordering : P.Ordering.t;
+  partition : P.Ordering.col option;
+  clone : int;
+}
+
+let key_of (e : _ priced) =
+  {
+    ordering = e.ordering;
+    partition = e.optree.Op.partition;
+    clone = e.optree.Op.clone;
+  }
+
+let no_key = { ordering = P.Ordering.none; partition = None; clone = 0 }
+
+(* Row slots: two for composing a side, one for the outer plan of the
+   joins priced now, and two for an inner side's bases while they are
+   composed; then the entries' rows, allocated as entries are filled and
+   forgotten with them: per inner entry the root's base and, unless the root probes a
+   bare index, the composed inner descriptor after it; per outer entry
+   the outer side's bases, bottom-most first, and, if there are any,
+   the outer plan composed through them.  Entry 0 of each table is
+   [price_join]'s, which fills it anew on every call and gives its rows
+   back when it returns. *)
 let tmp_a = 0
 let tmp_b = 1
-let left = 2
+let plan_row = 2
 let side_rows = 3
 let entry_rows = 5
 
-type scratch = {
+type view = {
+  rows : Descriptor.view;
+  mutable twin : bool;
+  mutable shows : shows;
+}
+
+(* what the rows hold: an evaluated plan, or the join last priced in an
+   extension *)
+and shows = Nothing | Plan of eval | Join of extension
+
+and extension = {
+  scratch : scratch;
+  env : Env.t;
+  ctx : join_context;
+  inner : eval array;
+  methods : P.Join_method.t array;
+  clones : int array;
+  limit : float;
+  keys : key array;  (* per outer entry, made as it is filled *)
+  mutable outer : eval option;  (* the outer plan of the joins priced now *)
+  mutable at_inner : int;  (* the join the view shows: inner plan, *)
+  mutable at_method : int;  (* method, clone degree (indices) *)
+  mutable at_clone : int;
+  mutable at_out : int;  (* and outer entry *)
+  mutable root : Op.node option;  (* its root operator, once expanded *)
+}
+
+and scratch = {
   ds : Descriptor.scratch;
-  rows : Descriptor.rows;
+  store : Descriptor.rows;
+  view : view;
   mutable next : int;  (* the first row no entry holds *)
   mutable stamp : int;  (* the loaded extension; entries stamped so are valid *)
+  mutable plan : int;  (* the outer plan in [plan_row] *)
   mutable in_stamp : int array;
   mutable in_row : int array;
   mutable in_free : bool array;  (* the root probes a bare index *)
@@ -187,19 +240,28 @@ type scratch = {
       (* the side's operator count, plus 4 (8) when its first (second)
          operator, bottom-most first, is materialized *)
   mutable out_term : float array;
+  mutable out_plan : int array;
+      (* the outer plan the entry's composed side is of ([plan]) *)
   mutable flags : int;  (* [store_side]'s materialized operators *)
   work : float array;  (* [| [store_side]'s base work sum |] *)
 }
 
 let scratch (env : Env.t) =
   let dim = env.placement.Placement.dim in
-  let rows = Descriptor.rows dim in
-  Descriptor.rows_reserve rows entry_rows;
+  let store = Descriptor.rows dim in
+  Descriptor.rows_reserve store entry_rows;
   {
     ds = Descriptor.scratch dim;
-    rows;
+    store;
+    view =
+      {
+        rows = Descriptor.rows_view store;
+        twin = false;
+        shows = Nothing;
+      };
     next = entry_rows;
     stamp = 0;
+    plan = 0;
     in_stamp = [| -1 |];
     in_row = [| 0 |];
     in_free = [| false |];
@@ -208,9 +270,12 @@ let scratch (env : Env.t) =
     out_row = [| 0 |];
     out_side = [| 0 |];
     out_term = [| 0. |];
+    out_plan = [| -1 |];
     flags = 0;
     work = [| 0. |];
   }
+
+let view s = s.view
 
 (* Forget every entry, with room for [n_in] inner and [n_out] outer
    ones. *)
@@ -227,7 +292,8 @@ let reset s ~n_in ~n_out =
     s.out_stamp <- Array.make n (-1);
     s.out_row <- Array.make n 0;
     s.out_side <- Array.make n 0;
-    s.out_term <- Array.make n 0.
+    s.out_term <- Array.make n 0.;
+    s.out_plan <- Array.make n (-1)
   end;
   s.next <- entry_rows;
   s.stamp <- s.stamp + 1
@@ -236,7 +302,7 @@ let reset s ~n_in ~n_out =
 let take s n =
   let k = s.next in
   s.next <- k + n;
-  Descriptor.rows_reserve s.rows s.next;
+  Descriptor.rows_reserve s.store s.next;
   k
 
 (* The bound is a sum of non-negative terms, each a float sum over the
@@ -244,7 +310,7 @@ let take s n =
    a few ulps.  A relative slack far above that keeps rounding from ever
    rejecting a plan whose priced work is within the limit. *)
 let slack = 1e-9
-let over_limit ~limit bound = bound > limit *. (1. +. slack)
+let[@inline] over_limit ~limit bound = bound > limit *. (1. +. slack)
 
 (* The number of new operators on one side: the unary chain from
    [node] down to the grafted child [stop].  Expansion adds at most two
@@ -271,23 +337,22 @@ let rec store_side s (env : Env.t) ~first stop (node : Op.node) =
     | [ c ] ->
       let j = store_side s env ~first stop c in
       let b = Opcost.base env.placement env.estimator node in
-      Descriptor.set_row s.rows (first + j) b;
+      Descriptor.set_row s.store (first + j) b;
       if node.Op.composition = Op.Materialized then
         s.flags <- s.flags lor (1 lsl j);
       s.work.(0) <- s.work.(0) +. Descriptor.work b;
       j + 1
     | _ -> invalid_arg "Costmodel: join side is not a unary chain"
 
-(* [d] piped bottom-up through the [n] side bases from slot [first] into
-   slot [dst], synced after each materialized one — [of_optree]'s unary
-   case, node by node *)
-let compose_side s (env : Env.t) d ~first ~n ~flags ~dst =
-  let rows = s.rows and p = env.dparams in
-  Descriptor.set_row rows (if n = 0 then dst else tmp_a) d;
+(* Slot [src] piped bottom-up through the [n > 0] side bases from slot
+   [first] into slot [dst], synced after each materialized one —
+   [of_optree]'s unary case, node by node *)
+let compose_side s (env : Env.t) ~src ~first ~n ~flags ~dst =
+  let rows = s.store and p = env.dparams in
   for j = 0 to n - 1 do
-    let src = if j = 0 then tmp_a else tmp_b in
+    let from = if j = 0 then src else tmp_b in
     let out = if j = n - 1 then dst else tmp_b in
-    Descriptor.pipe_row s.ds p rows ~src ~cons:(first + j) ~dst:out;
+    Descriptor.pipe_row s.ds p rows ~src:from ~cons:(first + j) ~dst:out;
     if flags land (1 lsl j) <> 0 then Descriptor.sync_row rows out
   done
 
@@ -307,13 +372,15 @@ let fill_inner s (env : Env.t) root (ie : eval) i =
   let free = Opcost.nl_inner_is_free root in
   let row = take s (if free then 1 else 2) in
   let rb = Opcost.base env.placement env.estimator root in
-  Descriptor.set_row s.rows row rb;
+  Descriptor.set_row s.store row rb;
   s.flags <- 0;
   s.work.(0) <- Descriptor.work rb;
   let n = store_side s env ~first:side_rows ie.optree r in
-  if not free then
-    compose_side s env ie.descriptor ~first:side_rows ~n ~flags:s.flags
-      ~dst:(row + 1);
+  if not free then begin
+    Descriptor.set_row s.store (if n = 0 then row + 1 else tmp_a) ie.descriptor;
+    compose_side s env ~src:tmp_a ~first:side_rows ~n ~flags:s.flags
+      ~dst:(row + 1)
+  end;
   s.in_row.(i) <- row;
   s.in_free.(i) <- free;
   s.in_term.(i) <- (if free then s.work.(0) else s.work.(0) +. ie.work);
@@ -324,39 +391,42 @@ let fill_inner s (env : Env.t) root (ie : eval) i =
 let fill_outer s (env : Env.t) root (oe : eval) o =
   let l = child root 0 in
   let n = side_length oe.optree l in
-  let first = take s n in
+  let first = take s (if n = 0 then 0 else n + 1) in
   s.flags <- 0;
   s.work.(0) <- 0.;
   ignore (store_side s env ~first oe.optree l);
   s.out_row.(o) <- first;
   s.out_side.(o) <- n lor (s.flags lsl 2);
   s.out_term.(o) <- s.work.(0);
+  s.out_plan.(o) <- -1;
   s.out_stamp.(o) <- s.stamp
 
 (* the bound: outer work + outer term + inner term *)
-let bound_of s ~(outer : eval) ~o ~i =
+let[@inline] bound_of s ~(outer : eval) ~o ~i =
   outer.work +. s.out_term.(o) +. s.in_term.(i)
 
-(* The candidate over [root]: [oe]'s descriptor piped through outer
-   entry [o]'s side, then with inner entry [i]'s root base — piped when
-   the root probes a bare index, else in a [tree] with the composed
-   inner descriptor.  Its descriptor views the scratch. *)
-let compose s (env : Env.t) ctx root ~method_ ~clone ~(outer : eval) ~o ~i =
+(* The join of the descriptor in slot [src], the outer plan [s.plan]
+   stamps, piped through outer entry [o]'s side — into the entry's last
+   row, unless it already holds that plan's — with inner entry [i]'s
+   root base: piped when the root probes a bare index, else in a [tree]
+   with the composed inner descriptor.  Into the view. *)
+let compose s (env : Env.t) ~src ~o ~i =
   let side = s.out_side.(o) in
-  compose_side s env outer.descriptor ~first:s.out_row.(o) ~n:(side land 3)
-    ~flags:(side lsr 2) ~dst:left;
+  let n = side land 3 in
+  let l = if n = 0 then src else s.out_row.(o) + n in
+  if n > 0 && s.out_plan.(o) <> s.plan then begin
+    compose_side s env ~src ~first:s.out_row.(o) ~n ~flags:(side lsr 2)
+      ~dst:l;
+    s.out_plan.(o) <- s.plan
+  end;
   let row = s.in_row.(i) and p = env.dparams in
-  let descriptor =
-    if s.in_free.(i) then Descriptor.pipe_view s.ds p s.rows ~src:left ~cons:row
-    else
-      Descriptor.tree_view s.ds p s.rows ~l:left ~r:(row + 1) ~root:row
-  in
-  let ordering =
-    P.Props.join_ordering method_ ~clone
-      ~outer_key:(Lazy.from_val ctx.Parqo_optree.Expand.outer_key)
-      ~outer:(Lazy.from_val outer.ordering)
-  in
-  of_descriptor ~tree:() ~optree:root ~ordering descriptor
+  if s.in_free.(i) then Descriptor.pipe_view s.ds p s.store ~src:l ~cons:row
+  else Descriptor.tree_view s.ds p s.store ~l ~r:(row + 1) ~root:row
+
+let join_ordering (ctx : join_context) ~method_ ~clone (outer : eval) =
+  P.Props.join_ordering method_ ~clone
+    ~outer_key:(Lazy.from_val ctx.Parqo_optree.Expand.outer_key)
+    ~outer:(Lazy.from_val outer.ordering)
 
 let expand (env : Env.t) ctx ~method_ ~clone (oe : eval) (ie : eval) =
   Parqo_optree.Expand.expand_join ~config:env.expand_config ctx ~method_
@@ -380,71 +450,185 @@ let price_join ~scratch:s ~limit (env : Env.t) (ctx : join_context) ~method_
   fill_outer s env root oe 0;
   let c =
     if over_limit ~limit (bound_of s ~outer:oe ~o:0 ~i:0) then None
-    else
-      let c = compose s env ctx root ~method_ ~clone ~outer:oe ~o:0 ~i:0 in
-      Some { c with descriptor = Descriptor.copy c.descriptor }
+    else begin
+      Descriptor.set_row s.store tmp_a oe.descriptor;
+      compose s env ~src:tmp_a ~o:0 ~i:0;
+      s.view.twin <- false;
+      s.view.shows <- Nothing;
+      let v = s.view.rows in
+      Some
+        {
+          tree = ();
+          optree = root;
+          descriptor = Descriptor.of_view v ~twin:false;
+          response_time = v.Descriptor.m.Descriptor.last_time;
+          work = v.Descriptor.m.Descriptor.work;
+          ordering = join_ordering ctx ~method_ ~clone oe;
+        }
+    end
   in
   s.next <- next;
   c
 
-type extension = {
-  scratch : scratch;
-  env : Env.t;
-  ctx : join_context;
-  inner : eval array;
-  methods : P.Join_method.t array;
-  clones : int array;
-  limit : float;
-}
-
 let extension scratch (env : Env.t) ctx ~inner ~methods ~clones ~classes
     ~limit =
   let slots = Array.length methods * Array.length clones in
-  reset scratch
-    ~n_in:(1 + (Array.length inner * slots))
-    ~n_out:(1 + (classes * slots));
-  { scratch; env; ctx; inner; methods; clones; limit }
+  let n_out = 1 + (classes * slots) in
+  reset scratch ~n_in:(1 + (Array.length inner * slots)) ~n_out;
+  {
+    scratch;
+    env;
+    ctx;
+    inner;
+    methods;
+    clones;
+    limit;
+    keys = Array.make n_out no_key;
+    outer = None;
+    at_inner = 0;
+    at_method = 0;
+    at_clone = 0;
+    at_out = 0;
+    root = None;
+  }
 
 (* the entry of inner plan (or outer class) [k] under method [mi] and
    clone degree [ki] *)
 let entry x k ~mi ~ki =
   1 + (((k * Array.length x.methods) + mi) * Array.length x.clones) + ki
 
+(* Make [outer] the outer plan of the joins priced next: its descriptor
+   into the plan row, under a new plan stamp. *)
+let select x (outer : eval) =
+  match x.outer with
+  | Some p when p == outer -> ()
+  | _ ->
+    let s = x.scratch in
+    x.outer <- Some outer;
+    s.plan <- s.plan + 1;
+    Descriptor.set_row s.store plan_row outer.descriptor
+
 (* Fill entries [i] and [o] unless the loaded extension already has
-   them, expanding the join to do so: the join's root if it was
-   expanded. *)
+   them, expanding the join of [outer] to do so, with the key of [o]:
+   the join's root if it was expanded. *)
 let fill x ~outer ~inner ~mi ~ki ~i ~o =
   let s = x.scratch in
   if s.in_stamp.(i) = s.stamp && s.out_stamp.(o) = s.stamp then None
   else begin
     let ie = x.inner.(inner) in
-    let root =
-      expand x.env x.ctx ~method_:x.methods.(mi) ~clone:x.clones.(ki) outer ie
-    in
+    let method_ = x.methods.(mi) and clone = x.clones.(ki) in
+    let root = expand x.env x.ctx ~method_ ~clone outer ie in
     if s.in_stamp.(i) <> s.stamp then fill_inner s x.env root ie i;
-    if s.out_stamp.(o) <> s.stamp then fill_outer s x.env root outer o;
+    if s.out_stamp.(o) <> s.stamp then begin
+      fill_outer s x.env root outer o;
+      x.keys.(o) <-
+        {
+          ordering = join_ordering x.ctx ~method_ ~clone outer;
+          partition = root.Op.partition;
+          clone = root.Op.clone;
+        }
+    end;
     Some root
   end
 
 let bound x ~outer ~outer_class ~inner ~method_:mi ~clone:ki =
   let i = entry x inner ~mi ~ki and o = entry x outer_class ~mi ~ki in
+  select x outer;
   ignore (fill x ~outer ~inner ~mi ~ki ~i ~o);
   bound_of x.scratch ~outer ~o ~i
 
 let price x ~outer ~outer_class ~inner ~method_:mi ~clone:ki =
   let i = entry x inner ~mi ~ki and o = entry x outer_class ~mi ~ki in
+  select x outer;
   let root = fill x ~outer ~inner ~mi ~ki ~i ~o in
   let s = x.scratch in
-  if over_limit ~limit:x.limit (bound_of s ~outer ~o ~i) then None
+  if over_limit ~limit:x.limit (bound_of s ~outer ~o ~i) then false
   else begin
-    let method_ = x.methods.(mi) and clone = x.clones.(ki) in
-    let root =
-      match root with
-      | Some root -> root
-      | None -> expand x.env x.ctx ~method_ ~clone outer x.inner.(inner)
-    in
-    Some (compose s x.env x.ctx root ~method_ ~clone ~outer ~o ~i)
+    compose s x.env ~src:plan_row ~o ~i;
+    x.at_inner <- inner;
+    x.at_method <- mi;
+    x.at_clone <- ki;
+    x.at_out <- o;
+    x.root <- root;
+    let v = s.view in
+    v.twin <- false;
+    (match v.shows with Join y when y == x -> () | _ -> v.shows <- Join x);
+    true
   end
+
+let show (v : view) (e : eval) =
+  Descriptor.load v.rows e.descriptor;
+  v.twin <- false;
+  v.shows <- Plan e
+
+let eval_view (e : eval) =
+  let v =
+    {
+      rows =
+        Descriptor.view
+          (Parqo_util.Vecf.dim e.descriptor.Descriptor.rl.Rvec.work);
+      twin = false;
+      shows = Nothing;
+    }
+  in
+  show v e;
+  v
+
+let twin (v : view) =
+  match v.shows with
+  | Join _ when not v.twin -> v.twin <- true
+  | _ -> invalid_arg "Costmodel.twin: the view shows no pipelined join"
+
+(* the join the view shows, priced in [x]: its root operator, expanded
+   once *)
+let joined_root x =
+  match x.root with
+  | Some root -> root
+  | None ->
+    let root =
+      expand x.env x.ctx ~method_:x.methods.(x.at_method)
+        ~clone:x.clones.(x.at_clone) (Option.get x.outer)
+        x.inner.(x.at_inner)
+    in
+    x.root <- Some root;
+    root
+
+let materialized (root : Op.node) =
+  { root with Op.composition = Op.Materialized }
+
+let key (v : view) =
+  match v.shows with
+  | Plan e -> key_of e
+  | Join x -> x.keys.(x.at_out)
+  | Nothing -> invalid_arg "Costmodel.key: an empty view"
+
+let view_optree (v : view) =
+  match v.shows with
+  | Plan e -> e.optree
+  | Join x ->
+    let root = joined_root x in
+    if v.twin then materialized root else root
+  | Nothing -> invalid_arg "Costmodel.view_optree: an empty view"
+
+let build (v : view) : eval =
+  match v.shows with
+  | Plan e -> e
+  | Join x ->
+    let root = joined_root x in
+    let outer = Option.get x.outer and inner = x.inner.(x.at_inner) in
+    let twin = v.twin in
+    let m = v.rows.Descriptor.m in
+    {
+      tree =
+        P.Join_tree.join ~clone:x.clones.(x.at_clone) ~materialize:twin
+          x.methods.(x.at_method) ~outer:outer.tree ~inner:inner.tree;
+      optree = (if twin then materialized root else root);
+      descriptor = Descriptor.of_view v.rows ~twin;
+      response_time = m.Descriptor.last_time;
+      work = m.Descriptor.work;
+      ordering = x.keys.(x.at_out).ordering;
+    }
+  | Nothing -> invalid_arg "Costmodel.build: an empty view"
 
 (* The outer side's new operators read the outer root's clone degree,
    partitioning and kind (an exchange), its cardinality and width, and
@@ -505,7 +689,7 @@ let admit ~outer ~inner (c : candidate) : eval =
         ~materialize:(root.Op.composition = Op.Materialized)
         (method_of_root root) ~outer:outer.tree ~inner:inner.tree
     in
-    { c with tree; descriptor = Descriptor.copy c.descriptor }
+    { c with tree }
   | _ -> invalid_arg "Costmodel.admit: not a join of these plans"
 
 let numbered e = { e with optree = Parqo_optree.Expand.renumber e.optree }

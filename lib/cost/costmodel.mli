@@ -54,6 +54,15 @@ val evaluate :
 val required_order : Env.t -> Parqo_plan.Ordering.t
 (** The query's ORDER BY as an ordering (empty when absent). *)
 
+val with_final_sort : Env.t -> Parqo_plan.Ordering.t -> eval -> eval
+(** [with_final_sort env required e]: [e] with {!evaluate}'s final sort
+    for [required] on top, unless [e]'s ordering already satisfies it
+    ([e] itself then): the sort (and merge) descriptors are piped onto
+    [e]'s descriptor, which is reused, not recomputed.  When [e] equals
+    [evaluate env e.tree] — as every numbered incremental eval does — the
+    result equals [evaluate ~required_order:required env e.tree], bit for
+    bit. *)
+
 (** {2 Incremental, bounded pricing}
 
     The DP hot path: a candidate is a join of two plans already
@@ -86,8 +95,8 @@ val join_context :
     between them.  Raises [Invalid_argument] when the sets intersect. *)
 
 type scratch
-(** Descriptor buffers sized to the environment's machine, and the
-    entry tables below; owned by one domain. *)
+(** Descriptor rows sized to the environment's machine, the entry
+    tables below and a {!view}; owned by one domain. *)
 
 val scratch : Env.t -> scratch
 
@@ -108,17 +117,17 @@ val price_join :
     [infinity] to price unconditionally) — so [None] implies the priced
     work exceeds [limit].  The operator tree is {e unnumbered} — the new
     nodes carry id 0 — until {!numbered}.  It fills the two entries
-    below from its one join, and its candidate owns its descriptor.
-    Raises [Invalid_argument] when the plans are not over the context's
-    relation sets. *)
+    below from its one join, composes it with the kernel {!price} uses,
+    and its candidate owns its descriptor; the scratch's view then shows
+    nothing.  Raises [Invalid_argument] when the plans are not over the
+    context's relation sets. *)
 
 val admit : outer:eval -> inner:eval -> candidate -> eval
-(** [admit ~outer ~inner c] builds the eval of a join {!price_join} or
-    {!price} priced over [outer] and [inner] (or its
-    {!materialized_twin}): its join tree, with method, clone degree and
-    materialization read off [c]'s root operator, the tree's key, and a
-    copy of [c]'s descriptor.  Raises [Invalid_argument] unless [c]'s
-    root grafts [outer]'s and [inner]'s operator trees. *)
+(** [admit ~outer ~inner c] builds the eval of a join {!price_join}
+    priced over [outer] and [inner] (or its {!materialized_twin}): its
+    join tree, with method, clone degree and materialization read off
+    [c]'s root operator, and the tree's key.  Raises [Invalid_argument]
+    unless [c]'s root grafts [outer]'s and [inner]'s operator trees. *)
 
 (** {3 Shared entries}
 
@@ -132,10 +141,13 @@ val admit : outer:eval -> inner:eval -> candidate -> eval
     set has the same cardinality).  The {e outer entry} depends only on the
     method, the clone degree and the outer plan's class under
     {!outer_shape_equal}: the outer side's base descriptors and
-    compositions, and the outer term, their base work.  A DP that
-    prices many joins of one context loads them as an {!extension}: each
-    entry is computed from the first join that needs it, and a join then
-    costs one expansion and the composition of its outer side and root.
+    compositions, the outer term, their base work, and the {!key} of
+    its joins.  A DP that prices many joins of one context loads them as
+    an {!extension}: each entry is computed from the first join that
+    needs it.  An outer plan is piped through an outer entry's side once
+    for all the joins that share them.  A join then costs one pass of
+    the kernel over its root ({!Descriptor.tree_view} or
+    {!Descriptor.pipe_view}).
 
     Entries are flat float rows in the scratch ({!Descriptor.rows}),
     reused from one extension to the next: a table holds no pointer to
@@ -163,6 +175,40 @@ val extension :
     the scratch forgets the entries of the extension it held (keeping
     their room). *)
 
+(** {3 Price, test, then build}
+
+    {!price} leaves a join in the scratch's {!view}, and nothing else:
+    a pruning metric reads its coordinates there ([Metric.fill]) and a
+    cover tests them with its {!key}.  Only a join the cover admits is
+    expanded and built ({!build}); one it rejects allocates nothing. *)
+
+type key = {
+  ordering : Parqo_plan.Ordering.t;  (** the plan's output ordering *)
+  partition : Parqo_plan.Ordering.col option;
+      (** its root operator's partitioning *)
+  clone : int;  (** and clone degree *)
+}
+(** What a metric's refinement compares ([Metric.refines]).  The joins
+    of one outer entry share it, their twins included. *)
+
+val key_of : 'tree priced -> key
+
+type shows
+(** What a view's rows hold: an evaluated plan, or the join last priced
+    in an extension. *)
+
+type view = private {
+  rows : Descriptor.view;  (** the plan's descriptor and measures *)
+  mutable twin : bool;
+      (** it shows the materialized twin of the join in [rows]: the
+          first-tuple row and time are the last-tuple ones *)
+  mutable shows : shows;
+}
+(** A plan's cost, as pruning metrics read it. *)
+
+val view : scratch -> view
+(** The scratch's view: what {!price} or {!show} left there. *)
+
 val price :
   extension ->
   outer:eval ->
@@ -170,15 +216,16 @@ val price :
   inner:int ->
   method_:int ->
   clone:int ->
-  candidate option
-(** [price x ~outer ~outer_class ~inner ~method_ ~clone] is
-    {!price_join} of [outer], of class [outer_class], with
+  bool
+(** [price x ~outer ~outer_class ~inner ~method_ ~clone] prices the
+    join {!price_join} prices of [outer], of class [outer_class], with
     [x]'s inner plan [inner] under its method [method_] and clone
-    degree [clone] (indices), bit for bit — except that its descriptor
-    {e views} the scratch: it is valid until the next pricing on the
-    scratch, and {!admit} copies it.  The bound is read from the entries
-    before the join is expanded.  Classes are the caller's: two plans
-    given one class must be {!outer_shape_equal}. *)
+    degree [clone] (indices), bit for bit, into the scratch's {!view}:
+    [false], and the view unchanged, when the bound, read from the
+    entries before any composition, exceeds the limit.  Classes are the
+    caller's: two plans given one class must be {!outer_shape_equal}.
+    The outer side is composed once per outer plan and entry, for the
+    joins priced one after the other with that plan. *)
 
 val bound :
   extension ->
@@ -189,6 +236,33 @@ val bound :
   clone:int ->
   float
 (** The work bound {!price} compares with the limit. *)
+
+val twin : view -> unit
+(** The view shows the materialized twin of the pipelined join it shows
+    (what {!materialized_twin} derives).  Raises [Invalid_argument]
+    unless it shows a join {!price}d and not yet twinned. *)
+
+val key : view -> key
+(** The key of the plan the view shows: its outer entry's, for a
+    join. *)
+
+val build : view -> eval
+(** The eval of the plan the view shows: a join (or twin) is expanded,
+    if its entries did not already, and gets its join tree, key and a
+    copy of its descriptor — bit for bit {!admit} of {!price_join}
+    (and {!materialized_twin}), unnumbered.  Raises [Invalid_argument]
+    on an empty view. *)
+
+val view_optree : view -> Parqo_optree.Op.node
+(** The operator tree of the plan the view shows, a join's expanded on
+    demand; unnumbered. *)
+
+val show : view -> eval -> unit
+(** The view shows an evaluated plan, read through its own
+    descriptor. *)
+
+val eval_view : eval -> view
+(** A fresh view showing an evaluated plan. *)
 
 val outer_shape_equal : eval -> eval -> bool
 (** [outer_shape_equal a b] for two plans over one relation set: joins

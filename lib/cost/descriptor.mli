@@ -61,39 +61,76 @@ val tree : params -> t -> t -> t -> t
 (** [tree l r root]: fronts of [l] and [r] in (contended) parallel, then
     the two residuals pipelined, piped into [root]. *)
 
-(** {2 Scratch-buffer composition}
+(** {2 The kernel}
 
-    The DP hot path evaluates [pipe]/[tree] once per candidate operator;
-    the [_s] variants below run the same arithmetic in the same order on
-    a caller-owned scratch, allocating only the vectors that escape into
-    the result.  Results are bit-identical to {!pipe}/{!tree}.  A scratch
-    must not be shared across domains. *)
+    The DP hot path evaluates [pipe]/[tree] once per candidate operator.
+    One kernel runs both, in one pass over the resources (plus, under
+    [Scale_all], a pass for each penalty, which needs its pipe's maxima
+    first): the same arithmetic in the same order as {!pipe}/{!tree} on
+    caller-owned rows, so results are bit-identical to them.  The same
+    pass takes the result's {!measures}.  A scratch must not be shared
+    across domains. *)
+
+type measures = {
+  mutable first_time : float;  (** [rf] time *)
+  mutable last_time : float;  (** [rl] time *)
+  mutable first_work : float;  (** [rf] work, summed in resource order *)
+  mutable work : float;  (** [rl] work, summed so: {!work} *)
+  mutable residual : float;
+      (** the residual [max 0 (rl - rf)] per resource, summed so *)
+  mutable busiest : float;  (** its largest coordinate *)
+  mutable twin_residual : float;  (** {!residual} of the {!sync}ed result *)
+  mutable twin_busiest : float;  (** {!busiest} of the {!sync}ed result *)
+}
+(** What pruning coordinates are made of, for a descriptor and for its
+    {!sync}, whose first-tuple row and time are its last-tuple ones.  An
+    all-float record: its fields are read and written unboxed. *)
+
+type view = {
+  fw : float array;  (** first-tuple work row *)
+  lw : float array;  (** last-tuple work row *)
+  m : measures;
+}
+(** A descriptor held in rows the view owns, with its measures. *)
+
+val view : int -> view
+(** An empty view for [dim]-resource descriptors. *)
+
+val load : view -> t -> unit
+(** The view holds the descriptor: its rows copied, its measures taken
+    as the kernel takes them. *)
+
+val of_view : view -> twin:bool -> t
+(** The descriptor the view holds, over vectors of its own; its
+    {!sync} when [twin]. *)
 
 type scratch
 
 val scratch : int -> scratch
-(** [scratch dim] allocates reusable buffers for [dim]-resource
-    machines. *)
+(** [scratch dim]: the kernel's times and measures for [dim]-resource
+    machines; a few dozen words. *)
 
 val pipe_s : scratch -> params -> t -> t -> t
-(** Scratch-backed {!pipe}. *)
+(** {!pipe} through the kernel. *)
 
 val tree_s : scratch -> params -> t -> t -> t -> t
-(** Scratch-backed {!tree}. *)
+(** {!tree} through the kernel. *)
 
 (** {2 Flat rows}
 
     A store of descriptors as flat float rows, addressed by slot, and
-    the same kernels over them: what a search keeps across the joins of
-    one extension without holding a pointer to any descriptor.  The
-    [_view] kernels write their result into the store and return a
-    descriptor that {e views} it: valid until the next [_view] call on
-    that store, and {!copy} makes it the caller's. *)
+    the kernel over them: what a search keeps across the joins of one
+    extension without holding a pointer to any descriptor.  The
+    [_view] kernels write their result into the store's {!rows_view},
+    measures included: it holds the result until the next [_view] call
+    on that store, and {!of_view} makes it the caller's. *)
 
 type rows
 
 val rows : int -> rows
 (** An empty store for [dim]-resource descriptors. *)
+
+val rows_view : rows -> view
 
 val rows_reserve : rows -> int -> unit
 (** Room for slots [0 .. n-1], keeping the slots' contents. *)
@@ -109,14 +146,11 @@ val pipe_row :
 (** [pipe_row s p r ~src ~cons ~dst]: slot [dst] becomes {!pipe} of
     slots [src] and [cons]; [dst] differs from both. *)
 
-val pipe_view : scratch -> params -> rows -> src:int -> cons:int -> t
-(** {!pipe} of two slots, viewing the store. *)
+val pipe_view : scratch -> params -> rows -> src:int -> cons:int -> unit
+(** {!pipe} of two slots, into the view. *)
 
-val tree_view : scratch -> params -> rows -> l:int -> r:int -> root:int -> t
-(** {!tree} of three slots, viewing the store. *)
-
-val copy : t -> t
-(** The descriptor over vectors of its own. *)
+val tree_view : scratch -> params -> rows -> l:int -> r:int -> root:int -> unit
+(** {!tree} of three slots, into the view. *)
 
 val response_time : t -> float
 (** [rl] time — the metric being minimized. *)

@@ -17,23 +17,26 @@
 type t = {
   name : string;
   arity : int;  (** number of numeric coordinates, constant per metric *)
-  fill : 'tree. 'tree Parqo_cost.Costmodel.priced -> float array -> unit;
-      (** write the plan's [arity] numeric coordinates (smaller is
-          better) into the buffer's prefix, allocating nothing — the
-          covers' scratch rows.  It reads only the plan's cost, never its
-          join tree, so a priced candidate is filled before it is
-          built *)
+  fill : Parqo_cost.Costmodel.view -> float array -> unit;
+      (** write the [arity] numeric coordinates (smaller is better) of
+          the plan a view shows into the buffer's prefix — the covers'
+          scratch rows.  It reads the kernel's measures where they
+          suffice ([work], [response_time], and [descriptor] and
+          [resource_vector] over one group), the view's rows otherwise,
+          and only [expected_makespan] reads the operator tree, which a
+          priced join expands on demand; every other fill allocates
+          nothing.  So a join is tested before it is built, and a join
+          and its twin are filled from one pricing *)
   refines :
-    (Parqo_cost.Costmodel.candidate -> Parqo_cost.Costmodel.candidate -> bool)
-    option;
+    (Parqo_cost.Costmodel.key -> Parqo_cost.Costmodel.key -> bool) option;
       (** extra dominance requirement, e.g. ordering subsumption — on
-          the covers' keys, the plans' costs *)
+          the covers' keys *)
 }
 
-val dominates :
-  t -> 'a Parqo_cost.Costmodel.priced -> 'b Parqo_cost.Costmodel.priced -> bool
+val dominates : t -> Parqo_cost.Costmodel.eval -> Parqo_cost.Costmodel.eval -> bool
 (** [dominates m a b]: [a] is at least as good as [b] in every dimension
-    — the relation a {!Cover} over [fill] and [refines] maintains. *)
+    — the relation a {!Cover} over [fill] and [refines] maintains, read
+    through views of the plans' own descriptors. *)
 
 val n_dims : t -> Parqo_cost.Costmodel.eval -> int
 (** [l], the dimensionality on a given plan (constant per machine). *)

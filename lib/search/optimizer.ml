@@ -68,9 +68,8 @@ let minimize_work_with_orders ?(config = Space.default_config)
     (Podp.optimize ~shape ~config ~metric:(Metric.with_ordering Metric.work)
        ~rank:work ~domains ?pool env)
 
-let minimize_response_time ?(config = Space.default_config)
-    ?(shape = Left_deep) ?metric ?(bound = Bounds.Unbounded) ?rank
-    ?(budget = Budget.unlimited) ?(domains = 1) ?pool (env : Env.t) =
+let response_time_search ~config ~shape ?metric ~bound ?rank ~budget ~domains
+    ?pool (env : Env.t) =
   let metric = match metric with Some m -> m | None -> default_metric env in
   let rank =
     match rank with
@@ -127,7 +126,9 @@ let minimize_response_time ?(config = Space.default_config)
   in
   (* ORDER BY: re-price the final candidates with the required output
      ordering (adding the final sort where an interesting order does not
-     already deliver it) and re-select under the adjusted bound *)
+     already deliver it) and re-select under the adjusted bound.  Each
+     plan's own eval takes the sort: the same eval [evaluate] would give,
+     without re-expanding or re-costing the plan below it *)
   (match best with
   | Some b ->
     Log.debug (fun m ->
@@ -140,7 +141,7 @@ let minimize_response_time ?(config = Space.default_config)
     { best; work_optimal; cover; stats; work_stats = Some work_phase.stats;
       gave_up }
   else begin
-    let adjust (e : Cm.eval) = Cm.evaluate ~required_order:required env e.Cm.tree in
+    let adjust = Cm.with_final_sort env required in
     let work_optimal = Option.map adjust work_optimal in
     let cover = List.map adjust cover in
     let admits =
@@ -162,6 +163,31 @@ let minimize_response_time ?(config = Space.default_config)
     { best; work_optimal; cover; stats; work_stats = Some work_phase.stats;
       gave_up }
   end
+
+(* A bushy search runs both phases on the pool: without one, a pool of
+   its own brackets them, and its spawns are counted once, in the
+   response-time phase's stats. *)
+let minimize_response_time ?(config = Space.default_config)
+    ?(shape = Left_deep) ?metric ?(bound = Bounds.Unbounded) ?rank
+    ?(budget = Budget.unlimited) ?(domains = 1) ?pool (env : Env.t) =
+  let search ?pool () =
+    response_time_search ~config ~shape ?metric ~bound ?rank ~budget ~domains
+      ?pool env
+  in
+  match (shape, pool) with
+  | Bushy, None ->
+    Parqo_util.Domain_pool.with_pool ~domains (fun pool ->
+        let o = search ~pool () in
+        let s = o.stats.Search_stats.pool in
+        o.stats.Search_stats.pool <-
+          {
+            s with
+            Parqo_util.Domain_pool.spawned =
+              s.Parqo_util.Domain_pool.spawned
+              + (Parqo_util.Domain_pool.stats pool).Parqo_util.Domain_pool.spawned;
+          };
+        o)
+  | _ -> search ?pool ()
 
 let minimize_under_contention ?config ?shape ?bound ?budget ?domains ?pool
     ~pressure (env : Env.t) =

@@ -75,8 +75,15 @@ val minimize_response_time :
 
     [domains] (default 1) parallelizes the partial-order phase, and the
     bushy work phase, across an OCaml 5 domain pool; [pool] supplies a
-    persistent pool instead of creating one per call.  The chosen plan
+    persistent pool instead of creating one per call.  A bushy search
+    without [pool] runs both phases on one pool of its own, whose
+    spawns its response-time phase's [stats] count.  The chosen plan
     is bit-identical to the sequential run (see {!Podp.optimize}).
+
+    With an ORDER BY, the final cover, [best] and [work_optimal] carry
+    the final sort their ordering does not already deliver, put on each
+    plan's own eval ({!Parqo_cost.Costmodel.with_final_sort}): each
+    equals [Costmodel.evaluate ~required_order] of its tree.
 
     Only the left-deep work phase stays outside budget and pool: it runs
     on {!Dp}, whose incumbent bound rejects most candidates before they

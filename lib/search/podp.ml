@@ -57,7 +57,7 @@ let arena_push a e =
    owner through [free]. *)
 type part = {
   mutable subset : int;  (** index of the subset in its level *)
-  cover : (Cm.candidate, Cm.eval) Cover.t;
+  cover : (Cm.key, Cm.eval) Cover.t;
   mutable considered : int;
   mutable generated : int;
   mutable rejected : int;  (** of [generated], rejected by the work bound *)
@@ -86,8 +86,9 @@ let skipped = 2
 type lane = {
   mutable parts : part array;
   mutable n_parts : int;
-  merged : (Cm.candidate, Cm.eval) Cover.t;
+  merged : (Cm.key, Cm.eval) Cover.t;
   arena : arena;
+  view : Cm.view;  (** its scratch's: what a priced candidate is read by *)
   mutable ext : int;  (** loaded extension, index in the pass; -1: none *)
   mutable price_plan : int -> unit;  (** prices memo plan [i] of [ext] *)
   mutable part : part;  (** where the priced candidates go: its newest *)
@@ -108,24 +109,25 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
      (Cm.extension, over a join context computed once per extension),
      with the memo plans grouped into classes (Cm.outer_shape_equal):
      what a join's new operators cost is computed once per (inner plan,
-     method, clone) and once per (class, method, clone), and a candidate
-     costs one expansion and the composition of its outer side and root
-     (Cm.price).  The memo arena and the level-1 access evaluations are
-     the children's cache:
-     nothing is looked up by key.  A priced candidate is tested against
-     the partial cover before it is built: its coordinates are filled
-     from its cost, and only a candidate the cover admits gets its join
-     tree, key and eval (Cm.admit, which copies its descriptor out of
-     the scratch).  Each materialized candidate is the twin of the
-     pipelined one generated just before it (Cm.materialized_twin),
-     tested after that one has entered, and operator trees are numbered
-     only when a plan enters the memo.  Under a work cap a candidate is
-     bounded from the entries before it is expanded.  With [plan_cache]
-     off every candidate is evaluated from scratch instead — the
-     reference the incremental path is bit-identical to. *)
-  let scratches =
-    if plan_cache then Array.init width (fun _ -> Cm.scratch env) else [||]
-  in
+     method, clone) and once per (class, method, clone), and a memo
+     plan's outer side once per (class, method, clone) of its unit.  The
+     memo arena and the level-1 access evaluations are the children's
+     cache: nothing is looked up by key.  Price, test, then build: a
+     candidate is priced into the lane's view in one kernel pass
+     (Cm.price), its coordinates are filled from the view and tested
+     against the partial cover with its outer entry's key, and only a
+     candidate the cover admits is expanded and built (Cm.build, which
+     copies its descriptor out of the view); a rejected one allocates
+     nothing.  Each materialized candidate is the twin of the pipelined
+     one generated just before it (Cm.twin: the same pricing, read with
+     its first-tuple row as its last), tested after that one has
+     entered, and operator trees are numbered only when a plan enters
+     the memo.  Under a work cap a candidate is bounded from the entries
+     before anything is composed.  With [plan_cache] off every candidate
+     is evaluated from scratch instead, and read through a view of its
+     own descriptor — the reference the incremental path is
+     bit-identical to. *)
+  let scratches = Array.init width (fun _ -> Cm.scratch env) in
   let limit =
     match work_cap with None -> infinity | Some cap -> cap +. 1e-9
   in
@@ -149,9 +151,10 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
   let new_cover () =
     Cover.create ~n_dims:metric.Metric.arity ?refines:metric.Metric.refines ()
   in
-  let cover_add cover e =
-    metric.Metric.fill e (Cover.scratch cover);
-    ignore (Cover.add cover (Cm.without_tree e) e)
+  let cover_add view cover e =
+    Cm.show view e;
+    metric.Metric.fill view (Cover.scratch cover);
+    ignore (Cover.add cover (Cm.key view) e)
   in
   let new_part () =
     {
@@ -166,12 +169,13 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
   in
   let no_part = new_part () in
   let lanes =
-    Array.init width (fun _ ->
+    Array.init width (fun w ->
         {
           parts = [||];
           n_parts = 0;
           merged = new_cover ();
           arena = arena_create ();
+          view = Cm.view scratches.(w);
           ext = -1;
           price_plan = ignore;
           part = no_part;
@@ -262,7 +266,7 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
       (fun e ->
         Search_stats.generated stats 1;
         incr l1_ticks;
-        if admissible e then cover_add cover e)
+        if admissible e then cover_add lanes.(0).view cover e)
       access_evals.(rel);
     apply_beam cover;
     Search_stats.observe_cover stats (Cover.size cover);
@@ -286,26 +290,21 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
       lane.ticks <- 0
     end
   in
-  (* Count a candidate, then test it: within the cap and, its
-     coordinates filled, not covered by the lane's partial cover.  The
-     caller builds an admitted candidate's eval and [enter]s it. *)
-  let admits lane c =
-    let part = lane.part in
+  (* Count the candidate the lane's view shows, then test it: within
+     the cap and, its coordinates filled, not covered by the lane's
+     partial cover; only then is it built and entered. *)
+  let offer lane =
+    let part = lane.part and v = lane.view in
     part.generated <- part.generated + 1;
     tick lane;
-    admissible c
-    && begin
-      metric.Metric.fill c (Cover.scratch part.cover);
-      not (Cover.is_covered part.cover c)
-    end
-  in
-  let enter lane c e = Cover.insert lane.part.cover ~tag:lane.tag c e in
-  (* a priced join of [p] and [a], built only if admitted; the cover
-     keeps the built plan's cost, not the scratch's *)
-  let offer lane p a c =
-    if admits lane c then begin
-      let e = Cm.admit ~outer:p ~inner:a c in
-      enter lane (Cm.without_tree e) e
+    if
+      (not bounded)
+      || v.Cm.rows.Parqo_cost.Descriptor.m.Parqo_cost.Descriptor.work <= limit
+    then begin
+      metric.Metric.fill v (Cover.scratch part.cover);
+      let k = Cm.key v in
+      if not (Cover.is_covered part.cover k) then
+        Cover.insert part.cover ~tag:lane.tag k (Cm.build v)
     end
   in
   (* a candidate over the cap, and its materialized twin (same work) *)
@@ -342,24 +341,24 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
             (Cm.join_context env ~outer ~inner)
             ~inner:inners ~methods ~clones ~classes ~limit
         in
-        fun p ~outer_class a ~inner ~mi ~ki ->
-          match
-            Cm.price x ~outer:p ~outer_class ~inner ~method_:mi ~clone:ki
-          with
-          | Some c ->
-            offer lane p a c;
-            if twins then offer lane p a (Cm.materialized_twin c)
-          | None -> reject lane
+        fun p ~outer_class _ ~inner ~mi ~ki ->
+          if Cm.price x ~outer:p ~outer_class ~inner ~method_:mi ~clone:ki
+          then begin
+            offer lane;
+            if twins then begin
+              Cm.twin lane.view;
+              offer lane
+            end
+          end
+          else reject lane
       end
       else fun p ~outer_class:_ a ~inner:_ ~mi ~ki ->
         let evaluate materialize =
-          let e =
-            Cm.evaluate env
-              (Parqo_plan.Join_tree.join ~clone:clones.(ki) ~materialize
-                 methods.(mi) ~outer:p.Cm.tree ~inner:a.Cm.tree)
-          in
-          let c = Cm.without_tree e in
-          if admits lane c then enter lane c e
+          Cm.show lane.view
+            (Cm.evaluate env
+               (Parqo_plan.Join_tree.join ~clone:clones.(ki) ~materialize
+                  methods.(mi) ~outer:p.Cm.tree ~inner:a.Cm.tree));
+          offer lane
         in
         evaluate false;
         if twins then evaluate true

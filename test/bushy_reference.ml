@@ -120,8 +120,8 @@ let optimize_po ?(config = Space.default_config)
   in
   let add stats cover e =
     if admissible e then begin
-      metric.Metric.fill e (Cover.scratch cover);
-      ignore (Cover.add cover (Cm.without_tree e) e);
+      metric.Metric.fill (Cm.eval_view e) (Cover.scratch cover);
+      ignore (Cover.add cover (Cm.key_of e) e);
       Search_stats.observe_cover stats (Cover.size cover)
     end
   in

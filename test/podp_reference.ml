@@ -268,8 +268,8 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
           ?refines:metric.Metric.refines ())
   in
   let cover_add cover e =
-    metric.Metric.fill e (Cover.scratch cover);
-    ignore (Cover.add cover (Cm.without_tree e) e)
+    metric.Metric.fill (Cm.eval_view e) (Cover.scratch cover);
+    ignore (Cover.add cover (Cm.key_of e) e)
   in
   (* The memo: one contiguous slice of the coordinator's arena per
      subset mask, in the cover's [elements] order (newest first).  Memo

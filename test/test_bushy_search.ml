@@ -303,6 +303,22 @@ let tiny_budget_gives_up () =
          (Parqo.Bitset.full 5))
   | None -> Alcotest.fail "no plan"
 
+(* Without a pool, a bushy [minimize_response_time] brackets one pool
+   around both phases: its spawns are counted once, in the
+   response-time phase's stats, and the work phase spawns none (each
+   phase spawned a pool of its own before) *)
+let one_pool_for_both_phases () =
+  let env = env_of G.Chain 4 in
+  let o = Opt.minimize_response_time ~shape:S.Bushy ~domains:2 env in
+  let spawned (s : Stats.t) = s.Stats.pool.Parqo.Domain_pool.spawned in
+  Alcotest.(check int)
+    "the response-time phase counts the pool's spawns"
+    (min 2 (Domain.recommended_domain_count ()) - 1)
+    (spawned o.Opt.stats);
+  match o.Opt.work_stats with
+  | Some w -> Alcotest.(check int) "the work phase spawns none" 0 (spawned w)
+  | None -> Alcotest.fail "no work-phase stats"
+
 let suite =
   ( "bushy",
     [
@@ -315,4 +331,5 @@ let suite =
       t "matches the reference at widths 1, 2, 3, 8" matches_reference;
       t "domains 2 match domains 1" two_domains_match_one;
       t "tiny budget gives up and still plans" tiny_budget_gives_up;
+      t "one pool for both phases" one_pool_for_both_phases;
     ] )

@@ -203,7 +203,7 @@ let fill_matches_formula () =
             List.iter
               (fun ((m : Mt.t), formula) ->
                 let row = Array.make m.Mt.arity nan in
-                m.Mt.fill e row;
+                m.Mt.fill (Cm.eval_view e) row;
                 Alcotest.(check (list int64))
                   (Printf.sprintf "%s, %s" mname m.Mt.name)
                   (List.map Int64.bits_of_float (formula e))

@@ -107,6 +107,51 @@ let executor_orders_rows () =
   Alcotest.(check bool) "rows sorted by payload" true (sorted values);
   Alcotest.(check bool) "non-empty" true (values <> [])
 
+(* property: with an ORDER BY, the optimizer's final cover, best plan
+   and work-optimal plan take the final sort on their own evals, and
+   each equals [Cm.evaluate ~required_order] of its tree — Int64-exact
+   on response time, work and both descriptor rows, operator ids
+   included — on random queries, some of whose plans need the sort *)
+let adjusted_plans_equal_evaluate () =
+  let rng = Parqo.Rng.create 71 in
+  let sorted = ref 0 and plans = ref 0 in
+  let machine = Parqo.Machine.shared_nothing ~nodes:4 () in
+  for i = 1 to 12 do
+    let catalog, q = G.random rng ~n:(2 + (i mod 3)) () in
+    match q.Q.joins with
+    | [] -> ()
+    | p :: _ ->
+      let query =
+        Q.create
+          ~relations:(Array.to_list q.Q.relations)
+          ~joins:q.Q.joins ~selections:q.Q.selections
+          ~order_by:[ (if i mod 2 = 0 then p.Q.left else p.Q.right) ]
+          ()
+      in
+      let env = Parqo.Env.create ~machine ~catalog ~query () in
+      let required = Cm.required_order env in
+      let o =
+        Parqo.Optimizer.minimize_response_time
+          ~config:(Parqo.Space.parallel_config machine)
+          ~bound:(Parqo.Bounds.Throughput_degradation 2.) env
+      in
+      let same what (e : Cm.eval) =
+        incr plans;
+        (match e.Cm.optree.Parqo.Op.kind with
+        | Parqo.Op.Sort _ -> incr sorted
+        | _ -> ());
+        Helpers.check_eval_identical what e
+          (Cm.evaluate ~required_order:required env e.Cm.tree)
+      in
+      List.iter (same "cover entry") o.Parqo.Optimizer.cover;
+      Option.iter (same "best") o.Parqo.Optimizer.best;
+      Option.iter (same "work-optimal") o.Parqo.Optimizer.work_optimal
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "final sorts among %d plans (%d)" !plans !sorted)
+    true
+    (!sorted > 0 && !sorted < !plans)
+
 let suite =
   ( "order-by",
     [
@@ -115,4 +160,5 @@ let suite =
       t "cloned plan merges before sort" cloned_plan_merges_before_sort;
       t "optimizer respects order" optimizer_respects_order;
       t "executor orders rows" executor_orders_rows;
+      t "adjusted plans = evaluate, bit for bit" adjusted_plans_equal_evaluate;
     ] )

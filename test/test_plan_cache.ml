@@ -298,8 +298,11 @@ let bound_is_sound () =
                   ~methods:[| method_ |] ~clones:[| clone |] ~classes:1 ~limit
               in
               let price limit =
-                Cm.price (load limit) ~outer ~outer_class:0 ~inner:0
-                  ~method_:0 ~clone:0
+                if
+                  Cm.price (load limit) ~outer ~outer_class:0 ~inner:0
+                    ~method_:0 ~clone:0
+                then Some (Cm.without_tree (Cm.build (Cm.view scratch)))
+                else None
               and price_join limit =
                 Cm.price_join ~scratch ~limit env ctx ~method_ ~clone ~outer
                   ~inner
@@ -405,6 +408,45 @@ let outer_side env ctx ~method_ ~clone (p : Cm.eval) (a : Cm.eval) =
     bits
       (List.fold_left (fun acc b -> acc +. Parqo.Descriptor.work b) 0. bases) )
 
+(* Every metric of [Metric], under each refinement: what a cover
+   reads of a plan. *)
+let all_metrics env =
+  let machine = env.Parqo.Env.machine in
+  let pressure =
+    Array.init (Parqo.Machine.n_resources machine) (fun r ->
+        float_of_int (r mod 3) *. 0.25)
+  in
+  let base =
+    [
+      Mt.work;
+      Mt.response_time;
+      Mt.expected_makespan env ~fault_rate:0.1;
+      Mt.contended ~pressure;
+    ]
+    @ List.concat_map
+        (fun agg -> [ Mt.resource_vector machine agg; Mt.descriptor machine agg ])
+        [
+          Parqo.Machine.Single;
+          Parqo.Machine.By_kind;
+          Parqo.Machine.By_node;
+          Parqo.Machine.Per_resource;
+        ]
+  in
+  List.concat_map (fun m -> [ Mt.with_ordering m; Mt.with_partitioning m ]) base
+
+let coordinates (m : Mt.t) view =
+  let row = Array.make m.Mt.arity nan in
+  m.Mt.fill view row;
+  List.map bits (Array.to_list row)
+
+let key_string (k : Cm.key) =
+  Printf.sprintf "%s/%s/%d"
+    (Parqo.Ordering.to_string k.Cm.ordering)
+    (match k.Cm.partition with
+    | None -> "-"
+    | Some col -> Printf.sprintf "%d.%s" col.Parqo.Ordering.rel col.column)
+    k.Cm.clone
+
 (* property: shared pricing, and the class premise it rests on, on real
    memo plans.  For random queries on the three pricing machines, the
    reference search hands over every memo entry; for every extension
@@ -413,8 +455,12 @@ let outer_side env ctx ~method_ ~clone (p : Cm.eval) (a : Cm.eval) =
      Int64-equal outer-side base descriptors and compositions, outer
      term and ordering;
    - [Cm.price] of every memo plan, its class drawn as PODP draws it,
-     equals [Cm.price_join] bit for bit, and so do their materialized
-     twins. *)
+     leaves in the view the join [Cm.price_join] prices: for every
+     metric, under both refinements, the coordinates the view gives
+     equal [Metric.fill] on a view of the eval [Cm.build] makes, and the
+     view's key that eval's, Int64-exact — for the join and for its
+     twin; and those evals equal [Cm.admit] of [Cm.price_join]'s
+     candidate and of its twin, bit for bit. *)
 let shared_pricing_matches_price_join () =
   let rng = Parqo.Rng.create 38 in
   let shared_classes = ref 0 and priced = ref 0 in
@@ -423,6 +469,7 @@ let shared_pricing_matches_price_join () =
   let check_extension name env ~scratch ~reference ~access s_j j
       (plans : Cm.eval array) =
     let config = S.parallel_config env.Parqo.Env.machine in
+    let metrics = all_metrics env in
     let inner = Bitset.singleton j in
     let methods =
       Array.of_list (S.join_methods config ~joined:(S.connects env s_j inner))
@@ -450,6 +497,7 @@ let shared_pricing_matches_price_join () =
       Cm.extension scratch env ctx ~inner:access ~methods ~clones
         ~classes:!classes ~limit:infinity
     in
+    let view = Cm.view scratch in
     let check_join ai (a : Cm.eval) mi method_ ki clone =
       let msg i =
         Printf.sprintf "%s: plan %d of set %d joined with r%d, %s, clone %d"
@@ -476,23 +524,48 @@ let shared_pricing_matches_price_join () =
           let q = first.(cls.(i)) in
           if sides.(i) <> sides.(q) then
             Alcotest.failf "%s: outer side differs from its class's" (msg i);
-          let ordering c = Parqo.Ordering.to_string c.Cm.ordering in
+          let ordering (c : Cm.candidate) =
+            Parqo.Ordering.to_string c.Cm.ordering
+          in
           Alcotest.(check string)
             (msg i ^ ": class ordering")
             (ordering direct.(q)) (ordering direct.(i));
-          match
-            Cm.price x ~outer:p ~outer_class:cls.(i) ~inner:ai ~method_:mi
-              ~clone:ki
-          with
-          | None -> Alcotest.failf "%s: price rejected" (msg i)
-          | Some shared ->
-            incr priced;
-            if candidate_bits shared <> candidate_bits direct.(i) then
-              Alcotest.failf "%s: price <> price_join" (msg i);
-            if
-              candidate_bits (Cm.materialized_twin shared)
-              <> candidate_bits (Cm.materialized_twin direct.(i))
-            then Alcotest.failf "%s: twins differ" (msg i))
+          if
+            not
+              (Cm.price x ~outer:p ~outer_class:cls.(i) ~inner:ai ~method_:mi
+                 ~clone:ki)
+          then Alcotest.failf "%s: price rejected" (msg i);
+          incr priced;
+          (* the view's coordinates and key, then the eval built from it *)
+          let read () =
+            ( List.map (fun m -> coordinates m view) metrics,
+              key_string (Cm.key view) )
+          in
+          let check_built what (coords, key) built expected =
+            if candidate_bits (Cm.without_tree built) <> candidate_bits expected
+            then Alcotest.failf "%s: %s built <> price_join" (msg i) what;
+            let ev = Cm.eval_view built in
+            List.iter2
+              (fun (m : Mt.t) c ->
+                Alcotest.(check (list int64))
+                  (Printf.sprintf "%s: %s, %s" (msg i) what m.Mt.name)
+                  (coordinates m ev) c)
+              metrics coords;
+            Alcotest.(check string)
+              (msg i ^ ": " ^ what ^ " key")
+              (key_string (Cm.key_of built))
+              key
+          in
+          let join = read () in
+          let built = Cm.build view in
+          let twin = Cm.materialized_twin direct.(i) in
+          check_built "join" join built direct.(i);
+          Cm.twin view;
+          let twin_read = read () in
+          check_built "twin" twin_read (Cm.build view) twin;
+          Helpers.check_eval_identical (msg i ^ ": admitted join")
+            (Cm.admit ~outer:p ~inner:a direct.(i))
+            built)
         plans
     in
     Array.iteri
@@ -540,6 +613,82 @@ let shared_pricing_matches_price_join () =
     (Printf.sprintf "plans sharing a class (%d), among %d priced joins"
        !shared_classes !priced)
     true (!shared_classes > 0)
+
+(* Pricing a loaded extension's joins, filling a metric from the view
+   (for the join and for its twin) and testing the cover allocate no
+   minor words once the extension's entries are filled: a join the
+   cover rejects costs nothing on the heap.  Every metric but
+   [expected_makespan], which walks the operator tree.  The sampling's
+   own words are measured the same way and subtracted. *)
+let pricing_allocates_nothing () =
+  let env = Helpers.chain_env ~n:3 () in
+  let machine = env.Parqo.Env.machine in
+  let config = S.parallel_config machine in
+  let access rel =
+    Array.of_list (List.map (Cm.evaluate env) (S.access_plans env config rel))
+  in
+  let outer = access 0 and inner = access 1 in
+  let ctx =
+    Cm.join_context env ~outer:(Bitset.singleton 0) ~inner:(Bitset.singleton 1)
+  in
+  let methods = Array.of_list (S.join_methods config ~joined:true)
+  and clones = Array.of_list config.S.clone_degrees in
+  let scratch = Cm.scratch env in
+  let view = Cm.view scratch in
+  let x =
+    Cm.extension scratch env ctx ~inner ~methods ~clones
+      ~classes:(Array.length outer) ~limit:infinity
+  in
+  let metrics =
+    List.filter
+      (fun (m : Mt.t) -> not (String.starts_with ~prefix:"expected" m.Mt.name))
+      (all_metrics env)
+  in
+  List.iter
+    (fun (m : Mt.t) ->
+      let cover = Parqo.Cover.create ~n_dims:m.Mt.arity ?refines:m.Mt.refines () in
+      (* a few entries, so the scans run *)
+      Array.iter
+        (fun e ->
+          Cm.show view e;
+          m.Mt.fill view (Parqo.Cover.scratch cover);
+          ignore (Parqo.Cover.add cover (Cm.key view) e))
+        outer;
+      let test () =
+        m.Mt.fill view (Parqo.Cover.scratch cover);
+        ignore (Parqo.Cover.is_covered cover (Cm.key view))
+      in
+      let price_plan o p =
+        for ai = 0 to Array.length inner - 1 do
+          for mi = 0 to Array.length methods - 1 do
+            for ki = 0 to Array.length clones - 1 do
+              if
+                Cm.price x ~outer:p ~outer_class:o ~inner:ai ~method_:mi
+                  ~clone:ki
+              then begin
+                test ();
+                Cm.twin view;
+                test ()
+              end
+            done
+          done
+        done
+      in
+      (* fill every entry, then price each plan's joins again, measured *)
+      Array.iteri price_plan outer;
+      let words = ref 0. in
+      Array.iteri
+        (fun o p ->
+          (* selecting the plan is per unit, not per join *)
+          ignore (Cm.price x ~outer:p ~outer_class:o ~inner:0 ~method_:0 ~clone:0);
+          let w0 = Gc.minor_words () in
+          let w1 = Gc.minor_words () in
+          price_plan o p;
+          let w2 = Gc.minor_words () in
+          words := !words +. ((w2 -. w1) -. (w1 -. w0)))
+        outer;
+      Alcotest.(check (float 0.)) (m.Mt.name ^ ": minor words") 0. !words)
+    metrics
 
 (* the beam tie-break exercises Join_tree.key as the total order *)
 let podp_identical_cache_on_off_beamed () =
@@ -644,6 +793,8 @@ let suite =
       t "work bound is sound" bound_is_sound;
       t "shared pricing = price_join on real memo plans, classes included"
         shared_pricing_matches_price_join;
+      t "pricing and filling from the view allocate nothing"
+        pricing_allocates_nothing;
       t "podp identical under beam trim" podp_identical_cache_on_off_beamed;
       t "Join_tree.key is canonical" key_is_canonical;
       t "Plan_cache counters" plan_cache_counters;

@@ -398,6 +398,21 @@ let with_order_by (q : Parqo.Query.t) =
 let reference_cases () =
   let rng = Parqo.Rng.create 51 in
   let pick k = Parqo.Rng.int rng k in
+  (* every other small setting runs on a machine whose pipeline penalty
+     scales work, so the kernel's [Scale_all] passes are compared too *)
+  let settings = ref 0 in
+  let machine ~small =
+    incr settings;
+    if small && !settings mod 2 = 0 then
+      Parqo.Machine.shared_nothing
+        ~params:
+          {
+            Parqo.Machine.default_params with
+            Parqo.Machine.delta_scales_work = true;
+          }
+        ~nodes:4 ()
+    else Parqo.Machine.shared_nothing ~nodes:4 ()
+  in
   List.concat_map
     (fun n ->
       List.concat_map
@@ -409,9 +424,9 @@ let reference_cases () =
           in
           let order_by = Parqo.Rng.bool rng in
           let query = if order_by then with_order_by query else query in
-          let machine = Parqo.Machine.shared_nothing ~nodes:4 () in
-          let env = Parqo.Env.create ~machine ~catalog ~query () in
           let small = n <= 4 in
+          let machine = machine ~small in
+          let env = Parqo.Env.create ~machine ~catalog ~query () in
           let config =
             match pick (if small then 3 else 2) with
             | 0 -> S.default_config
@@ -444,20 +459,29 @@ let reference_cases () =
               (if config.S.materialize_choices then ", twins" else "")
               (if config.S.clone_degrees = [ 1 ] then "" else ", clones")
               (if plan_cache then "" else ", from scratch")
+            ^ if machine.Parqo.Machine.params.Parqo.Machine.delta_scales_work
+              then ", delta scales work" else ""
           in
-          (* each setting under the default metric, and under one where a
+          (* each setting under the default metric, under one where a
              join and its materialized twin tie (the same response time
              and work), so the order of their cover tests decides which
-             one stays *)
+             one stays, and those of at most three relations or under a
+             beam under a descriptor metric of several groups, which reads
+             the view's rows rather than the kernel's measures (its covers
+             grow too large to compare quickly otherwise) *)
           List.map
             (fun metric ->
               let metric = Mt.with_ordering metric in
               let label = label ^ ", " ^ metric.Mt.name in
               { label; env; config; metric; work_cap; max_cover; plan_cache })
-            [
-              Mt.descriptor machine Parqo.Machine.Single;
-              Mt.resource_vector machine Parqo.Machine.Single;
-            ])
+            ([
+               Mt.descriptor machine Parqo.Machine.Single;
+               Mt.resource_vector machine Parqo.Machine.Single;
+             ]
+            @
+            if n <= 3 || max_cover <> None then
+              [ Mt.descriptor machine Parqo.Machine.By_node ]
+            else []))
         [ Some G.Chain; Some G.Star; Some G.Cycle; Some G.Clique; None ])
     [ 2; 3; 4; 5; 6; 2; 3; 4; 5; 6 ]
 
