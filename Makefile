@@ -1,4 +1,4 @@
-.PHONY: all smoke test ci bench bench-search bench-search-smoke bench-cost bench-cost-smoke bench-replan bench-replan-smoke bench-serve bench-serve-smoke bench-sched bench-sched-smoke bench-hetero bench-hetero-smoke bench-exec bench-exec-smoke clean
+.PHONY: all smoke test ci identity-digest bench bench-search bench-search-smoke bench-cost bench-cost-smoke bench-replan bench-replan-smoke bench-serve bench-serve-smoke bench-sched bench-sched-smoke bench-hetero bench-hetero-smoke bench-exec bench-exec-smoke clean
 
 all:
 	dune build @all
@@ -12,6 +12,13 @@ test:
 
 bench:
 	dune exec bench/main.exe
+
+# rewrite the plan-identity digest the tier-1 test compares against
+# (test/digest/identity_digest.mli); a change that alters plans runs
+# this and names the lines it changed
+identity-digest:
+	dune build test/digest/print_digest.exe
+	./_build/default/test/digest/print_digest.exe > test/identity_digest.txt
 
 # domain-parallel search sweep: writes BENCH_search.json (full sweep:
 # domains 1/2/4/8 on 8-relation workloads; speedups need a multicore box)

@@ -24,7 +24,6 @@ module Rng = Parqo_util.Rng
 module Combin = Parqo_util.Combin
 module Tableau = Parqo_util.Tableau
 module Statsu = Parqo_util.Statsu
-module Pqueue = Parqo_util.Pqueue
 module Parqo_error = Parqo_util.Parqo_error
 module Domain_pool = Parqo_util.Domain_pool
 module Plan_cache = Parqo_util.Plan_cache

@@ -181,6 +181,28 @@ let key_of (e : _ priced) =
 
 let no_key = { ordering = P.Ordering.none; partition = None; clone = 0 }
 
+(* The outer plan of an extension that has priced no join yet: a plan
+   no search holds, so the first [select] loads its plan. *)
+let no_plan : eval =
+  {
+    tree = P.Join_tree.access 0;
+    optree =
+      {
+        Op.id = 0;
+        kind = Op.Seq_scan { rel = 0 };
+        children = [];
+        composition = Op.Pipelined;
+        clone = 1;
+        partition = None;
+        out_card = 0.;
+        out_width = 0.;
+      };
+    descriptor = Descriptor.zero 0;
+    response_time = 0.;
+    work = 0.;
+    ordering = P.Ordering.none;
+  }
+
 (* Row slots: two for composing a side, one for the outer plan of the
    joins priced now, and two for an inner side's bases while they are
    composed; then the entries' rows, allocated as entries are filled and
@@ -215,7 +237,7 @@ and extension = {
   clones : int array;
   limit : float;
   keys : key array;  (* per outer entry, made as it is filled *)
-  mutable outer : eval option;  (* the outer plan of the joins priced now *)
+  mutable outer : eval;  (* the outer plan of the joins priced now *)
   mutable at_inner : int;  (* the join the view shows: inner plan, *)
   mutable at_method : int;  (* method, clone degree (indices) *)
   mutable at_clone : int;
@@ -484,7 +506,7 @@ let extension scratch (env : Env.t) ctx ~inner ~methods ~clones ~classes
     clones;
     limit;
     keys = Array.make n_out no_key;
-    outer = None;
+    outer = no_plan;
     at_inner = 0;
     at_method = 0;
     at_clone = 0;
@@ -500,13 +522,12 @@ let entry x k ~mi ~ki =
 (* Make [outer] the outer plan of the joins priced next: its descriptor
    into the plan row, under a new plan stamp. *)
 let select x (outer : eval) =
-  match x.outer with
-  | Some p when p == outer -> ()
-  | _ ->
+  if x.outer != outer then begin
     let s = x.scratch in
-    x.outer <- Some outer;
+    x.outer <- outer;
     s.plan <- s.plan + 1;
     Descriptor.set_row s.store plan_row outer.descriptor
+  end
 
 (* Fill entries [i] and [o] unless the loaded extension already has
    them, expanding the join of [outer] to do so, with the key of [o]:
@@ -587,7 +608,7 @@ let joined_root x =
   | None ->
     let root =
       expand x.env x.ctx ~method_:x.methods.(x.at_method)
-        ~clone:x.clones.(x.at_clone) (Option.get x.outer)
+        ~clone:x.clones.(x.at_clone) x.outer
         x.inner.(x.at_inner)
     in
     x.root <- Some root;
@@ -615,7 +636,7 @@ let build (v : view) : eval =
   | Plan e -> e
   | Join x ->
     let root = joined_root x in
-    let outer = Option.get x.outer and inner = x.inner.(x.at_inner) in
+    let outer = x.outer and inner = x.inner.(x.at_inner) in
     let twin = v.twin in
     let m = v.rows.Descriptor.m in
     {

@@ -1,16 +1,38 @@
 (** Cover sets (§6.2): the set of pairwise-incomparable minimal elements
     kept per relation subset by the partial-order DP.
 
-    Every candidate is compared against every entry, so a cover is laid
-    out as struct-of-arrays: each entry's numeric coordinates are
+    Every candidate is tested against the cover, so a cover is laid out
+    as struct-of-arrays: each entry's numeric coordinates are
     materialized once into a flat row of a growable float array, and
     dominance tests are tight float-array loops.  [a] dominates [b] when
     [a]'s coordinates are pointwise [<=] [b]'s and, if given,
     [refines a b] holds — the metric's non-numeric refinement (ordering,
-    partitioning).
+    partitioning).  [refines] must be transitive; it need not be
+    reflexive.
 
     [add] maintains the invariant incrementally: a new element enters
     only if no entry dominates it, and evicts the entries it dominates.
+
+    {b The scan index.}  Beside the entries in insertion order (what
+    {!elements}, {!merge} and {!trim} read), a cover keeps their rows
+    again, grouped into {e key classes} — a key joins a class when it
+    and the class's key refine each other; without [refines] there is
+    one class; under a refinement that refuses everything every entry is
+    a class of its own — and, within a class, in ascending order of one
+    coordinate, the {e lead} ({!create}).  {!is_covered} asks [refines]
+    once per class, and scans a class only while the rows' leads are at
+    most the candidate's; {!insert} evicts only in the classes the
+    candidate's key refines, and only among rows whose lead is at least
+    its own.  It is exact, not a heuristic: members of a class refine
+    each other and [refines] is transitive, so a class's key refines
+    (is refined by) a key exactly when every member's does; and an entry
+    whose lead exceeds the candidate's cannot dominate it, nor can the
+    candidate dominate an entry whose lead is below its own.  A NaN
+    lead compares false both ways, so NaN rows sort after every number
+    in their class, where a scan never reaches them — no NaN row
+    dominates anything — and a NaN candidate is dominated by no entry
+    and evicts none.  Only how many rows a test reads depends on the
+    lead; covers, element order and tags do not.
 
     Each entry is a {e key}, what [refines] compares, and an {e element},
     what the cover returns.  The two are separate so that a caller can
@@ -20,8 +42,11 @@
 
 type ('k, 'a) t
 
-val create : n_dims:int -> ?refines:('k -> 'k -> bool) -> unit -> ('k, 'a) t
-(** An empty cover over [n_dims] numeric dimensions.  The handle is
+val create :
+  n_dims:int -> ?lead:int -> ?refines:('k -> 'k -> bool) -> unit -> ('k, 'a) t
+(** An empty cover over [n_dims] numeric dimensions, its scan index
+    ascending by coordinate [lead] (default 0; [0 <= lead < n_dims], or
+    [0] when [n_dims = 0], else [Invalid_argument]).  The handle is
     reusable across subsets via {!clear} and grows as needed. *)
 
 val clear : ('k, 'a) t -> unit
@@ -34,7 +59,7 @@ val scratch : ('k, 'a) t -> float array
 
 val is_covered : ('k, 'a) t -> 'k -> bool
 (** Some entry dominates the candidate with key [k] and the coordinates
-    in {!scratch}.  Allocates nothing. *)
+    in {!scratch}, found through the scan index.  Allocates nothing. *)
 
 val insert : ('k, 'a) t -> tag:int -> 'k -> 'a -> unit
 (** Enter a candidate that {!is_covered} has just found uncovered, with
@@ -60,8 +85,10 @@ val merge : into:('k, 'a) t -> ('k, 'a) t list -> unit
     order included.  It holds because dominance (pointwise [<=], with a
     transitive refinement) is transitive, and an element survives a fold
     exactly when no earlier element dominates it and no later one
-    strictly dominates it (MODEL.md §12).  Concatenating the parts, or
-    folding them part by part, does not have this property. *)
+    strictly dominates it (MODEL.md §12).  It asks nothing of the scan
+    index: which entries a fold keeps, and in what order, does not
+    depend on the order in which a test reads them.  Concatenating the
+    parts, or folding them part by part, does not have this property. *)
 
 val size : ('k, 'a) t -> int
 

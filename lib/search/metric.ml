@@ -11,6 +11,7 @@ let fmax (a : float) (b : float) = if a >= b then a else b
 type t = {
   name : string;
   arity : int;
+  lead : int;
   fill : Cm.view -> float array -> unit;
   refines : (Cm.key -> Cm.key -> bool) option;
 }
@@ -36,6 +37,7 @@ let work =
   {
     name = "work";
     arity = 1;
+    lead = 0;
     fill = (fun v dst -> dst.(0) <- v.Cm.rows.D.m.D.work);
     refines = None;
   }
@@ -44,6 +46,7 @@ let response_time =
   {
     name = "response-time";
     arity = 1;
+    lead = 0;
     fill = (fun v dst -> dst.(0) <- v.Cm.rows.D.m.D.last_time);
     refines = None;
   }
@@ -59,6 +62,7 @@ let resource_vector machine agg =
   {
     name = Printf.sprintf "resource-vector/%d" groups;
     arity = 1 + groups;
+    lead = 0;
     fill =
       (fun v dst ->
         let m = v.Cm.rows.D.m in
@@ -87,6 +91,7 @@ let descriptor machine agg =
   {
     name = Printf.sprintf "descriptor/%d" groups;
     arity = 2 + (2 * groups);
+    lead = 1;
     fill =
       (fun v dst ->
         let m = v.Cm.rows.D.m and twin = v.Cm.twin in
@@ -126,6 +131,7 @@ let expected_makespan (env : Parqo_cost.Env.t) ~fault_rate =
   {
     name = Printf.sprintf "expected-makespan/f=%.3f" fault_rate;
     arity = 2;
+    lead = 0;
     fill =
       (fun v dst ->
         let m = v.Cm.rows.D.m in
@@ -156,6 +162,7 @@ let contended ~pressure =
   {
     name = Printf.sprintf "contended/%.2f" peak;
     arity = 2;
+    lead = 0;
     fill =
       (fun v dst ->
         let m = v.Cm.rows.D.m in

@@ -17,6 +17,14 @@
 type t = {
   name : string;
   arity : int;  (** number of numeric coordinates, constant per metric *)
+  lead : int;
+      (** the coordinate, in [\[0, arity)], a cover's scan index ascends
+          by ({!Cover.create}): any lead gives the same covers, only how
+          many entries a cover test reads depends on it.  [descriptor]
+          leads with its largest residual (coordinate 1), which stops a
+          scan soonest on the [optimize] queries; the others with
+          coordinate 0.  [with_ordering] and [with_partitioning] keep
+          their base metric's *)
   fill : Parqo_cost.Costmodel.view -> float array -> unit;
       (** write the [arity] numeric coordinates (smaller is better) of
           the plan a view shows into the buffer's prefix — the covers'

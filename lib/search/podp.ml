@@ -146,10 +146,12 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
   let n = Env.n_relations env in
   let stats = Search_stats.create () in
   (* Flat covers: entry coordinates are materialized once per candidate
-     into the cover's scratch row, dominance tests run on the flat dims
-     array.  Cleared for reuse, capacity retained. *)
+     into the cover's scratch row, dominance tests run on the cover's
+     scan index, ascending by the metric's lead coordinate.  Cleared for
+     reuse, capacity retained. *)
   let new_cover () =
-    Cover.create ~n_dims:metric.Metric.arity ?refines:metric.Metric.refines ()
+    Cover.create ~n_dims:metric.Metric.arity ~lead:metric.Metric.lead
+      ?refines:metric.Metric.refines ()
   in
   let cover_add view cover e =
     Cm.show view e;

@@ -199,46 +199,6 @@ let flat_add flat ((_, dims) as p) =
   Array.blit dims 0 (C.scratch flat) 0 (Array.length dims);
   C.add flat p p
 
-(* property: over random insertion sequences (with duplicates and exact
-   ties), the flat cover accepts exactly the elements the list cover
-   accepts and keeps them in the same (newest-first) order — with and
-   without a [refines] dimension *)
-let flat_matches_list_oracle () =
-  let rng = Parqo.Rng.create 41 in
-  List.iter
-    (fun (l, range, refines) ->
-      for _ = 1 to 20 do
-        let dominates = list_dominates refines in
-        let list_cover = ref [] in
-        let flat = C.create ~n_dims:l ?refines () in
-        for id = 0 to 79 do
-          let ((_, dims) as p) = random_point rng ~id ~l ~range in
-          let expect, next = list_add dominates !list_cover p in
-          list_cover := next;
-          Alcotest.(check bool)
-            (Printf.sprintf "l=%d add %d accepted" l id)
-            expect (flat_add flat p);
-          Alcotest.(check bool)
-            (Printf.sprintf "l=%d covered query %d" l id)
-            (list_covered dominates !list_cover p)
-            (Array.blit dims 0 (C.scratch flat) 0 l;
-             C.is_covered flat p)
-        done;
-        Alcotest.(check int) "size" (List.length !list_cover) (C.size flat);
-        Alcotest.(check (list int))
-          (Printf.sprintf "l=%d same elements, same order" l)
-          (List.map fst !list_cover)
-          (List.map fst (C.elements flat))
-      done)
-    [
-      (1, 6, None);
-      (2, 8, None);
-      (3, 4, None);
-      (* refinement: dominance additionally requires the same id parity
-         (a stand-in for ordering/partitioning compatibility) *)
-      (2, 6, Some (fun (ai, _) (bi, _) -> (ai : int) mod 2 = bi mod 2));
-    ]
-
 (* property: the trim implements exactly the documented boundary
    semantics: stable sort of [elements] (newest first) by (rank, tie),
    then the [keep]-prefix, reported in ascending order.  Coarse integer
@@ -329,15 +289,29 @@ let add_at cover ~pos x =
   Array.blit x.dims 0 (C.scratch cover) 0 (Array.length x.dims);
   if not (C.is_covered cover x) then C.insert cover ~tag:pos x x
 
+(* The refinements the properties below run under: none; the prefix
+   order above; an equivalence (id parity), whose key classes have many
+   members; and a guard that refuses everything, not even reflexive,
+   under which every entry is a key class of its own. *)
+let refinements =
+  [
+    ("none", None);
+    ("prefix", Some (fun a b -> is_prefix b.ord a.ord));
+    ("parity", Some (fun a b -> a.id mod 2 = b.id mod 2));
+    ("refuse-all", Some (fun _ _ -> false));
+  ]
+
+let refinement name = List.assoc name refinements
+
 let merge_lemma () =
   let rng = Parqo.Rng.create 44 in
   List.iter
-    (fun (l, range, refined) ->
-      let refines =
-        if refined then Some (fun a b -> is_prefix b.ord a.ord) else None
-      in
-      let create () = C.create ~n_dims:l ?refines () in
+    (fun (l, range, rname) ->
+      let refines = refinement rname in
       for round = 1 to 60 do
+        (* every coordinate leads the scan index on some rounds *)
+        let lead = round mod l in
+        let create () = C.create ~n_dims:l ~lead ?refines () in
         let m = 1 + Parqo.Rng.int rng 80 in
         let nan_share = if round mod 4 = 0 then 0.15 else 0. in
         let seq =
@@ -358,12 +332,96 @@ let merge_lemma () =
         let merged = create () in
         C.merge ~into:merged parts;
         Alcotest.(check (list int))
-          (Printf.sprintf "l=%d refined=%b round %d (%d elements, %d parts)" l
-             refined round m k)
+          (Printf.sprintf "l=%d lead=%d %s round %d (%d elements, %d parts)" l
+             lead rname round m k)
           (List.map (fun x -> x.id) (C.elements whole))
           (List.map (fun x -> x.id) (C.elements merged))
       done)
-    [ (1, 4, false); (2, 4, false); (3, 3, false); (2, 4, true); (3, 3, true) ]
+    [
+      (1, 4, "none"); (2, 4, "none"); (3, 3, "none"); (2, 4, "prefix");
+      (3, 3, "prefix"); (2, 4, "parity"); (3, 3, "refuse-all");
+    ]
+
+let tagged_dominates refines a b =
+  let rec go i =
+    i >= Array.length a.dims || (a.dims.(i) <= b.dims.(i) && go (i + 1))
+  in
+  go 0 && match refines with None -> true | Some r -> r a b
+
+(* property: the flat cover, read through its scan index (key classes,
+   each scanned in ascending order of the lead coordinate, NaN leads
+   last), answers as the list oracle does, step by step: whether the
+   candidate is covered, whether it is accepted, which entries it
+   evicts, the size, and the element order (ids are the tags the
+   entries were inserted with).  Under every refinement above, every
+   lead, duplicates and exact ties on a small grid (a tied lead is where
+   a scan stops and an eviction starts) and, on a third of the rounds,
+   NaN coordinates; through a fold, a trim followed by more inserts, and
+   a clear followed by more inserts. *)
+let flat_matches_list_oracle () =
+  let rng = Parqo.Rng.create 45 in
+  let ids l = List.map (fun x -> x.id) l in
+  List.iter
+    (fun (rname, refines) ->
+      let dominates = tagged_dominates refines in
+      List.iter
+        (fun (l, range) ->
+          for lead = 0 to l - 1 do
+            for round = 1 to 6 do
+              let nan_share = if round mod 3 = 0 then 0.15 else 0. in
+              let flat = C.create ~n_dims:l ~lead ?refines () in
+              let oracle = ref [] and next_id = ref 0 in
+              let what phase =
+                Printf.sprintf "%s l=%d lead=%d round %d, %s" rname l lead
+                  round phase
+              in
+              let steps phase m =
+                for _ = 1 to m do
+                  let x = random_tagged rng ~id:!next_id ~l ~range ~nan_share in
+                  incr next_id;
+                  let what = Printf.sprintf "%s, candidate %d" (what phase) x.id in
+                  let before = ids (C.elements flat) in
+                  Array.blit x.dims 0 (C.scratch flat) 0 l;
+                  let covered = C.is_covered flat x in
+                  Alcotest.(check bool) (what ^ ": covered")
+                    (list_covered dominates !oracle x) covered;
+                  let accepted, next = list_add dominates !oracle x in
+                  if not covered then C.insert flat ~tag:x.id x x;
+                  Alcotest.(check bool) (what ^ ": accepted") accepted (not covered);
+                  let after = ids (C.elements flat) in
+                  Alcotest.(check (list int)) (what ^ ": evicted")
+                    (ids (List.filter (fun e -> not (List.memq e next)) !oracle))
+                    (List.filter (fun i -> not (List.mem i after)) before);
+                  oracle := next;
+                  Alcotest.(check int) (what ^ ": size") (List.length next)
+                    (C.size flat);
+                  Alcotest.(check (list int)) (what ^ ": elements") (ids next) after
+                done
+              in
+              steps "fold" 60;
+              let keep = 1 + Parqo.Rng.int rng 8 in
+              let rank x = x.dims.(0) in
+              let tie a b = compare a.id b.id in
+              C.trim ~tie flat ~keep ~rank;
+              if List.length !oracle > keep then begin
+                let cmp a b =
+                  match Float.compare (rank a) (rank b) with
+                  | 0 -> tie a b
+                  | c -> c
+                in
+                oracle :=
+                  List.filteri (fun i _ -> i < keep) (List.stable_sort cmp !oracle)
+              end;
+              Alcotest.(check (list int)) (what "trim") (ids !oracle)
+                (ids (C.elements flat));
+              steps "after trim" 40;
+              C.clear flat;
+              oracle := [];
+              steps "after clear" 40
+            done
+          done)
+        [ (1, 6); (2, 5); (2, 8); (3, 4); (4, 3) ])
+    refinements
 
 (* The dominance scans allocate nothing: a thousand dominated candidates
    tested against a filled cover, with and without a refinement, cost a

@@ -213,6 +213,51 @@ let fill_matches_formula () =
       done)
     machines
 
+(* A cover's scan index ascends by the metric's lead coordinate, so it
+   must be one of the metric's coordinates; and a refinement keeps its
+   base metric's lead. *)
+let lead_within_arity () =
+  List.iter
+    (fun nodes ->
+      let env = Helpers.chain_env () in
+      let machine = Parqo.Machine.shared_nothing ~nodes () in
+      let pressure = Array.make (Parqo.Machine.n_resources machine) 0.5 in
+      let base =
+        [
+          Mt.work;
+          Mt.response_time;
+          Mt.expected_makespan env ~fault_rate:0.1;
+          Mt.contended ~pressure;
+        ]
+        @ List.concat_map
+            (fun agg -> [ Mt.resource_vector machine agg; Mt.descriptor machine agg ])
+            [
+              Parqo.Machine.Single;
+              Parqo.Machine.By_kind;
+              Parqo.Machine.By_node;
+              Parqo.Machine.Per_resource;
+            ]
+      in
+      List.iter
+        (fun (m : Mt.t) ->
+          List.iter
+            (fun (r : Mt.t) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: lead %d in [0, %d)" r.Mt.name r.Mt.lead
+                   r.Mt.arity)
+                true
+                (0 <= r.Mt.lead && r.Mt.lead < r.Mt.arity);
+              Alcotest.(check int) (r.Mt.name ^ ": base metric's lead") m.Mt.lead
+                r.Mt.lead)
+            [
+              m;
+              Mt.with_ordering m;
+              Mt.with_partitioning m;
+              Mt.with_ordering (Mt.with_partitioning m);
+            ])
+        base)
+    [ 1; 4 ]
+
 let suite =
   ( "metric",
     [
@@ -224,4 +269,5 @@ let suite =
       t "Theorem 1: work satisfies PO" theorem1_work_po;
       t "Theorem 2: RT violates PO" theorem2_rt_violation;
       t "fill matches the formula, bit for bit" fill_matches_formula;
+      t "every metric's lead lies within its arity" lead_within_arity;
     ] )

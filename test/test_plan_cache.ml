@@ -616,8 +616,9 @@ let shared_pricing_matches_price_join () =
 
 (* Pricing a loaded extension's joins, filling a metric from the view
    (for the join and for its twin) and testing the cover allocate no
-   minor words once the extension's entries are filled: a join the
-   cover rejects costs nothing on the heap.  Every metric but
+   minor words once the extension's entries are filled, whether or not
+   the outer plan changes: a join the cover rejects costs nothing on the
+   heap.  Every metric but
    [expected_makespan], which walks the operator tree.  The sampling's
    own words are measured the same way and subtracted. *)
 let pricing_allocates_nothing () =
@@ -687,7 +688,17 @@ let pricing_allocates_nothing () =
           let w2 = Gc.minor_words () in
           words := !words +. ((w2 -. w1) -. (w1 -. w0)))
         outer;
-      Alcotest.(check (float 0.)) (m.Mt.name ^ ": minor words") 0. !words)
+      Alcotest.(check (float 0.)) (m.Mt.name ^ ": minor words") 0. !words;
+      (* and with the plans changing inside the sample: each plan's
+         first join selects it *)
+      let w0 = Gc.minor_words () in
+      let w1 = Gc.minor_words () in
+      Array.iteri price_plan outer;
+      let w2 = Gc.minor_words () in
+      Alcotest.(check (float 0.))
+        (m.Mt.name ^ ": minor words, plans selected while sampled")
+        0.
+        ((w2 -. w1) -. (w1 -. w0)))
     metrics
 
 (* the beam tie-break exercises Join_tree.key as the total order *)
