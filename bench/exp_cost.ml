@@ -145,7 +145,7 @@ let optimize ?work_cap ~shape ~plan_cache ~domains env =
    throughput degradation 2 over the work-phase optimum *)
 let session_work_cap env =
   let config = Parqo.Space.parallel_config env.Parqo.Env.machine in
-  match (Parqo.Dp.optimize ~config env).Parqo.Dp.best with
+  match (Parqo.Optimizer.minimize_work ~config env).Parqo.Optimizer.best with
   | Some wo ->
     Parqo.Bounds.partial_work_cap (Parqo.Bounds.Throughput_degradation 2.)
       ~work_opt:wo.Cm.work ~rt_opt:wo.Cm.response_time

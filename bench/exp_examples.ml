@@ -66,8 +66,8 @@ let example3 () =
   (* end-to-end through the full cost model on the CTR/CI database *)
   let catalog, query, machine = Sc.ctr_ci () in
   let env = Parqo.Env.create ~machine ~catalog ~query () in
-  let objective (e : _ Parqo.Costmodel.priced) = e.Parqo.Costmodel.response_time in
-  let naive = Parqo.Dp.optimize ~objective env in
+  let objective (e : Parqo.Costmodel.eval) = e.Parqo.Costmodel.response_time in
+  let naive = Parqo.Podp.optimize ~metric:Parqo.Metric.response_time env in
   let metric = Parqo.Metric.descriptor machine Parqo.Machine.Per_resource in
   let po = Parqo.Podp.optimize ~metric env in
   let brute = Parqo.Brute.leftdeep ~objective env in
@@ -80,7 +80,7 @@ let example3 () =
       ~title:"E3b. Search on the CTR/CI database (full cost model, two disks)"
       ~columns:[ ("algorithm", T.Left); ("best RT found", T.Right) ]
   in
-  T.add_row tbl2 [ "Figure 1 DP with naive RT metric"; Common.cell (rt naive.Parqo.Dp.best) ];
+  T.add_row tbl2 [ "Figure 1 DP with naive RT metric"; Common.cell (rt naive.Parqo.Podp.best) ];
   T.add_row tbl2 [ "Figure 2 partial-order DP"; Common.cell (rt po.Parqo.Podp.best) ];
   T.add_row tbl2 [ "exhaustive (ground truth)"; Common.cell (rt brute.Parqo.Brute.best) ];
   T.print tbl2

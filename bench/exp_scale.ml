@@ -39,8 +39,9 @@ let run () =
         [
           ( "DP work (Figure 1)",
             fun () ->
-              let r = Parqo.Dp.optimize ~config env in
-              (r.Parqo.Dp.best, r.Parqo.Dp.stats.Parqo.Search_stats.generated) );
+              let r = Parqo.Optimizer.minimize_work ~config env in
+              ( r.Parqo.Optimizer.best,
+                r.Parqo.Optimizer.stats.Parqo.Search_stats.generated ) );
           ( "poDP left-deep (beam 16)",
             fun () ->
               let r = Parqo.Podp.optimize ~config ~metric ~max_cover:16 env in

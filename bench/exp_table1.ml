@@ -33,7 +33,7 @@ let leftdeep () =
                (Parqo.Brute.leftdeep ~config:S.minimal_config env).Parqo.Brute.n_plans)
         else "-"
       in
-      let dp = Parqo.Dp.optimize ~config:S.minimal_config env in
+      let dp = Parqo.Optimizer.minimize_work ~config:S.minimal_config env in
       let metric =
         Parqo.Metric.descriptor env.Parqo.Env.machine Parqo.Machine.Single
       in
@@ -44,9 +44,9 @@ let leftdeep () =
           Common.cell (Parqo.Combin.leftdeep_space n);
           brute_plans;
           Common.cell (Parqo.Combin.dp_leftdeep_time n);
-          Common.celli dp.Parqo.Dp.stats.Stats.considered;
+          Common.celli dp.Parqo.Optimizer.stats.Stats.considered;
           Common.cell (Parqo.Combin.dp_leftdeep_space n);
-          Common.celli dp.Parqo.Dp.stats.Stats.stored_peak;
+          Common.celli dp.Parqo.Optimizer.stats.Stats.stored_peak;
           Common.celli podp.Parqo.Podp.stats.Stats.considered;
           Common.celli podp.Parqo.Podp.stats.Stats.cover_max;
         ])

@@ -39,7 +39,9 @@ let make_tests () =
            ignore (Parqo.Cover.pareto ~n_dims:4 ~fill:fill4 points)));
     Test.make ~name:"search/DP-work clique-6 (Table 1)"
       (Staged.stage (fun () ->
-           ignore (Parqo.Dp.optimize ~config:Parqo.Space.minimal_config clique6)));
+           ignore
+             (Parqo.Optimizer.minimize_work ~config:Parqo.Space.minimal_config
+                clique6)));
     Test.make ~name:"search/poDP chain-4 parallel space"
       (Staged.stage (fun () ->
            ignore

@@ -73,7 +73,6 @@ module Explain = Parqo_cost.Explain
 module Space = Parqo_search.Space
 module Metric = Parqo_search.Metric
 module Cover = Parqo_search.Cover
-module Dp = Parqo_search.Dp
 module Podp = Parqo_search.Podp
 module Brute = Parqo_search.Brute
 module Greedy = Parqo_search.Greedy

@@ -2,19 +2,14 @@ module Op = Parqo_optree.Op
 module P = Parqo_plan
 module Bitset = Parqo_util.Bitset
 
-type 'tree priced = {
-  tree : 'tree;
+type eval = {
+  tree : P.Join_tree.t;
   optree : Op.node;
   descriptor : Descriptor.t;
   response_time : float;
   work : float;
   ordering : P.Ordering.t;
 }
-
-type eval = P.Join_tree.t priced
-type candidate = unit priced
-
-let without_tree c = { c with tree = () }
 
 let rec reuse_find node = function
   | [] -> None
@@ -118,25 +113,17 @@ let evaluate ?(required_order = P.Ordering.none) (env : Env.t) tree =
 
    Every candidate a DP prices is a join of sub-plans it already
    evaluated — a memoized plan and an access plan, or two memoized
-   plans in a bushy search — so pricing from the
-   children's evaluations costs O(new root operators): the new root
-   operators are expanded over the children's operator trees
-   (Expand.expand_join, over a context computed once per pair of
-   relation sets), their base descriptors are computed, and only then
-   composed onto the children's descriptors exactly as [of_optree]
-   would.  Between the two steps the candidate's work is bounded from
-   below and compared with the caller's limit: pipe, tree and sync
-   never lose work, so a candidate over the limit is dropped before any
-   composition.  [price_join] stops at a [candidate]: the cost, ordering
-   and operators, but no join tree — the tree, its key and the eval
-   record are built by [admit], which a DP calls only for the
-   candidates it keeps.  The materialized variant of a join is derived
-   from the pipelined one ([materialized_twin]), and the node-id
-   renumbering — the one walk over the whole tree — is left to
-   [numbered], which the DP runs only on the plans it keeps.  Every
-   arithmetic operation on a priced plan runs on the same values in the
-   same order as the from-scratch path, so the results are
-   bit-identical.
+   plans in a bushy search — so pricing from the children's evaluations
+   costs O(new root operators): the new root operators are expanded over
+   the children's operator trees (Expand.expand_join, over a context
+   computed once per pair of relation sets), their base descriptors are
+   computed, and only then composed onto the children's descriptors
+   exactly as [of_optree] would.  Between the two steps the candidate's
+   work is bounded from below and compared with the extension's limit:
+   pipe, tree and sync never lose work, so a candidate over the limit
+   is dropped before any composition.  Every arithmetic operation on a
+   priced plan runs on the same values in the same order as the
+   from-scratch path, so the results are bit-identical.
 
    What a join's new operators cost splits in two.  The inner entry —
    the root's base, the inner plan's descriptor piped through the inner
@@ -153,9 +140,10 @@ let evaluate ?(required_order = P.Ordering.none) (env : Env.t) tree =
    expansion, no record.  The view's measures and rows are what pruning
    metrics read, the entry's key what their refinements compare, so a
    join is tested before anything of it is built, and [build] expands
-   and builds only a join its cover admits.  [price_join] fills both
-   entries from its one join, composes with the same kernel and copies
-   the result out. *)
+   and builds only a join its cover admits.  The materialized variant
+   of a join is read off the pipelined one's pricing ([twin]), and the
+   node-id renumbering — the one walk over the whole tree — is left to
+   [numbered], which a DP runs only on the plans it keeps. *)
 
 type join_context = Parqo_optree.Expand.context
 
@@ -172,7 +160,7 @@ type key = {
   clone : int;
 }
 
-let key_of (e : _ priced) =
+let key_of (e : eval) =
   {
     ordering = e.ordering;
     partition = e.optree.Op.partition;
@@ -209,9 +197,7 @@ let no_plan : eval =
    forgotten with them: per inner entry the root's base and, unless the root probes a
    bare index, the composed inner descriptor after it; per outer entry
    the outer side's bases, bottom-most first, and, if there are any,
-   the outer plan composed through them.  Entry 0 of each table is
-   [price_join]'s, which fills it anew on every call and gives its rows
-   back when it returns. *)
+   the outer plan composed through them. *)
 let tmp_a = 0
 let tmp_b = 1
 let plan_row = 2
@@ -235,7 +221,7 @@ and extension = {
   inner : eval array;
   methods : P.Join_method.t array;
   clones : int array;
-  limit : float;
+  mutable limit : float;
   keys : key array;  (* per outer entry, made as it is filled *)
   mutable outer : eval;  (* the outer plan of the joins priced now *)
   mutable at_inner : int;  (* the join the view shows: inner plan, *)
@@ -284,15 +270,15 @@ let scratch (env : Env.t) =
     next = entry_rows;
     stamp = 0;
     plan = 0;
-    in_stamp = [| -1 |];
-    in_row = [| 0 |];
-    in_free = [| false |];
-    in_term = [| 0. |];
-    out_stamp = [| -1 |];
-    out_row = [| 0 |];
-    out_side = [| 0 |];
-    out_term = [| 0. |];
-    out_plan = [| -1 |];
+    in_stamp = [||];
+    in_row = [||];
+    in_free = [||];
+    in_term = [||];
+    out_stamp = [||];
+    out_row = [||];
+    out_side = [||];
+    out_term = [||];
+    out_plan = [||];
     flags = 0;
     work = [| 0. |];
   }
@@ -456,47 +442,11 @@ let expand (env : Env.t) ctx ~method_ ~clone (oe : eval) (ie : eval) =
     ~outer_ordering:(Lazy.from_val oe.ordering)
     ~inner_ordering:(Lazy.from_val ie.ordering)
 
-let check_sides (ctx : join_context) oe ie =
-  if
-    not
-      (Bitset.equal (P.Join_tree.relations oe.tree) ctx.outer_rels
-      && Bitset.equal (P.Join_tree.relations ie.tree) ctx.inner_rels)
-  then invalid_arg "Costmodel.price_join: plans outside the join context"
-
-let price_join ~scratch:s ~limit (env : Env.t) (ctx : join_context) ~method_
-    ~clone ~outer:oe ~inner:ie =
-  check_sides ctx oe ie;
-  let root = expand env ctx ~method_ ~clone oe ie in
-  let next = s.next in
-  fill_inner s env root ie 0;
-  fill_outer s env root oe 0;
-  let c =
-    if over_limit ~limit (bound_of s ~outer:oe ~o:0 ~i:0) then None
-    else begin
-      Descriptor.set_row s.store tmp_a oe.descriptor;
-      compose s env ~src:tmp_a ~o:0 ~i:0;
-      s.view.twin <- false;
-      s.view.shows <- Nothing;
-      let v = s.view.rows in
-      Some
-        {
-          tree = ();
-          optree = root;
-          descriptor = Descriptor.of_view v ~twin:false;
-          response_time = v.Descriptor.m.Descriptor.last_time;
-          work = v.Descriptor.m.Descriptor.work;
-          ordering = join_ordering ctx ~method_ ~clone oe;
-        }
-    end
-  in
-  s.next <- next;
-  c
-
 let extension scratch (env : Env.t) ctx ~inner ~methods ~clones ~classes
     ~limit =
   let slots = Array.length methods * Array.length clones in
-  let n_out = 1 + (classes * slots) in
-  reset scratch ~n_in:(1 + (Array.length inner * slots)) ~n_out;
+  let n_out = classes * slots in
+  reset scratch ~n_in:(Array.length inner * slots) ~n_out;
   {
     scratch;
     env;
@@ -517,7 +467,9 @@ let extension scratch (env : Env.t) ctx ~inner ~methods ~clones ~classes
 (* the entry of inner plan (or outer class) [k] under method [mi] and
    clone degree [ki] *)
 let entry x k ~mi ~ki =
-  1 + (((k * Array.length x.methods) + mi) * Array.length x.clones) + ki
+  (((k * Array.length x.methods) + mi) * Array.length x.clones) + ki
+
+let set_limit x limit = x.limit <- limit
 
 (* Make [outer] the outer plan of the joins priced next: its descriptor
    into the plan row, under a new plan stamp. *)
@@ -665,53 +617,6 @@ let outer_shape_equal a b =
   && ra.Op.partition = rb.Op.partition
   && exchange ra = exchange rb
   && P.Ordering.equal a.ordering b.ordering
-
-(* [Expand.expand_join] sets the requested composition on the root
-   operator only, [Opcost.base] never reads it, and [of_optree] applies
-   [sync] to the root's combined descriptor last: so the materialized
-   join is the pipelined one with its root flipped and [sync] applied.
-   [sync] keeps [rl], hence response time and work, bit for bit. *)
-let materialized_twin (c : candidate) =
-  match c.optree with
-  | {
-   Op.composition = Op.Pipelined;
-   kind = Op.Hash_probe | Op.Merge_join | Op.Nl_join;
-   _;
-  } ->
-    {
-      c with
-      optree = { c.optree with Op.composition = Op.Materialized };
-      descriptor = Descriptor.sync c.descriptor;
-    }
-  | _ -> invalid_arg "Costmodel.materialized_twin: not a pipelined join"
-
-(* the join method whose expansion has this root (Expand.expand_join) *)
-let method_of_root (root : Op.node) =
-  match root.Op.kind with
-  | Op.Hash_probe -> P.Join_method.Hash_join
-  | Op.Merge_join -> P.Join_method.Sort_merge
-  | Op.Nl_join -> P.Join_method.Nested_loops
-  | _ -> invalid_arg "Costmodel.admit: not a join"
-
-(* [node]'s unary chain reaches the grafted operator tree [stop] *)
-let rec grafts stop (node : Op.node) =
-  node == stop
-  || match node.Op.children with [ c ] -> grafts stop c | _ -> false
-
-(* The join tree is read off the candidate's root operator — method,
-   clone degree and composition — over the children it grafts, so an
-   eval can only be built with the tree that was priced. *)
-let admit ~outer ~inner (c : candidate) : eval =
-  let root = c.optree in
-  match root.Op.children with
-  | [ l; r ] when grafts outer.optree l && grafts inner.optree r ->
-    let tree =
-      P.Join_tree.join ~clone:root.Op.clone
-        ~materialize:(root.Op.composition = Op.Materialized)
-        (method_of_root root) ~outer:outer.tree ~inner:inner.tree
-    in
-    { c with tree }
-  | _ -> invalid_arg "Costmodel.admit: not a join of these plans"
 
 let numbered e = { e with optree = Parqo_optree.Expand.renumber e.optree }
 

@@ -2,29 +2,17 @@
     (§5): descriptors are combined bottom-up with [pipe], [tree] and
     [sync] exactly as the calculus prescribes. *)
 
-type 'tree priced = {
-  tree : 'tree;
+type eval = {
+  tree : Parqo_plan.Join_tree.t;
   optree : Parqo_optree.Op.node;
   descriptor : Descriptor.t;
   response_time : float;
   work : float;
   ordering : Parqo_plan.Ordering.t;
 }
-(** A costed plan: its operator-tree expansion, the resource descriptor,
-    the derived response time, total work and output ordering — and,
-    once it is built, its join tree. *)
-
-type eval = Parqo_plan.Join_tree.t priced
-(** A fully-costed plan: the join tree and its cost. *)
-
-type candidate = unit priced
-(** A join priced by {!price_join} and not yet built: everything an
-    {!eval} holds but the join tree, its key and the record that holds
-    them.  Pruning metrics read only this much ([Metric.fill]), so a DP
-    tests a candidate before it builds it ({!admit}). *)
-
-val without_tree : 'tree priced -> candidate
-(** The cost of a plan, as a candidate. *)
+(** A fully-costed plan: the join tree, its operator-tree expansion, the
+    resource descriptor, the derived response time, total work and
+    output ordering. *)
 
 val of_optree :
   ?reuse:(Parqo_optree.Op.node * Descriptor.t) list ->
@@ -67,8 +55,10 @@ val with_final_sort : Env.t -> Parqo_plan.Ordering.t -> eval -> eval
 
     The DP hot path: a candidate is a join of two plans already
     evaluated, priced in O(new root operators) from their evaluations —
-    and, when a limit is given, bounded before it is composed.  Pricing
-    yields a {!candidate}; {!admit} builds its eval.  Results are
+    and, when a limit is given, bounded before it is composed.  A DP
+    loads the joins it prices between two relation sets as an
+    {!extension}, prices each into the scratch's {!view} ({!price}),
+    and builds the eval of a join it keeps ({!build}).  Results are
     bit-identical to {!evaluate} of the same tree once {!numbered}.
 
     {b The bound.}  The new operators' base descriptors are computed
@@ -91,43 +81,14 @@ val join_context :
   outer:Parqo_util.Bitset.t ->
   inner:Parqo_util.Bitset.t ->
   join_context
-(** Computed once per pair of sets, then passed to every {!price_join}
-    between them.  Raises [Invalid_argument] when the sets intersect. *)
+(** Computed once per pair of sets, then passed to the {!extension} of
+    their joins.  Raises [Invalid_argument] when the sets intersect. *)
 
 type scratch
 (** Descriptor rows sized to the environment's machine, the entry
     tables below and a {!view}; owned by one domain. *)
 
 val scratch : Env.t -> scratch
-
-val price_join :
-  scratch:scratch ->
-  limit:float ->
-  Env.t ->
-  join_context ->
-  method_:Parqo_plan.Join_method.t ->
-  clone:int ->
-  outer:eval ->
-  inner:eval ->
-  candidate option
-(** The pipelined join of two evaluated plans (its materialized variant
-    is {!materialized_twin}): the new root operators are expanded over
-    the children's operator trees, which are grafted unchanged, and only
-    they are costed.  [None] when the work bound exceeds [limit] (pass
-    [infinity] to price unconditionally) — so [None] implies the priced
-    work exceeds [limit].  The operator tree is {e unnumbered} — the new
-    nodes carry id 0 — until {!numbered}.  It fills the two entries
-    below from its one join, composes it with the kernel {!price} uses,
-    and its candidate owns its descriptor; the scratch's view then shows
-    nothing.  Raises [Invalid_argument] when the plans are not over the
-    context's relation sets. *)
-
-val admit : outer:eval -> inner:eval -> candidate -> eval
-(** [admit ~outer ~inner c] builds the eval of a join {!price_join}
-    priced over [outer] and [inner] (or its {!materialized_twin}): its
-    join tree, with method, clone degree and materialization read off
-    [c]'s root operator, and the tree's key.  Raises [Invalid_argument]
-    unless [c]'s root grafts [outer]'s and [inner]'s operator trees. *)
 
 (** {3 Shared entries}
 
@@ -175,6 +136,11 @@ val extension :
     the scratch forgets the entries of the extension it held (keeping
     their room). *)
 
+val set_limit : extension -> float -> unit
+(** [set_limit x w]: the joins {!price}d next are priced against [w].
+    A DP under a total order lowers it to its incumbent's work as the
+    incumbent improves. *)
+
 (** {3 Price, test, then build}
 
     {!price} leaves a join in the scratch's {!view}, and nothing else:
@@ -191,7 +157,7 @@ type key = {
 (** What a metric's refinement compares ([Metric.refines]).  The joins
     of one outer entry share it, their twins included. *)
 
-val key_of : 'tree priced -> key
+val key_of : eval -> key
 
 type shows
 (** What a view's rows hold: an evaluated plan, or the join last priced
@@ -218,9 +184,11 @@ val price :
   clone:int ->
   bool
 (** [price x ~outer ~outer_class ~inner ~method_ ~clone] prices the
-    join {!price_join} prices of [outer], of class [outer_class], with
-    [x]'s inner plan [inner] under its method [method_] and clone
-    degree [clone] (indices), bit for bit, into the scratch's {!view}:
+    pipelined join of [outer], of class [outer_class], with [x]'s inner
+    plan [inner] under its method [method_] and clone degree [clone]
+    (indices) into the scratch's {!view}: the new root operators are
+    costed over the children's descriptors, and the view's rows and
+    measures are those {!evaluate} gives the join's tree, bit for bit.
     [false], and the view unchanged, when the bound, read from the
     entries before any composition, exceeds the limit.  Classes are the
     caller's: two plans given one class must be {!outer_shape_equal}.
@@ -238,9 +206,15 @@ val bound :
 (** The work bound {!price} compares with the limit. *)
 
 val twin : view -> unit
-(** The view shows the materialized twin of the pipelined join it shows
-    (what {!materialized_twin} derives).  Raises [Invalid_argument]
-    unless it shows a join {!price}d and not yet twinned. *)
+(** The view shows the materialized twin of the pipelined join it shows:
+    the same join with its output materialized, derived without
+    re-expanding or re-costing.  {!Parqo_optree.Expand.expand_join}
+    sets the composition on the root operator only, no base cost reads
+    it, and {!of_optree} applies [sync] to the root's combined
+    descriptor last; so the twin's descriptor is the join's, synced, and
+    [sync] keeps the last-tuple row, hence response time and work, bit
+    for bit.  Raises [Invalid_argument] unless the view shows a join
+    {!price}d and not yet twinned. *)
 
 val key : view -> key
 (** The key of the plan the view shows: its outer entry's, for a
@@ -249,9 +223,8 @@ val key : view -> key
 val build : view -> eval
 (** The eval of the plan the view shows: a join (or twin) is expanded,
     if its entries did not already, and gets its join tree, key and a
-    copy of its descriptor — bit for bit {!admit} of {!price_join}
-    (and {!materialized_twin}), unnumbered.  Raises [Invalid_argument]
-    on an empty view. *)
+    copy of its descriptor — once {!numbered}, bit for bit {!evaluate}
+    of its tree.  Raises [Invalid_argument] on an empty view. *)
 
 val view_optree : view -> Parqo_optree.Op.node
 (** The operator tree of the plan the view shows, a join's expanded on
@@ -271,15 +244,6 @@ val outer_shape_equal : eval -> eval -> bool
     the same output ordering — the outer roots agree on clone degree,
     partitioning and kind, and the plans on their output ordering.
     Two such plans are of one class. *)
-
-val materialized_twin : candidate -> candidate
-(** [materialized_twin c] for a pipelined join [c]: the same join with
-    its output materialized, derived without re-expanding or re-costing
-    — the root operator's composition flipped to [Materialized] and the
-    descriptor [Descriptor.sync]ed, which is exactly what {!evaluate}
-    computes (the composition is set on the root only and no base cost
-    reads it).  Response time and work are [c]'s.  Raises
-    [Invalid_argument] unless [c]'s root is pipelined. *)
 
 val numbered : eval -> eval
 (** Assign the operator tree the preorder ids {!evaluate} gives (see

@@ -52,7 +52,7 @@ let slowdown_penalty env ~rate ~factor root =
         acc +. (rate *. float_of_int n *. w *. stretch /. 2.))
       0. (segments env root)
 
-let expected_response_time ?slowdown env ~fault_rate (e : _ Costmodel.priced) =
+let expected_response_time ?slowdown env ~fault_rate (e : Costmodel.eval) =
   let base =
     e.Costmodel.response_time
     +. expected_penalty env ~fault_rate e.Costmodel.optree

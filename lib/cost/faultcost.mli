@@ -40,7 +40,7 @@ val expected_response_time :
   ?slowdown:float * float ->
   Env.t ->
   fault_rate:float ->
-  'tree Costmodel.priced ->
+  Costmodel.eval ->
   float
 (** The failure-aware objective: calculus response time plus the
     expected re-execution penalty of the plan's operator tree, plus —

@@ -14,6 +14,7 @@ type t = {
   lead : int;
   fill : Cm.view -> float array -> unit;
   refines : (Cm.key -> Cm.key -> bool) option;
+  total_work : bool;
 }
 
 let dominates m (a : Cm.eval) (b : Cm.eval) =
@@ -40,6 +41,7 @@ let work =
     lead = 0;
     fill = (fun v dst -> dst.(0) <- v.Cm.rows.D.m.D.work);
     refines = None;
+    total_work = true;
   }
 
 let response_time =
@@ -49,6 +51,7 @@ let response_time =
     lead = 0;
     fill = (fun v dst -> dst.(0) <- v.Cm.rows.D.m.D.last_time);
     refines = None;
+    total_work = false;
   }
 
 (* [M.aggregate]'s groups, and each resource's, computed once: some
@@ -79,6 +82,7 @@ let resource_vector machine agg =
           done
         end);
     refines = None;
+    total_work = false;
   }
 
 (* One group: the kernel's measures are the coordinates.  Several: a
@@ -123,6 +127,7 @@ let descriptor machine agg =
         in
         dst.(1) <- fmax busiest (fmax 0. (m.D.last_time -. first_time)));
     refines = None;
+    total_work = false;
   }
 
 (* the one fill that walks the operator tree: a join's is expanded on
@@ -141,6 +146,7 @@ let expected_makespan (env : Parqo_cost.Env.t) ~fault_rate =
                (Cm.view_optree v);
         dst.(1) <- m.D.work);
     refines = None;
+    total_work = false;
   }
 
 (* [Σ_r pressure_r · work_r] added to [time] over the work row [w] *)
@@ -152,7 +158,7 @@ let[@inline] contention ~pressure (w : float array) time =
   done;
   !acc
 
-let contention_rank ~pressure (e : _ Cm.priced) =
+let contention_rank ~pressure (e : Cm.eval) =
   contention ~pressure
     (Parqo_util.Vecf.unsafe_raw (D.work_vector e.Cm.descriptor))
     e.Cm.response_time
@@ -169,6 +175,7 @@ let contended ~pressure =
         dst.(0) <- contention ~pressure v.Cm.rows.D.lw m.D.last_time;
         dst.(1) <- m.D.work);
     refines = None;
+    total_work = false;
   }
 
 let with_partitioning m =
@@ -180,7 +187,12 @@ let with_partitioning m =
     | None -> same
     | Some r -> fun a b -> r a b && same a b
   in
-  { m with name = m.name ^ "+partitioning"; refines = Some refines }
+  {
+    m with
+    name = m.name ^ "+partitioning";
+    refines = Some refines;
+    total_work = false;
+  }
 
 let with_ordering m =
   let subsumes (a : Cm.key) (b : Cm.key) =
@@ -191,6 +203,11 @@ let with_ordering m =
     | None -> subsumes
     | Some r -> fun a b -> r a b && subsumes a b
   in
-  { m with name = m.name ^ "+ordering"; refines = Some refines }
+  {
+    m with
+    name = m.name ^ "+ordering";
+    refines = Some refines;
+    total_work = false;
+  }
 
 let pp ppf m = Format.pp_print_string ppf m.name

@@ -39,6 +39,13 @@ type t = {
     (Parqo_cost.Costmodel.key -> Parqo_cost.Costmodel.key -> bool) option;
       (** extra dominance requirement, e.g. ordering subsumption — on
           the covers' keys *)
+  total_work : bool;
+      (** the metric is the total order of work — one coordinate, the
+          plan's work, no refinement — under which a cover keeps one
+          plan, so the level loop prices a subset's joins against that
+          plan's work (Figure 1's incumbent bound, {!Podp.optimize}).
+          Only {!work} sets it; [with_ordering] and [with_partitioning]
+          clear it *)
 }
 
 val dominates : t -> Parqo_cost.Costmodel.eval -> Parqo_cost.Costmodel.eval -> bool
@@ -76,7 +83,7 @@ val expected_makespan : Parqo_cost.Env.t -> fault_rate:float -> t
     the failure-aware objective. *)
 
 val contention_rank :
-  pressure:float array -> 'tree Parqo_cost.Costmodel.priced -> float
+  pressure:float array -> Parqo_cost.Costmodel.eval -> float
 (** Response time on a {e loaded} machine: the solo response time plus
     the plan's per-resource work priced at the ambient load
     ([Σ_r pressure_r · work_r], pressure from

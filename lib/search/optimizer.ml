@@ -37,26 +37,13 @@ let of_podp (r : Podp.result) =
     gave_up = r.Podp.gave_up;
   }
 
-(* Figure 1.  Left-deep it runs on [Dp], whose incumbent bound rejects
-   most candidates before they are composed; bushy it is PODP under the
-   total order of work, which keeps the first least-work plan of each
-   subset. *)
-let work_phase ~config ~shape ?budget ?domains ?pool (env : Env.t) =
-  match shape with
-  | Left_deep ->
-    let r = Dp.optimize ~config env in
-    {
-      best = r.Dp.best;
-      work_optimal = r.Dp.best;
-      cover = Option.to_list r.Dp.best;
-      stats = r.Dp.stats;
-      work_stats = None;
-      gave_up = false;
-    }
-  | Bushy ->
-    of_podp
-      (Podp.optimize ~shape ~config ~metric:Metric.work ~rank:work ?budget
-         ?domains ?pool env)
+(* Figure 1: PODP under the total order of work, which keeps the first
+   least-work plan of each subset and prices every join against that
+   plan's work (the incumbent bound), for either tree shape. *)
+let work_phase ~config ~shape ?budget ?pool (env : Env.t) =
+  of_podp
+    (Podp.optimize ~shape ~config ~metric:Metric.work ~rank:work ?budget
+       ?pool env)
 
 let minimize_work ?(config = Space.default_config) ?(shape = Left_deep)
     (env : Env.t) =
@@ -68,15 +55,15 @@ let minimize_work_with_orders ?(config = Space.default_config)
     (Podp.optimize ~shape ~config ~metric:(Metric.with_ordering Metric.work)
        ~rank:work ~domains ?pool env)
 
-let response_time_search ~config ~shape ?metric ~bound ?rank ~budget ~domains
-    ?pool (env : Env.t) =
+let response_time_search ~config ~shape ?metric ~bound ?rank ~budget ~pool
+    (env : Env.t) =
   let metric = match metric with Some m -> m | None -> default_metric env in
   let rank =
     match rank with
     | Some r -> r
     | None -> fun (e : Cm.eval) -> e.Cm.response_time
   in
-  let work_phase = work_phase ~config ~shape ~budget ~domains ?pool env in
+  let work_phase = work_phase ~config ~shape ~budget ~pool env in
   let work_optimal = work_phase.work_optimal in
   (match work_optimal with
   | Some w ->
@@ -95,8 +82,8 @@ let response_time_search ~config ~shape ?metric ~bound ?rank ~budget ~domains
         Bounds.admits bound ~work_opt ~rt_opt )
   in
   let { Podp.best; cover; stats; gave_up; _ } =
-    Podp.optimize ~shape ~config ?work_cap ~final_filter ~rank ~budget
-      ~domains ?pool ~metric env
+    Podp.optimize ~shape ~config ?work_cap ~final_filter ~rank ~budget ~pool
+      ~metric env
   in
   let gave_up = gave_up || work_phase.gave_up in
   (* A truncated search may have missed (or degraded) the answer: degrade
@@ -164,20 +151,19 @@ let response_time_search ~config ~shape ?metric ~bound ?rank ~budget ~domains
       gave_up }
   end
 
-(* A bushy search runs both phases on the pool: without one, a pool of
-   its own brackets them, and its spawns are counted once, in the
-   response-time phase's stats. *)
+(* Both phases run on the pool: without one, a pool of its own brackets
+   them, and its spawns are counted once, in the response-time phase's
+   stats. *)
 let minimize_response_time ?(config = Space.default_config)
     ?(shape = Left_deep) ?metric ?(bound = Bounds.Unbounded) ?rank
     ?(budget = Budget.unlimited) ?(domains = 1) ?pool (env : Env.t) =
-  let search ?pool () =
-    response_time_search ~config ~shape ?metric ~bound ?rank ~budget ~domains
-      ?pool env
+  let search pool =
+    response_time_search ~config ~shape ?metric ~bound ?rank ~budget ~pool env
   in
-  match (shape, pool) with
-  | Bushy, None ->
+  match pool with
+  | None ->
     Parqo_util.Domain_pool.with_pool ~domains (fun pool ->
-        let o = search ~pool () in
+        let o = search pool in
         let s = o.stats.Search_stats.pool in
         o.stats.Search_stats.pool <-
           {
@@ -187,7 +173,7 @@ let minimize_response_time ?(config = Space.default_config)
               + (Parqo_util.Domain_pool.stats pool).Parqo_util.Domain_pool.spawned;
           };
         o)
-  | _ -> search ?pool ()
+  | Some pool -> search pool
 
 let minimize_under_contention ?config ?shape ?bound ?budget ?domains ?pool
     ~pressure (env : Env.t) =

@@ -14,7 +14,8 @@ type outcome = {
       (** the chosen plan; [None] only when the bound excludes everything,
           which cannot happen for the bounds of {!Bounds.t} *)
   work_optimal : Parqo_cost.Costmodel.eval option;
-      (** the traditional optimizer's plan (the baseline) *)
+      (** the traditional optimizer's plan (the baseline); [None] when
+          the budget stopped the work phase short of the full set *)
   cover : Parqo_cost.Costmodel.eval list;
       (** final cover set of the partial-order phase *)
   stats : Search_stats.t;  (** of the response-time phase *)
@@ -27,9 +28,10 @@ type outcome = {
 val minimize_work :
   ?config:Space.config -> ?shape:tree_shape -> Parqo_cost.Env.t -> outcome
 (** Figure 1 (or its bushy analogue). [shape] defaults to [Left_deep].
-    Left-deep it runs on {!Dp}; bushy it is {!Podp.optimize} under
-    {!Metric.work}, ranked by work — Figure 1 run as Figure 2 under a
-    total order, which keeps the first least-work plan of each subset. *)
+    It is {!Podp.optimize} under {!Metric.work}, ranked by work —
+    Figure 1 run as Figure 2 under a total order, which keeps the first
+    least-work plan of each subset and prices every join against that
+    plan's work (Figure 1's incumbent bound). *)
 
 val minimize_work_with_orders :
   ?config:Space.config ->
@@ -66,32 +68,24 @@ val minimize_response_time :
     [~metric:(Metric.expected_makespan ...)] for failure-aware plan
     choice.
 
-    [budget] (default unlimited) caps the partial-order phase of either
-    shape, and the bushy work phase, each search with a tracker of its
-    own; when one is exhausted the optimizer degrades gracefully to the
-    greedy plan — it always returns a valid plan and never raises, at
-    the price of optimality (and possibly of the work bound, which
-    greedy does not enforce).
+    [budget] (default unlimited) caps the work phase and the
+    partial-order phase, each search with a tracker of its own; when one
+    is exhausted the optimizer degrades gracefully to the greedy plan —
+    it always returns a valid plan and never raises, at the price of
+    optimality (and possibly of the work bound, which greedy does not
+    enforce).
 
-    [domains] (default 1) parallelizes the partial-order phase, and the
-    bushy work phase, across an OCaml 5 domain pool; [pool] supplies a
-    persistent pool instead of creating one per call.  A bushy search
-    without [pool] runs both phases on one pool of its own, whose
-    spawns its response-time phase's [stats] count.  The chosen plan
-    is bit-identical to the sequential run (see {!Podp.optimize}).
+    [domains] (default 1) parallelizes both phases across an OCaml 5
+    domain pool; [pool] supplies a persistent pool instead of creating
+    one per call.  Without [pool] both phases run on one pool of its
+    own, whose spawns its response-time phase's [stats] count.  The
+    chosen plan is bit-identical to the sequential run (see
+    {!Podp.optimize}).
 
     With an ORDER BY, the final cover, [best] and [work_optimal] carry
     the final sort their ordering does not already deliver, put on each
     plan's own eval ({!Parqo_cost.Costmodel.with_final_sort}): each
-    equals [Costmodel.evaluate ~required_order] of its tree.
-
-    Only the left-deep work phase stays outside budget and pool: it runs
-    on {!Dp}, whose incumbent bound rejects most candidates before they
-    are composed (7 948 of chain-5's 8 265).  {!Podp} under
-    {!Metric.work} found the same plans for the 160 [optimize] ops of
-    two perfbench seeds but took 151 and 152 ms where [Dp] took 92 and
-    91 (best of 5 on a 2-vCPU host), about 3% of the whole [optimize]
-    time. *)
+    equals [Costmodel.evaluate ~required_order] of its tree. *)
 
 val default_metric : Parqo_cost.Env.t -> Metric.t
 

@@ -122,8 +122,9 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
      one generated just before it (Cm.twin: the same pricing, read with
      its first-tuple row as its last), tested after that one has
      entered, and operator trees are numbered only when a plan enters
-     the memo.  Under a work cap a candidate is bounded from the entries
-     before anything is composed.  With [plan_cache] off every candidate
+     the full set's memo slice, the cover the search returns.  Under a
+     work cap a candidate is bounded from the entries before anything is
+     composed.  With [plan_cache] off every candidate
      is evaluated from scratch instead, and read through a view of its
      own descriptor — the reference the incremental path is
      bit-identical to. *)
@@ -132,6 +133,19 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
     match work_cap with None -> infinity | Some cap -> cap +. 1e-9
   in
   let bounded = work_cap <> None in
+  (* Figure 1's incumbent bound.  Under the total order of work a
+     lane's partial cover holds at most one plan, and a join whose work
+     bound exceeds that plan's work can only be covered: the lane prices
+     its joins against that work (Cm.set_limit), and one over it is
+     dropped before it is composed, counted in [generated] only.  A twin
+     has its join's work, so it is counted and never offered.  The bound
+     drops only what the part's own fold would reject, so each part is
+     unchanged at every width (MODEL.md §9).  Under a work cap the cap
+     stays the only limit, so [rejected] counts exactly the candidates
+     over it. *)
+  let incumbent_bound =
+    plan_cache && metric.Metric.total_work && not bounded
+  in
   let twins = config.Space.materialize_choices in
   let clones = Array.of_list config.Space.clone_degrees in
   let n_clones = Array.length clones in
@@ -309,6 +323,34 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
         Cover.insert part.cover ~tag:lane.tag k (Cm.build v)
     end
   in
+  (* a candidate, and its twin, counted and not offered *)
+  let skip lane =
+    let part = lane.part in
+    part.generated <- part.generated + 1;
+    tick lane;
+    if twins then begin
+      part.generated <- part.generated + 1;
+      tick lane
+    end
+  in
+  (* Under the incumbent bound: offer the join the lane's view shows,
+     priced within the part's plan's work; if it enters, the limit
+     follows it.  Its twin is counted, never offered. *)
+  let offer_least lane x =
+    let part = lane.part and v = lane.view in
+    metric.Metric.fill v (Cover.scratch part.cover);
+    let k = Cm.key v in
+    if not (Cover.is_covered part.cover k) then begin
+      let e = Cm.build v in
+      Cover.insert part.cover ~tag:lane.tag k e;
+      Cm.set_limit x e.Cm.work
+    end;
+    skip lane
+  in
+  (* the work of a part's one plan, under the incumbent bound *)
+  let least part =
+    match Cover.elements part.cover with e :: _ -> e.Cm.work | [] -> limit
+  in
   (* a candidate over the cap, and its materialized twin (same work) *)
   let reject lane =
     let part = lane.part in
@@ -321,11 +363,12 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
       tick lane
     end
   in
-  (* Load the extension joining [outer] to [inner] into a lane:
-     [price_plan i] then prices every annotated join of memo plan [i] of
-     [outer] with the inner plans, in [Space.combine_candidates] order —
-     per inner plan, method and clone degree, the pipelined join, then
-     its materialized twin. *)
+  (* Load the extension joining [outer] to [inner] into a lane, whose
+     part is the subset's: [price_plan i] then prices every annotated
+     join of memo plan [i] of [outer] with the inner plans, in
+     [Space.combine_candidates] order — per inner plan, method and clone
+     degree, the pipelined join, then its materialized twin.  The
+     pricing closure is chosen here, once per extension. *)
   let load ~worker lane ~outer ~inner ~joined =
     let mask = Bitset.to_int outer in
     let off = memo_off.(mask) and len = memo_len.(mask) in
@@ -341,9 +384,14 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
         let x =
           Cm.extension scratches.(worker) env
             (Cm.join_context env ~outer ~inner)
-            ~inner:inners ~methods ~clones ~classes ~limit
+            ~inner:inners ~methods ~clones ~classes
+            ~limit:(if incumbent_bound then least lane.part else limit)
         in
-        fun p ~outer_class _ ~inner ~mi ~ki ->
+        if incumbent_bound then fun p ~outer_class _ ~inner ~mi ~ki ->
+          if Cm.price x ~outer:p ~outer_class ~inner ~method_:mi ~clone:ki
+          then offer_least lane x
+          else skip lane
+        else fun p ~outer_class _ ~inner ~mi ~ki ->
           if Cm.price x ~outer:p ~outer_class ~inner ~method_:mi ~clone:ki
           then begin
             offer lane;
@@ -389,7 +437,6 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
           done
         done)
   in
-  let enter = if plan_cache then Cm.numbered else Fun.id in
   (* The level loop.  Within a level every subset's cover depends only on
      the memo slices of strictly smaller subsets (written at earlier
      barriers), so its candidates are independent and level boundaries
@@ -408,6 +455,10 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
      finished covers into the memo in increasing mask order.  At width 1
      this is the sequential loop. *)
   for size = 2 to n do
+    (* Only the full set's plans, the ones returned, get node ids:
+       numbering copies a whole operator tree and ignores the ids below,
+       so a memo plan that larger plans graft needs none. *)
+    let enter = if plan_cache && size = n then Cm.numbered else Fun.id in
     let subsets = Array.of_list (Bitset.subsets_of_size n ~size) in
     let n_subsets = Array.length subsets in
     let results : subset_result option array = Array.make n_subsets None in
@@ -493,7 +544,6 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
       else begin
         let cover_pre = Cover.size cover in
         apply_beam cover;
-        (* the kept plans enter the memo: only they get node ids *)
         let arena = lane.arena in
         let start = arena.len in
         Cover.iter_newest_first (fun e -> arena_push arena (enter e)) cover;
@@ -591,11 +641,11 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
           let i, outer, inner, joined = table.(!x) and f = first.(!x) in
           let stop = min hi first.(!x + 1) in
           if decide i then begin
+            let part = part_for ~worker lane i in
             if lane.ext <> !x then begin
               load ~worker lane ~outer ~inner ~joined;
               lane.ext <- !x
             end;
-            let part = part_for ~worker lane i in
             for unit = !u to stop - 1 do
               part.considered <- part.considered + 1;
               lane.tag <- unit;

@@ -12,9 +12,10 @@
     [Bitset.proper_nonempty_subsets] order, with [S - S1]'s memo plans
     as the inner plans.  Under a total-order metric such as
     {!Metric.work} a cover keeps one plan, the first least one, and the
-    loop is Figure 1's.  An optional work cap (from {!Bounds}) prunes
-    partial plans — work only grows along extensions, so the cap is
-    admissible, and "in fact cut[s] down the search space" (§6.4).
+    loop is Figure 1's, incumbent bound included (below).  An optional
+    work cap (from {!Bounds}) prunes partial plans — work only grows
+    along extensions, so the cap is admissible, and "in fact cut[s] down
+    the search space" (§6.4).
 
     The level loop is domain-parallel: a size-[k] subset's cover depends
     only on the memo entries of smaller subsets, so a level's candidates
@@ -98,16 +99,29 @@ val optimize :
     candidate ({!Parqo_cost.Costmodel.price}) reuses the entries of its
     inner plan and of its class, computed once each and counted in
     [stats.entries].  Each materialized candidate is the
-    {!Parqo_cost.Costmodel.materialized_twin} of the pipelined one
-    generated just before it; and operator trees are numbered only when
-    a plan enters the memo.  Under a [work_cap], a candidate whose work
-    bound exceeds the cap is rejected from the entries, before it is
-    expanded, and counted, twin included, in [stats.generated] and
-    [stats.rejected].  The pruning metric therefore sees candidates with
-    unnumbered operator trees (it must not read node ids) and
-    descriptors that view the lane's scratch (it must not keep them);
-    every plan returned is numbered and owns its descriptor.  Off, every candidate is
-    evaluated from scratch ({!Parqo_cost.Costmodel.evaluate}); the
-    result is bit-identical either way.  Off is the from-scratch
-    reference that the plan-cache and PODP tests and the E18
-    benchmark's identity check compare the incremental path against. *)
+    {!Parqo_cost.Costmodel.twin} of the pipelined one generated just
+    before it; and operator trees are numbered only when a plan enters
+    the memo.  Under a [work_cap], a candidate whose work bound exceeds
+    the cap is rejected from the entries, before it is expanded, and
+    counted, twin included, in [stats.generated] and [stats.rejected].
+    The pruning metric therefore sees candidates with unnumbered
+    operator trees (it must not read node ids) and descriptors that view
+    the lane's scratch (it must not keep them); every plan returned is
+    numbered and owns its descriptor.  Off, every candidate is evaluated
+    from scratch ({!Parqo_cost.Costmodel.evaluate}); the result is
+    bit-identical either way.  Off is the from-scratch reference that
+    the plan-cache and PODP tests and the E18 benchmark's identity check
+    compare the incremental path against.
+
+    Under {!Metric.work} (its [total_work]) and no cap, the search takes
+    Figure 1's incumbent bound: a lane's partial cover of a subset holds
+    at most one plan, and the lane prices the subset's joins against
+    that plan's work ({!Parqo_cost.Costmodel.set_limit}), so a join
+    whose work bound exceeds it is dropped before it is composed; a
+    twin, of its join's work, is never offered.  Both count in
+    [stats.generated] only, so every count is the same at every width.
+    A partial cover holds some of the candidates the sequential loop
+    has seen at that point, so its plan is never better than the
+    sequential one: the bound drops only candidates the partial cover
+    itself would reject, and the result is the one without it
+    (MODEL.md §12). *)

@@ -29,8 +29,9 @@ type t = {
           included *)
   mutable rejected : int;
       (** of [generated], candidates dropped because their work bound
-          exceeded the search's limit — the work cap, or the incumbent's
-          work in the work-phase DP — before they were fully priced *)
+          exceeded the work cap, before they were composed — the same
+          at every width.  Those Figure 1's incumbent bound drops under
+          [Metric.work] count in [generated] only *)
   mutable entries : int;
       (** shared pricing entries the partial-order DP filled
           ([Costmodel.extension]): per extension, one per (inner plan,

@@ -1,4 +1,5 @@
 module Cm = Parqo_cost.Costmodel
+module D = Parqo_cost.Descriptor
 module Env = Parqo_cost.Env
 module J = Parqo_plan.Join_tree
 
@@ -46,62 +47,66 @@ let set_leaf idx ~clone tree =
   go tree
 
 (* The cross product of [tree]'s join annotations, walked depth-first:
-   [enumerate ... tree k] calls [k c build] on the cost [c] of every
-   assignment, where [build ()] evaluates it ([Cm.admit]), in the order
+   [enumerate ... tree k] calls [k view build] on every assignment,
+   where [view] shows its cost and [build ()] evaluates it, in the order
    of the post-order join slots [set_join] numbers, slot 0 varying
    slowest.  Access plans and join contexts are computed once.  A join
    is priced once per choice of the slots before it, from its children's
-   current evaluations ([Cm.price_join]), and its materialized choice is
-   the twin of the pipelined one.  A sub-plan is built because its
-   parent is priced from it; the caller builds only what it keeps.
-   Nothing is priced once [out_of_time]. *)
-let rec enumerate env scratch ~degrees ~mats ~out_of_time tree =
+   current evaluations, as a one-plan extension in a scratch of its own
+   — a parent is priced while its children's choices are still live —
+   and its materialized choice is the twin of the pipelined one.  A
+   sub-plan is built because its parent is priced from it; the caller
+   builds only what it keeps.  Nothing is priced once [out_of_time]. *)
+let rec enumerate env ~degrees ~mats ~out_of_time tree =
   match tree with
   | J.Access _ ->
     let e = Cm.evaluate env tree in
-    let c = Cm.without_tree e and build () = e in
-    fun k -> k c build
+    let view = Cm.eval_view e and build () = e in
+    fun k -> k view build
   | J.Join j ->
-    let outer = enumerate env scratch ~degrees ~mats ~out_of_time j.J.outer
-    and inner = enumerate env scratch ~degrees ~mats ~out_of_time j.J.inner in
+    let outer = enumerate env ~degrees ~mats ~out_of_time j.J.outer
+    and inner = enumerate env ~degrees ~mats ~out_of_time j.J.inner in
     let ctx =
       Cm.join_context env ~outer:(J.relations j.J.outer)
         ~inner:(J.relations j.J.inner)
     in
+    let scratch = Cm.scratch env in
+    let view = Cm.view scratch and build () = Cm.build (Cm.view scratch) in
+    let methods = [| j.J.method_ |] and clones = Array.of_list degrees in
     fun k ->
-      outer (fun _ build ->
-          let oe = build () in
-          inner (fun _ build ->
-              let ie = build () in
-              List.iter
-                (fun clone ->
-                  if not (out_of_time ()) then
-                    match
-                      Cm.price_join ~scratch ~limit:infinity env ctx
-                        ~method_:j.J.method_ ~clone ~outer:oe ~inner:ie
-                    with
-                    | None -> assert false (* no limit *)
-                    | Some c ->
-                      List.iter
-                        (fun materialize ->
-                          let c =
-                            if materialize then Cm.materialized_twin c else c
-                          in
-                          k c (fun () -> Cm.admit ~outer:oe ~inner:ie c))
-                        mats)
-                degrees))
+      outer (fun _ build_outer ->
+          let oe = build_outer () in
+          inner (fun _ build_inner ->
+              let x =
+                Cm.extension scratch env ctx ~inner:[| build_inner () |]
+                  ~methods ~clones ~classes:1 ~limit:infinity
+              in
+              Array.iteri
+                (fun ki _ ->
+                  if not (out_of_time ()) then begin
+                    if
+                      not
+                        (Cm.price x ~outer:oe ~outer_class:0 ~inner:0
+                           ~method_:0 ~clone:ki)
+                    then assert false (* no limit *);
+                    List.iter
+                      (fun materialize ->
+                        if materialize then Cm.twin view;
+                        k view build)
+                      mats
+                  end)
+                clones))
 
-let optimize ?(config = Space.default_config)
-    ?(objective = fun (c : Cm.candidate) -> c.Cm.response_time)
-    ?(budget = Budget.unlimited) (env : Env.t) =
+let optimize ?(config = Space.default_config) ?(budget = Budget.unlimited)
+    (env : Env.t) =
   let sequential_config =
     { config with Space.clone_degrees = [ 1 ]; materialize_choices = false }
   in
-  let phase1 = Dp.optimize ~config:sequential_config env in
-  match phase1.Dp.best with
+  let phase1 = Optimizer.minimize_work ~config:sequential_config env in
+  match phase1.Optimizer.best with
   | None ->
-    { best = None; sequential = None; stats = phase1.Dp.stats; evaluated = 0;
-      gave_up = false }
+    { best = None; sequential = None; stats = phase1.Optimizer.stats;
+      evaluated = 0; gave_up = false }
   | Some sequential ->
     let evaluated = ref 0 in
     (* Phase 2 can enumerate (degrees × mats)^joins assignments — sparse
@@ -130,7 +135,7 @@ let optimize ?(config = Space.default_config)
     let join_choices =
       List.concat_map (fun c -> List.map (fun m -> (c, m)) mats) degrees
     in
-    let score e = objective (Cm.without_tree e) in
+    let score (e : Cm.eval) = e.Cm.response_time in
     let best = ref (eval tree) in
     let keep e = if score e < score !best then best := e in
     if n_joins <= max_exhaustive_joins then begin
@@ -140,12 +145,12 @@ let optimize ?(config = Space.default_config)
          better assignment in enumeration order wins.  An assignment is
          built only when it beats the incumbent, and only the winner is
          numbered. *)
-      enumerate env (Cm.scratch env) ~degrees ~mats ~out_of_time tree
-        (fun c build ->
+      enumerate env ~degrees ~mats ~out_of_time tree (fun view build ->
           if not (out_of_time ()) then begin
             incr evaluated;
             Budget.tick tracker 1;
-            if objective c < score !best then best := build ()
+            if view.Cm.rows.D.m.D.last_time < score !best then
+              best := build ()
           end);
       best := Cm.numbered !best;
       let refined = ref !best in
@@ -196,7 +201,7 @@ let optimize ?(config = Space.default_config)
     {
       best = Some !best;
       sequential = Some sequential;
-      stats = phase1.Dp.stats;
+      stats = phase1.Optimizer.stats;
       evaluated = !evaluated;
       gave_up = !gave_up;
     }

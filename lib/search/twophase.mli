@@ -25,23 +25,17 @@ type result = {
 }
 
 val optimize :
-  ?config:Space.config ->
-  ?objective:(Parqo_cost.Costmodel.candidate -> float) ->
-  ?budget:Budget.t ->
-  Parqo_cost.Env.t ->
-  result
+  ?config:Space.config -> ?budget:Budget.t -> Parqo_cost.Env.t -> result
 (** [config] bounds phase 2's annotation choices (clone degrees,
-    materialization); phase 1 always runs on the sequential projection of
-    the config (degree 1, no materialization).  [objective] (default
-    response time) ranks phase-2 assignments by their cost, before their
-    eval is built; it sees unnumbered operator trees, so it must not read
-    node ids.  Phase 2 enumerates
-    the cross product of per-join annotations exactly when the tree has
-    at most {!max_exhaustive_joins} joins — depth-first, each assignment
-    priced as one join of its children's evaluations
-    ({!Parqo_cost.Costmodel.price_join}), the first strictly better one
-    winning — and falls back to coordinate descent (optimize one join's
-    annotation at a time to a fixed point) beyond that.
+    materialization); phase 1 is {!Optimizer.minimize_work} on the
+    sequential projection of the config (degree 1, no materialization).
+    Phase 2 ranks assignments by response time and enumerates the cross
+    product of per-join annotations exactly when the tree has at most
+    {!max_exhaustive_joins} joins — depth-first, each assignment priced
+    as one join of its children's evaluations, loaded as a one-plan
+    {!Parqo_cost.Costmodel.extension} per join, the first strictly
+    better one winning — and falls back to coordinate descent (optimize
+    one join's annotation at a time to a fixed point) beyond that.
 
     [budget] (default unlimited) bounds phase 2 with cooperative
     wall-clock checks at every annotation slot — a 1 ms deadline stops a

@@ -140,13 +140,17 @@ let check_eval_identical msg (a : Parqo.Costmodel.eval)
     (Parqo.Ordering.to_string a.Cm.ordering)
     (Parqo.Ordering.to_string b.Cm.ordering)
 
-(* The work-phase DP as it was before incremental, bounded pricing:
-   every candidate tree of [Space.join_candidates] evaluated from scratch
-   and folded with a strict [<] — the reference [Dp.optimize] must match
-   bit for bit, counts included. *)
-let reference_dp ?(config = Parqo.Space.default_config)
-    ?(objective = fun (e : Parqo.Costmodel.eval) -> e.Parqo.Costmodel.work)
-    (env : Parqo.Env.t) =
+(* Figure 1 as System R runs it, the reference the work phase must
+   match bit for bit, counts included: one plan per subset, every
+   candidate tree of [Space.join_candidates] evaluated from scratch and
+   folded with a strict [<]. *)
+type reference_dp = {
+  best : Parqo.Costmodel.eval option;  (** [None] only for the empty query *)
+  stats : Parqo.Search_stats.t;
+  level_sizes : int array;  (** plans stored per subset cardinality *)
+}
+
+let reference_dp ?(config = Parqo.Space.default_config) (env : Parqo.Env.t) =
   let module Stats = Parqo.Search_stats in
   let module Bitset = Parqo.Bitset in
   let n = Parqo.Env.n_relations env in
@@ -162,7 +166,9 @@ let reference_dp ?(config = Parqo.Space.default_config)
       (fun acc cand ->
         match acc with
         | None -> Some cand
-        | Some b -> if objective cand < objective b then Some cand else acc)
+        | Some (b : Parqo.Costmodel.eval) ->
+          if cand.Parqo.Costmodel.work < b.Parqo.Costmodel.work then Some cand
+          else acc)
       current candidates
   in
   for rel = 0 to n - 1 do
@@ -207,7 +213,7 @@ let reference_dp ?(config = Parqo.Space.default_config)
   done;
   Stats.observe_stored stats level_sizes.(1);
   let best = if n = 0 then None else memo.(Bitset.to_int (Bitset.full n)) in
-  { Parqo.Dp.best; stats; level_sizes }
+  { best; stats; level_sizes }
 
 (* Two-phase search as it was before depth-first pricing: phase 2's
    cross product of per-join annotations, each assignment a rewrite of
@@ -250,14 +256,14 @@ let reference_twophase ?(config = Parqo.Space.default_config)
         if k = idx then J.access ~path:a.J.path ~clone a.J.rel else J.Access a)
   in
   let phase1 =
-    Parqo.Dp.optimize
+    reference_dp
       ~config:{ config with S.clone_degrees = [ 1 ]; materialize_choices = false }
       env
   in
-  match phase1.Parqo.Dp.best with
+  match phase1.best with
   | None ->
-    { Parqo.Twophase.best = None; sequential = None;
-      stats = phase1.Parqo.Dp.stats; evaluated = 0; gave_up = false }
+    { Parqo.Twophase.best = None; sequential = None; stats = phase1.stats;
+      evaluated = 0; gave_up = false }
   | Some sequential ->
     let evaluated = ref 0 in
     let eval tree =
@@ -313,4 +319,4 @@ let reference_twophase ?(config = Parqo.Space.default_config)
       done
     end;
     { Parqo.Twophase.best = Some !best; sequential = Some sequential;
-      stats = phase1.Parqo.Dp.stats; evaluated = !evaluated; gave_up = false }
+      stats = phase1.stats; evaluated = !evaluated; gave_up = false }

@@ -17,12 +17,16 @@ module Budget = Parqo.Budget
 module Search_stats = Parqo.Search_stats
 module Metric = Parqo.Metric
 
-(* The parent's incremental pricing, kept verbatim with the class term
-   tables it served: [price_join] leaves the bound's two terms in the
-   scratch, and the DP records them per class ([record_class_terms]) to
-   reject a capped candidate of a seen class without expanding it
-   ([class_rejects]).  [Costmodel] now keeps whole shared entries
-   instead; the reference loop still runs on these. *)
+(* An earlier incremental pricing, kept with the class term tables it
+   served: [price_join] prices one join of two evaluated plans from
+   their evaluations, leaves the bound's two terms in the scratch, and
+   the DP records them per class ([record_class_terms]) to reject a
+   capped candidate of a seen class without expanding it
+   ([class_rejects]).  It builds the join's eval outright, and
+   [materialized_twin] derives the materialized join from the
+   pipelined one.  [Costmodel] now keeps whole shared entries and
+   builds only what a cover admits; the reference loop still runs on
+   these. *)
 module Ref_cm = struct
   module Op = Parqo.Op
   module P = Parqo.Props
@@ -124,7 +128,8 @@ module Ref_cm = struct
     then invalid_arg "Costmodel.price_join: plans outside the join context"
 
   let price_join ~scratch ~limit (env : Env.t) (ctx : Cm.join_context)
-      ~method_ ~clone ~outer:(oe : Cm.eval) ~inner:(ie : Cm.eval) =
+      ~method_ ~clone ~outer:(oe : Cm.eval) ~inner:(ie : Cm.eval) : Cm.eval option
+      =
     check_sides ctx oe ie;
     let root =
       Parqo.Expand.expand_join ~config:env.expand_config ctx ~method_ ~clone
@@ -159,9 +164,31 @@ module Ref_cm = struct
             ~outer_key:(Lazy.from_val ctx.Parqo.Expand.outer_key)
             ~outer:(Lazy.from_val oe.Cm.ordering)
         in
-        Some (of_descriptor ~tree:() ~optree:root ~ordering descriptor)
+        let tree =
+          Parqo.Join_tree.join ~clone method_ ~outer:oe.Cm.tree
+            ~inner:ie.Cm.tree
+        in
+        Some (of_descriptor ~tree ~optree:root ~ordering descriptor)
       end
     | _ -> invalid_arg "Costmodel: join root is not binary"
+
+  (* The pipelined join [e] with its output materialized: the root's
+     composition flipped and the descriptor synced, which is what
+     [Cm.evaluate] computes of the materialized tree. *)
+  let materialized_twin (e : Cm.eval) =
+    match (e.Cm.optree, e.Cm.tree) with
+    | ( { Op.composition = Op.Pipelined; _ },
+        Parqo.Join_tree.Join
+          { Parqo.Join_tree.method_; clone; outer; inner; materialize = false; _ }
+      ) ->
+      {
+        e with
+        Cm.tree =
+          Parqo.Join_tree.join ~clone ~materialize:true method_ ~outer ~inner;
+        optree = { e.Cm.optree with Op.composition = Op.Materialized };
+        descriptor = Descriptor.sync e.Cm.descriptor;
+      }
+    | _ -> invalid_arg "materialized_twin: not a pipelined join"
 end
 
 (* Stable total key on plans: used to break exact rank ties so that beam
@@ -231,7 +258,7 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
      extension).  The memo arena and the level-1 access evaluations are
      the children's cache: nothing is looked up by key.  Each
      materialized candidate is the twin of the pipelined one generated
-     just before it (Cm.materialized_twin), and operator trees are
+     just before it (Ref_cm.materialized_twin), and operator trees are
      numbered only when a plan enters the memo.  Under a work cap,
      candidates are bounded before they are composed, and per extension
      the bound's terms are kept per class (Ref_cm.class_rejects), so a capped
@@ -432,9 +459,8 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
                      ~method_:methods.(mi) ~clone:clones.(ki) ~outer:p ~inner:a
                  with
                 | Some c ->
-                  consider (Cm.admit ~outer:p ~inner:a c);
-                  if twins then
-                    consider (Cm.admit ~outer:p ~inner:a (Cm.materialized_twin c))
+                  consider c;
+                  if twins then consider (Ref_cm.materialized_twin c)
                 | None -> reject ());
                 if bounded then
                   Ref_cm.record_class_terms scratch ~outer_class ~inner_class

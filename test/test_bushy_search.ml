@@ -1,5 +1,4 @@
 module Podp = Parqo.Podp
-module Dp = Parqo.Dp
 module Brute = Parqo.Brute
 module Cm = Parqo.Costmodel
 module S = Parqo.Space
@@ -47,9 +46,9 @@ let at_least_as_good_as_leftdeep () =
   in
   for _ = 1 to 6 do
     let env = Helpers.random_env rng ~n:4 in
-    let ld = Dp.optimize ~config env in
+    let ld = Opt.minimize_work ~config env in
     let bushy = bushy_work ~config env in
-    match (ld.Dp.best, bushy.Podp.best) with
+    match (ld.Opt.best, bushy.Podp.best) with
     | Some l, Some b ->
       Alcotest.(check bool) "bushy work <= left-deep work" true
         (b.Cm.work <= l.Cm.work +. 1e-6)

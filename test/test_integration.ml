@@ -86,7 +86,7 @@ let every_algorithm_same_answer () =
   let metric = Opt.default_metric env in
   let plans =
     [
-      (Parqo.Dp.optimize env).Parqo.Dp.best;
+      (Opt.minimize_work env).Opt.best;
       (Parqo.Podp.optimize ~metric env).Parqo.Podp.best;
       (Opt.minimize_work ~shape:Opt.Bushy env).Opt.best;
       (Parqo.Podp.optimize ~shape:Parqo.Space.Bushy ~metric ~max_cover:16 env)

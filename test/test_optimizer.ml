@@ -39,6 +39,33 @@ let work_phase_always_runs () =
   Alcotest.(check bool) "work stats present" true (o.Opt.work_stats <> None);
   Alcotest.(check bool) "work optimal present" true (o.Opt.work_optimal <> None)
 
+(* the left-deep work phase runs on the level loop, so the budget and the
+   pool reach it: a budget of one expansion stops it too — the optimizer
+   still returns a plan, from the greedy fallback — and on a forced
+   2-wide pool its stats show the pool's regions *)
+let budget_and_pool_reach_work_phase () =
+  let env = env () in
+  let work_stats (o : Opt.outcome) =
+    match o.Opt.work_stats with
+    | Some s -> s
+    | None -> Alcotest.fail "no work stats"
+  in
+  let free = Opt.minimize_response_time env in
+  let starved =
+    Opt.minimize_response_time ~budget:(Parqo.Budget.expansions 1) env
+  in
+  Alcotest.(check bool) "gave up" true starved.Opt.gave_up;
+  Alcotest.(check bool) "still a plan" true (starved.Opt.best <> None);
+  Alcotest.(check bool) "the work phase stopped early" true
+    ((work_stats starved).Parqo.Search_stats.generated
+    < (work_stats free).Parqo.Search_stats.generated);
+  Helpers.with_forced_pool 2 (fun pool ->
+      let o = Opt.minimize_response_time ~pool env in
+      let p = (work_stats o).Parqo.Search_stats.pool in
+      Alcotest.(check bool) "the work phase ran on the pool" true
+        (p.Parqo.Domain_pool.parallel_runs > 0);
+      Alcotest.(check int) "and spawned nothing" 0 p.Parqo.Domain_pool.spawned)
+
 let sequential_machine_degenerates () =
   (* on one cpu/one disk there is no parallelism to buy: the rt-optimal
      plan does not clone *)
@@ -93,6 +120,8 @@ let suite =
       t "minimize work shapes" minimize_work_shapes;
       t "rt beats work plan" rt_beats_work_plan;
       t "work phase always runs" work_phase_always_runs;
+      t "budget and pool reach the left-deep work phase"
+        budget_and_pool_reach_work_phase;
       t "sequential machine degenerates" sequential_machine_degenerates;
       t "fallback to work optimal" fallback_to_work_optimal;
     ] )

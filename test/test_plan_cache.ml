@@ -16,29 +16,37 @@ let t name f = Alcotest.test_case name `Quick f
 
 let check_eval_identical = Helpers.check_eval_identical
 
+(* The join of two evaluated plans, priced as a one-join extension
+   ([Cm.extension], [Cm.price]), its twin if [materialize], then built
+   ([Cm.build]): unnumbered. *)
+let price_join env scratch ~method_ ~clone ~materialize (outer : Cm.eval)
+    (inner : Cm.eval) =
+  let ctx =
+    Cm.join_context env
+      ~outer:(Parqo.Join_tree.relations outer.Cm.tree)
+      ~inner:(Parqo.Join_tree.relations inner.Cm.tree)
+  in
+  let x =
+    Cm.extension scratch env ctx ~inner:[| inner |] ~methods:[| method_ |]
+      ~clones:[| clone |] ~classes:1 ~limit:infinity
+  in
+  if not (Cm.price x ~outer ~outer_class:0 ~inner:0 ~method_:0 ~clone:0) then
+    Alcotest.fail "unlimited price rejected a plan";
+  if materialize then Cm.twin (Cm.view scratch);
+  Cm.build (Cm.view scratch)
+
 (* Price a tree join by join from its children's unnumbered
    evaluations, materialized joins as twins — the path two-phase search
    prices its assignments on. *)
 let rec price_bottom_up env scratch (tree : Parqo.Join_tree.t) =
   match tree with
   | Parqo.Join_tree.Access _ -> Cm.evaluate env tree
-  | Parqo.Join_tree.Join j -> (
+  | Parqo.Join_tree.Join j ->
     let outer = price_bottom_up env scratch j.Parqo.Join_tree.outer
     and inner = price_bottom_up env scratch j.Parqo.Join_tree.inner in
-    let ctx =
-      Cm.join_context env
-        ~outer:(Parqo.Join_tree.relations j.Parqo.Join_tree.outer)
-        ~inner:(Parqo.Join_tree.relations j.Parqo.Join_tree.inner)
-    in
-    match
-      Cm.price_join ~scratch ~limit:infinity env ctx
-        ~method_:j.Parqo.Join_tree.method_ ~clone:j.Parqo.Join_tree.clone
-        ~outer ~inner
-    with
-    | None -> Alcotest.fail "unlimited price_join rejected a plan"
-    | Some c ->
-      Cm.admit ~outer ~inner
-        (if j.Parqo.Join_tree.materialize then Cm.materialized_twin c else c))
+    price_join env scratch ~method_:j.Parqo.Join_tree.method_
+      ~clone:j.Parqo.Join_tree.clone
+      ~materialize:j.Parqo.Join_tree.materialize outer inner
 
 (* property: on random queries and random bushy trees with materialized
    joins, pricing join by join and numbering the root reproduces
@@ -62,11 +70,10 @@ let bottom_up_matches_evaluate () =
   done;
   Alcotest.(check bool) "materialized joins drawn" true (!materialized > 0)
 
-(* property: on random join trees, every pipelined join priced from its
-   children's evaluations ([Cm.price_join], numbered) equals
-   [Cm.evaluate] of the same tree, and the materialized twin derived from
-   a pipelined evaluation — an evaluated one, or an unnumbered priced
-   one — equals [Cm.evaluate] of the materialized tree *)
+(* property: on random join trees, every join priced from its children's
+   evaluations and built, numbered, equals [Cm.evaluate] of the same
+   tree, pipelined; and its twin ([Cm.twin]), built from the same
+   pricing, equals [Cm.evaluate] of the materialized tree *)
 let twin_matches_evaluate () =
   let rng = Parqo.Rng.create 36 in
   for _ = 1 to 20 do
@@ -81,76 +88,78 @@ let twin_matches_evaluate () =
             Parqo.Join_tree.join ~clone ~materialize method_
               ~outer:j.Parqo.Join_tree.outer ~inner:j.Parqo.Join_tree.inner
           in
-          let pipelined = Cm.evaluate env (join false)
-          and materialized = Cm.evaluate env (join true) in
-          check_eval_identical "twin of evaluated"
-            {
-              (Cm.materialized_twin (Cm.without_tree pipelined)) with
-              Cm.tree = materialized.Cm.tree;
-            }
-            materialized;
           let outer = Cm.evaluate env j.Parqo.Join_tree.outer
           and inner = Cm.evaluate env j.Parqo.Join_tree.inner in
-          let ctx =
-            Cm.join_context env
-              ~outer:(Parqo.Join_tree.relations j.Parqo.Join_tree.outer)
-              ~inner:(Parqo.Join_tree.relations j.Parqo.Join_tree.inner)
-          in
-          let priced =
-            match
-              Cm.price_join ~scratch ~limit:infinity env ctx ~method_ ~clone
-                ~outer ~inner
-            with
-            | Some c -> c
-            | None -> Alcotest.fail "unlimited price_join rejected a plan"
-          in
-          check_eval_identical "priced"
-            (Cm.numbered (Cm.admit ~outer ~inner priced))
-            pipelined;
-          check_eval_identical "twin of priced"
-            (Cm.numbered (Cm.admit ~outer ~inner (Cm.materialized_twin priced)))
-            materialized)
+          List.iter
+            (fun (what, materialize) ->
+              check_eval_identical what
+                (Cm.numbered
+                   (price_join env scratch ~method_ ~clone ~materialize outer
+                      inner))
+                (Cm.evaluate env (join materialize)))
+            [ ("priced", false); ("twin of priced", true) ])
         (Parqo.Join_tree.joins (Helpers.random_tree rng env))
     done
   done
 
+(* only a join priced and not yet twinned has a twin *)
 let twin_rejects_non_pipelined () =
   let env = Helpers.chain_env ~n:2 () in
   let scan r = Parqo.Join_tree.access ~path:Parqo.Access_path.Seq_scan r in
-  let twin_of tree () =
-    ignore (Cm.materialized_twin (Cm.without_tree (Cm.evaluate env tree)))
-  in
-  let err = Invalid_argument "Costmodel.materialized_twin: not a pipelined join" in
+  let err = Invalid_argument "Costmodel.twin: the view shows no pipelined join" in
+  let twin_of tree () = Cm.twin (Cm.eval_view (Cm.evaluate env tree)) in
   Alcotest.check_raises "access" err (twin_of (scan 0));
   Alcotest.check_raises "materialized join" err
     (twin_of
        (Parqo.Join_tree.join ~materialize:true Parqo.Join_method.Hash_join
-          ~outer:(scan 0) ~inner:(scan 1)))
+          ~outer:(scan 0) ~inner:(scan 1)));
+  let scratch = Cm.scratch env in
+  ignore
+    (price_join env scratch ~method_:Parqo.Join_method.Hash_join ~clone:1
+       ~materialize:true
+       (Cm.evaluate env (scan 0))
+       (Cm.evaluate env (scan 1)));
+  Alcotest.check_raises "a twin" err (fun () -> Cm.twin (Cm.view scratch))
 
-(* an eval is built only over the plans its candidate was priced on *)
-let admit_rejects_other_plans () =
+(* [Cm.build] builds the join the view shows — of the outer plan priced
+   last, not of another plan of the extension — and nothing of an
+   empty view *)
+let build_returns_last_priced () =
   let env = Helpers.chain_env ~n:3 () in
-  let scan r = Cm.evaluate env (Parqo.Join_tree.access r) in
-  let s0 = scan 0 and s1 = scan 1 in
+  let scan path r = Cm.evaluate env (Parqo.Join_tree.access ~path r) in
+  let scratch = Cm.scratch env in
+  Alcotest.check_raises "empty view"
+    (Invalid_argument "Costmodel.build: an empty view") (fun () ->
+      ignore (Cm.build (Cm.view scratch)));
   let ctx =
     Cm.join_context env ~outer:(Bitset.singleton 0) ~inner:(Bitset.singleton 1)
   in
-  let c =
-    match
-      Cm.price_join ~scratch:(Cm.scratch env) ~limit:infinity env ctx
-        ~method_:Parqo.Join_method.Hash_join ~clone:1 ~outer:s0 ~inner:s1
-    with
-    | Some c -> c
-    | None -> Alcotest.fail "unlimited price_join rejected a plan"
+  let outers =
+    [| scan Parqo.Access_path.Seq_scan 0; scan Parqo.Access_path.Seq_scan 0 |]
   in
-  let err = Invalid_argument "Costmodel.admit: not a join of these plans" in
-  Alcotest.check_raises "swapped sides" err (fun () ->
-      ignore (Cm.admit ~outer:s1 ~inner:s0 c));
-  Alcotest.check_raises "an equal plan, not the priced one" err (fun () ->
-      ignore (Cm.admit ~outer:(scan 0) ~inner:s1 c));
-  Alcotest.(check string)
-    "the priced plans" "HJ(scan(r0), scan(r1))"
-    (Parqo.Join_tree.to_string (Cm.admit ~outer:s0 ~inner:s1 c).Cm.tree)
+  let x =
+    Cm.extension scratch env ctx
+      ~inner:[| scan Parqo.Access_path.Seq_scan 1 |]
+      ~methods:[| Parqo.Join_method.Hash_join |] ~clones:[| 1 |] ~classes:1
+      ~limit:infinity
+  in
+  Array.iter
+    (fun outer ->
+      ignore (Cm.price x ~outer ~outer_class:0 ~inner:0 ~method_:0 ~clone:0);
+      let built = Cm.build (Cm.view scratch) in
+      Alcotest.(check string)
+        "the priced plans" "HJ(scan(r0), scan(r1))"
+        (Parqo.Join_tree.to_string built.Cm.tree);
+      match built.Cm.optree.Op.children with
+      | [ l; _ ] ->
+        let rec grafts (n : Op.node) =
+          n == outer.Cm.optree
+          || match n.Op.children with [ c ] -> grafts c | _ -> false
+        in
+        Alcotest.(check bool) "grafts the outer plan priced last" true
+          (grafts l)
+      | _ -> Alcotest.fail "join root is not binary")
+    outers
 
 let join_context_rejects_overlap () =
   let env = Helpers.chain_env ~n:3 () in
@@ -207,7 +216,7 @@ let podp_identical_cache_on_off () =
     List.iter
       (fun (space, config) ->
         let work_cap =
-          match (Parqo.Dp.optimize ~config env).Parqo.Dp.best with
+          match (Parqo.Optimizer.minimize_work ~config env).Parqo.Optimizer.best with
           | Some wo ->
             Parqo.Bounds.partial_work_cap
               (Parqo.Bounds.Throughput_degradation 2.)
@@ -267,9 +276,10 @@ let pricing_machines () =
 (* property: the work bound is sound.  For every join of evaluated
    children in random trees, loaded as a one-join extension, the bound
    its shared entries give ([Cm.bound]) is at most the priced work (up
-   to 1e-12 relative), [Cm.price] and [Cm.price_join] return no plan
-   only when the priced work exceeds the limit, and they do reject when
-   the bound clearly exceeds the limit.  The draws must include joins
+   to 1e-12 relative), [Cm.price] returns no plan only when the priced
+   work exceeds the limit — whether the limit is the extension's or
+   set later ([Cm.set_limit]) — and it does reject when the bound
+   clearly exceeds the limit.  The draws must include joins
    that probe a bare index, whose inner work the bound leaves out. *)
 let bound_is_sound () =
   let rng = Parqo.Rng.create 37 in
@@ -297,15 +307,18 @@ let bound_is_sound () =
                 Cm.extension scratch env ctx ~inner:[| inner |]
                   ~methods:[| method_ |] ~clones:[| clone |] ~classes:1 ~limit
               in
-              let price limit =
+              let priced x =
                 if
-                  Cm.price (load limit) ~outer ~outer_class:0 ~inner:0
-                    ~method_:0 ~clone:0
-                then Some (Cm.without_tree (Cm.build (Cm.view scratch)))
+                  Cm.price x ~outer ~outer_class:0 ~inner:0 ~method_:0
+                    ~clone:0
+                then Some (Cm.build (Cm.view scratch))
                 else None
-              and price_join limit =
-                Cm.price_join ~scratch ~limit env ctx ~method_ ~clone ~outer
-                  ~inner
+              in
+              let price limit = priced (load limit)
+              and set_limit limit =
+                let x = load infinity in
+                Cm.set_limit x limit;
+                priced x
               in
               let work =
                 match price infinity with
@@ -332,13 +345,13 @@ let bound_is_sound () =
                           "%s: %s rejected at limit %.17g, work %.17g" name
                           path limit work
                       | None | Some _ -> ())
-                    [ ("price", price); ("price_join", price_join) ])
+                    [ ("price", price); ("set_limit", set_limit) ])
                 [ work; Float.pred work; work *. (1. -. 1e-12); bound ];
               let clearly_over = bound /. (1. +. 1e-8) in
               if
                 bound > 0.
                 && (Option.is_some (price clearly_over)
-                   || Option.is_some (price_join clearly_over))
+                   || Option.is_some (set_limit clearly_over))
               then
                 Alcotest.failf "%s: bound %.17g over the limit, not rejected"
                   name bound)
@@ -362,7 +375,7 @@ let desc_bits (d : Parqo.Descriptor.t) =
 (* a priced candidate, as Int64 bits and strings: descriptor rows and
    times, response time, work, ordering, and the root operator with its
    composition, clone degree and partitioning *)
-let candidate_bits (c : Cm.candidate) =
+let candidate_bits (c : Cm.eval) =
   let root = c.Cm.optree in
   ( desc_bits c.Cm.descriptor,
     (bits c.Cm.response_time, bits c.Cm.work),
@@ -455,12 +468,13 @@ let key_string (k : Cm.key) =
      Int64-equal outer-side base descriptors and compositions, outer
      term and ordering;
    - [Cm.price] of every memo plan, its class drawn as PODP draws it,
-     leaves in the view the join [Cm.price_join] prices: for every
-     metric, under both refinements, the coordinates the view gives
-     equal [Metric.fill] on a view of the eval [Cm.build] makes, and the
+     leaves in the view the join the reference's [price_join]
+     ([Podp_reference.Ref_cm]) prices on its own: for every metric,
+     under both refinements, the coordinates the view gives equal
+     [Metric.fill] on a view of the eval [Cm.build] makes, and the
      view's key that eval's, Int64-exact — for the join and for its
-     twin; and those evals equal [Cm.admit] of [Cm.price_join]'s
-     candidate and of its twin, bit for bit. *)
+     twin; and those evals equal the reference's join and its twin,
+     bit for bit. *)
 let shared_pricing_matches_price_join () =
   let rng = Parqo.Rng.create 38 in
   let shared_classes = ref 0 and priced = ref 0 in
@@ -512,8 +526,8 @@ let shared_pricing_matches_price_join () =
         Array.map
           (fun outer ->
             match
-              Cm.price_join ~scratch:reference ~limit:infinity env ctx
-                ~method_ ~clone ~outer ~inner:a
+              Podp_reference.Ref_cm.price_join ~scratch:reference
+                ~limit:infinity env ctx ~method_ ~clone ~outer ~inner:a
             with
             | Some c -> c
             | None -> Alcotest.fail "price_join rejected")
@@ -524,7 +538,7 @@ let shared_pricing_matches_price_join () =
           let q = first.(cls.(i)) in
           if sides.(i) <> sides.(q) then
             Alcotest.failf "%s: outer side differs from its class's" (msg i);
-          let ordering (c : Cm.candidate) =
+          let ordering (c : Cm.eval) =
             Parqo.Ordering.to_string c.Cm.ordering
           in
           Alcotest.(check string)
@@ -542,7 +556,7 @@ let shared_pricing_matches_price_join () =
               key_string (Cm.key view) )
           in
           let check_built what (coords, key) built expected =
-            if candidate_bits (Cm.without_tree built) <> candidate_bits expected
+            if candidate_bits built <> candidate_bits expected
             then Alcotest.failf "%s: %s built <> price_join" (msg i) what;
             let ev = Cm.eval_view built in
             List.iter2
@@ -558,14 +572,16 @@ let shared_pricing_matches_price_join () =
           in
           let join = read () in
           let built = Cm.build view in
-          let twin = Cm.materialized_twin direct.(i) in
+          let twin = Podp_reference.Ref_cm.materialized_twin direct.(i) in
           check_built "join" join built direct.(i);
           Cm.twin view;
           let twin_read = read () in
-          check_built "twin" twin_read (Cm.build view) twin;
-          Helpers.check_eval_identical (msg i ^ ": admitted join")
-            (Cm.admit ~outer:p ~inner:a direct.(i))
-            built)
+          let built_twin = Cm.build view in
+          check_built "twin" twin_read built_twin twin;
+          Helpers.check_eval_identical (msg i ^ ": built join") direct.(i)
+            built;
+          Helpers.check_eval_identical (msg i ^ ": built twin") twin
+            built_twin)
         plans
     in
     Array.iteri
@@ -598,7 +614,8 @@ let shared_pricing_matches_price_join () =
               Array.of_list
                 (List.map (Cm.evaluate env) (S.access_plans env config rel)))
         in
-        let scratch = Cm.scratch env and reference = Cm.scratch env in
+        let scratch = Cm.scratch env
+        and reference = Podp_reference.Ref_cm.scratch env in
         List.iter
           (fun (s_j, plans) ->
             for j = 0 to n - 1 do
@@ -795,11 +812,11 @@ let connected_between_oracle () =
 let suite =
   ( "plan_cache",
     [
-      t "price_join bottom-up = evaluate, bit for bit" bottom_up_matches_evaluate;
+      t "priced join by join = evaluate, bit for bit" bottom_up_matches_evaluate;
       t "join_context rejects overlapping sets" join_context_rejects_overlap;
       t "materialized twin = evaluate, bit for bit" twin_matches_evaluate;
       t "materialized twin of a non-pipelined plan" twin_rejects_non_pipelined;
-      t "admit builds only over the priced plans" admit_rejects_other_plans;
+      t "build returns the last priced join" build_returns_last_priced;
       t "podp identical with cache on/off at forced widths" podp_identical_cache_on_off;
       t "work bound is sound" bound_is_sound;
       t "shared pricing = price_join on real memo plans, classes included"

@@ -45,12 +45,14 @@ let podp_fixes_the_example () =
   let catalog, query, machine = Sc.ctr_ci () in
   let env = Parqo.Env.create ~machine ~catalog ~query () in
   let config = Parqo.Space.default_config in
-  let objective (e : _ Cm.priced) = e.Cm.response_time in
-  let naive = Parqo.Dp.optimize ~config ~objective env in
+  let objective (e : Cm.eval) = e.Cm.response_time in
+  let naive =
+    Parqo.Podp.optimize ~config ~metric:Parqo.Metric.response_time env
+  in
   let metric = Parqo.Metric.descriptor machine Parqo.Machine.Per_resource in
   let po = Parqo.Podp.optimize ~config ~metric env in
   let brute = Parqo.Brute.leftdeep ~config ~objective env in
-  match (naive.Parqo.Dp.best, po.Parqo.Podp.best, brute.Parqo.Brute.best) with
+  match (naive.Parqo.Podp.best, po.Parqo.Podp.best, brute.Parqo.Brute.best) with
   | Some n, Some p, Some b ->
     Helpers.check_float ~eps:1e-6 "po-DP achieves the true optimum"
       b.Cm.response_time p.Cm.response_time;

@@ -1,7 +1,6 @@
 (* Figure 2: partial-order DP over left-deep trees. *)
 
 module Podp = Parqo.Podp
-module Dp = Parqo.Dp
 module Brute = Parqo.Brute
 module Mt = Parqo.Metric
 module Cm = Parqo.Costmodel
@@ -56,10 +55,9 @@ let no_worse_than_rt_dp () =
   for _ = 1 to 8 do
     let env = Helpers.random_env rng ~n:4 in
     let config = { S.default_config with S.clone_degrees = [ 1; 2 ] } in
-    let objective (e : _ Cm.priced) = e.Cm.response_time in
-    let dp = Dp.optimize ~config ~objective env in
+    let dp = Podp.optimize ~config ~metric:Mt.response_time env in
     let po = Podp.optimize ~config ~metric:(metric_for env) env in
-    match (dp.Dp.best, po.Podp.best) with
+    match (dp.Podp.best, po.Podp.best) with
     | Some d, Some p ->
       Alcotest.(check bool) "po-DP <= naive RT DP" true
         (p.Cm.response_time <= d.Cm.response_time +. 1e-6)
@@ -131,7 +129,7 @@ let work_cap_prunes () =
   let env = env_of G.Chain 4 in
   let config = S.parallel_config env.Parqo.Env.machine in
   let metric = metric_for env in
-  let wopt = (Dp.optimize ~config env).Dp.best in
+  let wopt = (Parqo.Optimizer.minimize_work ~config env).Parqo.Optimizer.best in
   match wopt with
   | None -> Alcotest.fail "no work optimum"
   | Some w ->
@@ -438,7 +436,9 @@ let reference_cases () =
               (if pick 2 = 0 then None else Some (1 + pick 4))
             else Some (2 + pick 3)
           in
-          let work_opt = (Dp.optimize ~config env).Dp.best in
+          let work_opt =
+            (Parqo.Optimizer.minimize_work ~config env).Parqo.Optimizer.best
+          in
           let work_cap, cap_name =
             match (pick 3, work_opt) with
             | 1, Some wo ->
