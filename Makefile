@@ -3,12 +3,14 @@
 all:
 	dune build @all
 
-# fast correctness gate: typecheck everything, then the full test suite
+# fast correctness gate: typecheck everything, then the full test suite.
+# The suite is bounded like the bench smokes, so a hung domain pool
+# fails the gate instead of hanging it.
 smoke:
-	dune build @check && dune runtest
+	dune build @check && timeout 1200 dune runtest
 
 test:
-	dune runtest
+	timeout 1200 dune runtest
 
 bench:
 	dune exec bench/main.exe
@@ -95,7 +97,7 @@ bench-exec-smoke:
 # parallel search machinery costs at most 1.3x the sequential path and
 # pays off on a multicore host, and the executors' words per row)
 ci:
-	dune build @all && dune runtest && $(MAKE) bench-search-smoke && $(MAKE) bench-cost-smoke && $(MAKE) bench-replan-smoke && $(MAKE) bench-serve-smoke && $(MAKE) bench-sched-smoke && $(MAKE) bench-hetero-smoke && $(MAKE) bench-exec-smoke
+	dune build @all && timeout 1200 dune runtest && $(MAKE) bench-search-smoke && $(MAKE) bench-cost-smoke && $(MAKE) bench-replan-smoke && $(MAKE) bench-serve-smoke && $(MAKE) bench-sched-smoke && $(MAKE) bench-hetero-smoke && $(MAKE) bench-exec-smoke
 
 clean:
 	dune clean

@@ -27,4 +27,9 @@ val table : Env.t -> Parqo_optree.Op.node -> Parqo_util.Tableau.t
 val render : Env.t -> Parqo_optree.Op.node -> string
 
 val explain_plan : Env.t -> Parqo_plan.Join_tree.t -> string
-(** Expand and render, with a cost summary line. *)
+(** Expand and render, with a cost summary line: response time, work
+    and the plan's output order ({!Parqo_plan.Props.ordering}), [-] when
+    it has none.  The order is the interesting one: an index scan's
+    order shows only up to its longest prefix of columns that a join
+    predicate or the ORDER BY names, so a scan through an index on a
+    column nothing names prints [-]. *)

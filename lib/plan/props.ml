@@ -34,9 +34,23 @@ let join_ordering method_ ~clone ~outer_key ~outer =
     | Join_method.Sort_merge -> Lazy.force outer_key
     | Join_method.Hash_join | Join_method.Nested_loops -> Lazy.force outer
 
+(* An access path's order up to its longest prefix of interesting
+   columns, the order itself when it is all interesting.  Sort elision
+   and the final sort ask only for join or ORDER BY columns, and
+   [subsumes] is a prefix test, so a cut order satisfies exactly the
+   keys the whole one does. *)
+let rec interesting_prefix query = function
+  | [] -> []
+  | (c : Ordering.col) :: rest as order ->
+    if not (Q.interesting query c.rel c.column) then []
+    else
+      let kept = interesting_prefix query rest in
+      if kept == rest then order else c :: kept
+
 let rec ordering query = function
   | Join_tree.Access a ->
-    if a.clone > 1 then Ordering.none else Access_path.ordering ~rel:a.rel a.path
+    if a.clone > 1 then Ordering.none
+    else interesting_prefix query (Access_path.ordering ~rel:a.rel a.path)
   | Join_tree.Join j ->
     join_ordering j.method_ ~clone:j.clone
       ~outer_key:(lazy (sort_key_outer query j))

@@ -39,10 +39,19 @@ val join_ordering :
     re-walking the subtree. *)
 
 val ordering : Parqo_query.Query.t -> Join_tree.t -> Ordering.t
-(** Output ordering: access paths yield their index order; sort-merge
-    yields the outer sort key; hash and nested-loops joins preserve the
-    outer ordering. Any operator cloned beyond degree 1 destroys global
-    order (its output is a union of partitioned streams). *)
+(** Output ordering, as far as it is interesting: an access path yields
+    its index order ({!Access_path.ordering}) up to the longest prefix
+    of columns that a join predicate or the ORDER BY names
+    ({!Parqo_query.Query.interesting}); sort-merge yields the outer sort
+    key; hash and nested-loops joins preserve the outer ordering. Any
+    operator cloned beyond degree 1 destroys global order (its output is
+    a union of partitioned streams).
+
+    Every order a plan can use — a sort-merge key, the ORDER BY — is
+    made of interesting columns, and {!Ordering.satisfies} is a prefix
+    test, so the cut order satisfies exactly the keys the index's whole
+    order does: no expansion or cost changes, and plans that differ only
+    in an order nothing can use fall into one pruning class. *)
 
 val partition_column :
   Parqo_query.Query.t -> Join_tree.t -> Ordering.col option

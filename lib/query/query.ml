@@ -13,6 +13,7 @@ type t = {
   order_by : column_ref list;
   alias_ids : (string, int) Hashtbl.t;
   neighbor_masks : Bitset.t array;
+  interesting : string list array;
   fingerprint : string;
 }
 
@@ -90,6 +91,19 @@ let create ~relations ~joins ?(selections = []) ?(projection = [])
       neighbor_masks.(j.right.rel) <-
         Bitset.add j.left.rel neighbor_masks.(j.right.rel))
     joins;
+  (* per relation, the columns a join predicate or the ORDER BY names:
+     the only ones whose order a plan can use *)
+  let interesting = Array.make (max 1 n) [] in
+  let name (c : column_ref) =
+    if not (List.mem c.column interesting.(c.rel)) then
+      interesting.(c.rel) <- c.column :: interesting.(c.rel)
+  in
+  List.iter
+    (fun (j : join_pred) ->
+      name j.left;
+      name j.right)
+    joins;
+  List.iter name order_by;
   {
     relations = Array.of_list relations;
     joins;
@@ -98,6 +112,7 @@ let create ~relations ~joins ?(selections = []) ?(projection = [])
     order_by;
     alias_ids;
     neighbor_masks;
+    interesting;
     fingerprint =
       compute_fingerprint ~relations ~joins ~selections ~projection ~order_by;
   }
@@ -134,6 +149,8 @@ let selections_on q rel =
   List.filter (fun (s : selection) -> s.on.rel = rel) q.selections
 
 let neighbors q rel = q.neighbor_masks.(rel)
+
+let interesting q rel column = List.mem column q.interesting.(rel)
 
 let connected q s =
   if Bitset.cardinal s <= 1 then true

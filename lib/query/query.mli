@@ -27,6 +27,9 @@ type t = private {
       (** precomputed alias → relation-id table; use {!relation_id} *)
   neighbor_masks : Parqo_util.Bitset.t array;
       (** precomputed per-relation join-graph adjacency; use {!neighbors} *)
+  interesting : string list array;
+      (** precomputed per-relation interesting columns; use
+          {!interesting} *)
   fingerprint : string;
       (** precomputed canonical query key; use {!fingerprint} *)
 }
@@ -77,6 +80,13 @@ val selections_on : t -> int -> selection list
 
 val neighbors : t -> int -> Parqo_util.Bitset.t
 (** Relations connected to the given relation by some join predicate. *)
+
+val interesting : t -> int -> string -> bool
+(** [interesting q rel column]: a join predicate or the ORDER BY names
+    the column of the relation — System R's interesting orders.  A sort
+    key, the outer order a join preserves, and the order the ORDER BY
+    asks for are all made of such columns, so an order on any other
+    column is of no use to any plan. *)
 
 val connected : t -> Parqo_util.Bitset.t -> bool
 (** Whether the join graph restricted to the set is connected (true for

@@ -101,7 +101,11 @@ val contended : pressure:float array -> t
 val with_ordering : t -> t
 (** Adds interesting orders: [a] must also subsume [b]'s output ordering
     (§6.3, "tuple ordering may be incorporated as an additional
-    dimension"). *)
+    dimension").  Only an interesting order counts, as in System R: a
+    plan's ordering ({!Parqo_plan.Props.ordering}) keeps an index's
+    order only up to its longest prefix of columns that a join
+    predicate or the ORDER BY names, so plans that differ only in an
+    order no sort-merge join or final sort can use are compared. *)
 
 val with_partitioning : t -> t
 (** Adds data partitioning, "incorporated in a manner similar to

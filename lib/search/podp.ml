@@ -454,25 +454,78 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
      and the numbering.  After the barrier the coordinator absorbs the
      finished covers into the memo in increasing mask order.  At width 1
      this is the sequential loop. *)
+  (* The level loop's workspace, sized by the largest level and reused
+     by every level: per subset, its mask, start decision, counts and
+     result; per extension, its sides, connectedness and unit count; and
+     a pass's unit table.  A level fills prefixes of it. *)
+  let max_subsets = ref 0 and max_exts = ref 0 in
+  for size = 2 to n do
+    let c = int_of_float (Parqo_util.Combin.binomial n size) in
+    let per =
+      match shape with Space.Left_deep -> size | Space.Bushy -> (1 lsl size) - 2
+    in
+    max_subsets := max !max_subsets c;
+    max_exts := max !max_exts (c * per)
+  done;
+  let m = !max_subsets and mx = !max_exts in
+  let subsets = Array.make m Bitset.empty in
+  let results : subset_result option array = Array.make m None in
+  (* per subset, summed over its partial covers when it is finished and
+     added to the stats in mask order — the merge, not the scheduling,
+     decides accumulation order *)
+  let considered = Array.make m 0
+  and generated = Array.make m 0
+  and rejected = Array.make m 0
+  and entries = Array.make m 0 in
+  let state = Array.init m (fun _ -> Atomic.make undecided) in
+  (* [all.(i)]: subset [i] prices every extension, cartesian ones
+     included — at once when no connected extension has a candidate,
+     else in a second pass when the connected candidates leave its
+     cover empty ([again.(i)]) *)
+  let all = Array.make m false and again = Array.make m false in
+  (* subset [i]'s extensions are [ext_first.(i)] to [ext_first.(i + 1) - 1] *)
+  let ext_first = Array.make (m + 1) 0 in
+  let ext_subset = Array.make mx 0
+  and ext_outer = Array.make mx Bitset.empty
+  and ext_inner = Array.make mx Bitset.empty
+  and ext_joined = Array.make mx false
+  and ext_units = Array.make mx 0 in
+  (* a pass's unit table: its extensions with candidates, in candidate
+     order, and each one's first unit (strictly ascending), then the
+     pass's unit count *)
+  let table = Array.make mx 0 and first = Array.make (mx + 1) 0 in
+  (* per subset in a pass: its units, those not yet priced, and for the
+     claim sizes its last unit and the subsets after it *)
+  let units = Array.make m 0 in
+  let remaining = Array.init m (fun _ -> Atomic.make 0) in
+  let sub_end = Array.make m 0 and after = Array.make m 0 in
+  (* each lane's partial cover of each subset, by (subset, lane) *)
+  let slots = Array.make (m * width) no_part in
   for size = 2 to n do
     (* Only the full set's plans, the ones returned, get node ids:
        numbering copies a whole operator tree and ignores the ids below,
        so a memo plan that larger plans graft needs none. *)
     let enter = if plan_cache && size = n then Cm.numbered else Fun.id in
-    let subsets = Array.of_list (Bitset.subsets_of_size n ~size) in
-    let n_subsets = Array.length subsets in
-    let results : subset_result option array = Array.make n_subsets None in
-    (* per subset, summed over its partial covers when it is finished and
-       added to the stats in mask order — the merge, not the scheduling,
-       decides accumulation order *)
-    let considered = Array.make n_subsets 0
-    and generated = Array.make n_subsets 0
-    and rejected = Array.make n_subsets 0
-    and entries = Array.make n_subsets 0 in
+    let n_subsets =
+      let k = ref 0 in
+      Bitset.iter_subsets_of_size
+        (fun s ->
+          subsets.(!k) <- s;
+          incr k)
+        n ~size;
+      !k
+    in
+    Array.fill results 0 n_subsets None;
+    Array.fill considered 0 n_subsets 0;
+    Array.fill generated 0 n_subsets 0;
+    Array.fill rejected 0 n_subsets 0;
+    Array.fill entries 0 n_subsets 0;
     (* Budget: a subset starts only if the budget is not exhausted when a
        worker first touches it — one atomic decision, so racing workers
        agree — and a started subset is completed, fallback included. *)
-    let state = Array.init n_subsets (fun _ -> Atomic.make undecided) in
+    for i = 0 to n_subsets - 1 do
+      Atomic.set state.(i) undecided
+    done;
     let decide i =
       let st = state.(i) in
       if Atomic.get st = undecided then
@@ -481,44 +534,37 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
              (if Budget.exhausted tracker then skipped else started));
       Atomic.get st = started
     in
-    (* each subset's extensions, as (outer side, inner side, connected,
-       units): left-deep, relation j joined to S - j, in [Bitset.iter]
-       order; bushy, the splits (S1, S - S1) in
+    (* each subset's extensions: left-deep, relation j joined to S - j,
+       in [Bitset.iter] order; bushy, the splits (S1, S - S1) in
        [Bitset.proper_nonempty_subsets] order.  A unit is one memo plan
        of the outer side; an extension whose inner side has no plan has
        no unit *)
-    let extensions =
-      Array.map
-        (fun s ->
-          let extension outer =
-            let inner = Bitset.diff s outer in
-            let units =
-              if shape = Space.Bushy && memo_len.(Bitset.to_int inner) = 0
-              then 0
-              else memo_len.(Bitset.to_int outer)
-            in
-            (outer, inner, Space.connects env outer inner, units)
-          in
-          List.map extension
-            (match shape with
-            | Space.Left_deep ->
-              List.map (fun j -> Bitset.remove j s) (Bitset.to_list s)
-            | Space.Bushy -> Bitset.proper_nonempty_subsets s))
-        subsets
-    in
-    (* [all.(i)]: subset [i] prices every extension, cartesian ones
-       included — at once when no connected extension has a candidate,
-       else in a second pass when the connected candidates leave its
-       cover empty *)
-    let all =
-      Array.map
-        (List.for_all (fun (_, _, joined, len) -> (not joined) || len = 0))
-        extensions
-    in
+    let n_ext = ref 0 in
+    for i = 0 to n_subsets - 1 do
+      let s = subsets.(i) in
+      ext_first.(i) <- !n_ext;
+      let extension outer =
+        let x = !n_ext and inner = Bitset.diff s outer in
+        ext_subset.(x) <- i;
+        ext_outer.(x) <- outer;
+        ext_inner.(x) <- inner;
+        ext_joined.(x) <- Space.connects env outer inner;
+        ext_units.(x) <-
+          (if shape = Space.Bushy && memo_len.(Bitset.to_int inner) = 0 then 0
+           else memo_len.(Bitset.to_int outer));
+        n_ext := x + 1
+      in
+      (match shape with
+      | Space.Left_deep -> Bitset.iter (fun j -> extension (Bitset.remove j s)) s
+      | Space.Bushy -> Bitset.iter_proper_nonempty_subsets extension s);
+      all.(i) <- true;
+      for x = ext_first.(i) to !n_ext - 1 do
+        if ext_joined.(x) && ext_units.(x) > 0 then all.(i) <- false
+      done;
+      again.(i) <- false
+    done;
+    ext_first.(n_subsets) <- !n_ext;
     let used_domains = ref 1 in
-    (* [again.(i)]: subset [i]'s connected candidates left its cover
-       empty, so it runs the cartesian fallback in a second pass *)
-    let again = Array.make n_subsets false in
     (* Finish subset [i] from its partial covers: fold them in tag order
        (a lone one is taken as is), then the fallback check, the beam and
        the numbering.  The kept plans go to the finishing lane's arena;
@@ -557,41 +603,38 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
           Atomic.set p.free true)
         parts
     in
-    let pass ids =
-      (* the pass's unit table: its extensions with candidates, in
-         candidate order, and each one's first unit (strictly ascending) *)
-      let table = ref [] and firsts = ref [] and n_units = ref 0 in
-      let units = Array.make n_subsets 0 in
-      Array.iter
-        (fun i ->
-          List.iter
-            (fun (outer, inner, joined, len) ->
-              if (all.(i) || joined) && len > 0 then begin
-                table := (i, outer, inner, joined) :: !table;
-                firsts := !n_units :: !firsts;
-                n_units := !n_units + len;
-                units.(i) <- units.(i) + len
-              end)
-            extensions.(i))
-        ids;
-      let table = Array.of_list (List.rev !table) in
-      let n_ext = Array.length table in
-      (* [first.(x)]: extension [x]'s first unit; [first.(n_ext)]: the
-         pass's unit count *)
-      let first = Array.of_list (List.rev (!n_units :: !firsts)) in
-      (* the extension holding unit [u] *)
+    (* A pass over every subset, or, as the [fallback], over those whose
+       connected candidates left their covers empty. *)
+    let pass ~fallback =
+      let in_pass i = (not fallback) || again.(i) in
+      let n_tab = ref 0 and n_units = ref 0 in
+      for i = 0 to n_subsets - 1 do
+        units.(i) <- 0;
+        if in_pass i then
+          for x = ext_first.(i) to ext_first.(i + 1) - 1 do
+            if (all.(i) || ext_joined.(x)) && ext_units.(x) > 0 then begin
+              table.(!n_tab) <- x;
+              first.(!n_tab) <- !n_units;
+              incr n_tab;
+              n_units := !n_units + ext_units.(x);
+              units.(i) <- units.(i) + ext_units.(x)
+            end
+          done;
+        (* a started subset's units not yet priced: the lane that prices
+           the last of them finishes the subset, and then no lane
+           touches its partial covers any more *)
+        Atomic.set remaining.(i) units.(i)
+      done;
+      let n_tab = !n_tab in
+      first.(n_tab) <- !n_units;
+      (* the table entry holding unit [u] *)
       let rec find u lo hi =
         if hi - lo <= 1 then lo
         else
           let mid = (lo + hi) / 2 in
           if first.(mid) <= u then find u mid hi else find u lo mid
       in
-      (* a started subset's units not yet priced: the lane that prices
-         the last of them finishes the subset, and then no lane touches
-         its partial covers any more *)
-      let remaining = Array.map Atomic.make units in
-      (* each lane's partial cover of each subset, by (subset, lane) *)
-      let slots = Array.make (n_subsets * width) no_part in
+      Array.fill slots 0 (n_subsets * width) no_part;
       let parts_of i =
         let acc = ref [] in
         for w = width - 1 downto 0 do
@@ -636,15 +679,17 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
         lanes;
       let claimed ~worker ~lo ~hi =
         let lane = lanes.(worker) in
-        let u = ref lo and x = ref (find lo 0 n_ext) in
+        let u = ref lo and t = ref (find lo 0 n_tab) in
         while !u < hi do
-          let i, outer, inner, joined = table.(!x) and f = first.(!x) in
-          let stop = min hi first.(!x + 1) in
+          let x = table.(!t) and f = first.(!t) in
+          let i = ext_subset.(x) in
+          let stop = min hi first.(!t + 1) in
           if decide i then begin
             let part = part_for ~worker lane i in
-            if lane.ext <> !x then begin
-              load ~worker lane ~outer ~inner ~joined;
-              lane.ext <- !x
+            if lane.ext <> x then begin
+              load ~worker lane ~outer:ext_outer.(x) ~inner:ext_inner.(x)
+                ~joined:ext_joined.(x);
+              lane.ext <- x
             end;
             for unit = !u to stop - 1 do
               part.considered <- part.considered + 1;
@@ -656,7 +701,7 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
               finish ~worker i (parts_of i)
           end;
           u := stop;
-          incr x
+          incr t
         done;
         if lane.ticks > 0 then begin
           Budget.tick tracker lane.ticks;
@@ -669,65 +714,63 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
          is finished, which costs memory, so only the last [width]
          subsets — the top level's one among them — are split, to keep
          every lane busy. *)
-      let sub_end = Array.make n_subsets 0 and after = Array.make n_subsets 0 in
+      Array.fill sub_end 0 n_subsets 0;
       let n_after = ref 0 in
-      for x = n_ext - 1 downto 0 do
-        let i, _, _, _ = table.(x) in
+      for t = n_tab - 1 downto 0 do
+        let i = ext_subset.(table.(t)) in
         if sub_end.(i) = 0 then begin
-          sub_end.(i) <- first.(x + 1);
+          sub_end.(i) <- first.(t + 1);
           after.(i) <- !n_after;
           incr n_after
         end
       done;
       let chunk ~pos ~default =
-        let i, _, _, _ = table.(find pos 0 n_ext) in
+        let i = ext_subset.(table.(find pos 0 n_tab)) in
         if after.(i) >= width then sub_end.(i) - pos else default
       in
-      let ran =
-        Domain_pool.run_ranged ~chunk pool ~tasks:first.(n_ext) claimed
-      in
+      let ran = Domain_pool.run_ranged ~chunk pool ~tasks:first.(n_tab) claimed in
       if ran > !used_domains then used_domains := ran;
       (* a subset without units is decided, and finished, at the barrier *)
-      Array.iter
-        (fun i -> if units.(i) = 0 && decide i then finish ~worker:0 i [])
-        ids
+      for i = 0 to n_subsets - 1 do
+        if in_pass i && units.(i) = 0 && decide i then finish ~worker:0 i []
+      done
     in
-    pass (Array.init n_subsets Fun.id);
-    let fallback =
-      List.filter (fun i -> again.(i)) (List.init n_subsets Fun.id)
-    in
-    if fallback <> [] then begin
-      List.iter (fun i -> all.(i) <- true) fallback;
-      pass (Array.of_list fallback)
-    end;
-    let cover_max = ref 0 in
-    Array.iteri
-      (fun i r ->
-        match r with
-        | None -> gave_up := true
-        | Some r ->
-          Search_stats.considered stats considered.(i);
-          Search_stats.generated stats generated.(i);
-          Search_stats.rejected stats rejected.(i);
-          Search_stats.entries stats entries.(i);
-          Search_stats.observe_cover stats r.cover_pre;
-          if r.cover_pre > !cover_max then cover_max := r.cover_pre;
-          level_sizes.(size) <- level_sizes.(size) + r.len;
-          let mask = Bitset.to_int subsets.(i) in
-          memo_off.(mask) <- memo.len;
-          memo_len.(mask) <- r.len;
-          let src = lanes.(r.worker).arena in
-          if r.len > 0 then begin
-            arena_room memo r.len src.buf.(r.start);
-            Array.blit src.buf r.start memo.buf memo.len r.len;
-            memo.len <- memo.len + r.len
-          end)
-      results;
+    pass ~fallback:false;
+    let fallback = ref false in
+    for i = 0 to n_subsets - 1 do
+      if again.(i) then begin
+        all.(i) <- true;
+        fallback := true
+      end
+    done;
+    if !fallback then pass ~fallback:true;
+    let cover_max = ref 0 and level_generated = ref 0 in
+    for i = 0 to n_subsets - 1 do
+      level_generated := !level_generated + generated.(i);
+      match results.(i) with
+      | None -> gave_up := true
+      | Some r ->
+        Search_stats.considered stats considered.(i);
+        Search_stats.generated stats generated.(i);
+        Search_stats.rejected stats rejected.(i);
+        Search_stats.entries stats entries.(i);
+        Search_stats.observe_cover stats r.cover_pre;
+        if r.cover_pre > !cover_max then cover_max := r.cover_pre;
+        level_sizes.(size) <- level_sizes.(size) + r.len;
+        let mask = Bitset.to_int subsets.(i) in
+        memo_off.(mask) <- memo.len;
+        memo_len.(mask) <- r.len;
+        let src = lanes.(r.worker).arena in
+        if r.len > 0 then begin
+          arena_room memo r.len src.buf.(r.start);
+          Array.blit src.buf r.start memo.buf memo.len r.len;
+          memo.len <- memo.len + r.len
+        end
+    done;
     (* worker arenas are consumed; recycle them for the next level *)
     Array.iter (fun lane -> lane.arena.len <- 0) lanes;
     Search_stats.observe_stored stats level_sizes.(size);
-    finish_level ~level:size ~subsets:n_subsets
-      ~generated:(Array.fold_left ( + ) 0 generated)
+    finish_level ~level:size ~subsets:n_subsets ~generated:!level_generated
       ~cover_max:!cover_max ~used_domains:!used_domains
   done;
   Search_stats.observe_pool stats

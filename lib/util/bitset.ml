@@ -60,34 +60,45 @@ let for_all p s = not (exists (fun i -> not (p i)) s)
 let of_list l = List.fold_left (fun s i -> add i s) empty l
 let to_list s = List.rev (fold (fun i acc -> i :: acc) s [])
 
-let subsets_of_size n ~size =
+let iter_subsets_of_size f n ~size =
   let all = full n in
   if size < 0 then invalid_arg "Bitset.subsets_of_size";
-  if size = 0 then [ empty ]
-  else if size > n then []
-  else begin
+  if size = 0 then f empty
+  else if size <= n then begin
     (* Gosper's hack: from a size-k mask, the next larger size-k mask is
        [r lor (((v lxor r) lsr 2) / c)] with [c] the lowest set bit and
        [r = v + c] — O(C(n,k)) total instead of scanning all 2^n masks. *)
-    let rec loop v acc =
-      let acc = v :: acc in
+    let rec loop v =
+      f v;
       let c = v land -v in
       let r = v + c in
       let v' = r lor (((v lxor r) lsr 2) / c) in
       (* v' < v: the carry overflowed past the top bit — last subset *)
-      if v' > all || v' < v then List.rev acc else loop v' acc
+      if v' <= all && v' > v then loop v'
     in
-    loop ((1 lsl size) - 1) []
+    loop ((1 lsl size) - 1)
   end
 
-let proper_nonempty_subsets s =
-  (* Enumerate submasks of [s] with the standard (sub - 1) land s trick,
-     then keep proper non-empty ones in increasing order. *)
-  let rec loop sub acc =
-    let acc = if sub <> 0 && sub <> s then sub :: acc else acc in
-    if sub = 0 then acc else loop ((sub - 1) land s) acc
+let subsets_of_size n ~size =
+  let acc = ref [] in
+  iter_subsets_of_size (fun s -> acc := s :: !acc) n ~size;
+  List.rev !acc
+
+(* The submasks of [s] in increasing order: [(sub - s) land s] is the
+   next larger one, and [(0 - s) land s] the least non-empty one. *)
+let iter_proper_nonempty_subsets f s =
+  let rec loop sub =
+    if sub <> s then begin
+      f sub;
+      loop ((sub - s) land s)
+    end
   in
-  loop s []
+  if s <> 0 then loop (-s land s)
+
+let proper_nonempty_subsets s =
+  let acc = ref [] in
+  iter_proper_nonempty_subsets (fun sub -> acc := sub :: !acc) s;
+  List.rev !acc
 
 let to_int s = s
 let of_int_unsafe m = m

@@ -67,9 +67,17 @@ val subsets_of_size : int -> size:int -> t list
     [size] elements, in increasing mask order.  Enumerated with Gosper's
     hack in O(C(n,size)) — no scan of the full 2^n mask space. *)
 
+val iter_subsets_of_size : (t -> unit) -> int -> size:int -> unit
+(** [iter_subsets_of_size f n ~size] applies [f] to each subset of
+    {!subsets_of_size}, in its order, without building the list. *)
+
 val proper_nonempty_subsets : t -> t list
 (** All subsets of [s] that are neither empty nor [s] itself, in increasing
     mask order.  Used to enumerate bushy-tree splits. *)
+
+val iter_proper_nonempty_subsets : (t -> unit) -> t -> unit
+(** [f] applied to each subset of {!proper_nonempty_subsets}, in its
+    order, without building the list. *)
 
 val to_int : t -> int
 (** The underlying mask, usable as an array index (dense DP tables). *)

@@ -55,6 +55,22 @@ let mixed rng ~order_by ~shape (g, n) =
   in
   { label; catalog; query; bound = degradation; shape }
 
+(* A serving-pool query ordered by an indexed column of its first
+   relation that no join predicate names: the order only the ORDER BY
+   makes interesting. *)
+let unjoined_order_by c =
+  let q = c.query in
+  let column =
+    List.find (fun column -> not (Q.interesting q 0 column))
+      (List.concat_map
+         (fun (i : Parqo.Index.t) -> i.Parqo.Index.columns)
+         (Parqo.Catalog.indexes_of c.catalog (Q.table_name q 0)))
+  in
+  let sql = Printf.sprintf "%s ORDER BY %s.%s" (Q.to_sql q) (Q.alias q 0) column in
+  match Parqo.Sql.parse ~catalog:c.catalog sql with
+  | Ok query -> { c with label = c.label ^ "+order-unjoined"; query }
+  | Error e -> failwith ("identity digest: " ^ e)
+
 let cases () =
   let rng = Parqo.Rng.create 26 in
   let left_deep =
@@ -86,7 +102,7 @@ let cases () =
       (fun i kind -> mixed rng ~order_by:(i = 1) ~shape:O.Bushy kind)
       [ (Shape QG.Chain, 3); (Shape QG.Star, 3); (Shape QG.Chain, 4); (Shape QG.Cycle, 4) ]
   in
-  left_deep @ serving @ bushy
+  left_deep @ serving @ bushy @ [ unjoined_order_by (List.nth serving 1) ]
 
 let bits f = Printf.sprintf "%016Lx" (Int64.bits_of_float f)
 

@@ -17,7 +17,10 @@
     4 relations, every third with an ORDER BY) under
     [Throughput_degradation 2.0]; the 24 queries of
     [Workloads.serving_pool ~seed:7], unbounded, as the server plans
-    them; and four bushy queries under [Throughput_degradation 2.0]. *)
+    them; four bushy queries under [Throughput_degradation 2.0]; and
+    the second pool query again, ordered by an indexed column of its
+    first relation that no join names, so only the ORDER BY makes that
+    index's order interesting. *)
 
 val lines : ?pool:Parqo.Domain_pool.t -> unit -> (string * string) list
 (** [(label, line)] per query, in file order, each searched on [pool]
