@@ -35,6 +35,30 @@ let write_results path ~what write =
     Printf.printf "wrote %s (%s)\n\n" path what
   end
 
+(* The checkout a results file was measured at: its git revision, with
+   "-dirty" when tracked files differ from it, or "unknown" outside a
+   git checkout. *)
+let git_rev () =
+  let rev =
+    match Unix.open_process_in "git rev-parse --short=12 HEAD 2>/dev/null" with
+    | exception Unix.Unix_error _ -> None
+    | ic ->
+      let line = try Some (input_line ic) with End_of_file -> None in
+      (match Unix.close_process_in ic with Unix.WEXITED 0 -> line | _ -> None)
+  in
+  match rev with
+  | None -> "unknown"
+  | Some rev ->
+    if Sys.command "git diff --quiet HEAD 2>/dev/null" = 1 then rev ^ "-dirty"
+    else rev
+
+(* A results file's machine record, the fields perfbench's run record
+   names the host by: cores, OCaml version and git revision. *)
+let machine_json () =
+  Printf.sprintf "{\"cores\": %d, \"ocaml_version\": %S, \"git_rev\": %S}"
+    (Domain.recommended_domain_count ())
+    Sys.ocaml_version (git_rev ())
+
 let header title lines =
   Printf.printf "%s\n" (String.make 78 '=');
   Printf.printf "%s\n" title;

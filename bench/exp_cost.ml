@@ -128,9 +128,8 @@ let write_json path runs =
      \"plan_cache\", \"domains\", \"wall_ms\", \"speedup\", \
      \"plans_expanded\", \"us_per_plan\", \"minor_words_per_plan\", \
      \"promoted_words_per_plan\", \"entries\"],\n\
-     \"cores\": %d,\n\"smoke\": %b,\n\"runs\": [\n%s\n]}\n"
-    (Domain.recommended_domain_count ())
-    smoke
+     \"machine\": %s,\n\"smoke\": %b,\n\"runs\": [\n%s\n]}\n"
+    (Common.machine_json ()) smoke
     (String.concat ",\n" (List.map json_of_run runs));
   close_out oc
 

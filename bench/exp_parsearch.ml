@@ -81,9 +81,8 @@ let write_json path runs =
      \"schema\": [\"workload\", \"n_relations\", \"domains\", \
      \"effective_domains\", \"spawned\", \"wall_ms\", \"overhead\", \
      \"speedup\", \"plans_expanded\", \"levels\"],\n\
-     \"cores\": %d,\n\"smoke\": %b,\n\"overhead_limit\": %.2f,\n\"runs\": [\n%s\n]}\n"
-    (Domain.recommended_domain_count ())
-    smoke overhead_limit
+     \"machine\": %s,\n\"smoke\": %b,\n\"overhead_limit\": %.2f,\n\"runs\": [\n%s\n]}\n"
+    (Common.machine_json ()) smoke overhead_limit
     (String.concat ",\n" (List.map json_of_run runs));
   close_out oc
 

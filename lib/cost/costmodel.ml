@@ -139,11 +139,13 @@ let evaluate ?(required_order = P.Ordering.none) (env : Env.t) tree =
    kernel pass over its root, into the scratch's view ([price]): no
    expansion, no record.  The view's measures and rows are what pruning
    metrics read, the entry's key what their refinements compare, so a
-   join is tested before anything of it is built, and [build] expands
-   and builds only a join its cover admits.  The materialized variant
-   of a join is read off the pipelined one's pricing ([twin]), and the
-   node-id renumbering — the one walk over the whole tree — is left to
-   [numbered], which a DP runs only on the plans it keeps. *)
+   join is tested before anything of it is built, [keep] copies only
+   the descriptor of a join its cover admits, and [plan] expands and
+   builds only a kept join the cover still holds at the end.  The
+   materialized variant of a join is read off the pipelined one's
+   pricing ([twin]), and the node-id renumbering — the one walk over
+   the whole tree — is left to [numbered], which a DP runs only on the
+   plans it keeps. *)
 
 type join_context = Parqo_optree.Expand.context
 
@@ -334,6 +336,17 @@ let rec side_length stop (node : Op.node) =
       n
     | _ -> invalid_arg "Costmodel: join side is not a unary chain"
 
+(* Price [node]'s base descriptor into slot [k] and add its work, summed
+   as [Descriptor.work] sums it, to [s.work.(0)]. *)
+let store_base s (env : Env.t) k node =
+  Opcost.base_row env.placement env.estimator node s.store k;
+  let w = Descriptor.row_work s.store and dim = env.placement.Placement.dim in
+  let sum = ref 0. in
+  for i = k * dim to ((k + 1) * dim) - 1 do
+    sum := !sum +. w.(i)
+  done;
+  s.work.(0) <- s.work.(0) +. !sum
+
 (* Store the base descriptors of that chain's operators, bottom-most
    first from slot [first], and return their count; set bit [j] of
    [s.flags] when the [j]-th is materialized, and add their base work
@@ -344,11 +357,9 @@ let rec store_side s (env : Env.t) ~first stop (node : Op.node) =
     match node.Op.children with
     | [ c ] ->
       let j = store_side s env ~first stop c in
-      let b = Opcost.base env.placement env.estimator node in
-      Descriptor.set_row s.store (first + j) b;
+      store_base s env (first + j) node;
       if node.Op.composition = Op.Materialized then
         s.flags <- s.flags lor (1 lsl j);
-      s.work.(0) <- s.work.(0) +. Descriptor.work b;
       j + 1
     | _ -> invalid_arg "Costmodel: join side is not a unary chain"
 
@@ -379,10 +390,9 @@ let fill_inner s (env : Env.t) root (ie : eval) i =
   ignore (side_length ie.optree r);
   let free = Opcost.nl_inner_is_free root in
   let row = take s (if free then 1 else 2) in
-  let rb = Opcost.base env.placement env.estimator root in
-  Descriptor.set_row s.store row rb;
   s.flags <- 0;
-  s.work.(0) <- Descriptor.work rb;
+  s.work.(0) <- 0.;
+  store_base s env row root;
   let n = store_side s env ~first:side_rows ie.optree r in
   if not free then begin
     Descriptor.set_row s.store (if n = 0 then row + 1 else tmp_a) ie.descriptor;
@@ -583,25 +593,65 @@ let view_optree (v : view) =
     if v.twin then materialized root else root
   | Nothing -> invalid_arg "Costmodel.view_optree: an empty view"
 
-let build (v : view) : eval =
-  match v.shows with
-  | Plan e -> e
-  | Join x ->
-    let root = joined_root x in
-    let outer = x.outer and inner = x.inner.(x.at_inner) in
-    let twin = v.twin in
-    let m = v.rows.Descriptor.m in
-    {
-      tree =
-        P.Join_tree.join ~clone:x.clones.(x.at_clone) ~materialize:twin
-          x.methods.(x.at_method) ~outer:outer.tree ~inner:inner.tree;
-      optree = (if twin then materialized root else root);
-      descriptor = Descriptor.of_view v.rows ~twin;
-      response_time = m.Descriptor.last_time;
-      work = m.Descriptor.work;
-      ordering = x.keys.(x.at_out).ordering;
+type candidate =
+  | Built of eval
+  | Priced of {
+      x : extension;
+      outer : eval;
+      i : int;
+      mi : int;
+      ki : int;
+      o : int;
+      twin : bool;
+      rows : Descriptor.t;  (* a copy of the view's *)
+      mutable plan : eval option;
     }
-  | Nothing -> invalid_arg "Costmodel.build: an empty view"
+
+let keep (v : view) =
+  match v.shows with
+  | Plan e -> Built e
+  | Join x ->
+    Priced
+      {
+        x;
+        outer = x.outer;
+        i = x.at_inner;
+        mi = x.at_method;
+        ki = x.at_clone;
+        o = x.at_out;
+        twin = v.twin;
+        rows = Descriptor.of_view v.rows ~twin:v.twin;
+        plan = None;
+      }
+  | Nothing -> invalid_arg "Costmodel.keep: an empty view"
+
+let candidate_work = function
+  | Built e -> e.work
+  | Priced c -> Descriptor.work c.rows
+
+let plan = function
+  | Built e -> e
+  | Priced { plan = Some e; _ } -> e
+  | Priced c ->
+    let x = c.x in
+    let root =
+      expand x.env x.ctx ~method_:x.methods.(c.mi) ~clone:x.clones.(c.ki)
+        c.outer x.inner.(c.i)
+    in
+    let e =
+      {
+        tree =
+          P.Join_tree.join ~clone:x.clones.(c.ki) ~materialize:c.twin
+            x.methods.(c.mi) ~outer:c.outer.tree ~inner:x.inner.(c.i).tree;
+        optree = (if c.twin then materialized root else root);
+        descriptor = c.rows;
+        response_time = Descriptor.response_time c.rows;
+        work = Descriptor.work c.rows;
+        ordering = x.keys.(c.o).ordering;
+      }
+    in
+    c.plan <- Some e;
+    e
 
 (* The outer side's new operators read the outer root's clone degree,
    partitioning and kind (an exchange), its cardinality and width, and

@@ -58,7 +58,8 @@ val with_final_sort : Env.t -> Parqo_plan.Ordering.t -> eval -> eval
     and, when a limit is given, bounded before it is composed.  A DP
     loads the joins it prices between two relation sets as an
     {!extension}, prices each into the scratch's {!view} ({!price}),
-    and builds the eval of a join it keeps ({!build}).  Results are
+    keeps a join its cover admits ({!keep}) and builds the eval of one
+    it holds to the end ({!plan}).  Results are
     bit-identical to {!evaluate} of the same tree once {!numbered}.
 
     {b The bound.}  The new operators' base descriptors are computed
@@ -141,12 +142,14 @@ val set_limit : extension -> float -> unit
     A DP under a total order lowers it to its incumbent's work as the
     incumbent improves. *)
 
-(** {3 Price, test, then build}
+(** {3 Price, test, keep, then build}
 
     {!price} leaves a join in the scratch's {!view}, and nothing else:
     a pruning metric reads its coordinates there ([Metric.fill]) and a
     cover tests them with its {!key}.  Only a join the cover admits is
-    expanded and built ({!build}); one it rejects allocates nothing. *)
+    kept, a copy of its descriptor ({!keep}), and only a kept join is
+    expanded and built ({!plan}); one the cover rejects allocates
+    nothing. *)
 
 type key = {
   ordering : Parqo_plan.Ordering.t;  (** the plan's output ordering *)
@@ -220,11 +223,26 @@ val key : view -> key
 (** The key of the plan the view shows: its outer entry's, for a
     join. *)
 
-val build : view -> eval
-(** The eval of the plan the view shows: a join (or twin) is expanded,
-    if its entries did not already, and gets its join tree, key and a
-    copy of its descriptor — once {!numbered}, bit for bit {!evaluate}
-    of its tree.  Raises [Invalid_argument] on an empty view. *)
+type candidate
+(** A plan kept for later: an evaluated plan, or a priced join with a
+    copy of its descriptor, expanded and built only when {!plan} asks
+    for it. *)
+
+val keep : view -> candidate
+(** What the view shows, kept: a join's (or twin's) descriptor is copied
+    out of the view, and nothing is expanded or built.  A search keeps
+    every candidate its cover admits, and most are covered later or cut
+    by the beam: it builds only those it keeps to the end.  Raises
+    [Invalid_argument] on an empty view. *)
+
+val plan : candidate -> eval
+(** The eval of a kept candidate, built on the first call (and kept): a
+    join (or twin) is expanded and gets its join tree and the copied
+    descriptor — once {!numbered}, bit for bit {!evaluate} of its
+    tree. *)
+
+val candidate_work : candidate -> float
+(** Its plan's work, without building it. *)
 
 val view_optree : view -> Parqo_optree.Op.node
 (** The operator tree of the plan the view shows, a join's expanded on

@@ -441,6 +441,36 @@ let set_row r k d =
   r.ts.(2 * k) <- d.rf.Rvec.time;
   r.ts.((2 * k) + 1) <- d.rl.Rvec.time
 
+let row r k =
+  let o = k * r.rdim in
+  let work a = Vecf.unsafe_adopt (Array.sub a o r.rdim) in
+  {
+    rf = { Rvec.time = r.ts.(2 * k); work = work r.fw };
+    rl = { Rvec.time = r.ts.((2 * k) + 1); work = work r.lw };
+  }
+
+let row_work r = r.lw
+
+(* [Rvec.of_accumulated]'s pass over the row, then [atomic] or
+   [blocking] of its result *)
+let usage_row r k ~lanes ~overhead ~blocking =
+  if lanes < 1 then invalid_arg "Descriptor.usage_row: lanes < 1";
+  let o = k * r.rdim and fw = r.fw and lw = r.lw in
+  let total = ref 0. and busiest = ref neg_infinity in
+  for i = o to o + r.rdim - 1 do
+    let w = lw.(i) in
+    total := !total +. w;
+    busiest := fmax !busiest w;
+    fw.(i) <- (if blocking then w else 0.)
+  done;
+  let cloned =
+    !total /. float_of_int lanes
+    *. (1. +. (overhead *. float_of_int (lanes - 1)))
+  in
+  let time = fmax !busiest cloned in
+  r.ts.(2 * k) <- (if blocking then time else 0.);
+  r.ts.((2 * k) + 1) <- time
+
 let sync_row r k =
   let o = k * r.rdim and fw = r.fw and lw = r.lw in
   for i = o to o + r.rdim - 1 do

@@ -138,6 +138,21 @@ val rows_reserve : rows -> int -> unit
 val set_row : rows -> int -> t -> unit
 (** Store a descriptor in a slot. *)
 
+val row : rows -> int -> t
+(** The descriptor a slot holds, over vectors of its own. *)
+
+val row_work : rows -> float array
+(** The store's last-tuple work rows, slot [k]'s from [k * dim]: where
+    an operator's work is accumulated for {!usage_row}.  Valid until
+    the store grows. *)
+
+val usage_row :
+  rows -> int -> lanes:int -> overhead:float -> blocking:bool -> unit
+(** Slot [k] becomes the base descriptor of an operator whose work per
+    resource its last-tuple row holds: {!blocking}, or, unless
+    [blocking], {!atomic}, of the usage {!Rvec.of_accumulated} makes of
+    that row ~lanes ~overhead, with the same arithmetic. *)
+
 val sync_row : rows -> int -> unit
 (** {!sync} a slot in place. *)
 

@@ -12,7 +12,8 @@
     [base] works off a {!Placement.cache} (prepared once per
     optimization, carried by {!Env.t}) and accumulates demands straight
     into the descriptor's work array — no demand lists, no placement
-    list walks. *)
+    list walks; [base_row] accumulates them, by the same path, straight
+    into a slot of a descriptor store, and allocates nothing. *)
 
 val prepare :
   Parqo_machine.Machine.t -> Parqo_plan.Estimator.t -> Placement.cache
@@ -27,6 +28,16 @@ val base :
   Descriptor.t
 (** Raises [Invalid_argument] on an arity violation (e.g. a [Sort] without
     a child) or a clone degree below 1. *)
+
+val base_row :
+  Placement.cache ->
+  Parqo_plan.Estimator.t ->
+  Parqo_optree.Op.node ->
+  Descriptor.rows ->
+  int ->
+  unit
+(** [base_row pc est node rows k]: slot [k] of [rows] (reserved) becomes
+    [base pc est node], bit for bit. *)
 
 val nl_inner_is_free : Parqo_optree.Op.node -> bool
 (** True when the node is a nested-loops join whose inner child is a bare

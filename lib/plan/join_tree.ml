@@ -8,7 +8,7 @@ type join = {
   inner : t;
   clone : int;
   materialize : bool;
-  jkey : string;
+  mutable jkey : string;
   jrels : Bitset.t;
 }
 
@@ -18,12 +18,6 @@ let method_abbrev = function
   | Join_method.Nested_loops -> "NL"
   | Join_method.Sort_merge -> "SM"
   | Join_method.Hash_join -> "HJ"
-
-(* The canonical rendering doubles as the plan's identity: the search
-   breaks rank ties with it and the plan cache keys on it, so it is
-   hash-consed bottom-up at construction (a join's key concatenates its
-   children's keys) instead of being re-rendered on every comparison. *)
-let key = function Access a -> a.akey | Join j -> j.jkey
 
 let relations = function Access a -> Bitset.singleton a.rel | Join j -> j.jrels
 
@@ -67,13 +61,27 @@ let join_key ~method_ ~clone ~materialize ~okey ~ikey =
   put ")" 1;
   Bytes.unsafe_to_string b
 
+(* The canonical rendering doubles as the plan's identity: the search
+   breaks rank ties with it and the plan cache keys on it, so it is
+   hash-consed bottom-up (a join's key concatenates its children's keys)
+   instead of being re-rendered on every comparison.  A join's key is
+   built when it is first read, not at construction: the search builds
+   many more joins than it ever compares or prints.  Two domains reading
+   an unbuilt key race to store equal strings, so either store is
+   right. *)
+let rec key = function
+  | Access a -> a.akey
+  | Join j ->
+    if String.length j.jkey = 0 then
+      j.jkey <-
+        join_key ~method_:j.method_ ~clone:j.clone ~materialize:j.materialize
+          ~okey:(key j.outer) ~ikey:(key j.inner);
+    j.jkey
+
 let join ?(clone = 1) ?(materialize = false) method_ ~outer ~inner =
   if clone < 1 then invalid_arg "Join_tree.join: clone < 1";
-  let jkey =
-    join_key ~method_ ~clone ~materialize ~okey:(key outer) ~ikey:(key inner)
-  in
   let jrels = Bitset.union (relations outer) (relations inner) in
-  Join { method_; outer; inner; clone; materialize; jkey; jrels }
+  Join { method_; outer; inner; clone; materialize; jkey = ""; jrels }
 
 let rec n_leaves = function
   | Access _ -> 1

@@ -6,14 +6,14 @@
     relations, each occurring once (the paper's "each tuple computed
     exactly once" constraint rules out the redundant bushy shapes). *)
 
-type access = {
+type access = private {
   rel : int;  (** relation id in the query *)
   path : Access_path.t;
   clone : int;  (** degree of intra-operator parallelism, >= 1 *)
   akey : string;  (** precomputed canonical key; use {!key} *)
 }
 
-type join = {
+type join = private {
   method_ : Join_method.t;
   outer : t;
   inner : t;
@@ -22,17 +22,18 @@ type join = {
       (** force the join's output to be materialized instead of pipelined
           into its parent — trades pipeline parallelism for freedom from
           the synchronization penalty delta(k) *)
-  jkey : string;  (** precomputed canonical key; use {!key} *)
+  mutable jkey : string;
+      (** canonical key, built on the first {!key} (empty until then);
+          use {!key} *)
   jrels : Parqo_util.Bitset.t;  (** precomputed leaf set; use {!relations} *)
 }
 
 and t = Access of access | Join of join
-(** The key and relation-set fields are hash-consed by the smart
-    constructors (a join derives them from its children in O(1) extra
-    work), which is what makes {!key}, {!relations} and plan-cache
-    lookups cheap in the search hot path.  Always build trees through
-    {!access} and {!join} — never by record syntax or [{ j with ... }],
-    which would carry a stale key past a child replacement. *)
+(** The key and relation-set fields are hash-consed (a join derives them
+    from its children in O(1) extra work, the key when it is first
+    read), which is what makes {!key}, {!relations} and plan-cache
+    lookups cheap in the search hot path.  The records are private:
+    trees are built through {!access} and {!join} only. *)
 
 val access : ?path:Access_path.t -> ?clone:int -> int -> t
 (** [path] defaults to [Seq_scan], [clone] to 1. *)
@@ -44,9 +45,10 @@ val relations : t -> Parqo_util.Bitset.t
 (** Set of relation ids at the leaves — O(1), precomputed. *)
 
 val key : t -> string
-(** The precomputed canonical rendering (same string as {!to_string}) —
-    O(1).  Injective for trees over one catalog, so it is a sound cache
-    key and deterministic tie-breaker. *)
+(** The canonical rendering (same string as {!to_string}) — built and
+    kept by a join's first read, O(1) after.  Injective for trees over
+    one catalog, so it is a sound cache key and deterministic
+    tie-breaker. *)
 
 val n_leaves : t -> int
 

@@ -17,6 +17,7 @@ let leftdeep ?(config = Space.default_config)
     ?(objective = fun (e : Cm.eval) -> e.Cm.response_time) ?(on_plan = fun _ -> ())
     (env : Env.t) =
   let n = Env.n_relations env in
+  let joinable = Space.joinable env in
   let stats = Search_stats.create () in
   let best = ref None in
   let n_plans = ref 0 in
@@ -30,11 +31,12 @@ let leftdeep ?(config = Space.default_config)
     if Bitset.equal covered full then complete (Cm.evaluate env tree)
     else
       for rel = 0 to n - 1 do
-        if not (Bitset.mem rel covered) then begin
+        let next = Bitset.add rel covered in
+        if (not (Bitset.mem rel covered)) && joinable next then begin
           Search_stats.considered stats 1;
           let candidates = Space.join_candidates env config ~outer:tree ~rel in
           Search_stats.generated stats (List.length candidates);
-          List.iter (extend (Bitset.add rel covered)) candidates
+          List.iter (extend next) candidates
         end
       done
   in
@@ -50,6 +52,7 @@ let bushy ?(config = Space.default_config)
     ?(objective = fun (e : Cm.eval) -> e.Cm.response_time) ?(on_plan = fun _ -> ())
     (env : Env.t) =
   let n = Env.n_relations env in
+  let joinable = Space.joinable env in
   let stats = Search_stats.create () in
   (* all plans for a subset; no memoization — this is the brute force *)
   let rec plans_for s =
@@ -73,7 +76,9 @@ let bushy ?(config = Space.default_config)
                   cs)
                 (plans_for s2))
             (plans_for s1))
-        (Bitset.proper_nonempty_subsets s)
+        (List.filter
+           (fun s1 -> joinable s1 && joinable (Bitset.diff s s1))
+           (Bitset.proper_nonempty_subsets s))
   in
   let all = if n = 0 then [] else plans_for (Bitset.full n) in
   let best = ref None in

@@ -14,8 +14,8 @@ type result = {
 (* Stable total key on plans: used to break exact rank ties so that beam
    pruning and final-plan selection are deterministic — independent of
    cover order, and therefore identical between the sequential and the
-   domain-parallel search.  [Join_tree.key] is precomputed at plan
-   construction, so a tie comparison costs no string building. *)
+   domain-parallel search.  [Join_tree.key] is built at a plan's first
+   comparison and kept, so a later one costs no string building. *)
 let plan_key (e : Cm.eval) = Parqo_plan.Join_tree.key e.Cm.tree
 let tie a b = String.compare (plan_key a) (plan_key b)
 
@@ -57,7 +57,7 @@ let arena_push a e =
    owner through [free]. *)
 type part = {
   mutable subset : int;  (** index of the subset in its level *)
-  cover : (Cm.key, Cm.eval) Cover.t;
+  cover : (Cm.key, Cm.candidate) Cover.t;
   mutable considered : int;
   mutable generated : int;
   mutable rejected : int;  (** of [generated], rejected by the work bound *)
@@ -86,7 +86,7 @@ let skipped = 2
 type lane = {
   mutable parts : part array;
   mutable n_parts : int;
-  merged : (Cm.key, Cm.eval) Cover.t;
+  merged : (Cm.key, Cm.candidate) Cover.t;
   arena : arena;
   view : Cm.view;  (** its scratch's: what a priced candidate is read by *)
   mutable ext : int;  (** loaded extension, index in the pass; -1: none *)
@@ -112,17 +112,19 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
      method, clone) and once per (class, method, clone), and a memo
      plan's outer side once per (class, method, clone) of its unit.  The
      memo arena and the level-1 access evaluations are the children's
-     cache: nothing is looked up by key.  Price, test, then build: a
-     candidate is priced into the lane's view in one kernel pass
-     (Cm.price), its coordinates are filled from the view and tested
-     against the partial cover with its outer entry's key, and only a
-     candidate the cover admits is expanded and built (Cm.build, which
-     copies its descriptor out of the view); a rejected one allocates
-     nothing.  Each materialized candidate is the twin of the pipelined
-     one generated just before it (Cm.twin: the same pricing, read with
-     its first-tuple row as its last), tested after that one has
-     entered, and operator trees are numbered only when a plan enters
-     the full set's memo slice, the cover the search returns.  Under a
+     cache: nothing is looked up by key.  Price, test, keep, then
+     build: a candidate is priced into the lane's view in one kernel
+     pass (Cm.price), its coordinates are filled from the view and
+     tested against the partial cover with its outer entry's key, only
+     a candidate the cover admits is kept (Cm.keep, which copies its
+     descriptor out of the view), and only one its subset's cover still
+     holds when the subset is finished is expanded and built (Cm.plan);
+     a rejected one allocates nothing.  Each materialized candidate is
+     the twin of the pipelined one generated just before it (Cm.twin:
+     the same pricing, read with its first-tuple row as its last),
+     tested after that one has entered, and operator trees are numbered
+     only when a plan enters the full set's memo slice, the cover the
+     search returns.  Under a
      work cap a candidate is bounded from the entries before anything is
      composed.  With [plan_cache] off every candidate
      is evaluated from scratch instead, and read through a view of its
@@ -152,13 +154,18 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
   let methods_of ~joined = Array.of_list (Space.join_methods config ~joined) in
   let methods_joined = methods_of ~joined:true
   and methods_cartesian = methods_of ~joined:false in
-  let apply_beam cover =
+  let apply_beam =
     match max_cover with
-    | None -> ()
-    | Some keep -> Cover.trim ~tie cover ~keep ~rank
+    | None -> ignore
+    | Some keep ->
+      let rank c = rank (Cm.plan c) and tie a b = tie (Cm.plan a) (Cm.plan b) in
+      fun cover -> Cover.trim ~tie cover ~keep ~rank
   in
   let n = Env.n_relations env in
   let stats = Search_stats.create () in
+  (* the space (MODEL.md §8): the subsets a level visits and the sides an
+     extension joins, all connected unless the query's join graph is not *)
+  let joinable = Space.joinable env in
   (* Flat covers: entry coordinates are materialized once per candidate
      into the cover's scratch row, dominance tests run on the cover's
      scan index, ascending by the metric's lead coordinate.  Cleared for
@@ -170,7 +177,7 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
   let cover_add view cover e =
     Cm.show view e;
     metric.Metric.fill view (Cover.scratch cover);
-    ignore (Cover.add cover (Cm.key view) e)
+    ignore (Cover.add cover (Cm.key view) (Cm.keep view))
   in
   let new_part () =
     {
@@ -210,7 +217,7 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
   let absorb_cover ~mask cover =
     memo_off.(mask) <- memo.len;
     memo_len.(mask) <- Cover.size cover;
-    Cover.iter_newest_first (arena_push memo) cover
+    Cover.iter_newest_first (fun c -> arena_push memo (Cm.plan c)) cover
   in
   let level_sizes = Array.make (n + 1) 0 in
   (* per-relation access plans are annotation-independent of the level
@@ -320,7 +327,7 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
       metric.Metric.fill v (Cover.scratch part.cover);
       let k = Cm.key v in
       if not (Cover.is_covered part.cover k) then
-        Cover.insert part.cover ~tag:lane.tag k (Cm.build v)
+        Cover.insert part.cover ~tag:lane.tag k (Cm.keep v)
     end
   in
   (* a candidate, and its twin, counted and not offered *)
@@ -341,15 +348,17 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
     metric.Metric.fill v (Cover.scratch part.cover);
     let k = Cm.key v in
     if not (Cover.is_covered part.cover k) then begin
-      let e = Cm.build v in
-      Cover.insert part.cover ~tag:lane.tag k e;
-      Cm.set_limit x e.Cm.work
+      let c = Cm.keep v in
+      Cover.insert part.cover ~tag:lane.tag k c;
+      Cm.set_limit x (Cm.candidate_work c)
     end;
     skip lane
   in
   (* the work of a part's one plan, under the incumbent bound *)
   let least part =
-    match Cover.elements part.cover with e :: _ -> e.Cm.work | [] -> limit
+    match Cover.elements part.cover with
+    | c :: _ -> Cm.candidate_work c
+    | [] -> limit
   in
   (* a candidate over the cap, and its materialized twin (same work) *)
   let reject lane =
@@ -453,7 +462,11 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
      is; then come the cartesian fallback for an empty cover, the beam
      and the numbering.  After the barrier the coordinator absorbs the
      finished covers into the memo in increasing mask order.  At width 1
-     this is the sequential loop. *)
+     this is the sequential loop.  A level visits only the joinable
+     subsets, and a subset only the extensions whose two sides are
+     joinable: for a connected query, connected subsets and connected
+     sides, so no candidate has a cartesian side and the fallback has
+     nothing to price. *)
   (* The level loop's workspace, sized by the largest level and reused
      by every level: per subset, its mask, start decision, counts and
      result; per extension, its sides, connectedness and unit count; and
@@ -478,11 +491,11 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
   and rejected = Array.make m 0
   and entries = Array.make m 0 in
   let state = Array.init m (fun _ -> Atomic.make undecided) in
-  (* [all.(i)]: subset [i] prices every extension, cartesian ones
-     included — at once when no connected extension has a candidate,
-     else in a second pass when the connected candidates leave its
-     cover empty ([again.(i)]) *)
-  let all = Array.make m false and again = Array.make m false in
+  (* [cartesian.(i)]: subset [i] has an extension with units whose sides
+     no join predicate crosses, which only a disconnected query's subsets
+     have; [again.(i)]: its connected candidates left its cover empty, so
+     a second pass, the cartesian fallback, prices those extensions *)
+  let cartesian = Array.make m false and again = Array.make m false in
   (* subset [i]'s extensions are [ext_first.(i)] to [ext_first.(i + 1) - 1] *)
   let ext_first = Array.make (m + 1) 0 in
   let ext_subset = Array.make mx 0
@@ -510,8 +523,10 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
       let k = ref 0 in
       Bitset.iter_subsets_of_size
         (fun s ->
-          subsets.(!k) <- s;
-          incr k)
+          if joinable s then begin
+            subsets.(!k) <- s;
+            incr k
+          end)
         n ~size;
       !k
     in
@@ -534,34 +549,36 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
              (if Budget.exhausted tracker then skipped else started));
       Atomic.get st = started
     in
-    (* each subset's extensions: left-deep, relation j joined to S - j,
-       in [Bitset.iter] order; bushy, the splits (S1, S - S1) in
-       [Bitset.proper_nonempty_subsets] order.  A unit is one memo plan
-       of the outer side; an extension whose inner side has no plan has
-       no unit *)
+    (* each subset's extensions with joinable sides: left-deep, relation
+       j joined to S - j, in [Bitset.iter] order; bushy, the splits
+       (S1, S - S1) in [Bitset.proper_nonempty_subsets] order.  A unit is
+       one memo plan of the outer side; an extension whose inner side has
+       no plan has no unit *)
     let n_ext = ref 0 in
     for i = 0 to n_subsets - 1 do
       let s = subsets.(i) in
       ext_first.(i) <- !n_ext;
+      cartesian.(i) <- false;
+      again.(i) <- false;
       let extension outer =
         let x = !n_ext and inner = Bitset.diff s outer in
-        ext_subset.(x) <- i;
-        ext_outer.(x) <- outer;
-        ext_inner.(x) <- inner;
-        ext_joined.(x) <- Space.connects env outer inner;
-        ext_units.(x) <-
-          (if shape = Space.Bushy && memo_len.(Bitset.to_int inner) = 0 then 0
-           else memo_len.(Bitset.to_int outer));
-        n_ext := x + 1
+        if joinable outer && joinable inner then begin
+          ext_subset.(x) <- i;
+          ext_outer.(x) <- outer;
+          ext_inner.(x) <- inner;
+          ext_joined.(x) <- Space.connects env outer inner;
+          ext_units.(x) <-
+            (if shape = Space.Bushy && memo_len.(Bitset.to_int inner) = 0
+             then 0
+             else memo_len.(Bitset.to_int outer));
+          if ext_units.(x) > 0 && not ext_joined.(x) then cartesian.(i) <- true;
+          n_ext := x + 1
+        end
       in
-      (match shape with
-      | Space.Left_deep -> Bitset.iter (fun j -> extension (Bitset.remove j s)) s
-      | Space.Bushy -> Bitset.iter_proper_nonempty_subsets extension s);
-      all.(i) <- true;
-      for x = ext_first.(i) to !n_ext - 1 do
-        if ext_joined.(x) && ext_units.(x) > 0 then all.(i) <- false
-      done;
-      again.(i) <- false
+      match shape with
+      | Space.Left_deep ->
+        Bitset.iter (fun j -> extension (Bitset.remove j s)) s
+      | Space.Bushy -> Bitset.iter_proper_nonempty_subsets extension s
     done;
     ext_first.(n_subsets) <- !n_ext;
     let used_domains = ref 1 in
@@ -569,7 +586,7 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
        (a lone one is taken as is), then the fallback check, the beam and
        the numbering.  The kept plans go to the finishing lane's arena;
        the candidates are let go. *)
-    let finish ~worker i parts =
+    let finish ~fallback ~worker i parts =
       List.iter
         (fun p ->
           considered.(i) <- considered.(i) + p.considered;
@@ -586,13 +603,16 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
           Cover.merge ~into:lane.merged (List.map (fun p -> p.cover) parts);
           lane.merged
       in
-      if Cover.size cover = 0 && not all.(i) then again.(i) <- true
+      if Cover.size cover = 0 && cartesian.(i) && not fallback then
+        again.(i) <- true
       else begin
         let cover_pre = Cover.size cover in
         apply_beam cover;
         let arena = lane.arena in
         let start = arena.len in
-        Cover.iter_newest_first (fun e -> arena_push arena (enter e)) cover;
+        Cover.iter_newest_first
+          (fun c -> arena_push arena (enter (Cm.plan c)))
+          cover;
         results.(i) <-
           Some { worker; start; len = arena.len - start; cover_pre };
         Cover.clear cover
@@ -603,8 +623,9 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
           Atomic.set p.free true)
         parts
     in
-    (* A pass over every subset, or, as the [fallback], over those whose
-       connected candidates left their covers empty. *)
+    (* A pass over every subset's connected extensions, or, as the
+       [fallback], over the cartesian extensions of those whose connected
+       candidates left their covers empty. *)
     let pass ~fallback =
       let in_pass i = (not fallback) || again.(i) in
       let n_tab = ref 0 and n_units = ref 0 in
@@ -612,7 +633,7 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
         units.(i) <- 0;
         if in_pass i then
           for x = ext_first.(i) to ext_first.(i + 1) - 1 do
-            if (all.(i) || ext_joined.(x)) && ext_units.(x) > 0 then begin
+            if ext_joined.(x) <> fallback && ext_units.(x) > 0 then begin
               table.(!n_tab) <- x;
               first.(!n_tab) <- !n_units;
               incr n_tab;
@@ -698,7 +719,7 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
             done;
             let n = stop - !u in
             if Atomic.fetch_and_add remaining.(i) (-n) = n then
-              finish ~worker i (parts_of i)
+              finish ~fallback ~worker i (parts_of i)
           end;
           u := stop;
           incr t
@@ -732,18 +753,13 @@ let search ~shape ~config ~rank ~work_cap ~final_filter ~max_cover ~budget
       if ran > !used_domains then used_domains := ran;
       (* a subset without units is decided, and finished, at the barrier *)
       for i = 0 to n_subsets - 1 do
-        if in_pass i && units.(i) = 0 && decide i then finish ~worker:0 i []
+        if in_pass i && units.(i) = 0 && decide i then
+          finish ~fallback ~worker:0 i []
       done
     in
     pass ~fallback:false;
-    let fallback = ref false in
-    for i = 0 to n_subsets - 1 do
-      if again.(i) then begin
-        all.(i) <- true;
-        fallback := true
-      end
-    done;
-    if !fallback then pass ~fallback:true;
+    if Array.exists Fun.id (Array.sub again 0 n_subsets) then
+      pass ~fallback:true;
     let cover_max = ref 0 and level_generated = ref 0 in
     for i = 0 to n_subsets - 1 do
       level_generated := !level_generated + generated.(i);

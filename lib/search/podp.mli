@@ -10,9 +10,14 @@
     [Bitset.iter] order, with [j]'s access plans as the inner plans;
     bushy (§6.4), each split [(S1, S - S1)] in
     [Bitset.proper_nonempty_subsets] order, with [S - S1]'s memo plans
-    as the inner plans.  Under a total-order metric such as
-    {!Metric.work} a cover keeps one plan, the first least one, and the
-    loop is Figure 1's, incumbent bound included (below).  An optional
+    as the inner plans.  A level visits the subsets, and a subset the
+    extensions with two sides, that {!Space.joinable} admits: when the
+    query's join graph is connected, only connected ones, so no plan
+    has a cartesian side (MODEL.md §8); when it is not, every one, and
+    a subset whose connected extensions leave its cover empty prices
+    its cartesian ones in a second pass.  Under a total-order metric
+    such as {!Metric.work} a cover keeps one plan, the first least one,
+    and the loop is Figure 1's, incumbent bound included (below).  An optional
     work cap (from {!Bounds}) prunes partial plans — work only grows
     along extensions, so the cap is admissible, and "in fact cut[s] down
     the search space" (§6.4).

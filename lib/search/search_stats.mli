@@ -10,7 +10,10 @@
 
 type level = {
   level : int;  (** subset cardinality (1 = access plans) *)
-  subsets : int;  (** subsets processed at this level *)
+  subsets : int;
+      (** subsets processed at this level: its connected subsets, or all
+          of them when the query's join graph is disconnected (the space
+          rule, {!Space.joinable}) *)
   generated : int;
       (** candidates generated at this level, rejected ones included —
           the expansions it charged to the search budget *)

@@ -61,6 +61,12 @@ let access_plans (env : Env.t) config rel =
 
 let connects = Env.connects
 
+let joinable (env : Env.t) =
+  let query = Env.query env in
+  if Q.connected query (Bitset.full (Env.n_relations env)) then
+    Q.connected query
+  else fun _ -> true
+
 let join_methods config ~joined =
   if joined then config.methods
   else List.filter (fun m -> m = P.Join_method.Nested_loops) config.methods

@@ -43,6 +43,17 @@ val access_plans : Parqo_cost.Env.t -> config -> int -> Parqo_plan.Join_tree.t l
 val connects : Parqo_cost.Env.t -> Parqo_util.Bitset.t -> Parqo_util.Bitset.t -> bool
 (** Some join predicate crosses the two sets. *)
 
+val joinable : Parqo_cost.Env.t -> Parqo_util.Bitset.t -> bool
+(** The search space's rule (MODEL.md §8).  [joinable env] examines the
+    query's join graph once; [joinable env s] holds when the searches
+    build plans of the relation set [s] and join them: when [s] is
+    connected ({!Parqo_query.Query.connected}, a walk over the query's
+    neighbour masks), or when the query's join graph is not, and then
+    for every set.  So a connected query's plans join only connected
+    sides, never a cartesian product; a disconnected one keeps every
+    subset and the cartesian fallback.  A join of two joinable sides of
+    a connected query is always {!connects}-joined. *)
+
 val join_methods : config -> joined:bool -> Parqo_plan.Join_method.t list
 (** The configured methods that apply between two sides: all of them
     when a join predicate connects the sides ([joined]), else nested

@@ -71,7 +71,7 @@ let rec enumerate env ~degrees ~mats ~out_of_time tree =
         ~inner:(J.relations j.J.inner)
     in
     let scratch = Cm.scratch env in
-    let view = Cm.view scratch and build () = Cm.build (Cm.view scratch) in
+    let view = Cm.view scratch and build () = Cm.plan (Cm.keep (Cm.view scratch)) in
     let methods = [| j.J.method_ |] and clones = Array.of_list degrees in
     fun k ->
       outer (fun _ build_outer ->

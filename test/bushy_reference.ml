@@ -8,9 +8,12 @@
    in the final choice, and the cartesian fallback runs when the
    connected splits leave a subset's cover empty (it ran only when they
    generated no candidate, so a work cap that rejected every connected
-   candidate left the subset empty).  The property tests compare the
-   bushy search against it at every pool width: best plan, cover in
-   element order, level sizes and [generated] must be identical. *)
+   candidate left the subset empty).  It searches the space [Podp] does:
+   the subsets [Space.joinable] admits, split into two joinable sides,
+   the cartesian splits only in the fallback.  The property tests
+   compare the bushy search against it at every pool width: best plan,
+   cover in element order, level sizes and [generated] must be
+   identical. *)
 
 module Cm = Parqo.Costmodel
 module Bitset = Parqo.Bitset
@@ -35,6 +38,7 @@ let tie (a : Cm.eval) (b : Cm.eval) =
    non-empty disjoint parts, so both operand orders are explored. *)
 let run ~config ~make_cell ~add ~contents (env : Env.t) =
   let n = Env.n_relations env in
+  let joinable = Space.joinable env in
   let stats = Search_stats.create () in
   let memo = Array.make (1 lsl n) [] in
   let level_sizes = Array.make (n + 1) 0 in
@@ -50,15 +54,18 @@ let run ~config ~make_cell ~add ~contents (env : Env.t) =
     List.fold_left ( + ) 0
       (List.init n (fun r -> List.length memo.(Bitset.to_int (Bitset.singleton r))));
   for size = 2 to n do
-    let subsets = Bitset.subsets_of_size n ~size in
+    let subsets = List.filter joinable (Bitset.subsets_of_size n ~size) in
     List.iter
       (fun s ->
         let cell = make_cell () in
-        let try_splits ~require_connection =
+        let try_splits ~cartesian =
           List.iter
             (fun s1 ->
               let s2 = Bitset.diff s s1 in
-              if (not require_connection) || Space.connects env s1 s2 then begin
+              if
+                joinable s1 && joinable s2
+                && Space.connects env s1 s2 <> cartesian
+              then begin
                 Search_stats.considered stats 1;
                 List.iter
                   (fun p1 ->
@@ -75,8 +82,8 @@ let run ~config ~make_cell ~add ~contents (env : Env.t) =
               end)
             (Bitset.proper_nonempty_subsets s)
         in
-        try_splits ~require_connection:true;
-        if contents cell = [] then try_splits ~require_connection:false;
+        try_splits ~cartesian:false;
+        if contents cell = [] then try_splits ~cartesian:true;
         let plans = contents cell in
         level_sizes.(size) <- level_sizes.(size) + List.length plans;
         memo.(Bitset.to_int s) <- plans)

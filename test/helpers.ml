@@ -141,9 +141,11 @@ let check_eval_identical msg (a : Parqo.Costmodel.eval)
     (Parqo.Ordering.to_string b.Cm.ordering)
 
 (* Figure 1 as System R runs it, the reference the work phase must
-   match bit for bit, counts included: one plan per subset, every
-   candidate tree of [Space.join_candidates] evaluated from scratch and
-   folded with a strict [<]. *)
+   match bit for bit, counts included: one plan per subset
+   [Space.joinable] admits, every candidate tree of
+   [Space.join_candidates] of a joinable outer side evaluated from
+   scratch and folded with a strict [<]; the cartesian extensions only
+   when the connected ones leave the subset without a plan. *)
 type reference_dp = {
   best : Parqo.Costmodel.eval option;  (** [None] only for the empty query *)
   stats : Parqo.Search_stats.t;
@@ -154,6 +156,7 @@ let reference_dp ?(config = Parqo.Space.default_config) (env : Parqo.Env.t) =
   let module Stats = Parqo.Search_stats in
   let module Bitset = Parqo.Bitset in
   let n = Parqo.Env.n_relations env in
+  let joinable = Parqo.Space.joinable env in
   let stats = Stats.create () in
   let memo = Array.make (1 lsl n) None in
   let level_sizes = Array.make (n + 1) 0 in
@@ -180,7 +183,7 @@ let reference_dp ?(config = Parqo.Space.default_config) (env : Parqo.Env.t) =
   for size = 2 to n do
     List.iter
       (fun s ->
-        let extend ~require_connection best =
+        let extend ~cartesian best =
           Bitset.fold
             (fun j best ->
               let s_j = Bitset.remove j s in
@@ -188,8 +191,9 @@ let reference_dp ?(config = Parqo.Space.default_config) (env : Parqo.Env.t) =
               | None -> best
               | Some (p : Parqo.Costmodel.eval) ->
                 if
-                  require_connection
-                  && not (Parqo.Space.connects env s_j (Bitset.singleton j))
+                  (not (joinable s_j))
+                  || Parqo.Space.connects env s_j (Bitset.singleton j)
+                     = cartesian
                 then best
                 else begin
                   Stats.considered stats 1;
@@ -202,13 +206,13 @@ let reference_dp ?(config = Parqo.Space.default_config) (env : Parqo.Env.t) =
             s best
         in
         let best =
-          match extend ~require_connection:true None with
+          match extend ~cartesian:false None with
           | Some _ as b -> b
-          | None -> extend ~require_connection:false None
+          | None -> extend ~cartesian:true None
         in
         if best <> None then level_sizes.(size) <- level_sizes.(size) + 1;
         memo.(Bitset.to_int s) <- best)
-      (Bitset.subsets_of_size n ~size);
+      (List.filter joinable (Bitset.subsets_of_size n ~size));
     Stats.observe_stored stats level_sizes.(size)
   done;
   Stats.observe_stored stats level_sizes.(1);

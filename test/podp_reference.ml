@@ -2,9 +2,12 @@
    in which the unit of parallel work is a whole subset.  A worker
    computes each claimed subset's cover in one pass, cartesian fallback,
    beam and numbering included, and the coordinator absorbs the covers
-   in increasing mask order.  The property tests compare [Podp.optimize]
-   against it at every pool width: best plan, cover in element order,
-   level sizes and counters must be identical.  [~memo] hands every memo
+   in increasing mask order.  It searches the space [Podp] does: the
+   subsets and sides [Space.joinable] admits, and, when a subset's
+   connected extensions leave its cover empty, its cartesian ones.  The
+   property tests compare [Podp.optimize] against it at every pool
+   width: best plan, cover in element order, level sizes and counters
+   must be identical.  [~memo] hands every memo
    entry to a test that prices joins of real memo plans. *)
 
 module Cm = Parqo.Costmodel
@@ -284,6 +287,7 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
     | Some keep -> Cover.trim ~tie cover ~keep ~rank
   in
   let n = Env.n_relations env in
+  let joinable = Space.joinable env in
   let stats = Search_stats.create () in
   (* One reusable flat cover per worker (index 0 doubles as the
      coordinator's): entry coordinates are materialized once per
@@ -397,7 +401,9 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
      result bit-identical to the sequential (domains = 1) run. *)
   let arenas = Array.init width (fun _ -> arena_create ()) in
   for size = 2 to n do
-    let subsets = Array.of_list (Bitset.subsets_of_size n ~size) in
+    let subsets =
+      Array.of_list (List.filter joinable (Bitset.subsets_of_size n ~size))
+    in
     let n_subsets = Array.length subsets in
     let results : subset_result option array = Array.make n_subsets None in
     let compute ~worker ~ticks s =
@@ -500,16 +506,16 @@ let search ~config ~rank ~work_cap ~final_filter ~max_cover ~budget ~pool
           done
         done
       in
-      let extend ~require_connection =
+      let extend ~cartesian =
         Bitset.iter
           (fun j ->
             let s_j = Bitset.remove j s in
             let joined = Space.connects env s_j (Bitset.singleton j) in
-            if (not require_connection) || joined then join_all ~joined s_j j)
+            if joinable s_j && joined <> cartesian then join_all ~joined s_j j)
           s
       in
-      extend ~require_connection:true;
-      if Cover.size best_plans = 0 then extend ~require_connection:false;
+      extend ~cartesian:false;
+      if Cover.size best_plans = 0 then extend ~cartesian:true;
       let cover_pre = Cover.size best_plans in
       apply_beam best_plans;
       (* the kept plans enter the memo: only they get node ids *)

@@ -256,7 +256,8 @@ let prop_of_accumulated_matches_reference =
 
 (* every operator of random plans, on machines with rescaled speeds: the
    base descriptor's time is the reference [of_accumulated] over the
-   work row [Opcost.base] accumulated *)
+   work row [Opcost.base] accumulated, and [Opcost.base_row] stores that
+   descriptor *)
 let opcost_base_matches_reference () =
   let module Op = Parqo.Op in
   let module M = Parqo.Machine in
@@ -296,7 +297,16 @@ let opcost_base_matches_reference () =
         Alcotest.(check (list int64))
           (Op.kind_name node.Op.kind)
           (rvec_bits (Ref.of_accumulated w ~lanes ~overhead))
-          (rvec_bits d.D.rl))
+          (rvec_bits d.D.rl);
+        (* priced into a store's slot over a stale row, the same
+           descriptor, bit for bit *)
+        let rows = D.rows (V.dim d.D.rl.R.work) in
+        D.rows_reserve rows 3;
+        D.set_row rows 1 (D.blocking d.D.rl);
+        Parqo.Opcost.base_row pc est node rows 1;
+        Alcotest.(check (list int64))
+          (Op.kind_name node.Op.kind ^ " base_row")
+          (desc_bits d) (desc_bits (D.row rows 1)))
       root
   done
 

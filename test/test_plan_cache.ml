@@ -17,8 +17,8 @@ let t name f = Alcotest.test_case name `Quick f
 let check_eval_identical = Helpers.check_eval_identical
 
 (* The join of two evaluated plans, priced as a one-join extension
-   ([Cm.extension], [Cm.price]), its twin if [materialize], then built
-   ([Cm.build]): unnumbered. *)
+   ([Cm.extension], [Cm.price]), its twin if [materialize], then kept
+   and built ([Cm.keep], [Cm.plan]): unnumbered. *)
 let price_join env scratch ~method_ ~clone ~materialize (outer : Cm.eval)
     (inner : Cm.eval) =
   let ctx =
@@ -33,7 +33,7 @@ let price_join env scratch ~method_ ~clone ~materialize (outer : Cm.eval)
   if not (Cm.price x ~outer ~outer_class:0 ~inner:0 ~method_:0 ~clone:0) then
     Alcotest.fail "unlimited price rejected a plan";
   if materialize then Cm.twin (Cm.view scratch);
-  Cm.build (Cm.view scratch)
+  Cm.plan (Cm.keep (Cm.view scratch))
 
 (* Price a tree join by join from its children's unnumbered
    evaluations, materialized joins as twins — the path two-phase search
@@ -121,7 +121,7 @@ let twin_rejects_non_pipelined () =
        (Cm.evaluate env (scan 1)));
   Alcotest.check_raises "a twin" err (fun () -> Cm.twin (Cm.view scratch))
 
-(* [Cm.build] builds the join the view shows — of the outer plan priced
+(* [Cm.keep] keeps the join the view shows — of the outer plan priced
    last, not of another plan of the extension — and nothing of an
    empty view *)
 let build_returns_last_priced () =
@@ -129,8 +129,8 @@ let build_returns_last_priced () =
   let scan path r = Cm.evaluate env (Parqo.Join_tree.access ~path r) in
   let scratch = Cm.scratch env in
   Alcotest.check_raises "empty view"
-    (Invalid_argument "Costmodel.build: an empty view") (fun () ->
-      ignore (Cm.build (Cm.view scratch)));
+    (Invalid_argument "Costmodel.keep: an empty view") (fun () ->
+      ignore (Cm.keep (Cm.view scratch)));
   let ctx =
     Cm.join_context env ~outer:(Bitset.singleton 0) ~inner:(Bitset.singleton 1)
   in
@@ -146,7 +146,7 @@ let build_returns_last_priced () =
   Array.iter
     (fun outer ->
       ignore (Cm.price x ~outer ~outer_class:0 ~inner:0 ~method_:0 ~clone:0);
-      let built = Cm.build (Cm.view scratch) in
+      let built = Cm.plan (Cm.keep (Cm.view scratch)) in
       Alcotest.(check string)
         "the priced plans" "HJ(scan(r0), scan(r1))"
         (Parqo.Join_tree.to_string built.Cm.tree);
@@ -311,7 +311,7 @@ let bound_is_sound () =
                 if
                   Cm.price x ~outer ~outer_class:0 ~inner:0 ~method_:0
                     ~clone:0
-                then Some (Cm.build (Cm.view scratch))
+                then Some (Cm.plan (Cm.keep (Cm.view scratch)))
                 else None
               in
               let price limit = priced (load limit)
@@ -471,7 +471,7 @@ let key_string (k : Cm.key) =
      leaves in the view the join the reference's [price_join]
      ([Podp_reference.Ref_cm]) prices on its own: for every metric,
      under both refinements, the coordinates the view gives equal
-     [Metric.fill] on a view of the eval [Cm.build] makes, and the
+     [Metric.fill] on a view of the eval [Cm.keep] and [Cm.plan] make, and the
      view's key that eval's, Int64-exact — for the join and for its
      twin; and those evals equal the reference's join and its twin,
      bit for bit. *)
@@ -571,17 +571,26 @@ let shared_pricing_matches_price_join () =
               key
           in
           let join = read () in
-          let built = Cm.build view in
+          let kept = Cm.keep view in
           let twin = Podp_reference.Ref_cm.materialized_twin direct.(i) in
-          check_built "join" join built direct.(i);
           Cm.twin view;
           let twin_read = read () in
-          let built_twin = Cm.build view in
+          let kept_twin = Cm.keep view in
+          (* kept candidates are built once the view has moved on *)
+          let built = Cm.plan kept and built_twin = Cm.plan kept_twin in
+          check_built "join" join built direct.(i);
           check_built "twin" twin_read built_twin twin;
           Helpers.check_eval_identical (msg i ^ ": built join") direct.(i)
             built;
           Helpers.check_eval_identical (msg i ^ ": built twin") twin
-            built_twin)
+            built_twin;
+          List.iter
+            (fun (what, kept, (built : Cm.eval)) ->
+              Alcotest.(check int64)
+                (msg i ^ ": " ^ what ^ " kept work")
+                (Int64.bits_of_float built.Cm.work)
+                (Int64.bits_of_float (Cm.candidate_work kept)))
+            [ ("join", kept, built); ("twin", kept_twin, built_twin) ])
         plans
     in
     Array.iteri
