@@ -29,8 +29,9 @@
    fed the scheduler's [expected_pressure] must pick a low-work plan at
    the top pressure.
 
-   Results go to BENCH_sched.json.  PARQO_SMOKE=1 shrinks the workload
-   so CI gates stay fast, and writes nothing. *)
+   Results go to BENCH_sched.json, with the machine they were measured
+   on.  PARQO_SMOKE=1 shrinks the workload so CI gates stay fast, and
+   writes nothing. *)
 
 module T = Parqo.Tableau
 module Sched = Parqo.Scheduler
@@ -108,6 +109,7 @@ let write_json path ~probe_rt ~probe_work cells xovers =
      \"n_jobs\", \"mean\", \"p95\", \"p99\", \"makespan\", \
      \"utilization\"], \"crossover\": [\"background\", \"peak_pressure\", \
      \"rt_response\", \"work_response\", \"chosen_work\", \"chosen_rt\"]},\n\
+     \"machine\": %s,\n\
      \"smoke\": %b,\n\
      \"probe\": {\"rt_plan_work\": %.3f, \"work_plan_work\": %.3f},\n\
      \"policies\": [\n\
@@ -116,7 +118,7 @@ let write_json path ~probe_rt ~probe_work cells xovers =
      \"crossover\": [\n\
      %s\n\
      ]}\n"
-    smoke probe_rt probe_work
+    (Common.machine_json ()) smoke probe_rt probe_work
     (String.concat ",\n" (List.map json_of_cell cells))
     (String.concat ",\n" (List.map json_of_xover xovers));
   close_out oc

@@ -109,16 +109,22 @@ let generate spec =
   build_catalog_and_query ~cards ~distinct_of:(fun r c -> distinct_of r c)
     ~edges ~n_disks:spec.n_disks ~with_indexes:spec.with_indexes spec.n
 
-let random rng ~n ?(n_disks = 4) ?(with_indexes = true) () =
-  if n < 1 then invalid_arg "Query_gen.random: n < 1";
+(* A random join graph whose connected components are [comp]'s classes,
+   over relations 0 .. Array.length comp - 1: each relation attaches to a
+   random earlier member of its component, if it has one, and random
+   extra edges join members of one component. *)
+let random_components rng ~comp ~n_disks ~with_indexes =
+  let n = Array.length comp in
   let cards =
     Array.init n (fun _ -> float_of_int (Rng.range rng 100 100_000))
   in
-  (* spanning tree: each relation i >= 1 attaches to a random earlier one *)
   let tree_edges =
-    List.init (max 0 (n - 1)) (fun i ->
-        let j = i + 1 in
-        (Rng.int rng j, j))
+    List.filter_map
+      (fun j ->
+        match List.filter (fun i -> comp.(i) = comp.(j)) (List.init j Fun.id) with
+        | [] -> None
+        | earlier -> Some (List.nth earlier (Rng.int rng (List.length earlier)), j))
+      (List.init n Fun.id)
   in
   let extra_edges =
     if n < 3 then []
@@ -126,14 +132,23 @@ let random rng ~n ?(n_disks = 4) ?(with_indexes = true) () =
       List.filter_map
         (fun _ ->
           let i = Rng.int rng n and j = Rng.int rng n in
-          if i = j then None else Some (min i j, max i j))
-        (List.init (Rng.int rng n) (fun i -> i))
+          if i = j || comp.(i) <> comp.(j) then None else Some (min i j, max i j))
+        (List.init (Rng.int rng n) Fun.id)
   in
-  let edges =
-    List.sort_uniq compare
-      (List.map (fun (i, j) -> (min i j, max i j)) (tree_edges @ extra_edges))
-  in
+  let edges = List.sort_uniq compare (tree_edges @ extra_edges) in
   let distinct_of _rel card =
     Float.max 2. (card *. (0.01 +. Rng.float rng 0.5))
   in
   build_catalog_and_query ~cards ~distinct_of ~edges ~n_disks ~with_indexes n
+
+let random rng ~n ?(n_disks = 4) ?(with_indexes = true) () =
+  if n < 1 then invalid_arg "Query_gen.random: n < 1";
+  random_components rng ~comp:(Array.make n 0) ~n_disks ~with_indexes
+
+let random_disconnected rng ~n =
+  if n < 2 then invalid_arg "Query_gen.random_disconnected: n < 2";
+  (* relation i < k seeds component i; each later one joins a random
+     component *)
+  let k = 2 + Rng.int rng (n - 1) in
+  let comp = Array.init n (fun i -> if i < k then i else Rng.int rng k) in
+  random_components rng ~comp ~n_disks:4 ~with_indexes:true

@@ -41,3 +41,10 @@ val random :
 (** A random connected join graph over [n] relations (spanning tree plus
     random extra edges) with randomized cardinalities (100 .. 100_000) and
     selectivities; placements round-robin over [n_disks] (default 4). *)
+
+val random_disconnected :
+  Parqo_util.Rng.t -> n:int -> Parqo_catalog.Catalog.t * Query.t
+(** Like {!random} with its defaults, but the join graph over [n >= 2]
+    relations has between 2 and [n] connected components, each a random
+    spanning tree plus random extra edges: a query whose plans need a
+    cartesian product. *)

@@ -138,36 +138,51 @@ let random_rescales rng ~n_resources ~horizon ~rate ~mean_duration ~factor =
     List.rev !out
   end
 
-(* the product of the covering outages' factors, in list order; a
-   top-level function, so that the loop asking once per resource and
-   event allocates no closure *)
-let rec covered ~time ~resource cap = function
-  | [] -> Float.max 0. cap
+(* each outage covering [time] scales its resource's cell, in list
+   order; a top-level function, so that a lookup allocates no closure *)
+let rec scale ~time caps = function
+  | [] -> ()
   | o :: rest ->
-    covered ~time ~resource
-      (if
-         o.resource = resource && time >= o.at -. 1e-12
-         && time < o.at +. o.duration -. 1e-12
-       then cap *. o.factor
-       else cap)
-      rest
+    if
+      o.resource < Array.length caps
+      && time >= o.at -. 1e-12
+      && time < o.at +. o.duration -. 1e-12
+    then caps.(o.resource) <- caps.(o.resource) *. o.factor;
+    scale ~time caps rest
 
-let capacity c ~time ~resource = covered ~time ~resource 1. c.outages
+let capacities c ~time caps =
+  Array.fill caps 0 (Array.length caps) 1.;
+  scale ~time caps c.outages;
+  (* [Float.max 0.], without boxing *)
+  for r = 0 to Array.length caps - 1 do
+    if caps.(r) <= 0. then caps.(r) <- 0.
+  done
+
+let capacity c ~time ~resource =
+  let caps = Array.make (resource + 1) 1. in
+  capacities c ~time caps;
+  caps.(resource)
+
+let boundaries c =
+  let b =
+    Array.of_list
+      (List.concat_map (fun o -> [ o.at; o.at +. o.duration ]) c.outages
+      @ List.map (fun g -> g.g_at) c.grows)
+  in
+  Array.sort Float.compare b;
+  b
+
+let next_boundary b ~from ~after =
+  let i = ref from in
+  while !i < Array.length b && not (b.(!i) > after +. 1e-12) do
+    incr i
+  done;
+  !i
 
 let next_capacity_change c ~after =
-  let pick acc t =
-    if t > after +. 1e-12 then
-      match acc with
-      | None -> Some t
-      | Some best -> Some (Float.min best t)
-    else acc
-  in
-  let acc =
-    List.fold_left
-      (fun acc o -> List.fold_left pick acc [ o.at; o.at +. o.duration ])
-      None c.outages
-  in
-  List.fold_left (fun acc g -> pick acc g.g_at) acc c.grows
+  let b = boundaries c in
+  let i = next_boundary b ~from:0 ~after in
+  if i < Array.length b then Some b.(i) else None
 
 let pp ppf c =
   Format.fprintf ppf

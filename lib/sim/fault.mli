@@ -112,9 +112,27 @@ val capacity : config -> time:float -> resource:int -> float
     factors of all outages covering [time] (clamped to [0]). [1.] when
     no outage applies. *)
 
+val capacities : config -> time:float -> float array -> unit
+(** [capacities c ~time caps] sets each [caps.(r)] to
+    [capacity c ~time ~resource:r] and allocates nothing: the event loop
+    asks it on every drain. *)
+
 val next_capacity_change : config -> after:float -> float option
-(** The earliest outage onset or expiry — or grow onset — strictly later
-    than [after]: the simulator's piecewise-constant capacity
-    boundaries. *)
+(** The earliest outage onset or expiry — or grow onset — more than
+    [1e-12] later than [after]: the simulator's piecewise-constant
+    capacity boundaries. *)
+
+val boundaries : config -> float array
+(** Every outage onset and expiry and every grow onset, ascending
+    ({!Float.compare} order): the instants {!next_capacity_change}
+    chooses from. *)
+
+val next_boundary : float array -> from:int -> after:float -> int
+(** The index of the first entry of ascending [b], from index [from]
+    on, more than [1e-12] later than [after]; [Array.length b] if none.
+    [b.(next_boundary b ~from:0 ~after)] is
+    [next_capacity_change c ~after] for [b = boundaries c], and a
+    caller whose [after] never decreases may pass the last index back
+    as [from]; neither allocates. *)
 
 val pp : Format.formatter -> config -> unit

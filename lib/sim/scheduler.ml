@@ -344,6 +344,9 @@ type faulted = {
   grows : Fault.grow array;  (* in onset order *)
   grow_seen : bool array;
   outages : Fault.outage array;
+  bounds : float array;  (* [Fault.boundaries fc] *)
+  mutable next_bound : int;
+      (* [bounds]' first entry after the clock; the clock never goes back *)
   onset_seen : bool array;
   expiry_seen : bool array;
   mutable live_dims : int;  (* [nr0] plus the grows seen *)
@@ -379,6 +382,8 @@ let faulted fc recovery replanner (g : Task_graph.t) =
     grows;
     grow_seen = Array.make (Array.length grows) false;
     outages;
+    bounds = Fault.boundaries fc;
+    next_bound = 0;
     onset_seen = Array.make (Array.length outages) false;
     expiry_seen = Array.make (Array.length outages) false;
     live_dims = nr0;
@@ -441,15 +446,26 @@ let faulted fc recovery replanner (g : Task_graph.t) =
 
    Cost.  The loop keeps the {e active} jobs (arrived, neither finished
    nor shed) in (arrival, job_id) order, a cursor on the next arrival
-   and counters of finished stages and jobs, so an event visits only
-   the running tasks of active jobs: once to count demand, once for the
-   next exhaustion and once to drain.  Live-cell and live-task counters
-   replace rescans of drained demand vectors.  Buffers are sized once
-   per run, and an event allocates only its trace records.  A run
-   without fault states reads one per-job option per drain.  Each float
-   operation must keep its operands and order: property tests compare
-   every outcome field, Int64-exact, with the reference loops in
-   test/sched_reference.ml and test/sim_reference.ml. *)
+   and counters of finished stages and jobs.  Each task attempt keeps
+   the list of its live resources (demand above the threshold), so an
+   event costs time in proportion to the live demand cells of the
+   running tasks of active jobs plus the contenders per resource: the
+   counting pass walks the lists, recording each resource's contending
+   jobs and each job's least live demand there; the policy looks at a
+   resource's contenders only; the next exhaustion is one candidate per
+   eligible contender and resource, [least *. f /. speed], which is the
+   least of that job's task candidates because IEEE rounding is
+   monotone in [d]; and the drain walks the lists again.  Shortest
+   remaining work is the exception: each of its events still sums every
+   cell of every unfinished stage of each demanding job, pending stages
+   included ([measure_remaining]), so it costs jobs x tasks x resources,
+   as admission does once per arrival.  Live-cell and live-task
+   counters replace rescans of drained demand vectors.  Buffers are
+   sized once per run, and an event allocates only its trace records.
+   A run without fault states reads one per-job option per drain.  Each
+   float operation must keep its operands and order: property tests
+   compare every outcome field, Int64-exact, with the reference loops
+   in test/sched_reference.ml and test/sim_reference.ml. *)
 let loop ~solo ~policy ~nr ~mevents ~(fstate : faulted option array)
     (jobs_in : job array) =
   let subsystem = if solo then "simulator" else "scheduler" in
@@ -473,18 +489,26 @@ let loop ~solo ~policy ~nr ~mevents ~(fstate : faulted option array)
   let dependents = Array.make nj [||] in
   let remaining = Array.make nj [||] in
   let labels = Array.make nj [||] in
-  (* live_cells.(p).(id).(ti): demand cells of a task above its job's
-     drain threshold [thresh.(p)]; the task is done when it reaches 0,
-     and its stage is done when live_tasks.(p).(id) does *)
+  (* live_cells.(p).(id).(ti): demand cells of a task's attempt above
+     its job's drain threshold [thresh.(p)], negated while the attempt is
+     parked; the task is done when it reaches 0, and its stage is done
+     when live_tasks.(p).(id) does.  live_res.(p).(id).(ti) holds those
+     cells' resources in its first |live_cells| slots, in resource
+     order: the drain removes a cell it empties. *)
   let live_cells = Array.make nj [||] in
+  let live_res = Array.make nj [||] in
   let live_tasks = Array.make nj [||] in
   let thresh = Array.make nj eps in
   let stages_done = Array.make nj 0 in
-  (* demand cells of job p above its threshold *)
-  let count_live p cells =
+  (* write the resources of job p's demand cells above its threshold
+     into [res], in order, and return their number *)
+  let fill_live p cells res =
     let e = thresh.(p) and n = ref 0 in
     for r = 0 to Array.length cells - 1 do
-      if cells.(r) > e then incr n
+      if cells.(r) > e then begin
+        res.(!n) <- r;
+        incr n
+      end
     done;
     !n
   in
@@ -548,7 +572,19 @@ let loop ~solo ~policy ~nr ~mevents ~(fstate : faulted option array)
           Array.of_list
             (List.map (fun (t : Task_graph.task) -> t.Task_graph.label) s.Task_graph.tasks))
         stages;
-    live_cells.(p) <- Array.map (Array.map (count_live p)) remaining.(p);
+    (* a threshold is positive and a slowdown only scales the base
+       demands, so no attempt has more live cells than its task has
+       nonzero ones *)
+    live_res.(p) <-
+      Array.map
+        (Array.map (fun (cells : float array) ->
+             let n = ref 0 in
+             for r = 0 to Array.length cells - 1 do
+               if cells.(r) > 0. then incr n
+             done;
+             Array.make !n 0))
+        remaining.(p);
+    live_cells.(p) <- Array.map2 (Array.map2 (fill_live p)) remaining.(p) live_res.(p);
     live_tasks.(p) <-
       Array.map
         (Array.fold_left (fun n c -> if c > 0 then n + 1 else n) 0)
@@ -613,16 +649,18 @@ let loop ~solo ~policy ~nr ~mevents ~(fstate : faulted option array)
       }
       :: f.faults_log
   in
-  (* a new attempt of a faulted job's task: its fault draw, its demands,
-     and its live-cell count *)
+  (* a new attempt of a faulted job's task: its fault draw, and its
+     demands and live cells, refilled in place *)
   let start_attempt p f sid ti =
     let t = f.tasks.(sid).(ti) in
     let a = t.attempt + 1 in
     t.attempt <- a;
     if a > 1 then f.n_retries <- f.n_retries + 1;
     let d = Fault.draw f.fc ~stage:sid ~task:t.task_id ~attempt:a in
-    let dem = Array.map (fun x -> x *. d.Fault.slowdown) t.base in
-    remaining.(p).(sid).(ti) <- dem;
+    let dem = remaining.(p).(sid).(ti) and slowdown = d.Fault.slowdown in
+    for r = 0 to Array.length dem - 1 do
+      dem.(r) <- t.base.(r) *. slowdown
+    done;
     let e = thresh.(p) in
     let tot = total_of dem in
     t.attempt_work <- tot;
@@ -632,7 +670,7 @@ let loop ~solo ~policy ~nr ~mevents ~(fstate : faulted option array)
     t.fail_at <-
       (if d.Fault.fails && tot > e then d.Fault.fail_point *. tot else infinity);
     let live = live_cells.(p).(sid) in
-    let n = count_live p dem in
+    let n = fill_live p dem live_res.(p).(sid).(ti) in
     live_tasks.(p).(sid) <-
       live_tasks.(p).(sid)
       + (if n > 0 then 1 else 0)
@@ -937,12 +975,10 @@ let loop ~solo ~policy ~nr ~mevents ~(fstate : faulted option array)
      in its retry backoff is parked, its live count negated, so the
      drain, which looks only at positive counts, passes it by. *)
   let prepare_drain p f =
+    Fault.capacities f.fc ~time:!time speed_now;
     for r = 0 to nr - 1 do
-      speed_now.(r) <-
-        (if r >= f.nr0 && not f.grow_seen.(r - f.nr0) then 0.
-         else
-           let c = Fault.capacity f.fc ~time:!time ~resource:r in
-           if c > eps then c else 0.)
+      if (r >= f.nr0 && not f.grow_seen.(r - f.nr0)) || not (speed_now.(r) > eps)
+      then speed_now.(r) <- 0.
     done;
     for id = 0 to n_stages.(p) - 1 do
       if status.(p).(id) = Running then begin
@@ -1019,35 +1055,43 @@ let loop ~solo ~policy ~nr ~mevents ~(fstate : faulted option array)
       (* a faulted job starts its stages when it settles *)
       if Option.is_none fstate.(p) then start_ready p
   in
-  (* counts.(p).(r): running tasks of job p demanding r — the
-     within-job sharing degree *)
+  (* The counting pass fills counts.(p).(r), the live tasks of job p
+     demanding r (the within-job sharing degree), and least.(p).(r), the
+     least of their demands on r; contenders.(r) lists the jobs with a
+     nonzero count on r, in active order, in its first n_cont.(r)
+     slots.  The policy pass turns each count into factor.(p).(r), the
+     per-task slowdown [count * n_eligible], 0. when job p is not
+     eligible on r, and clears the count for the next event. *)
   let counts = Array.make_matrix nj nr 0 in
-  (* factor.(p).(r): per-task slowdown [count * n_eligible]; 0. when
-     job p is not eligible on r (its tasks neither drain nor propose
-     next-event candidates there) *)
+  let least = Array.make_matrix nj nr 0. in
   let factor = Array.make_matrix nj nr 0. in
-  (* contended.(r): some eligible job demands r this step *)
-  let contended = Array.make nr false in
+  let contenders = Array.make_matrix nr nj 0 in
+  let n_cont = Array.make nr 0 in
   let compute_shares () =
-    Array.fill contended 0 nr false;
+    Array.fill n_cont 0 nr 0;
     for k = 0 to !n_active - 1 do
       let p = active.(k) in
-      let cnt = counts.(p) and e = thresh.(p) in
-      Array.fill cnt 0 nr 0;
-      Array.fill factor.(p) 0 nr 0.;
+      let cnt = counts.(p) and low = least.(p) in
       let demanding = ref false in
       for id = 0 to n_stages.(p) - 1 do
         if status.(p).(id) = Running then begin
           let tasks = remaining.(p).(id) and live = live_cells.(p).(id) in
           for ti = 0 to Array.length tasks - 1 do
-            if live.(ti) > 0 then begin
-              let cells = tasks.(ti) in
-              for r = 0 to Array.length cells - 1 do
-                if cells.(r) > e then begin
-                  cnt.(r) <- cnt.(r) + 1;
-                  demanding := true
+            let n = live.(ti) in
+            if n > 0 then begin
+              let cells = tasks.(ti) and res = live_res.(p).(id).(ti) in
+              for i = 0 to n - 1 do
+                let r = res.(i) in
+                let d = cells.(r) and c = cnt.(r) in
+                if c = 0 then begin
+                  low.(r) <- d;
+                  contenders.(r).(n_cont.(r)) <- p;
+                  n_cont.(r) <- n_cont.(r) + 1
                 end
-              done
+                else if d < low.(r) then low.(r) <- d;
+                cnt.(r) <- c + 1
+              done;
+              demanding := true
             end
           done
         end
@@ -1055,79 +1099,70 @@ let loop ~solo ~policy ~nr ~mevents ~(fstate : faulted option array)
       if !demanding && policy = Shortest_remaining_work then measure_remaining p
     done;
     for r = 0 to nr - 1 do
-      (* the contenders on r, in active order, and the policy's pick *)
-      let n = ref 0 and best = ref min_int and n_best = ref 0 in
-      let winner = ref (-1) in
-      for k = 0 to !n_active - 1 do
-        let p = active.(k) in
-        if counts.(p).(r) > 0 then begin
-          incr n;
-          match policy with
-          | Fair_share -> ()
-          | Strict_priority ->
-            let pr = jobs.(p).priority in
+      let n = n_cont.(r) and cont = contenders.(r) in
+      if n > 0 then begin
+        (* the policy's pick among the contenders on r *)
+        let best = ref min_int and n_best = ref 0 and winner = ref (-1) in
+        (match policy with
+        | Fair_share -> ()
+        | Strict_priority ->
+          for i = 0 to n - 1 do
+            let pr = jobs.(cont.(i)).priority in
             if pr > !best then begin
               best := pr;
               n_best := 1
             end
             else if pr = !best then incr n_best
-          | Shortest_remaining_work ->
-            let w = !winner in
+          done
+        | Shortest_remaining_work ->
+          for i = 0 to n - 1 do
+            let p = cont.(i) and w = !winner in
             if
               w < 0
               || rem_work.(p) < rem_work.(w)
               || rem_work.(p) = rem_work.(w)
                  && jobs.(p).job_id < jobs.(w).job_id
             then winner := p
-        end
-      done;
-      if !n > 0 then begin
-        contended.(r) <- true;
+          done);
         let n_elig =
           float_of_int
             (match policy with
-            | Fair_share -> !n
+            | Fair_share -> n
             | Strict_priority -> !n_best
             | Shortest_remaining_work -> 1)
         in
-        for k = 0 to !n_active - 1 do
-          let p = active.(k) in
-          let c = counts.(p).(r) in
-          if
-            c > 0
-            &&
-            match policy with
-            | Fair_share -> true
-            | Strict_priority -> jobs.(p).priority = !best
-            | Shortest_remaining_work -> p = !winner
-          then factor.(p).(r) <- float_of_int c *. n_elig
+        for i = 0 to n - 1 do
+          let p = cont.(i) in
+          factor.(p).(r) <-
+            (if
+               match policy with
+               | Fair_share -> true
+               | Strict_priority -> jobs.(p).priority = !best
+               | Shortest_remaining_work -> p = !winner
+             then float_of_int counts.(p).(r) *. n_elig
+             else 0.);
+          counts.(p).(r) <- 0
         done
       end
     done
   in
-  (* next demand exhaustion among eligible tasks *)
+  (* The next demand exhaustion among eligible tasks, read from the
+     least demands: [d *. f /. s] is monotone in [d] under IEEE
+     rounding, so the least demand of a job on a resource gives the
+     least candidate of all its tasks there. *)
   let next_exhaustion () =
     let dt = ref infinity in
-    for k = 0 to !n_active - 1 do
-      let p = active.(k) in
-      let fac = factor.(p) and e = thresh.(p) in
-      for id = 0 to n_stages.(p) - 1 do
-        if status.(p).(id) = Running then begin
-          let tasks = remaining.(p).(id) and live = live_cells.(p).(id) in
-          for ti = 0 to Array.length tasks - 1 do
-            if live.(ti) > 0 then begin
-              let cells = tasks.(ti) in
-              for r = 0 to Array.length cells - 1 do
-                let d = cells.(r) in
-                if d > e && fac.(r) > 0. && speed_now.(r) > 0. then begin
-                  let c = d *. fac.(r) /. speed_now.(r) in
-                  if c < !dt then dt := c
-                end
-              done
-            end
-          done
-        end
-      done
+    for r = 0 to nr - 1 do
+      let s = speed_now.(r) and cont = contenders.(r) in
+      if s > 0. then
+        for i = 0 to n_cont.(r) - 1 do
+          let p = cont.(i) in
+          let f = factor.(p).(r) in
+          if f > 0. then begin
+            let c = least.(p).(r) *. f /. s in
+            if c < !dt then dt := c
+          end
+        done
     done;
     !dt
   in
@@ -1136,17 +1171,19 @@ let loop ~solo ~policy ~nr ~mevents ~(fstate : faulted option array)
      1e-12 ahead.  (An exhaustion always is: capacity never exceeds 1.) *)
   let next_fault_event p f dt =
     let dt = ref dt in
-    let fac = factor.(p) and e = thresh.(p) in
+    let fac = factor.(p) in
     for id = 0 to n_stages.(p) - 1 do
       if status.(p).(id) = Running then begin
         let tasks = remaining.(p).(id) and live = live_cells.(p).(id) in
         for ti = 0 to Array.length tasks - 1 do
           let t = f.tasks.(id).(ti) and cells = tasks.(ti) in
-          if live.(ti) > 0 then begin
+          let n = live.(ti) in
+          if n > 0 then begin
             if t.fail_at < infinity then begin
-              let rate = ref 0. in
-              for r = 0 to Array.length cells - 1 do
-                if cells.(r) > e && speed_now.(r) > 0. then
+              let res = live_res.(p).(id).(ti) and rate = ref 0. in
+              for i = 0 to n - 1 do
+                let r = res.(i) in
+                if speed_now.(r) > 0. then
                   rate := !rate +. (speed_now.(r) /. fac.(r))
               done;
               if !rate > eps then
@@ -1159,9 +1196,10 @@ let loop ~solo ~policy ~nr ~mevents ~(fstate : faulted option array)
         done
       end
     done;
-    (match Fault.next_capacity_change f.fc ~after:!time with
-    | Some t -> dt := earlier (t -. !time) !dt
-    | None -> ());
+    let b = Fault.next_boundary f.bounds ~from:f.next_bound ~after:!time in
+    f.next_bound <- b;
+    if b < Array.length f.bounds then
+      dt := earlier (f.bounds.(b) -. !time) !dt;
     !dt
   in
   (* The one drain path: move the clock to [until] and drain [dt] of
@@ -1172,7 +1210,7 @@ let loop ~solo ~policy ~nr ~mevents ~(fstate : faulted option array)
   let advance ~until dt =
     time := until;
     for r = 0 to nr - 1 do
-      if contended.(r) then busy.(r) <- busy.(r) +. (dt *. speed_now.(r))
+      if n_cont.(r) > 0 then busy.(r) <- busy.(r) +. (dt *. speed_now.(r))
     done;
     for k = 0 to !n_active - 1 do
       let p = active.(k) in
@@ -1181,20 +1219,24 @@ let loop ~solo ~policy ~nr ~mevents ~(fstate : faulted option array)
         if status.(p).(id) = Running then begin
           let tasks = remaining.(p).(id) and live = live_cells.(p).(id) in
           for ti = 0 to Array.length tasks - 1 do
-            if live.(ti) > 0 then begin
-              let cells = tasks.(ti) in
-              for r = 0 to Array.length cells - 1 do
-                let d = cells.(r) in
-                if d > e && fac.(r) > 0. then begin
-                  let d' = d -. (dt *. speed_now.(r) /. fac.(r)) in
-                  if d' <= e then begin
-                    cells.(r) <- 0.;
-                    live.(ti) <- live.(ti) - 1
-                  end
-                  else cells.(r) <- d'
+            let n = live.(ti) in
+            if n > 0 then begin
+              let cells = tasks.(ti) and res = live_res.(p).(id).(ti) in
+              (* the cells left live keep their order at the front *)
+              let kept = ref 0 in
+              for i = 0 to n - 1 do
+                let r = res.(i) in
+                let d = cells.(r) and f = fac.(r) in
+                let d' = if f > 0. then d -. (dt *. speed_now.(r) /. f) else d in
+                if d' <= e then cells.(r) <- 0.
+                else begin
+                  cells.(r) <- d';
+                  res.(!kept) <- r;
+                  incr kept
                 end
               done;
-              if live.(ti) = 0 then begin
+              live.(ti) <- !kept;
+              if !kept = 0 then begin
                 live_tasks.(p).(id) <- live_tasks.(p).(id) - 1;
                 match fs with
                 | None ->

@@ -25,6 +25,16 @@ let random_env rng ~n =
   let machine = Parqo.Machine.shared_nothing ~nodes:4 () in
   Parqo.Env.create ~machine ~catalog ~query ()
 
+(* A random query whose join graph has two or more components, on the
+   same machine.  It fails the test unless the query is disconnected, so
+   that every search over it runs the cartesian fallback. *)
+let disconnected_env rng ~n =
+  let catalog, query = Parqo.Query_gen.random_disconnected rng ~n in
+  if Parqo.Query.connected query (Parqo.Bitset.full n) then
+    Alcotest.failf "random_disconnected gave a connected %d-relation query" n;
+  let machine = Parqo.Machine.shared_nothing ~nodes:4 () in
+  Parqo.Env.create ~machine ~catalog ~query ()
+
 (* A deterministic stream of random join trees for a query: random bushy
    shapes with annotations drawn from the parallel space. *)
 let random_tree rng (env : Parqo.Env.t) =

@@ -183,6 +183,34 @@ let reference_cases () =
       in
       { label; env; config; metric; rank; work_cap; max_cover; plan_cache })
 
+(* random disconnected queries of 3 and 4 relations under the three
+   metrics: every search runs the cartesian fallback *)
+let disconnected_cases () =
+  let rng = Parqo.Rng.create 67 in
+  List.init 6 (fun k ->
+      let n = 3 + (k mod 2) in
+      let env = Helpers.disconnected_env rng ~n in
+      let response_time (e : Cm.eval) = e.Cm.response_time in
+      let metric, rank =
+        match k mod 3 with
+        | 0 -> (Mt.work, work)
+        | 1 -> (Mt.response_time, response_time)
+        | _ -> (Opt.default_metric env, response_time)
+      in
+      let max_cover = if k >= 3 then Some (1 + Parqo.Rng.int rng 4) else None in
+      {
+        label =
+          Printf.sprintf "disconnected case %d: random-%d, %s%s" k n metric.Mt.name
+            (match max_cover with None -> "" | Some keep -> Printf.sprintf ", beam %d" keep);
+        env;
+        config = S.default_config;
+        metric;
+        rank;
+        work_cap = None;
+        max_cover;
+        plan_cache = true;
+      })
+
 let run_case ?pool c =
   Podp.optimize ~shape:S.Bushy ~config:c.config ~metric:c.metric ~rank:c.rank
     ?work_cap:c.work_cap ?max_cover:c.max_cover ~plan_cache:c.plan_cache ?pool
@@ -212,33 +240,37 @@ let check_same msg (want : Bushy_reference.result) (got : Podp.result) =
    Under [Metric.work], uncapped and unbeamed, it also equals the scalar
    reference, the work phase's Figure 1. *)
 let matches_reference () =
-  let expected =
-    List.map
-      (fun c ->
-        ( c,
-          Bushy_reference.optimize_po ~config:c.config ~metric:c.metric
-            ~rank:c.rank ?work_cap:c.work_cap ?max_cover:c.max_cover c.env ))
-      (reference_cases ())
+  let against_reference cases widths =
+    let expected =
+      List.map
+        (fun c ->
+          ( c,
+            Bushy_reference.optimize_po ~config:c.config ~metric:c.metric
+              ~rank:c.rank ?work_cap:c.work_cap ?max_cover:c.max_cover c.env ))
+        cases
+    in
+    List.iter
+      (fun (c, r) ->
+        let got = run_case c in
+        check_same (c.label ^ ", width 1") r got;
+        if c.metric == Mt.work && c.work_cap = None && c.max_cover = None then
+          check_same
+            (c.label ^ ", scalar reference")
+            (Bushy_reference.optimize_scalar ~config:c.config c.env)
+            got)
+      expected;
+    List.iter
+      (fun k ->
+        Helpers.with_forced_pool k (fun pool ->
+            List.iter
+              (fun (c, r) ->
+                check_same (Printf.sprintf "%s, width %d" c.label k) r
+                  (run_case ~pool c))
+              expected))
+      widths
   in
-  List.iter
-    (fun (c, r) ->
-      let got = run_case c in
-      check_same (c.label ^ ", width 1") r got;
-      if c.metric == Mt.work && c.work_cap = None && c.max_cover = None then
-        check_same
-          (c.label ^ ", scalar reference")
-          (Bushy_reference.optimize_scalar ~config:c.config c.env)
-          got)
-    expected;
-  List.iter
-    (fun k ->
-      Helpers.with_forced_pool k (fun pool ->
-          List.iter
-            (fun (c, r) ->
-              check_same (Printf.sprintf "%s, width %d" c.label k) r
-                (run_case ~pool c))
-            expected))
-    [ 2; 3; 8 ]
+  against_reference (reference_cases ()) [ 2; 3; 8 ];
+  against_reference (disconnected_cases ()) [ 3 ]
 
 let plan_str (e : Cm.eval) = Parqo.Join_tree.to_string e.Cm.tree
 

@@ -163,9 +163,7 @@ let singleton_query () =
    plan field by field (operator ids, Int64 bits), the level sizes and
    the Table 1 counts *)
 let identical_to_reference () =
-  let rng = Parqo.Rng.create 23 in
-  for _ = 1 to 6 do
-    let env = Helpers.random_env rng ~n:4 in
+  let against_reference env widths =
     List.iter
       (fun (space, config) ->
         let reference = Helpers.reference_dp ~config env in
@@ -195,13 +193,22 @@ let identical_to_reference () =
             else
               Helpers.with_forced_pool width (fun pool ->
                   check (search ~pool ())))
-          [ 1; 2; 3 ])
+          widths)
       [
         ("default", S.default_config);
         ("sequential", S.sequential_config);
         ("parallel", S.parallel_config env.Parqo.Env.machine);
       ]
-  done
+  in
+  let rng = Parqo.Rng.create 23 in
+  for _ = 1 to 6 do
+    against_reference (Helpers.random_env rng ~n:4) [ 1; 2; 3 ]
+  done;
+  (* disconnected queries: every search runs the cartesian fallback *)
+  let rng = Parqo.Rng.create 29 in
+  List.iter
+    (fun n -> against_reference (Helpers.disconnected_env rng ~n) [ 1; 3 ])
+    [ 2; 3; 4; 4; 5 ]
 
 (* [Metric.work] with a fill that allocates one block per candidate it
    reads, stated to be the total order of work or not: the level loop

@@ -309,6 +309,93 @@ let hetero_fault_config () =
   Helpers.check_float "inside the window" 0.5 (F.capacity fc ~time:3. ~resource:0);
   Helpers.check_float "outside the window" 1. (F.capacity fc ~time:6. ~resource:0)
 
+(* The event loop's lookups against their definitions: [capacities] and
+   [capacity] give the product of the covering outages' factors, in list
+   order, clamped at 0; [next_boundary], from any earlier cursor, and
+   [next_capacity_change] give the least onset, expiry or grow onset
+   more than 1e-12 later.  Bit for bit, over overlapping windows, full
+   losses, an open-ended loss, an outage on a resource past the array,
+   grows and instants within 1e-12 of a boundary; and a sweep of the
+   lookups allocates nothing. *)
+let loop_lookups () =
+  let bits = Int64.bits_of_float in
+  let fc =
+    {
+      F.none with
+      F.outages =
+        [
+          { F.resource = 0; at = 2.; duration = 3.; factor = 0.5 };
+          { F.resource = 0; at = 4.; duration = 2.; factor = 0.3 };
+          { F.resource = 1; at = 1.; duration = infinity; factor = 0. };
+          { F.resource = 2; at = 3.; duration = 0.; factor = 0.25 };
+          { F.resource = 5; at = 1.; duration = 9.; factor = 0.5 };
+        ];
+      grows =
+        List.map
+          (fun g_at -> { F.g_at; g_kind = Parqo.Resource.Cpu; g_node = 0; g_speed = 1. })
+          [ 7.; 4. ];
+    }
+  in
+  let defined_capacity time r =
+    Float.max 0.
+      (List.fold_left
+         (fun cap (o : F.outage) ->
+           if o.F.resource = r && time >= o.F.at -. 1e-12 && time < o.F.at +. o.F.duration -. 1e-12
+           then cap *. o.F.factor
+           else cap)
+         1. fc.F.outages)
+  in
+  let defined_next after =
+    List.fold_left
+      (fun acc t ->
+        if t > after +. 1e-12 then Some (match acc with None -> t | Some b -> Float.min b t)
+        else acc)
+      None
+      (List.concat_map (fun (o : F.outage) -> [ o.F.at; o.F.at +. o.F.duration ]) fc.F.outages
+      @ List.map (fun (g : F.grow) -> g.F.g_at) fc.F.grows)
+  in
+  let b = F.boundaries fc in
+  let caps = Array.make 3 nan in
+  let cursor = ref 0 in
+  let instants =
+    List.concat_map
+      (fun t -> [ t -. 1e-12; t -. 2e-12; t; t +. 1e-13; t +. 0.5 ])
+      [ 0.; 1.; 2.; 3.; 4.; 5.; 6.; 7.; 10. ]
+  in
+  List.iter
+    (fun time ->
+      F.capacities fc ~time caps;
+      Array.iteri
+        (fun r c ->
+          let ctx = Printf.sprintf "capacity of %d at %h" r time in
+          Alcotest.(check int64) ctx (bits (defined_capacity time r)) (bits c);
+          Alcotest.(check int64) ctx (bits c) (bits (F.capacity fc ~time ~resource:r)))
+        caps;
+      let i = F.next_boundary b ~from:!cursor ~after:time in
+      cursor := i;
+      let ctx = Printf.sprintf "next boundary after %h" time in
+      let want = Option.map bits (defined_next time) in
+      Alcotest.(check (option int64)) ctx want
+        (if i < Array.length b then Some (bits b.(i)) else None);
+      Alcotest.(check (option int64)) ctx want
+        (Option.map bits (F.next_capacity_change fc ~after:time)))
+    (List.sort_uniq Float.compare instants);
+  (* the instants are boxed before the count starts, as the loop's
+     clock is *)
+  let look time =
+    F.capacities fc ~time caps;
+    cursor := F.next_boundary b ~from:!cursor ~after:time
+  in
+  let sweep times =
+    cursor := 0;
+    let before = Gc.minor_words () in
+    List.iter look times;
+    Gc.minor_words () -. before
+  in
+  Helpers.check_float "words allocated by 100 lookups, over none"
+    (sweep [])
+    (sweep (List.init 100 (fun k -> 0.1 *. float_of_int k)))
+
 let suite =
   ( "fault injection",
     [
@@ -322,4 +409,5 @@ let suite =
       t "invalid config rejected" invalid_config_rejected;
       t "plan-level faults" plan_level_faults;
       t "heterogeneous fault config" hetero_fault_config;
+      t "the event loop's lookups allocate nothing" loop_lookups;
     ] )

@@ -487,6 +487,32 @@ let reference_cases () =
         [ Some G.Chain; Some G.Star; Some G.Cycle; Some G.Clique; None ])
     [ 2; 3; 4; 5; 6; 2; 3; 4; 5; 6 ]
 
+(* random disconnected queries of 2 to 5 relations, two of each size,
+   under the default metric: every search runs the cartesian fallback *)
+let disconnected_cases () =
+  let rng = Parqo.Rng.create 53 in
+  List.map
+    (fun n ->
+      let env = Helpers.disconnected_env rng ~n in
+      let machine = env.Parqo.Env.machine in
+      let config =
+        if Parqo.Rng.bool rng then S.default_config else S.parallel_config machine
+      in
+      let max_cover = if Parqo.Rng.bool rng then None else Some (1 + Parqo.Rng.int rng 4) in
+      {
+        label =
+          Printf.sprintf "disconnected-%d%s%s" n
+            (if config.S.clone_degrees = [ 1 ] then "" else ", clones")
+            (match max_cover with None -> "" | Some k -> Printf.sprintf ", beam %d" k);
+        env;
+        config;
+        metric = Mt.with_ordering (Mt.descriptor machine Parqo.Machine.Single);
+        work_cap = None;
+        max_cover;
+        plan_cache = Parqo.Rng.bool rng;
+      })
+    [ 2; 3; 4; 5; 2; 3; 4; 5 ]
+
 let run_case ?pool c =
   Podp.optimize ~config:c.config ~metric:c.metric ?work_cap:c.work_cap
     ?max_cover:c.max_cover ~plan_cache:c.plan_cache ?pool c.env
@@ -519,28 +545,32 @@ let check_same msg (a : Podp.result) (b : Podp.result) =
   Alcotest.(check bool) (msg ^ ": gave_up") a.Podp.gave_up b.Podp.gave_up
 
 let matches_reference () =
-  let expected =
-    List.map
-      (fun c ->
-        ( c,
-          Podp_reference.optimize ~config:c.config ~metric:c.metric
-            ?work_cap:c.work_cap ?max_cover:c.max_cover
-            ~plan_cache:c.plan_cache c.env ))
-      (reference_cases ())
+  let against_reference cases widths =
+    let expected =
+      List.map
+        (fun c ->
+          ( c,
+            Podp_reference.optimize ~config:c.config ~metric:c.metric
+              ?work_cap:c.work_cap ?max_cover:c.max_cover
+              ~plan_cache:c.plan_cache c.env ))
+        cases
+    in
+    List.iter
+      (fun (c, r) -> check_same (c.label ^ ", width 1") r (run_case c))
+      expected;
+    List.iter
+      (fun k ->
+        Helpers.with_forced_pool k (fun pool ->
+            List.iter
+              (fun (c, r) ->
+                check_same
+                  (Printf.sprintf "%s, width %d" c.label k)
+                  r (run_case ~pool c))
+              expected))
+      widths
   in
-  List.iter
-    (fun (c, r) -> check_same (c.label ^ ", width 1") r (run_case c))
-    expected;
-  List.iter
-    (fun k ->
-      Helpers.with_forced_pool k (fun pool ->
-          List.iter
-            (fun (c, r) ->
-              check_same
-                (Printf.sprintf "%s, width %d" c.label k)
-                r (run_case ~pool c))
-            expected))
-    [ 2; 3; 8 ]
+  against_reference (reference_cases ()) [ 2; 3; 8 ];
+  against_reference (disconnected_cases ()) [ 3 ]
 
 (* The budget contract: a subset starts only if the budget is not
    exhausted when a worker first touches it — one decision, however many

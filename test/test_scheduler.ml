@@ -623,10 +623,39 @@ let random_workload rng =
   in
   (jobs, events)
 
+(* What the event loop's per-task lists of live resources could get
+   wrong, read off a completed job's graph: a stage where, on some
+   resource, a later task demands less than the first task demanding it
+   above the drain threshold [e] (at the stage's start the least demand
+   there is not the first task's); and a nonzero demand cell at or below
+   [e], which no list holds. *)
+let least_not_first ~e (g : TG.t) =
+  Array.exists
+    (fun (s : TG.stage) ->
+      let demands = List.map (fun (t : TG.task) -> t.TG.demands) s.TG.tasks in
+      List.init g.TG.n_resources Fun.id
+      |> List.exists (fun r ->
+             let on =
+               List.filter_map
+                 (fun d -> if r < Array.length d && d.(r) > e then Some d.(r) else None)
+                 demands
+             in
+             match on with first :: later -> List.exists (fun d -> d < first) later | [] -> false))
+    g.TG.stages
+
+let sub_threshold_cell ~e (g : TG.t) =
+  Array.exists
+    (fun (s : TG.stage) ->
+      List.exists
+        (fun (t : TG.task) -> Array.exists (fun d -> d > 0. && d <= e) t.TG.demands)
+        s.TG.tasks)
+    g.TG.stages
+
 let matches_reference () =
   let rng = Parqo.Rng.create 20261018 in
   let with_events = ref 0 and large = ref 0 in
   let shed = ref 0 and starved = ref 0 and labelled = ref 0 in
+  let least_later = ref 0 and sub_threshold = ref 0 in
   for case = 1 to 150 do
     let jobs, events = random_workload rng in
     List.iter
@@ -645,7 +674,14 @@ let matches_reference () =
               if j.Sched.label <> "" then incr labelled;
               match j.Sched.disposition with
               | Sched.Rejected _ -> incr shed
-              | Sched.Completed -> ())
+              | Sched.Completed ->
+                let g =
+                  (List.find (fun (q : Sched.job) -> q.Sched.job_id = j.Sched.job_id)
+                     (Array.to_list jobs))
+                    .Sched.graph
+                in
+                if least_not_first ~e:1e-9 g then incr least_later;
+                if sub_threshold_cell ~e:1e-9 g then incr sub_threshold)
             o.Sched.jobs
         | Error _ -> incr starved)
       Sched.all_policies
@@ -660,6 +696,8 @@ let matches_reference () =
       ("shed jobs", !shed, 50);
       ("starved runs", !starved, 3);
       ("labelled jobs", !labelled, 200);
+      ("completed jobs whose least demand on a resource is not the first task's", !least_later, 700);
+      ("completed jobs with a nonzero cell at or below the threshold", !sub_threshold, 350);
     ]
 
 (* A drain cut short by a boundary can still exhaust a task: what is

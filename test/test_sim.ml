@@ -365,6 +365,92 @@ let contains hay needle =
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
+(* What the event loop's per-attempt lists of live resources could get
+   wrong, read off a run that never re-plans, with [e] its graph's drain
+   threshold.  Each counter names a state the run is sure to pass
+   through. *)
+let list_hazards ~e ~recovery (fc : F.config) (g : TG.t) (o : Sim.outcome) =
+  let started id = List.mem_assoc id o.Sim.stage_start in
+  let tasks id = Array.of_list g.TG.stages.(id).TG.tasks in
+  let demands id ti attempt =
+    let t = (tasks id).(ti) in
+    let d = F.draw fc ~stage:id ~task:t.TG.task_id ~attempt in
+    Array.map (fun x -> x *. d.F.slowdown) t.TG.demands
+  in
+  let index id label =
+    let ts = tasks id in
+    let rec go i = if ts.(i).TG.label = label then i else go (i + 1) in
+    go 0
+  in
+  let hazards = ref [] in
+  let note what = if not (List.mem what !hazards) then hazards := what :: !hazards in
+  Array.iteri
+    (fun id (s : TG.stage) ->
+      if started id then begin
+        let first = Array.mapi (fun ti _ -> demands id ti 1) (tasks id) in
+        (* at the stage's first start: on some resource, a later task's
+           first attempt demands less than the first task demanding it *)
+        for r = 0 to g.TG.n_resources - 1 do
+          let on =
+            List.filter_map
+              (fun d -> if r < Array.length d && d.(r) > e then Some d.(r) else None)
+              (Array.to_list first)
+          in
+          match on with
+          | d0 :: later when List.exists (fun d -> d < d0) later ->
+            note "least demand not the first task's"
+          | _ -> ()
+        done;
+        if
+          List.exists
+            (fun (t : TG.task) -> Array.exists (fun d -> d > 0. && d <= e) t.TG.demands)
+            s.TG.tasks
+        then note "nonzero cells at or below the threshold"
+      end)
+    g.TG.stages;
+  List.iter
+    (fun (f : Sim.fault_event) ->
+      match (f.Sim.f_kind, f.Sim.f_stage, f.Sim.f_task) with
+      | F.Straggler, Some id, Some label ->
+        (* the attempt's slowdown lifts a cell over the threshold *)
+        let t = (tasks id).(index id label) in
+        if
+          Array.exists
+            (fun d -> d > 0. && d <= e && d *. fc.F.straggler_factor > e)
+            t.TG.demands
+        then note "stragglers lifting a cell over the threshold"
+      | F.Task_failure, Some id, Some label
+        when (match recovery with R.Retry_task _ -> true | _ -> false)
+             && R.backoff_delay recovery ~attempt:f.Sim.f_attempt > 1e-12 ->
+        (* task A fails and its next attempt waits out a backoff; a task
+           B of the stage that has not failed by then has drained at most
+           [f_at - start] from its first attempt on any resource, as
+           capacity never exceeds 1, so on r it is still live above the
+           demand of A's parked attempt *)
+        let a = index id label in
+        let parked = demands id a (f.Sim.f_attempt + 1) in
+        let elapsed = f.Sim.f_at -. List.assoc id o.Sim.stage_start in
+        let failed b =
+          List.exists
+            (fun (x : Sim.fault_event) ->
+              x.Sim.f_kind = F.Task_failure && x.Sim.f_stage = Some id
+              && x.Sim.f_task = Some (tasks id).(b).TG.label
+              && x.Sim.f_at <= f.Sim.f_at)
+            o.Sim.faults
+        in
+        for b = 0 to Array.length (tasks id) - 1 do
+          let live = demands id b 1 in
+          if
+            b <> a && (not (failed b))
+            && List.exists
+                 (fun r -> parked.(r) > e && r < Array.length live && live.(r) -. elapsed > parked.(r))
+                 (List.init (Array.length parked) Fun.id)
+          then note "parked attempts demanding less than a live task"
+        done
+      | _ -> ())
+    o.Sim.faults;
+  !hazards
+
 let matches_reference () =
   let rng = Rng.create 20261019 in
   let count = Hashtbl.create 16 in
@@ -412,6 +498,18 @@ let matches_reference () =
         with
         | Ok want, Ok got ->
           check_same ~ctx want got;
+          if want.Sim.n_replans = 0 then
+            List.iter seen
+              (list_hazards ~e:(Float.max 1e-9 (1e-12 *. TG.total_work g0)) ~recovery fc g0 want)
+          else begin
+            (* the loop drains the spliced graph's tasks *)
+            let last = List.fold_left (fun _ (r : Sim.replan_event) -> r.Sim.rp_at) 0. want.Sim.replans in
+            if
+              List.exists
+                (fun (e : Sim.event) -> e.Sim.at > last && contains e.Sim.what "task " && contains e.Sim.what " done")
+                want.Sim.trace
+            then seen "tasks drained after a splice"
+          end;
           if want.Sim.n_retries > 0 then seen ("retries under " ^ name);
           if List.exists (fun (e : Sim.event) -> contains e.Sim.what "checkpoint lost") want.Sim.trace
           then seen "checkpoint losses";
@@ -453,6 +551,11 @@ let matches_reference () =
       ("splices on scale-out", 10);
       ("starved runs", 10);
       ("dimension mismatches", 10);
+      ("least demand not the first task's", 350);
+      ("nonzero cells at or below the threshold", 190);
+      ("stragglers lifting a cell over the threshold", 8);
+      ("parked attempts demanding less than a live task", 35);
+      ("tasks drained after a splice", 35);
     ]
 
 let suite =
